@@ -60,24 +60,6 @@ const SCALE_LARGE_N: usize = 100_000;
 /// got).
 const SCALE_TIME_BUDGET_SECS: f64 = 20.0;
 
-/// The round-executor workloads: unit budgets under exact best
-/// response, capped rounds (the affordability trick the kernel
-/// comparison already uses) — but with enough rounds that the
-/// near-converged tail is represented: a best-response trajectory is
-/// one dense opening round and then progressively quieter sweeps, and
-/// the quiet sweeps (including the final convergence-check round every
-/// run pays) are where intra-round parallelism lives. n=256 tracks the
-/// crossover size, n=1024 is the large-n target the speculative
-/// executor exists for. Sequential and speculative runs are asserted
-/// step-identical, so steps/sec ratios are workload-fair by
-/// construction.
-const ROUNDS_SMALL_N: usize = 256;
-const ROUNDS_SMALL_RUNS: u64 = 2;
-const ROUNDS_SMALL_CAP: usize = 8;
-const ROUNDS_LARGE_N: usize = 1024;
-const ROUNDS_LARGE_RUNS: u64 = 1;
-const ROUNDS_LARGE_CAP: usize = 5;
-
 /// The scenario-engine workload: the checked-in churn example
 /// (dynamics under arrivals/departures), embedded at compile time so
 /// the snapshot needs no working-directory assumptions.
@@ -136,9 +118,8 @@ fn measure_kernels(n: usize, runs: u64, max_rounds: usize) -> (f64, f64, usize) 
         measure_n(n, runs, |init| {
             let mut rng = StdRng::seed_from_u64(0);
             // Pinned sequential so the kernel series isolates kernel
-            // effects on every host (Auto would go speculative at
-            // these sizes on multi-core machines; the rounds_* fields
-            // track that axis separately).
+            // effects on every host (Auto would shard activations at
+            // these sizes on multi-core machines).
             run_dynamics_with_kernel(
                 init,
                 DynamicsConfig::exact(model, max_rounds).with_executor(RoundExecutor::Sequential),
@@ -238,54 +219,6 @@ fn peak_rss_mib() -> f64 {
         .unwrap_or(0.0)
 }
 
-/// `(steps_per_sec, total_steps)` for the round-executor workload
-/// under `executor` with the worker-thread cap pinned to `threads`
-/// for the duration of the measurement.
-fn measure_rounds(
-    n: usize,
-    runs: u64,
-    max_rounds: usize,
-    executor: RoundExecutor,
-    threads: usize,
-) -> (f64, usize) {
-    bbncg_par::set_max_threads(threads);
-    measure_n(n, runs, |init| {
-        let mut rng = StdRng::seed_from_u64(0);
-        run_dynamics_with_kernel(
-            init,
-            DynamicsConfig::exact(CostModel::Sum, max_rounds).with_executor(executor),
-            &mut rng,
-            CostKernel::Auto,
-        )
-        .steps
-    })
-}
-
-/// Sequential-vs-speculative steps/sec on one workload size:
-/// `(seq t1, spec t1, spec t2, spec t8, total steps)`. Asserts the
-/// executors trace step-identical trajectories (the tentpole
-/// invariant) before reporting any ratio.
-fn measure_round_executors(n: usize, runs: u64, max_rounds: usize) -> (f64, f64, f64, f64, usize) {
-    let (seq_sps, seq_steps) = measure_rounds(n, runs, max_rounds, RoundExecutor::Sequential, 1);
-    let (spec1_sps, spec1_steps) =
-        measure_rounds(n, runs, max_rounds, RoundExecutor::Speculative, 1);
-    let (spec2_sps, spec2_steps) =
-        measure_rounds(n, runs, max_rounds, RoundExecutor::Speculative, 2);
-    let (spec8_sps, spec8_steps) =
-        measure_rounds(n, runs, max_rounds, RoundExecutor::Speculative, 8);
-    for (label, steps) in [
-        ("spec t1", spec1_steps),
-        ("spec t2", spec2_steps),
-        ("spec t8", spec8_steps),
-    ] {
-        assert_eq!(
-            seq_steps, steps,
-            "round executors must trace identical trajectories (n={n}, {label})"
-        );
-    }
-    (seq_sps, spec1_sps, spec2_sps, spec8_sps, seq_steps)
-}
-
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -337,7 +270,7 @@ fn main() {
     let _ = writeln!(json, "{{");
     // Bumped whenever a field is added/renamed/removed, so trajectory
     // tooling can tell a schema change from a perf change.
-    let _ = writeln!(json, "  \"schema_version\": 3,");
+    let _ = writeln!(json, "  \"schema_version\": 4,");
     let _ = writeln!(
         json,
         "  \"workload\": \"unit-budget exact dynamics, n={N}, {RUNS} seeds\","
@@ -434,67 +367,6 @@ fn main() {
     );
     let _ = writeln!(json, "  \"peak_rss_mib\": {:.1},", peak_rss_mib());
 
-    // Round-executor comparison: sequential vs speculative rounds on
-    // the same exact-dynamics workload, speculative at 1/2/8 worker
-    // threads. The thread cap is pinned per measurement and restored
-    // afterwards so the scenario measurement below keeps the host
-    // default.
-    let base_threads = bbncg_par::max_threads();
-    let host_cpus = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    let (rseq_256, rspec_256_t1, rspec_256_t2, rspec_256_t8, rsteps_256) =
-        measure_round_executors(ROUNDS_SMALL_N, ROUNDS_SMALL_RUNS, ROUNDS_SMALL_CAP);
-    let (rseq_1024, rspec_1024_t1, rspec_1024_t2, rspec_1024_t8, rsteps_1024) =
-        measure_round_executors(ROUNDS_LARGE_N, ROUNDS_LARGE_RUNS, ROUNDS_LARGE_CAP);
-    bbncg_par::set_max_threads(base_threads);
-    let rounds_speedup_256 = rspec_256_t8 / rseq_256;
-    let rounds_speedup_1024 = rspec_1024_t8 / rseq_1024;
-    let _ = writeln!(
-        json,
-        "  \"rounds_workload\": \"unit-budget exact dynamics, n={ROUNDS_SMALL_N} ({ROUNDS_SMALL_RUNS} seeds, {ROUNDS_SMALL_CAP} rounds) and n={ROUNDS_LARGE_N} ({ROUNDS_LARGE_RUNS} seed, {ROUNDS_LARGE_CAP} rounds)\","
-    );
-    let _ = writeln!(json, "  \"rounds_host_cpus\": {host_cpus},");
-    let _ = writeln!(json, "  \"rounds_seq_steps_per_sec_n256\": {rseq_256:.1},");
-    let _ = writeln!(
-        json,
-        "  \"rounds_spec_steps_per_sec_n256_t1\": {rspec_256_t1:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"rounds_spec_steps_per_sec_n256_t2\": {rspec_256_t2:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"rounds_spec_steps_per_sec_n256_t8\": {rspec_256_t8:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"rounds_spec_speedup_n256_t8\": {rounds_speedup_256:.2},"
-    );
-    let _ = writeln!(json, "  \"rounds_total_steps_n256\": {rsteps_256},");
-    let _ = writeln!(
-        json,
-        "  \"rounds_seq_steps_per_sec_n1024\": {rseq_1024:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"rounds_spec_steps_per_sec_n1024_t1\": {rspec_1024_t1:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"rounds_spec_steps_per_sec_n1024_t2\": {rspec_1024_t2:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"rounds_spec_steps_per_sec_n1024_t8\": {rspec_1024_t8:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"rounds_spec_speedup_n1024_t8\": {rounds_speedup_1024:.2},"
-    );
-    let _ = writeln!(json, "  \"rounds_total_steps_n1024\": {rsteps_1024},");
-
     let (scenario_sps, scenario_steps) = measure_scenario();
     let _ = writeln!(
         json,
@@ -506,34 +378,14 @@ fn main() {
     );
     let _ = writeln!(json, "  \"scenario_total_steps\": {scenario_steps},");
 
-    // Speculation / pruning health, read from the obs registry.
-    // Enabled only *here* — after every timing above — so the perf
-    // series keeps measuring the disabled (zero-cost) configuration;
-    // `enable()` is one-way per process. The health legs re-run the
-    // same deterministic workloads the perf fields used, and the
-    // counters they read are exact by construction (executors and
-    // kernels increment them move-for-move), so the re-run costs
-    // wall-clock but not fidelity.
+    // Pruning health, read from the obs registry. Enabled only *here*
+    // — after every timing above — so the perf series keeps measuring
+    // the disabled (zero-cost) configuration; `enable()` is one-way per
+    // process. The health legs re-run the same deterministic workloads
+    // the perf fields used, and the counters they read are exact by
+    // construction (kernels increment them move-for-move), so the
+    // re-run costs wall-clock but not fidelity.
     bbncg_obs::enable();
-    bbncg_obs::reset();
-    let _ = measure_rounds(
-        ROUNDS_LARGE_N,
-        ROUNDS_LARGE_RUNS,
-        ROUNDS_LARGE_CAP,
-        RoundExecutor::Speculative,
-        8,
-    );
-    bbncg_par::set_max_threads(base_threads);
-    let rate = |num: Counter, den: f64| -> f64 {
-        if den > 0.0 {
-            bbncg_obs::counter_value(num) as f64 / den
-        } else {
-            0.0
-        }
-    };
-    let evals = bbncg_obs::counter_value(Counter::RoundsEvals) as f64;
-    let rounds_commit_rate = rate(Counter::RoundsCommits, evals);
-    let rounds_discard_rate = rate(Counter::RoundsDiscards, evals);
     // Per-kernel Lemma 2.2 pruning hit rate on the n=1024 scale
     // workload: skipped / (skipped + priced). The scratch is dropped
     // inside `measure_kernel_scale`, which flushes its tally before
@@ -624,8 +476,6 @@ fn main() {
     let bound_misses = bbncg_obs::counter_value(Counter::KernelBoundCacheMisses) as f64;
     let bound_cache_hit_rate = bound_hits / (bound_hits + bound_misses).max(1.0);
 
-    let _ = writeln!(json, "  \"rounds_commit_rate\": {rounds_commit_rate:.4},");
-    let _ = writeln!(json, "  \"rounds_discard_rate\": {rounds_discard_rate:.4},");
     let _ = writeln!(json, "  \"prune_hit_rate_queue\": {prune_queue:.4},");
     let _ = writeln!(json, "  \"prune_hit_rate_bitset\": {prune_bitset:.4},");
     let _ = writeln!(json, "  \"prune_hit_rate_sparse\": {prune_sparse:.4},");
@@ -672,26 +522,6 @@ fn main() {
         eprintln!(
             "WARNING: sparse kernel is only {sparse_speedup_16384:.2}x the queue kernel at \
              n={SCALE_MID_N} (target >=3x); see ROADMAP item 2"
-        );
-    }
-    // Speculative rounds buy wall-clock through real hardware
-    // parallelism (the trajectory is identical by construction, so
-    // there is nothing algorithmic to win at one core). The ≥2×
-    // acceptance bar is therefore only meaningful — and only enforced
-    // — when the host actually has multiple CPUs; single-core hosts
-    // record the honest (≈1×, fork/join-taxed) numbers instead of
-    // fabricating a ratio the silicon cannot produce.
-    if host_cpus >= 2 {
-        assert!(
-            rounds_speedup_1024 >= 2.0,
-            "acceptance: speculative rounds must be >= 2x sequential at n={ROUNDS_LARGE_N} \
-             with 8 threads on a multi-core host (got {rounds_speedup_1024:.2}x on {host_cpus} CPUs)"
-        );
-    } else {
-        eprintln!(
-            "note: single-CPU host — speculative-round speedup recorded \
-             ({rounds_speedup_1024:.2}x at n={ROUNDS_LARGE_N}/t8) but the >=2x bar is not \
-             enforceable without hardware parallelism"
         );
     }
 }

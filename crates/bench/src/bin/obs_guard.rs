@@ -4,8 +4,9 @@
 //! `counter_add` / `observe` call sites a single relaxed load of the
 //! enable flag and nothing else. This binary measures that promise on
 //! the acceptance workload (n=1024 unit-budget exact dynamics,
-//! speculative rounds) by running the identical deterministic
-//! trajectory twice in one process:
+//! sequential rounds on one thread, so the ratio measures the
+//! instrumentation rather than scheduling noise) by running the
+//! identical deterministic trajectory twice in one process:
 //!
 //!   1. with the registry **disabled** (the shipping default), then
 //!   2. with the registry **enabled** (`enable()` is one-way, so the
@@ -46,10 +47,10 @@ fn initial(n: usize, seed: u64) -> Realization {
 }
 
 /// Best-of-`reps` steps/sec for the guard workload: capped
-/// exact-dynamics via the speculative executor (the executor with the
-/// densest obs instrumentation) at `threads` workers.
-fn best_steps_per_sec(n: usize, cap: usize, reps: usize, threads: usize) -> (f64, usize) {
-    bbncg_par::set_max_threads(threads);
+/// exact-dynamics through the sequential executor, every candidate
+/// priced on one engine (the kernel tallies are the hot-path
+/// instrumentation).
+fn best_steps_per_sec(n: usize, cap: usize, reps: usize) -> (f64, usize) {
     let mut best = 0.0f64;
     let mut steps = 0usize;
     for _ in 0..reps {
@@ -58,7 +59,7 @@ fn best_steps_per_sec(n: usize, cap: usize, reps: usize, threads: usize) -> (f64
         let t = Instant::now();
         let rep = run_dynamics_with_kernel(
             init,
-            DynamicsConfig::exact(CostModel::Sum, cap).with_executor(RoundExecutor::Speculative),
+            DynamicsConfig::exact(CostModel::Sum, cap).with_executor(RoundExecutor::Sequential),
             &mut rng,
             CostKernel::Auto,
         );
@@ -72,24 +73,23 @@ fn best_steps_per_sec(n: usize, cap: usize, reps: usize, threads: usize) -> (f64
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (n, cap, reps) = if quick { (256, 3, 2) } else { (1024, 5, REPS) };
-    let threads = 8;
 
     assert!(
         !bbncg_obs::enabled(),
         "guard invariant: the registry must start disabled \
          (disabled passes have to run before the one-way enable())"
     );
-    let (sps_off, steps_off) = best_steps_per_sec(n, cap, reps, threads);
+    let (sps_off, steps_off) = best_steps_per_sec(n, cap, reps);
 
     bbncg_obs::enable();
-    let (sps_on, steps_on) = best_steps_per_sec(n, cap, reps, threads);
+    let (sps_on, steps_on) = best_steps_per_sec(n, cap, reps);
     assert_eq!(
         steps_off, steps_on,
         "instrumentation must not perturb the trajectory"
     );
 
     let ratio = sps_on / sps_off;
-    println!("obs_guard: n={n} cap={cap} reps={reps} threads={threads} quick={quick}");
+    println!("obs_guard: n={n} cap={cap} reps={reps} rounds=sequential quick={quick}");
     println!("obs_guard: disabled {sps_off:.1} steps/sec, enabled {sps_on:.1} steps/sec");
     println!("obs_guard: enabled/disabled ratio {ratio:.4} (floor {MIN_RATIO})");
     if quick {

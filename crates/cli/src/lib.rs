@@ -86,7 +86,7 @@ impl Args {
 
     /// Every value given for `--key`, in order. Lets one flag carry
     /// two orthogonal meanings (`dynamics --rounds 500 --rounds
-    /// speculative` sets both the round cap and the executor).
+    /// sharded` sets both the round cap and the executor).
     pub fn get_all<'a>(&'a self, key: &str) -> impl Iterator<Item = &'a str> + 'a {
         let key = key.to_string();
         self.flags
@@ -140,9 +140,10 @@ fn parse_kernel(args: &Args) -> Result<CostKernel, String> {
     }
 }
 
-/// `--rounds sequential|speculative|auto` (default auto) — the round
-/// executor. Executors are step-identical, so this never changes a
-/// report, record stream or checkpoint — only wall-clock. On
+/// `--rounds sequential|sharded|auto` (default auto) — the round
+/// executor (the legacy `speculative` parses to `sharded`). Executors
+/// are step-identical, so this never changes a report, record stream
+/// or checkpoint — only wall-clock. On
 /// `dynamics`, numeric `--rounds N` values keep their historical
 /// round-cap meaning (see [`cmd_dynamics`]); everywhere else the flag
 /// takes a mode name only.
@@ -942,11 +943,11 @@ USAGE: bbncg <COMMAND> [ARGS]
 COMMANDS:
   construct       --budgets 1,1,2,0 | --spider K | --btree H | --shift K
   verify          FILE [--model sum|max] [--swap|--audit] [--kernel queue|bitset|sparse|auto]
-                  [--rounds sequential|speculative|auto]
+                  [--rounds sequential|sharded|auto]
   best-response   FILE --player I [--model sum|max] [--rule exact|greedy|swap]
   dynamics        [FILE] --budgets LIST [--model sum|max] [--seed S]
                   [--rule exact|better|greedy|swap] [--order rr|random]
-                  [--rounds N] [--rounds sequential|speculative|auto]
+                  [--rounds N] [--rounds sequential|sharded|auto]
                   [--emit profile] [--kernel queue|bitset|sparse|auto]
   analyze         FILE
   exact-poa       --budgets LIST [--model sum|max] [--limit N]
@@ -971,18 +972,20 @@ specs) produce identical reports, metric records and final profiles.
 --kernel picks the BFS machinery pricing candidate deviations (word-
 parallel bitset vs queue; auto picks by instance size). Kernels are
 move-for-move equivalent: they never change a result, only throughput.
---rounds (mode form) picks the round executor: speculative rounds
-evaluate players' best responses in parallel inside each round and
-revalidate proposals at commit time; they are step-identical to
-sequential rounds at any thread count (auto goes speculative for
-n >= 64 with > 1 worker thread, and never nests inside seed-sweep or
-serve-job workers). On `dynamics`, a numeric --rounds keeps its
-historical round-cap meaning; give the flag twice for both.
+--rounds (mode form) picks the round executor: sharded rounds split
+each activation's candidate space (exact subsets, swap pairs) across
+worker engines and merge the slice optima; they are step-identical to
+sequential rounds at any thread count. auto shards with > 1 worker
+thread on a multi-CPU host, never inside seed-sweep or serve-job
+workers, and only activations with enough candidate work to beat the
+fork/join cost; the legacy name speculative means sharded. On
+`dynamics`, a numeric --rounds keeps its historical round-cap meaning;
+give the flag twice for both.
 --threads N (any command) pins the worker-thread bound, overriding
 BBNCG_THREADS: dynamics/verify/scenario parallelism and the serve
 worker pool all respect it.
 --obs (any command) switches the in-process metrics registry on
-(kernel pruning rates, window commit/discard counts, phase timings;
+(kernel pruning rates, sharded-activation counts, phase timings;
 scraped via serve's GET /metrics). --trace FILE (any command) streams
 span records — one JSON object per phase/seed with start_us/dur_us —
 to FILE as JSONL. Both are off by default and cost nothing when off;
@@ -1152,13 +1155,14 @@ mod tests {
         // forms combine, and bad values fail with the mode list.
         let base = ["dynamics", "--budgets", "1,1,1,1,1,1", "--seed", "11"];
         let mut outs = Vec::new();
-        for mode in ["sequential", "speculative", "auto"] {
+        for mode in ["sequential", "sharded", "auto", "speculative"] {
             let mut line: Vec<&str> = base.to_vec();
             line.extend(["--rounds", mode, "--emit", "profile"]);
             outs.push(run(&line).unwrap());
         }
-        assert_eq!(outs[0], outs[1], "sequential vs speculative");
+        assert_eq!(outs[0], outs[1], "sequential vs sharded");
         assert_eq!(outs[0], outs[2], "sequential vs auto");
+        assert_eq!(outs[0], outs[3], "sequential vs the legacy label");
         // Numeric --rounds still caps; combined with a mode it caps
         // under that executor — and a cap of 0 rounds runs nothing.
         let capped = run(&[
@@ -1168,13 +1172,13 @@ mod tests {
             "--rounds",
             "0",
             "--rounds",
-            "speculative",
+            "sharded",
         ])
         .unwrap();
         assert!(capped.contains("rounds = 0"), "{capped}");
         assert!(run(&["dynamics", "--budgets", "1,1", "--rounds", "warp"])
             .unwrap_err()
-            .contains("sequential|speculative|auto"));
+            .contains("sequential|sharded|auto"));
 
         // verify --audit accepts the mode and the verdict is
         // executor-independent.
@@ -1194,7 +1198,7 @@ mod tests {
             path.to_str().unwrap(),
             "--audit",
             "--rounds",
-            "speculative",
+            "sharded",
         ])
         .unwrap();
         assert_eq!(seq, spec);
@@ -1202,7 +1206,7 @@ mod tests {
         // A bad mode is rejected on every verify path, --audit or not.
         assert!(run(&["verify", path.to_str().unwrap(), "--rounds", "warp"])
             .unwrap_err()
-            .contains("sequential|speculative|auto"));
+            .contains("sequential|sharded|auto"));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1215,11 +1219,13 @@ mod tests {
         std::fs::write(&spec, TINY_SCENARIO).unwrap();
         let spec_s = spec.to_str().unwrap();
         let seq = run(&["scenario", "run", spec_s, "--rounds", "sequential"]).unwrap();
-        let speculative = run(&["scenario", "run", spec_s, "--rounds", "speculative"]).unwrap();
-        assert_eq!(seq, speculative);
+        let sharded = run(&["scenario", "run", spec_s, "--rounds", "sharded"]).unwrap();
+        assert_eq!(seq, sharded);
+        let legacy = run(&["scenario", "run", spec_s, "--rounds", "speculative"]).unwrap();
+        assert_eq!(seq, legacy);
         assert!(run(&["scenario", "run", spec_s, "--rounds", "warp"])
             .unwrap_err()
-            .contains("sequential|speculative|auto"));
+            .contains("sequential|sharded|auto"));
         std::fs::remove_file(&spec).ok();
     }
 

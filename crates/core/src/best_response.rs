@@ -19,6 +19,7 @@ use crate::deviation::DeviationScratch;
 use crate::oracle::{enumeration_count, CombinationOdometer};
 use crate::realization::Realization;
 use bbncg_graph::NodeId;
+use std::ops::Range;
 
 /// Hard guard on exact enumeration size; beyond this the exact solver
 /// refuses rather than silently running for hours.
@@ -67,48 +68,116 @@ pub fn exact_best_response_with(
     u: NodeId,
     model: CostModel,
 ) -> ScoredStrategy {
-    let n = r.n();
     let b = r.graph().out_degree(u);
+    assert_enumerable(r.n(), b, u);
+    // Leading elements run over 0..n−b of the (n−1)-element pool; the
+    // empty strategy (b = 0) leads with 0 and ends the enumeration at
+    // once.
+    exact_best_over(scratch, r, u, model, &mut Whole(Some(0..r.n() - b)))
+        .expect("at least one strategy exists")
+        .0
+}
+
+/// The [`MAX_EXACT_CANDIDATES`] guard of the exact solver.
+pub(crate) fn assert_enumerable(n: usize, b: usize, u: NodeId) {
     let count = enumeration_count(n - 1, b);
     assert!(
         count <= MAX_EXACT_CANDIDATES,
         "exact best response would enumerate {count} candidates (player {u}, budget {b}, n {n}); \
          use greedy_best_response or best_swap_response instead"
     );
+}
+
+/// The slices of a candidate space one engine prices. Slices are
+/// numbered in enumeration order and an engine receives them in
+/// increasing order, so its incumbent always comes from earlier in the
+/// enumeration than the candidate it prunes against — and a candidate
+/// that merely ties it rightly loses.
+pub(crate) trait Slices {
+    /// The next slice to price, `(index, range)`, or `None` when done.
+    fn next(&mut self) -> Option<(usize, Range<usize>)>;
+    /// Has a slice before `slice` reached the Lemma 2.2 floor? Then
+    /// `slice` can at best tie the proven optimum and lose the tie.
+    fn floor_before(&self, slice: usize) -> bool;
+    /// `slice` is finished: `examined` candidates priced or pruned, and
+    /// whether its incumbent reached the floor.
+    fn done(&mut self, slice: usize, examined: u64, floor: bool);
+}
+
+/// The whole candidate space as one slice, priced alone: the
+/// sequential search.
+struct Whole(Option<Range<usize>>);
+
+impl Slices for Whole {
+    fn next(&mut self) -> Option<(usize, Range<usize>)> {
+        self.0.take().map(|range| (0, range))
+    }
+
+    fn floor_before(&self, _: usize) -> bool {
+        false
+    }
+
+    fn done(&mut self, _: usize, _: u64, _: bool) {}
+}
+
+/// The exact search over the slices `slices` deals, each a range of
+/// leading elements: the candidates whose smallest pool index lies in
+/// the range form one contiguous stretch of the lexicographic
+/// enumeration (the pool is `0..n` without `u`). Returns the cheapest
+/// candidate found — the earliest among equals — and its slice.
+pub(crate) fn exact_best_over(
+    scratch: &mut DeviationScratch,
+    r: &Realization,
+    u: NodeId,
+    model: CostModel,
+    slices: &mut impl Slices,
+) -> Option<(ScoredStrategy, usize)> {
+    let n = r.n();
+    let b = r.graph().out_degree(u);
     scratch.begin(r, u, model);
     let lb = scratch.cost_lower_bound(b);
     let mut pool = std::mem::take(&mut scratch.pool_buf);
     let mut targets = std::mem::take(&mut scratch.cand_buf);
     pool.clear();
     pool.extend((0..n).map(NodeId::new).filter(|&t| t != u));
-    let mut odometer = CombinationOdometer::new(pool.len(), b);
-    let mut best: Option<ScoredStrategy> = None;
-    loop {
-        targets.clear();
-        targets.extend(odometer.indices().iter().map(|&i| pool[i]));
-        // Per-candidate pruning: when the candidate's own Lemma 2.2
-        // bound cannot beat the incumbent, skip its BFS entirely. A
-        // pruned candidate's true cost is ≥ the incumbent, so neither
-        // the optimum nor the lexicographic tie-break can change.
-        let incumbent = best.as_ref().map_or(u64::MAX, |s| s.cost);
-        if let Some(cost) = scratch.cost_of_pruned(&targets, incumbent) {
-            if cost < incumbent {
-                best = Some(ScoredStrategy {
-                    targets: targets.clone(),
-                    cost,
-                });
-                if cost <= lb {
-                    break; // provably optimal
+    let mut best: Option<(ScoredStrategy, usize)> = None;
+    while let Some((slice, leads)) = slices.next() {
+        let mut odometer = CombinationOdometer::from_lead(pool.len(), b, leads.start);
+        let (mut examined, mut floor) = (0, false);
+        while !slices.floor_before(slice) {
+            targets.clear();
+            targets.extend(odometer.indices().iter().map(|&i| pool[i]));
+            examined += 1;
+            // Per-candidate pruning: when the candidate's own Lemma 2.2
+            // bound cannot beat the incumbent, skip its BFS entirely. A
+            // pruned candidate's true cost is ≥ the incumbent, so neither
+            // the optimum nor the lexicographic tie-break can change.
+            let incumbent = best.as_ref().map_or(u64::MAX, |(s, _)| s.cost);
+            if let Some(cost) = scratch.cost_of_pruned(&targets, incumbent) {
+                if cost < incumbent {
+                    let found = ScoredStrategy {
+                        targets: targets.clone(),
+                        cost,
+                    };
+                    best = Some((found, slice));
+                    floor = cost <= lb; // provably optimal
+                    if floor {
+                        break;
+                    }
                 }
             }
+            if !odometer.advance() || odometer.lead() >= leads.end {
+                break;
+            }
         }
-        if !odometer.advance() {
+        slices.done(slice, examined, floor);
+        if floor {
             break;
         }
     }
     scratch.pool_buf = pool;
     scratch.cand_buf = targets;
-    best.expect("at least one strategy exists")
+    best
 }
 
 /// Cost of the cheapest strategy for `u` (see [`exact_best_response`]),
@@ -300,39 +369,89 @@ pub fn best_swap_response_with(
     u: NodeId,
     model: CostModel,
 ) -> Option<ScoredStrategy> {
-    let n = r.n();
-    if r.strategy(u).is_empty() {
+    let b = r.strategy(u).len();
+    if b == 0 {
         return None;
     }
+    let found = best_swap_over(scratch, r, u, model, &mut Whole(Some(0..b * r.n())));
+    Some(found.map_or_else(|| current_strategy(scratch, r, u), |(s, _)| s))
+}
+
+/// `u`'s current strategy, priced through the open session.
+pub(crate) fn current_strategy(
+    scratch: &mut DeviationScratch,
+    r: &Realization,
+    u: NodeId,
+) -> ScoredStrategy {
+    ScoredStrategy {
+        cost: scratch.cost_of(r.strategy(u)),
+        targets: r.strategy(u).to_vec(),
+    }
+}
+
+/// The swap search over the slices `slices` deals, each a range of
+/// (slot, target) pairs: pair `p` replaces owned arc `p / n` by target
+/// `p % n`, and [`best_swap_response_with`] is this search over
+/// `0..b·n` as one slice. Candidates must strictly beat the current
+/// strategy; returns the cheapest one found — the earliest among
+/// equals — and its slice, or `None` when no candidate improves.
+pub(crate) fn best_swap_over(
+    scratch: &mut DeviationScratch,
+    r: &Realization,
+    u: NodeId,
+    model: CostModel,
+    slices: &mut impl Slices,
+) -> Option<(ScoredStrategy, usize)> {
+    let n = r.n();
     scratch.begin(r, u, model);
     let mut current = std::mem::take(&mut scratch.pool_buf);
     let mut trial = std::mem::take(&mut scratch.cand_buf);
     current.clear();
     current.extend_from_slice(r.strategy(u));
-    let mut best = ScoredStrategy {
-        cost: scratch.cost_of(&current),
-        targets: current.clone(),
-    };
-    for i in 0..current.len() {
-        for new in (0..n).map(NodeId::new) {
-            if new == u || current.contains(&new) {
-                continue;
-            }
-            trial.clear();
-            trial.extend_from_slice(&current);
-            trial[i] = new;
-            if let Some(cost) = scratch.cost_of_pruned(&trial, best.cost) {
-                if cost < best.cost {
-                    let mut targets = trial.clone();
-                    targets.sort_unstable();
-                    best = ScoredStrategy { targets, cost };
+    let mut incumbent = scratch.cost_of(&current);
+    let lb = scratch.cost_lower_bound(current.len());
+    let mut best: Option<(ScoredStrategy, usize)> = None;
+    while let Some((slice, pairs)) = slices.next() {
+        let (mut examined, mut floor) = (0, false);
+        'pairs: for i in 0..current.len() {
+            let row = i * n;
+            let lo = pairs.start.clamp(row, row + n) - row;
+            let hi = pairs.end.clamp(row, row + n) - row;
+            for new in (lo..hi).map(NodeId::new) {
+                if new == u || current.contains(&new) {
+                    continue;
+                }
+                if slices.floor_before(slice) {
+                    break 'pairs;
+                }
+                trial.clear();
+                trial.extend_from_slice(&current);
+                trial[i] = new;
+                examined += 1;
+                if let Some(cost) = scratch.cost_of_pruned(&trial, incumbent) {
+                    if cost < incumbent {
+                        incumbent = cost;
+                        let mut targets = trial.clone();
+                        targets.sort_unstable();
+                        best = Some((ScoredStrategy { targets, cost }, slice));
+                        // At the Lemma 2.2 floor nothing later can
+                        // strictly improve.
+                        floor = cost <= lb;
+                        if floor {
+                            break 'pairs;
+                        }
+                    }
                 }
             }
+        }
+        slices.done(slice, examined, floor);
+        if floor {
+            break;
         }
     }
     scratch.pool_buf = current;
     scratch.cand_buf = trial;
-    Some(best)
+    best
 }
 
 #[cfg(test)]

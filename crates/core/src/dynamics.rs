@@ -18,7 +18,7 @@ use crate::cancel::CancelToken;
 use crate::cost::CostModel;
 use crate::deviation::DeviationScratch;
 use crate::realization::Realization;
-use crate::round::{respond, run_round_speculative, RoundExecutor};
+use crate::round::{respond, RoundExecutor, Shards};
 use bbncg_graph::NodeId;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -263,17 +263,17 @@ fn run_dynamics_impl(
     // budget here, at run start. Either verdict traces the identical
     // trajectory (round executors are step-identical by construction —
     // see `crate::round`), so resolution timing is a perf detail.
-    let executor = cfg.executor.resolve(n);
-    // Speculative window width, adapted across rounds, plus the warm
-    // worker-engine pool shared by every window (see
-    // `run_round_speculative`); both unused by the sequential executor.
-    let mut window_hint = bbncg_par::max_threads().saturating_mul(4).max(1);
-    let engine_pool = std::sync::Mutex::new(Vec::new());
+    let mut shards = (cfg.executor.resolve(n) == RoundExecutor::Sharded).then(|| {
+        Shards::new(
+            &state,
+            scratch.kernel(),
+            cfg.executor == RoundExecutor::Sharded,
+        )
+    });
     // One deviation engine for the whole run: each activation syncs it
     // to `state` by diffing (one move at a time ⇒ O(1) edge patches),
     // so no candidate pricing ever rebuilds the undirected view. The
-    // speculative executor instead builds one engine per worker per
-    // window and re-syncs this one lazily at the next sequential use.
+    // sharded executor's helper engines sync the same way.
     while rounds < cfg.max_rounds {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return (
@@ -292,27 +292,12 @@ fn run_dynamics_impl(
             order.shuffle(rng);
         }
         let mut round_improvements = 0usize;
-        match executor {
-            RoundExecutor::Speculative => {
-                round_improvements = run_round_speculative(
-                    &mut state,
-                    &cfg,
-                    &order,
-                    scratch.kernel(),
-                    &mut window_hint,
-                    &engine_pool,
-                );
-                steps += round_improvements;
-            }
-            _ => {
-                for &i in &order {
-                    let u = NodeId::new(i);
-                    if let Some(targets) = respond(scratch, &state, u, &cfg) {
-                        state.set_strategy(u, targets);
-                        steps += 1;
-                        round_improvements += 1;
-                    }
-                }
+        for &i in &order {
+            let u = NodeId::new(i);
+            if let Some(targets) = respond(scratch, shards.as_mut(), &state, u, &cfg) {
+                state.set_strategy(u, targets);
+                steps += 1;
+                round_improvements += 1;
             }
         }
         rounds += 1;

@@ -239,21 +239,21 @@ pub fn audit_equilibrium_with_kernel(
     model: CostModel,
     kernel: CostKernel,
 ) -> NashAudit {
-    // The audit has no intra-batch commits to speculate over, so the
-    // parallel path is always sound; keep the historical always-
-    // parallel behaviour for the kernel-only entry point.
-    audit_equilibrium_with_opts(r, model, kernel, crate::round::RoundExecutor::Speculative)
+    // Players are priced independently, so the parallel path is always
+    // sound; keep the historical always-parallel behaviour for the
+    // kernel-only entry point.
+    audit_equilibrium_with_opts(r, model, kernel, crate::round::RoundExecutor::Sharded)
 }
 
 /// [`audit_equilibrium`] with both the [`CostKernel`] and the
 /// [`RoundExecutor`](crate::round::RoundExecutor) chosen. The audit is
-/// a read-only sweep, so "speculative" simply means *batched parallel
-/// over players* (the same worker-local-engine discipline dynamics
-/// rounds use) and "sequential" prices everyone through one engine on
-/// the calling thread; `Auto` resolves by instance size and thread
-/// budget exactly like dynamics rounds. The verdict, gap and violation
-/// list are executor-independent — this knob exists so services can
-/// pin one execution discipline end-to-end and report it.
+/// a read-only sweep whose players are independent, so "sharded" here
+/// shards the *players* across worker-local engines and "sequential"
+/// prices everyone through one engine on the calling thread; `Auto`
+/// resolves by thread budget, host CPUs and nesting exactly like
+/// dynamics rounds. The verdict, gap and violation list are
+/// executor-independent — this knob exists so services can pin one
+/// execution discipline end-to-end and report it.
 pub fn audit_equilibrium_with_opts(
     r: &Realization,
     model: CostModel,

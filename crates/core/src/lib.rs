@@ -25,8 +25,8 @@
 //!   Lemma 2.2 certificate;
 //! * [`dynamics`] — best-response dynamics with cycle detection (the §8
 //!   convergence question);
-//! * [`round`] — round executors: sequential vs speculative-parallel
-//!   intra-round execution, step-identical by construction;
+//! * [`round`] — round executors: sequential vs sharded candidate pricing
+//!   inside each activation, step-identical by construction;
 //! * [`poa`] — social cost and price-of-anarchy bookkeeping.
 
 #![warn(missing_docs)]

@@ -97,16 +97,35 @@ impl CombinationOdometer {
     /// # Panics
     /// Panics if `k > m`.
     pub fn new(m: usize, k: usize) -> Self {
+        Self::from_lead(m, k, 0)
+    }
+
+    /// First `k`-subset of `0..m` whose smallest element is `lead`:
+    /// `{lead, lead+1, …, lead+k−1}`. Enumeration from here visits, in
+    /// lexicographic order, every subset whose smallest element is
+    /// `≥ lead` — so a range of leading elements is a contiguous
+    /// stretch of the full enumeration.
+    ///
+    /// # Panics
+    /// Panics if `k > m` or the subset does not fit (`lead + k > m`).
+    pub fn from_lead(m: usize, k: usize, lead: usize) -> Self {
         assert!(k <= m, "cannot choose {k} from {m}");
+        assert!(lead + k <= m, "no {k}-subset of 0..{m} starts at {lead}");
         CombinationOdometer {
             m,
-            idx: (0..k).collect(),
+            idx: (lead..lead + k).collect(),
         }
     }
 
     /// The current subset, strictly increasing.
     pub fn indices(&self) -> &[usize] {
         &self.idx
+    }
+
+    /// The current subset's smallest element (0 for the empty subset,
+    /// which by convention leads with element 0).
+    pub fn lead(&self) -> usize {
+        self.idx.first().copied().unwrap_or(0)
     }
 
     /// Step to the next subset in lexicographic order; `false` when
@@ -232,6 +251,25 @@ mod tests {
                 vec![2, 3],
             ]
         );
+    }
+
+    #[test]
+    fn odometer_from_lead_resumes_the_full_enumeration() {
+        let mut full = CombinationOdometer::new(5, 2);
+        let mut all = vec![full.indices().to_vec()];
+        while full.advance() {
+            all.push(full.indices().to_vec());
+        }
+        for lead in 0..4 {
+            let mut od = CombinationOdometer::from_lead(5, 2, lead);
+            assert_eq!(od.lead(), lead);
+            let mut tail = vec![od.indices().to_vec()];
+            while od.advance() {
+                tail.push(od.indices().to_vec());
+            }
+            let skip = all.iter().position(|s| s[0] == lead).unwrap();
+            assert_eq!(tail, all[skip..], "lead {lead}");
+        }
     }
 
     #[test]

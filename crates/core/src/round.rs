@@ -1,89 +1,103 @@
 //! Round executors: how one dynamics round turns activations into
 //! committed moves.
 //!
-//! A round activates every player once in the configured order. The
-//! classic executor does this **sequentially** — each activation prices
-//! its whole candidate space against the profile left by the previous
-//! one — so `--threads` never helps inside a round, only across
-//! seeds/jobs. The **speculative** executor evaluates a window of
-//! upcoming activations in parallel against the window's start state
-//! (one worker-local [`DeviationScratch`] per worker via
-//! [`bbncg_par::par_map_init`], any [`CostKernel`]), then commits the
-//! proposals sequentially in activation order, discarding and
-//! re-evaluating exactly the proposals an earlier commit invalidated.
+//! A round activates every player once in the configured order, and
+//! each activation prices its candidates against the profile the
+//! previous activation left, so a round is sequential by nature. The
+//! parallelism that is both sound and dense lies *inside* one
+//! activation: finding a best response searches a candidate space of
+//! up to `C(n−1, b)` strategies (Theorem 2.1 says nothing cheaper
+//! exists in general). The **sharded** executor cuts that space into
+//! contiguous slices in enumeration order and prices them on several
+//! deviation engines at once — the caller's [`DeviationScratch`] plus
+//! helper engines built once per dynamics run:
+//!
+//! * exact best response: the `C(n−1, b)` subsets, cut by leading
+//!   element into ranges of equal count (`lead_ranges`);
+//! * best swap: the `b·n` (slot, target) pairs, cut into contiguous
+//!   ranges (`even_ranges`).
+//!
+//! Engines claim slices from a shared cursor (`Dealer`), so each one
+//! prices an increasing run of slices and uneven pricing cost evens
+//! out. The first-improving and greedy rules price on the caller's
+//! engine under every executor.
 //!
 //! # The step-identity invariant
 //!
-//! Speculative rounds are **step-identical** to sequential rounds for
-//! every rule/order/kernel combination: same moves in the same order,
-//! same step and round counts, same [`DynamicsReport`], bit-identical
-//! checkpoints and scenario record streams at any thread count. The
-//! invariant holds by construction, not by luck:
+//! Sharded rounds are **step-identical** to sequential rounds for every
+//! rule/order/kernel combination: same moves in the same order, same
+//! step and round counts, same [`DynamicsReport`](crate::DynamicsReport),
+//! bit-identical checkpoints and scenario record streams at any thread
+//! count. The merge returns exactly the sequential decision:
 //!
-//! * every committed proposal was evaluated against a state whose
-//!   undirected **edge presence** equals the commit-time state's, and
-//! * a player's decision under any rule is a pure function of the
-//!   presence graph minus its own arcs, its own strategy, and its
-//!   budget — costs come from BFS distances, component structure and
-//!   deduplicated in-neighbour counts, all presence functions, and
-//!   candidate enumeration order is state-independent.
+//! * the sequential search returns the *first* candidate in enumeration
+//!   order that attains the least cost (it replaces its incumbent only
+//!   on a strict improvement);
+//! * each engine sees its slices in enumeration order and keeps the
+//!   first least-cost candidate among them, and the merge keeps the
+//!   least cost with ties going to the earliest slice — the same
+//!   candidate;
+//! * a slice whose candidate reaches the Lemma 2.2 floor
+//!   ([`DeviationScratch::cost_lower_bound`]) has proven the optimum,
+//!   so later slices stop: their candidates could at best tie and lose.
 //!
-//! A commit that changes presence therefore invalidates every later
-//! proposal in the window (they are discarded and re-evaluated in the
-//! next window — wasted work, never wrong answers), while a commit
-//! that only shuffles brace multiplicities invalidates nothing
-//! ([`OwnedDigraph::move_changes_presence`], mirrored by
-//! [`PatchableCsr::presence_epoch`](bbncg_graph::PatchableCsr::presence_epoch)
-//! on patch sessions). Nothing weaker than presence equality is sound
-//! here: a presence change even in a *different component* moves the
-//! cost of candidates linking into that component, so component-based
-//! affected sets cannot certify an unchanged best response.
-//!
-//! The window width adapts to the observed invalidation density —
-//! halving when commits land early in the window, doubling after a
-//! clean window — so dense early rounds degrade gracefully toward
-//! sequential cost while quiet late rounds (and the final convergence
-//! check, which every run pays) evaluate all players in one parallel
-//! sweep. Enforced by `tests/round_parity.rs` and the CI byte-diff of
+//! Pruning only skips candidates that cannot strictly beat an incumbent
+//! found earlier in the enumeration, as in the sequential loop.
+//! Enforced by `tests/round_parity.rs` and the CI byte-diff of
 //! `--threads 1` vs `--threads 8` scenario record streams.
 
 use crate::best_response::{
-    best_swap_response_with, exact_best_response_with, first_improving_response_with,
-    greedy_best_response_with,
+    assert_enumerable, best_swap_over, best_swap_response_with, current_strategy, exact_best_over,
+    exact_best_response_with, first_improving_response_with, greedy_best_response_with,
+    ScoredStrategy, Slices,
 };
+use crate::cost::CostModel;
 use crate::deviation::DeviationScratch;
 use crate::dynamics::{DynamicsConfig, ResponseRule};
 use crate::kernel::CostKernel;
+use crate::oracle::enumeration_count;
 use crate::realization::Realization;
 use bbncg_graph::NodeId;
-use bbncg_obs::{Counter, Histogram};
-use std::sync::Mutex;
+use bbncg_obs::Counter;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// How activations inside one dynamics round are executed. Executors
 /// are **step-identical**: the choice can never change a trajectory, a
 /// report, a checkpoint or a record stream — only wall-clock.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum RoundExecutor {
-    /// One activation at a time, each against the latest profile.
+    /// Every activation prices its whole candidate space on one engine.
     Sequential,
-    /// Windowed parallel proposal evaluation with presence-based
-    /// revalidation at commit time (see the module docs).
-    Speculative,
-    /// Resolve by instance size and thread budget: speculative when
-    /// `n ≥ AUTO_SPECULATIVE_MIN_N`, more than one worker thread is
-    /// available, **and** the run is not already inside a parallel
+    /// Every exact-best or best-swap activation with at least two
+    /// slices of candidates splits them across the caller's engine and
+    /// `max(max_threads(), 2) − 1` helper engines (see the module docs).
+    Sharded,
+    /// Sharded when more than one worker thread is available, the host
+    /// has more than one CPU, the run is not already inside a parallel
     /// worker (a seed-sweep or serve-job worker — nesting a fan-out
-    /// there would oversubscribe the machine quadratically);
-    /// sequential otherwise.
+    /// there would oversubscribe the machine quadratically), and the
+    /// instance has at least 3 players; sequential otherwise. A sharded
+    /// `Auto` run splits only the activations whose candidate work
+    /// clears [`RoundExecutor::SHARD_MIN_WORK`].
     #[default]
     Auto,
 }
 
 impl RoundExecutor {
-    /// Instance size at which [`RoundExecutor::Auto`] goes speculative
-    /// (given > 1 worker thread). Below it a round is too cheap for
-    /// the fork/join and per-worker engine builds to pay off.
-    pub const AUTO_SPECULATIVE_MIN_N: usize = 64;
+    /// Candidate work, in candidates × n, below which an activation of
+    /// an `Auto` run stays on one engine. A split pays one fork/join of
+    /// scoped helper threads (27–29 µs on a 2-vCPU x86-64 host) plus a
+    /// session open per helper, and saves at most half the pricing.
+    /// Full-BFS pricing there runs about 3 ns per vertex, so 2¹⁷ is
+    /// ~400 µs of unpruned pricing, some 15 fork/joins: the margin
+    /// covers near-converged activations, whose Lemma 2.2 pruning and
+    /// floor stop price far fewer candidates than they enumerate. On
+    /// that host (bitset kernel, median of 5 alternating runs) exact
+    /// unit-budget dynamics lost at n = 320 (1.0·10⁵, 0.85×) and won
+    /// at n = 384 (1.5·10⁵, 1.55×); budget-2 swap dynamics broke even
+    /// at n = 200 (0.8·10⁵) and won at n = 320 (2.0·10⁵, 1.37×).
+    pub const SHARD_MIN_WORK: u64 = 1 << 17;
 
     /// The concrete executor used for an `n`-player instance (never
     /// returns [`RoundExecutor::Auto`]). Auto consults
@@ -116,19 +130,16 @@ impl RoundExecutor {
     ) -> RoundExecutor {
         match self {
             RoundExecutor::Auto => {
-                // Never nest by default: inside an outer fan-out (a
-                // sweep's seed worker, a serve job worker) the thread
-                // budget is already spent across runs, so an intra-
-                // round fan-out would multiply threads, not speed.
-                // And a thread *budget* above 1 (`--threads 8`,
-                // `BBNCG_THREADS`) on a single-CPU host buys no
-                // intra-round parallelism either — the workers would
-                // time-slice one core and pay the fork/join and window
-                // bookkeeping for nothing, so Auto also requires real
-                // host parallelism. An *explicit* `Speculative` still
-                // honours the ask in both cases.
-                if n >= Self::AUTO_SPECULATIVE_MIN_N && threads > 1 && host_cpus > 1 && !nested {
-                    RoundExecutor::Speculative
+                // Inside an outer fan-out (a sweep's seed worker, a
+                // serve job worker) the thread budget is already spent
+                // across runs. A thread *budget* above 1 on a
+                // single-CPU host buys nothing either: the shards would
+                // time-slice one core and pay the fork/join for
+                // nothing. With fewer than 3 players no activation has
+                // two candidates to split. An *explicit* `Sharded`
+                // still honours the ask in every case.
+                if n >= 3 && threads > 1 && host_cpus > 1 && !nested {
+                    RoundExecutor::Sharded
                 } else {
                     RoundExecutor::Sequential
                 }
@@ -137,23 +148,25 @@ impl RoundExecutor {
         }
     }
 
-    /// Spec/CLI label (`"sequential"`, `"speculative"`, `"auto"`).
+    /// Spec/CLI label (`"sequential"`, `"sharded"`, `"auto"`).
     pub fn label(self) -> &'static str {
         match self {
             RoundExecutor::Sequential => "sequential",
-            RoundExecutor::Speculative => "speculative",
+            RoundExecutor::Sharded => "sharded",
             RoundExecutor::Auto => "auto",
         }
     }
 
-    /// Parse a spec/CLI label.
+    /// Parse a spec/CLI label. `"speculative"`, the executor sharding
+    /// replaced, still parses (to [`RoundExecutor::Sharded`]), so specs,
+    /// checkpoints and URLs written before the change keep working.
     pub fn parse(s: &str) -> Result<RoundExecutor, String> {
         match s {
             "sequential" => Ok(RoundExecutor::Sequential),
-            "speculative" => Ok(RoundExecutor::Speculative),
+            "sharded" | "speculative" => Ok(RoundExecutor::Sharded),
             "auto" => Ok(RoundExecutor::Auto),
             other => Err(format!(
-                "unknown round executor {other:?} (sequential|speculative|auto)"
+                "unknown round executor {other:?} (sequential|sharded|auto)"
             )),
         }
     }
@@ -167,11 +180,12 @@ impl std::fmt::Display for RoundExecutor {
 
 /// The decision one activation of player `u` makes against `state`:
 /// `Some(targets)` iff the player moves (rule dispatch plus the
-/// strict-improvement gate). This is **the** per-activation body — the
-/// sequential loop and the speculative proposal evaluator both call
-/// it, so the two executors cannot drift apart.
+/// strict-improvement gate). With `shards`, exact and swap activations
+/// worth splitting price across the helper engines; everything else
+/// prices on `scratch`.
 pub(crate) fn respond(
     scratch: &mut DeviationScratch,
+    shards: Option<&mut Shards>,
     state: &Realization,
     u: NodeId,
     cfg: &DynamicsConfig,
@@ -179,177 +193,296 @@ pub(crate) fn respond(
     if state.graph().out_degree(u) == 0 {
         return None;
     }
-    let candidate = match cfg.rule {
-        ResponseRule::ExactBest => Some(exact_best_response_with(scratch, state, u, cfg.model)),
-        ResponseRule::FirstImproving => first_improving_response_with(scratch, state, u, cfg.model),
-        ResponseRule::Greedy => Some(greedy_best_response_with(scratch, state, u, cfg.model)),
-        ResponseRule::BestSwap => best_swap_response_with(scratch, state, u, cfg.model),
-    }?;
+    let split = match (cfg.rule, shards) {
+        (ResponseRule::ExactBest, Some(shards)) => shards.exact_best(scratch, state, u, cfg.model),
+        (ResponseRule::BestSwap, Some(shards)) => shards.best_swap(scratch, state, u, cfg.model),
+        _ => None,
+    };
+    let sharded = split.is_some();
+    let candidate = match split {
+        Some(candidate) => candidate,
+        None => match cfg.rule {
+            ResponseRule::ExactBest => exact_best_response_with(scratch, state, u, cfg.model),
+            ResponseRule::FirstImproving => {
+                first_improving_response_with(scratch, state, u, cfg.model)?
+            }
+            ResponseRule::Greedy => greedy_best_response_with(scratch, state, u, cfg.model),
+            ResponseRule::BestSwap => best_swap_response_with(scratch, state, u, cfg.model)?,
+        },
+    };
     // FirstImproving only returns strictly improving strategies; the
     // other rules may hand back the current cost, so price the
     // incumbent through the still-open session to compare.
     let improved = cfg.rule == ResponseRule::FirstImproving
         || candidate.cost < scratch.cost_of(state.strategy(u));
+    if sharded && improved {
+        bbncg_obs::counter_inc(Counter::RoundsCommits);
+    }
     improved.then_some(candidate.targets)
 }
 
-/// A worker's checked-out engine: popped from the round's shared pool
-/// at worker start (or built fresh on a pool miss) and pushed back on
-/// drop, so windows and rounds reuse warm engines instead of
-/// rebuilding per `par_map_init` call. Reuse is sound because
-/// [`DeviationScratch::begin`] re-syncs its mirror to the passed
-/// profile by diffing — a pooled engine that is several commits behind
-/// pays exactly the diff, nothing more. For the sparse kernel the
-/// pooled engine also carries its retained base-distance tree and the
-/// repair journal that records those diffs: when a worker's next
-/// activation lands on the same source (re-evaluation after an
-/// invalidated window, revalidation sweeps), the base is *repaired*
-/// from the journalled presence deltas instead of re-BFS'd, and any
-/// unjournalled or oversized damage falls back to a full rebase — so
-/// pooling changes cost, never pricing.
-pub(crate) struct PooledEngine<'a> {
-    pool: &'a Mutex<Vec<DeviationScratch>>,
-    engine: Option<DeviationScratch>,
+/// The helper engines of one sharded dynamics run. They are built once
+/// at run start and open the same session as the caller's engine on
+/// every split activation, each on a scoped thread of its own;
+/// [`DeviationScratch::begin`] re-syncs each to the current profile by
+/// diffing, so a helper that sat out a few activations pays exactly the
+/// moves it missed.
+pub(crate) struct Shards {
+    helpers: Vec<DeviationScratch>,
+    /// Explicit [`RoundExecutor::Sharded`]: split every activation with
+    /// two or more slices. Otherwise (`Auto`) split only those whose
+    /// work clears [`RoundExecutor::SHARD_MIN_WORK`].
+    always: bool,
 }
 
-impl<'a> PooledEngine<'a> {
-    pub(crate) fn checkout(
-        pool: &'a Mutex<Vec<DeviationScratch>>,
-        basis: &Realization,
-        kernel: CostKernel,
-    ) -> Self {
-        let engine = pool
-            .lock()
-            .expect("engine pool poisoned")
-            .pop()
-            .unwrap_or_else(|| DeviationScratch::with_kernel(basis, kernel));
-        PooledEngine {
-            pool,
-            engine: Some(engine),
+impl Shards {
+    /// Helpers for a run over `basis` with `kernel`. The caller's engine
+    /// prices slices too, so `max_threads() − 1` helpers — but an
+    /// explicit `Sharded` run always has one, so the split-and-merge
+    /// path runs on any host and at any size.
+    pub(crate) fn new(basis: &Realization, kernel: CostKernel, always: bool) -> Self {
+        let threads = bbncg_par::max_threads();
+        let engines = if always { threads.max(2) } else { threads };
+        Shards {
+            helpers: (1..engines)
+                .map(|_| DeviationScratch::with_kernel(basis, kernel))
+                .collect(),
+            always,
         }
     }
 
-    pub(crate) fn engine(&mut self) -> &mut DeviationScratch {
-        self.engine.as_mut().expect("engine checked out")
+    fn worth_splitting(&self, candidates: u64, n: usize) -> bool {
+        self.always || candidates.saturating_mul(n as u64) >= RoundExecutor::SHARD_MIN_WORK
+    }
+
+    /// Sharded exact best response, or `None` when the activation is
+    /// not worth splitting (the caller prices it on one engine).
+    fn exact_best(
+        &mut self,
+        scratch: &mut DeviationScratch,
+        state: &Realization,
+        u: NodeId,
+        model: CostModel,
+    ) -> Option<ScoredStrategy> {
+        let n = state.n();
+        let b = state.graph().out_degree(u);
+        if !self.worth_splitting(enumeration_count(n - 1, b), n) {
+            return None;
+        }
+        assert_enumerable(n, b, u);
+        let ranges = lead_ranges(n - 1, b, self.slices());
+        if ranges.len() < 2 {
+            return None;
+        }
+        let best = self.run(scratch, &ranges, |engine, slices| {
+            exact_best_over(engine, state, u, model, slices)
+        });
+        Some(best.expect("at least one strategy exists"))
+    }
+
+    /// Sharded best swap, or `None` when the activation is not worth
+    /// splitting.
+    fn best_swap(
+        &mut self,
+        scratch: &mut DeviationScratch,
+        state: &Realization,
+        u: NodeId,
+        model: CostModel,
+    ) -> Option<ScoredStrategy> {
+        let n = state.n();
+        let pairs = state.strategy(u).len() * n;
+        if !self.worth_splitting(pairs as u64, n) {
+            return None;
+        }
+        let ranges = even_ranges(pairs, self.slices());
+        if ranges.len() < 2 {
+            return None;
+        }
+        let best = self.run(scratch, &ranges, |engine, slices| {
+            best_swap_over(engine, state, u, model, slices)
+        });
+        Some(best.unwrap_or_else(|| current_strategy(scratch, state, u)))
+    }
+
+    /// How many slices an activation is cut into.
+    fn slices(&self) -> usize {
+        (self.helpers.len() + 1) * SLICES_PER_ENGINE
+    }
+
+    /// Run `search` on the caller's engine (on the calling thread) and
+    /// on each helper engine (on a scoped thread of its own), all
+    /// drawing slices of `ranges` from one [`Dealer`], and merge what
+    /// they found.
+    fn run(
+        &mut self,
+        scratch: &mut DeviationScratch,
+        ranges: &[Range<usize>],
+        search: impl Fn(&mut DeviationScratch, &mut &Dealer) -> Option<(ScoredStrategy, usize)> + Sync,
+    ) -> Option<ScoredStrategy> {
+        let dealer = Dealer::new(ranges);
+        let (search, shared) = (&search, &dealer);
+        let helpers = self.helpers.len().min(ranges.len() - 1);
+        let found = std::thread::scope(|s| {
+            let helpers: Vec<_> = self.helpers[..helpers]
+                .iter_mut()
+                .map(|engine| s.spawn(move || search(engine, &mut { shared })))
+                .collect();
+            let mut found = vec![search(scratch, &mut { shared })];
+            for helper in helpers {
+                found.push(
+                    helper
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                );
+            }
+            found
+        });
+        dealer.merge(found)
     }
 }
 
-impl Drop for PooledEngine<'_> {
-    fn drop(&mut self) {
-        if let Some(engine) = self.engine.take() {
-            if let Ok(mut pool) = self.pool.lock() {
-                pool.push(engine);
-            }
+/// Slices per engine an activation is cut into. Engines claim slices
+/// in enumeration order from a shared cursor, so cutting finer than one
+/// slice per engine balances uneven pricing cost and lets a floor found
+/// early stop the other engines within a slice; 16 per engine keeps
+/// the claims (one atomic add each) far below the pricing they hand
+/// out.
+const SLICES_PER_ENGINE: usize = 16;
+
+/// Deals one activation's slices to its engines in enumeration order
+/// and collects what they report. Every engine receives an increasing
+/// run of slice indices, which is what lets its incumbent prune later
+/// slices (see [`Slices`]). Every atomic here publishes nothing but its
+/// own value — the ranges are shared read-only, and `merge` runs after
+/// the scoped threads joined — so `Relaxed` suffices throughout.
+struct Dealer<'a> {
+    ranges: &'a [Range<usize>],
+    cursor: AtomicUsize,
+    /// The lowest slice whose incumbent reached the Lemma 2.2 floor
+    /// (`usize::MAX` while none has). It only ever decreases, so a
+    /// stale read costs work, never a candidate before the final floor.
+    floor: AtomicUsize,
+    /// Candidates examined per slice.
+    examined: Vec<AtomicU64>,
+}
+
+impl<'a> Dealer<'a> {
+    fn new(ranges: &'a [Range<usize>]) -> Self {
+        Dealer {
+            ranges,
+            cursor: AtomicUsize::new(0),
+            floor: AtomicUsize::new(usize::MAX),
+            examined: ranges.iter().map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Fold the engines' finds: the least cost wins and ties go to the
+    /// earlier slice — the first least-cost candidate in enumeration
+    /// order, exactly what the sequential search returns. Everything
+    /// examined in slices after the floor slice lay past the proven
+    /// optimum — work the sequential search never does — and counts as
+    /// discarded.
+    fn merge(&self, found: Vec<Option<(ScoredStrategy, usize)>>) -> Option<ScoredStrategy> {
+        let best = found
+            .into_iter()
+            .flatten()
+            .min_by_key(|(s, slice)| (s.cost, *slice))
+            .map(|(s, _)| s);
+        let floor = self.floor.load(Ordering::Relaxed);
+        let discarded: u64 = self
+            .examined
+            .iter()
+            .skip(floor.saturating_add(1))
+            .map(|e| e.load(Ordering::Relaxed))
+            .sum();
+        bbncg_obs::counter_inc(Counter::RoundsEvals);
+        bbncg_obs::counter_add(Counter::RoundsDiscards, discarded);
+        best
+    }
+}
+
+impl Slices for &Dealer<'_> {
+    fn next(&mut self) -> Option<(usize, Range<usize>)> {
+        let slice = self.cursor.fetch_add(1, Ordering::Relaxed);
+        (slice < self.ranges.len() && !self.floor_before(slice))
+            .then(|| (slice, self.ranges[slice].clone()))
+    }
+
+    fn floor_before(&self, slice: usize) -> bool {
+        self.floor.load(Ordering::Relaxed) < slice
+    }
+
+    fn done(&mut self, slice: usize, examined: u64, floor: bool) {
+        self.examined[slice].store(examined, Ordering::Relaxed);
+        if floor {
+            self.floor.fetch_min(slice, Ordering::Relaxed);
         }
     }
 }
 
-/// One speculative round over `order`: evaluate windows of upcoming
-/// activations in parallel against the window's start state, commit in
-/// activation order, and discard the window tail the moment a commit
-/// changes edge presence. Returns the number of applied moves.
-///
-/// The committed trajectory is identical to the sequential executor's
-/// at any thread count and any window schedule; window width only
-/// moves wasted work. `window_hint` carries the adapted width across
-/// rounds (dense rounds shrink it toward the thread count, quiet
-/// rounds grow it toward `n`), and `pool` carries warm worker engines
-/// across windows and rounds.
-pub(crate) fn run_round_speculative(
-    state: &mut Realization,
-    cfg: &DynamicsConfig,
-    order: &[usize],
-    kernel: CostKernel,
-    window_hint: &mut usize,
-    pool: &Mutex<Vec<DeviationScratch>>,
-) -> usize {
-    let len = order.len();
-    if len == 0 {
-        return 0;
+/// Split the `b`-subsets of an `m`-element pool, enumerated in
+/// lexicographic order, into at most `shards` contiguous stretches of
+/// near-equal count. Each stretch is a range of leading (smallest)
+/// elements; `k` leads exactly `C(m−1−k, b−1)` subsets. The ranges are
+/// non-empty, ascending and cover `0..m−b+1`; the lone empty subset
+/// (`b = 0`) leads with 0 and is never split.
+pub(crate) fn lead_ranges(m: usize, b: usize, shards: usize) -> Vec<Range<usize>> {
+    if b > m {
+        return Vec::new();
     }
-    let min_w = bbncg_par::max_threads().clamp(1, len);
-    let mut window = (*window_hint).clamp(min_w, len);
-    let mut improvements = 0usize;
-    let mut pos = 0usize;
-    while pos < len {
-        let w = window.min(len - pos);
-        let batch = &order[pos..pos + w];
-        // Window-granularity observability (a handful of relaxed
-        // loads per window — noise next to the w parallel BFS below).
-        bbncg_obs::counter_inc(Counter::RoundsWindows);
-        bbncg_obs::counter_add(Counter::RoundsEvals, w as u64);
-        bbncg_obs::observe(Histogram::WindowWidth, w as u64);
-        // Parallel proposal evaluation against the window-start state;
-        // one pooled engine per worker, re-synced to the basis by
-        // diffing on first use.
-        let proposals = {
-            let basis: &Realization = state;
-            bbncg_par::par_map_init(
-                w,
-                || PooledEngine::checkout(pool, basis, kernel),
-                |slot, j| respond(slot.engine(), basis, NodeId::new(batch[j]), cfg),
-            )
-        };
-        // Sequential commit scan: a `None` proposal (and any proposal
-        // after presence-preserving commits only) is exactly what the
-        // sequential executor would have decided; the first
-        // presence-changing commit invalidates the rest of the window.
-        let mut consumed = 0usize;
-        let mut presence_commit = false;
-        for (j, proposal) in proposals.into_iter().enumerate() {
-            consumed = j + 1;
-            let Some(targets) = proposal else { continue };
-            let u = NodeId::new(batch[j]);
-            let presence_changed = state.graph().move_changes_presence(u, &targets);
-            state.set_strategy(u, targets);
-            improvements += 1;
-            bbncg_obs::counter_inc(Counter::RoundsCommits);
-            if presence_changed {
-                presence_commit = true;
-                break;
-            }
+    let leads = if b == 0 { 1 } else { m - b + 1 };
+    let shards = shards.clamp(1, leads);
+    let total = enumeration_count(m, b) as u128;
+    let mut ranges = Vec::with_capacity(shards);
+    let mut start = 0;
+    // Subsets led by elements before `k`, accumulated as k advances.
+    let mut before = 0u128;
+    let mut k = 0;
+    for s in 1..shards {
+        let target = total * s as u128 / shards as u128;
+        // Leave at least one lead for each remaining stretch.
+        let last = leads - (shards - s);
+        while k < last && (k <= start || before < target) {
+            before += enumeration_count(m - 1 - k, b - 1) as u128;
+            k += 1;
         }
-        if presence_commit {
-            // Everything evaluated past the presence-changing commit
-            // is thrown away and re-evaluated in the next window.
-            bbncg_obs::counter_inc(Counter::RoundsInvalidations);
-            bbncg_obs::counter_add(Counter::RoundsDiscards, (w - consumed) as u64);
-        }
-        pos += consumed;
-        // Width adaptation: grow only on evidence of quietness (a
-        // whole window with no presence-changing commit), halve when a
-        // commit killed the window in its first half. A window that
-        // was fully consumed *because its last slot committed* is
-        // dense, not quiet — growing on it makes dense rounds
-        // oscillate and waste half their evaluations. Affects
-        // throughput only — never outcomes.
-        if presence_commit {
-            if consumed * 2 <= w {
-                window = (window / 2).max(min_w);
-            }
-        } else {
-            window = (window * 2).min(len);
-        }
+        ranges.push(start..k);
+        start = k;
     }
-    *window_hint = window;
-    improvements
+    ranges.push(start..leads);
+    ranges
+}
+
+/// Split `0..len` into at most `shards` contiguous, non-empty ranges
+/// whose lengths differ by at most one.
+pub(crate) fn even_ranges(len: usize, shards: usize) -> Vec<Range<usize>> {
+    let shards = shards.clamp(1, len.max(1));
+    (0..shards)
+        .map(|s| len * s / shards..len * (s + 1) / shards)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::CombinationOdometer;
 
     #[test]
     fn labels_roundtrip() {
         for e in [
             RoundExecutor::Sequential,
-            RoundExecutor::Speculative,
+            RoundExecutor::Sharded,
             RoundExecutor::Auto,
         ] {
             assert_eq!(RoundExecutor::parse(e.label()), Ok(e));
             assert_eq!(format!("{e}"), e.label());
         }
         assert!(RoundExecutor::parse("warp").is_err());
+        // The label of the executor sharding replaced.
+        assert_eq!(
+            RoundExecutor::parse("speculative"),
+            Ok(RoundExecutor::Sharded)
+        );
     }
 
     #[test]
@@ -359,25 +492,13 @@ mod tests {
             RoundExecutor::Sequential.resolve(10_000),
             RoundExecutor::Sequential
         );
-        assert_eq!(
-            RoundExecutor::Speculative.resolve(2),
-            RoundExecutor::Speculative
-        );
-        // Auto never goes speculative below the size floor, whatever
-        // the thread budget.
-        assert_eq!(
-            RoundExecutor::Auto.resolve(RoundExecutor::AUTO_SPECULATIVE_MIN_N - 1),
-            RoundExecutor::Sequential
-        );
-        // At or above the floor the verdict depends on the thread
-        // budget; both outcomes are legal, but it must never be Auto.
-        let resolved = RoundExecutor::Auto.resolve(RoundExecutor::AUTO_SPECULATIVE_MIN_N);
-        assert_ne!(resolved, RoundExecutor::Auto);
+        assert_eq!(RoundExecutor::Sharded.resolve(2), RoundExecutor::Sharded);
+        let resolved = RoundExecutor::Auto.resolve(512);
         let host_cpus = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
         if bbncg_par::max_threads() > 1 && host_cpus > 1 {
-            assert_eq!(resolved, RoundExecutor::Speculative);
+            assert_eq!(resolved, RoundExecutor::Sharded);
         } else {
             assert_eq!(resolved, RoundExecutor::Sequential);
         }
@@ -385,33 +506,100 @@ mod tests {
 
     #[test]
     fn auto_requires_real_host_parallelism() {
-        let n = RoundExecutor::AUTO_SPECULATIVE_MIN_N;
         let auto = RoundExecutor::Auto;
-        // The happy path: big instance, budget, CPUs, not nested.
+        // The happy path: a budget, CPUs, not nested.
+        assert_eq!(auto.resolve_with(64, 8, 8, false), RoundExecutor::Sharded);
+        // A `--threads 8` budget on a single-CPU host must NOT shard:
+        // the shards would time-slice one core.
         assert_eq!(
-            auto.resolve_with(n, 8, 8, false),
-            RoundExecutor::Speculative
-        );
-        // A `--threads 8` budget on a single-CPU host must NOT go
-        // speculative: the workers would time-slice one core and the
-        // fan-out is pure overhead.
-        assert_eq!(auto.resolve_with(n, 8, 1, false), RoundExecutor::Sequential);
-        // Nor with a single-thread budget on a many-CPU host, nor
-        // inside an outer parallel worker, nor below the size floor.
-        assert_eq!(auto.resolve_with(n, 1, 8, false), RoundExecutor::Sequential);
-        assert_eq!(auto.resolve_with(n, 8, 8, true), RoundExecutor::Sequential);
-        assert_eq!(
-            auto.resolve_with(n - 1, 8, 8, false),
+            auto.resolve_with(64, 8, 1, false),
             RoundExecutor::Sequential
         );
+        // Nor with a single-thread budget on a many-CPU host, nor
+        // inside an outer parallel worker, nor with nothing to split.
+        assert_eq!(
+            auto.resolve_with(64, 1, 8, false),
+            RoundExecutor::Sequential
+        );
+        assert_eq!(auto.resolve_with(64, 8, 8, true), RoundExecutor::Sequential);
+        assert_eq!(auto.resolve_with(2, 8, 8, false), RoundExecutor::Sequential);
         // Explicit choices ignore the environment entirely.
         assert_eq!(
-            RoundExecutor::Speculative.resolve_with(2, 1, 1, true),
-            RoundExecutor::Speculative
+            RoundExecutor::Sharded.resolve_with(2, 1, 1, true),
+            RoundExecutor::Sharded
         );
         assert_eq!(
-            RoundExecutor::Sequential.resolve_with(n, 8, 8, false),
+            RoundExecutor::Sequential.resolve_with(64, 8, 8, false),
             RoundExecutor::Sequential
         );
+    }
+
+    /// Every `b`-subset of the pool, for the range tests below.
+    fn all_subsets(m: usize, b: usize) -> Vec<Vec<usize>> {
+        let mut od = CombinationOdometer::new(m, b);
+        let mut all = vec![od.indices().to_vec()];
+        while od.advance() {
+            all.push(od.indices().to_vec());
+        }
+        all
+    }
+
+    #[test]
+    fn lead_ranges_cover_every_subset_exactly_once() {
+        for b in 0..=3 {
+            for m in b..12 {
+                let all = all_subsets(m, b);
+                for shards in 1..6 {
+                    let ranges = lead_ranges(m, b, shards);
+                    assert!(!ranges.is_empty() && ranges.len() <= shards);
+                    // Walk each range the way a slice does.
+                    let mut walked = Vec::new();
+                    for leads in &ranges {
+                        assert!(!leads.is_empty(), "m {m} b {b} shards {shards}");
+                        let mut od = CombinationOdometer::from_lead(m, b, leads.start);
+                        loop {
+                            walked.push(od.indices().to_vec());
+                            if !od.advance() || od.lead() >= leads.end {
+                                break;
+                            }
+                        }
+                    }
+                    assert_eq!(walked, all, "m {m} b {b} shards {shards}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lead_ranges_balance_counts() {
+        // b = 2 over 40 elements: lead k carries 39 − k subsets, so
+        // equal-width lead ranges would be badly skewed; equal-count
+        // ranges stay within one lead's worth of the mean.
+        let (m, b) = (40, 2);
+        for shards in 2..5 {
+            let ranges = lead_ranges(m, b, shards);
+            assert_eq!(ranges.len(), shards);
+            let mean = enumeration_count(m, b) / shards as u64;
+            for leads in ranges {
+                let count: u64 = leads.map(|k| enumeration_count(m - 1 - k, b - 1)).sum();
+                assert!(count.abs_diff(mean) <= m as u64, "{count} vs {mean}");
+            }
+        }
+        // b = 1: one subset per lead.
+        assert_eq!(lead_ranges(10, 1, 2), vec![0..5, 5..10]);
+    }
+
+    #[test]
+    fn even_ranges_partition() {
+        for len in 0..20 {
+            for shards in 1..6 {
+                let ranges = even_ranges(len, shards);
+                let flat: Vec<usize> = ranges.iter().cloned().flatten().collect();
+                assert_eq!(flat, (0..len).collect::<Vec<_>>());
+                if len > 0 {
+                    assert!(ranges.iter().all(|r| !r.is_empty()));
+                }
+            }
+        }
     }
 }

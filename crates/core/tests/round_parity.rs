@@ -1,23 +1,31 @@
 //! Round-executor parity enforcement.
 //!
-//! The tentpole invariant of the speculative-rounds refactor, enforced
-//! the way PR 3 enforced kernel parity: the speculative executor is
-//! **step-identical** to the sequential executor for every
+//! The sharded executor splits each activation's candidate space into
+//! slices priced on separate engines and merges the slice optima. It
+//! must be **step-identical** to the sequential executor for every
 //! rule/order/kernel/model combination — same moves, same step and
 //! round counts, same convergence/cycle verdicts, same final profile,
-//! same per-round traces — and both match the rebuild-per-candidate
-//! reference (`bbncg_core::naive`). Window scheduling and thread count
-//! may only move wall-clock, never an answer.
+//! same per-round traces — and both must match a reference that prices
+//! every candidate by rebuilding the profile from scratch. Slice
+//! boundaries and thread count may only move wall-clock, never an
+//! answer.
 
 use bbncg_core::dynamics::{
-    run_dynamics_traced, run_dynamics_with_kernel, DynamicsConfig, PlayerOrder, ResponseRule,
+    run_dynamics_traced, run_dynamics_with_kernel, DynamicsConfig, DynamicsReport, PlayerOrder,
+    ResponseRule,
 };
 use bbncg_core::naive::run_dynamics_rebuild;
-use bbncg_core::{audit_equilibrium_with_opts, CostKernel, CostModel, Realization, RoundExecutor};
-use bbncg_graph::generators;
+use bbncg_core::{
+    audit_equilibrium_with_opts, CombinationOdometer, CostKernel, CostModel, Realization,
+    RoundExecutor,
+};
+use bbncg_graph::{generators, NodeId, OwnedDigraph};
+use bbncg_obs::Counter;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::{Mutex, MutexGuard};
 
 /// Random realization whose budget vector includes zeros and twos, so
 /// draws mix budget sizes, braces, and (often) disconnection.
@@ -34,54 +42,226 @@ const RULES: [ResponseRule; 4] = [
     ResponseRule::BestSwap,
 ];
 
+const KERNELS: [CostKernel; 3] = [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse];
+
+/// `Counter::RoundsEvals` is process-global, so every test here that
+/// runs sharded (or `Auto`) dynamics holds this lock: a counter delta
+/// read under it belongs to the run that produced it.
+static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+
+fn counting() -> MutexGuard<'static, ()> {
+    let guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    bbncg_obs::enable();
+    guard
+}
+
+fn sharded_activations() -> u64 {
+    bbncg_obs::counter_value(Counter::RoundsEvals)
+}
+
+/// Activations an explicit-`Sharded` run of `report.rounds` rounds
+/// splits: every exact or swap activation with two or more candidate
+/// slices (exact: at least two leading elements, `n − b ≥ 2`; swap:
+/// `b·n ≥ 2` pairs always split).
+fn expected_splits(initial: &Realization, rule: ResponseRule, report: &DynamicsReport) -> u64 {
+    let n = initial.n();
+    let per_round = (0..n)
+        .map(|u| initial.graph().out_degree(NodeId::new(u)))
+        .filter(|&b| match rule {
+            ResponseRule::ExactBest => b >= 1 && n - b >= 2,
+            ResponseRule::BestSwap => b >= 1,
+            _ => false,
+        })
+        .count();
+    (per_round * report.rounds) as u64
+}
+
+/// Cost to `u` of playing `targets` (any length — the greedy rule
+/// prices prefixes), by rebuilding the whole profile.
+fn rebuilt_cost(r: &Realization, u: NodeId, targets: &[NodeId], model: CostModel) -> u64 {
+    let mut g: OwnedDigraph = r.graph().clone();
+    g.set_out(u, targets.to_vec());
+    Realization::new(g).cost(u, model)
+}
+
+/// The `b`-subsets of `pool` in lexicographic order.
+fn subsets(pool: &[NodeId], b: usize) -> Vec<Vec<NodeId>> {
+    let mut od = CombinationOdometer::new(pool.len(), b);
+    let mut all = Vec::new();
+    loop {
+        all.push(od.indices().iter().map(|&i| pool[i]).collect());
+        if !od.advance() {
+            return all;
+        }
+    }
+}
+
+/// One activation of the reference: the same rules, enumeration orders
+/// and tie-breaks as the engine, every candidate priced from scratch.
+fn reference_response(
+    r: &Realization,
+    u: NodeId,
+    rule: ResponseRule,
+    model: CostModel,
+) -> Option<Vec<NodeId>> {
+    let current = r.strategy(u).to_vec();
+    let b = current.len();
+    if b == 0 {
+        return None;
+    }
+    let now = rebuilt_cost(r, u, &current, model);
+    let pool: Vec<NodeId> = (0..r.n()).map(NodeId::new).filter(|&t| t != u).collect();
+    let cost = |targets: &[NodeId]| rebuilt_cost(r, u, targets, model);
+    match rule {
+        ResponseRule::ExactBest => {
+            let mut best: Option<(u64, Vec<NodeId>)> = None;
+            for s in subsets(&pool, b) {
+                let c = cost(&s);
+                if best.as_ref().is_none_or(|(bc, _)| c < *bc) {
+                    best = Some((c, s));
+                }
+            }
+            best.filter(|(c, _)| *c < now).map(|(_, s)| s)
+        }
+        ResponseRule::FirstImproving => subsets(&pool, b).into_iter().find(|s| cost(s) < now),
+        ResponseRule::Greedy => {
+            let mut chosen: Vec<NodeId> = Vec::new();
+            for _ in 0..b {
+                let mut best: Option<(u64, NodeId)> = None;
+                for &t in pool.iter().filter(|t| !chosen.contains(t)) {
+                    let mut trial = chosen.clone();
+                    trial.push(t);
+                    let c = cost(&trial);
+                    if best.is_none_or(|(bc, _)| c < bc) {
+                        best = Some((c, t));
+                    }
+                }
+                chosen.push(best.expect("a target remains").1);
+            }
+            chosen.sort_unstable();
+            (cost(&chosen) < now).then_some(chosen)
+        }
+        ResponseRule::BestSwap => {
+            let mut best = None;
+            let mut incumbent = now;
+            for i in 0..b {
+                for &t in pool.iter().filter(|t| !current.contains(t)) {
+                    let mut trial = current.clone();
+                    trial[i] = t;
+                    let c = cost(&trial);
+                    if c < incumbent {
+                        incumbent = c;
+                        trial.sort_unstable();
+                        best = Some(trial);
+                    }
+                }
+            }
+            best
+        }
+    }
+}
+
+/// `(state, steps, rounds, converged, cycled)` of the reference
+/// dynamics: the engine's round structure, activation order (the same
+/// RNG stream shuffles random permutations) and stopping rules.
+fn reference_dynamics(
+    initial: Realization,
+    cfg: DynamicsConfig,
+    rng: &mut StdRng,
+) -> (Realization, usize, usize, bool, bool) {
+    let n = initial.n();
+    let mut state = initial;
+    let mut seen = vec![state.graph().clone()];
+    let mut order: Vec<usize> = (0..n).collect();
+    let (mut steps, mut rounds) = (0, 0);
+    while rounds < cfg.max_rounds {
+        if cfg.order == PlayerOrder::RandomPermutation {
+            order.shuffle(rng);
+        }
+        let mut moves = 0;
+        for &i in &order {
+            let u = NodeId::new(i);
+            if let Some(targets) = reference_response(&state, u, cfg.rule, cfg.model) {
+                state.set_strategy(u, targets);
+                moves += 1;
+            }
+        }
+        rounds += 1;
+        steps += moves;
+        if moves == 0 {
+            return (state, steps, rounds, true, false);
+        }
+        if cfg.order == PlayerOrder::RoundRobin {
+            if seen.contains(state.graph()) {
+                return (state, steps, rounds, false, true);
+            }
+            seen.push(state.graph().clone());
+        }
+    }
+    (state, steps, rounds, false, false)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Speculative ≡ sequential for all four rules × all three kernels
-    /// × both models × both activation orders, on random (often
-    /// disconnected, brace-rich) instances. Random permutations use
-    /// the same seeded RNG on both sides, so the executors see the
-    /// identical order stream. The sparse kernel matters here: pooled
-    /// worker engines carry a retained base + repair journal across
-    /// windows, and presence-changing commits must flow into it as
-    /// journalled deltas without perturbing the committed trajectory.
+    /// Sharded ≡ sequential ≡ the rebuild reference for all four rules
+    /// × all three kernels × both models × both activation orders, on
+    /// random (often disconnected, brace-rich) instances. Random
+    /// permutations use the same seeded RNG everywhere, so every run
+    /// sees the identical order stream. Explicit `Sharded` splits every
+    /// exact and swap activation with two or more slices, even on a
+    /// one-thread budget; the sharded-activation counter proves the
+    /// split-and-merge path ran.
     #[test]
-    fn speculative_rounds_are_step_identical(n in 3usize..12, seed in 0u64..200) {
+    fn sharded_rounds_are_step_identical(n in 3usize..12, seed in 0u64..200) {
+        let _lock = counting();
         let initial = random_instance(n, seed);
         for model in CostModel::ALL {
             for rule in RULES {
                 for order in [PlayerOrder::RoundRobin, PlayerOrder::RandomPermutation] {
-                    for kernel in [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse] {
-                        let cfg = DynamicsConfig {
-                            rule,
-                            order,
-                            ..DynamicsConfig::exact(model, 80)
-                        };
+                    let cfg = DynamicsConfig {
+                        rule,
+                        order,
+                        ..DynamicsConfig::exact(model, 80)
+                    };
+                    let (ref_state, ref_steps, ref_rounds, ref_converged, ref_cycled) =
+                        reference_dynamics(initial.clone(), cfg, &mut StdRng::seed_from_u64(7));
+                    for kernel in KERNELS {
                         let seq = run_dynamics_with_kernel(
                             initial.clone(),
                             cfg.with_executor(RoundExecutor::Sequential),
                             &mut StdRng::seed_from_u64(7),
                             kernel,
                         );
-                        let spec = run_dynamics_with_kernel(
+                        let before = sharded_activations();
+                        let sharded = run_dynamics_with_kernel(
                             initial.clone(),
-                            cfg.with_executor(RoundExecutor::Speculative),
+                            cfg.with_executor(RoundExecutor::Sharded),
                             &mut StdRng::seed_from_u64(7),
                             kernel,
                         );
-                        prop_assert_eq!(&seq.state, &spec.state);
-                        prop_assert_eq!(seq.steps, spec.steps);
-                        prop_assert_eq!(seq.rounds, spec.rounds);
-                        prop_assert_eq!(seq.converged, spec.converged);
-                        prop_assert_eq!(seq.cycled, spec.cycled);
-                        prop_assert_eq!(seq.cancelled, spec.cancelled);
+                        prop_assert_eq!(
+                            sharded_activations() - before,
+                            expected_splits(&initial, rule, &sharded)
+                        );
+                        prop_assert_eq!(&seq.state, &ref_state);
+                        prop_assert_eq!(seq.steps, ref_steps);
+                        prop_assert_eq!(seq.rounds, ref_rounds);
+                        prop_assert_eq!(seq.converged, ref_converged);
+                        prop_assert_eq!(seq.cycled, ref_cycled);
+                        prop_assert_eq!(&seq.state, &sharded.state);
+                        prop_assert_eq!(seq.steps, sharded.steps);
+                        prop_assert_eq!(seq.rounds, sharded.rounds);
+                        prop_assert_eq!(seq.converged, sharded.converged);
+                        prop_assert_eq!(seq.cycled, sharded.cycled);
+                        prop_assert_eq!(seq.cancelled, sharded.cancelled);
                     }
                 }
             }
         }
     }
 
-    /// The parallel batched audit and the serial single-engine audit
+    /// The player-sharded audit and the serial single-engine audit
     /// return identical per-player numbers (hence identical verdicts,
     /// gaps and violation lists) under both kernels.
     #[test]
@@ -92,7 +272,7 @@ proptest! {
                 let serial =
                     audit_equilibrium_with_opts(&r, model, kernel, RoundExecutor::Sequential);
                 let batched =
-                    audit_equilibrium_with_opts(&r, model, kernel, RoundExecutor::Speculative);
+                    audit_equilibrium_with_opts(&r, model, kernel, RoundExecutor::Sharded);
                 prop_assert_eq!(&serial.current, &batched.current);
                 prop_assert_eq!(&serial.best, &batched.best);
                 prop_assert_eq!(serial.is_nash(), batched.is_nash());
@@ -102,18 +282,19 @@ proptest! {
     }
 }
 
-/// Speculative exact-best dynamics matches the rebuild-per-candidate
-/// reference move for move — the same anchor the engine and the
-/// kernels are pinned to, extended to the new executor.
+/// Sharded exact-best dynamics matches the crate's rebuild-per-candidate
+/// reference move for move — the same anchor the engine and the kernels
+/// are pinned to.
 #[test]
-fn speculative_dynamics_match_naive_reference() {
+fn sharded_dynamics_match_naive_reference() {
+    let _lock = counting();
     for seed in 0..4u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let budgets = vec![1usize; 8];
         let initial = Realization::new(generators::random_realization(&budgets, &mut rng));
         for model in CostModel::ALL {
-            let cfg = DynamicsConfig::exact(model, 100).with_executor(RoundExecutor::Speculative);
-            let spec = run_dynamics_with_kernel(
+            let cfg = DynamicsConfig::exact(model, 100).with_executor(RoundExecutor::Sharded);
+            let sharded = run_dynamics_with_kernel(
                 initial.clone(),
                 cfg,
                 &mut StdRng::seed_from_u64(0),
@@ -121,10 +302,83 @@ fn speculative_dynamics_match_naive_reference() {
             );
             let (naive_state, naive_steps, naive_converged) =
                 run_dynamics_rebuild(initial.clone(), model, 100);
-            assert_eq!(spec.state, naive_state, "seed {seed} {model:?}");
-            assert_eq!(spec.steps, naive_steps);
-            assert_eq!(spec.converged, naive_converged);
+            assert_eq!(sharded.state, naive_state, "seed {seed} {model:?}");
+            assert_eq!(sharded.steps, naive_steps);
+            assert_eq!(sharded.converged, naive_converged);
         }
+    }
+}
+
+/// Equal-cost optima on both sides of every slice boundary: the tie
+/// must go to the earliest slice, as the sequential search's
+/// lexicographic tie-break demands.
+#[test]
+fn tied_optima_across_slices_go_to_the_earliest() {
+    let _lock = counting();
+    // Player 0 (budget 1) hangs off pendant 1 (budget 0); players
+    // 2..=9 form a directed cycle. Every cycle vertex is an equally
+    // good SUM target for player 0 and beats the pendant, so whatever
+    // the slice count, tied optima sit in several slices and the
+    // lexicographically first one — vertex 2 — must win.
+    let m = 8;
+    let mut arcs = vec![(0, 1)];
+    arcs.extend((0..m).map(|i| (2 + i, 2 + (i + 1) % m)));
+    let initial = Realization::new(OwnedDigraph::from_arcs(m + 2, &arcs));
+    let cfg = DynamicsConfig::exact(CostModel::Sum, 1);
+    for kernel in KERNELS {
+        let seq = run_dynamics_with_kernel(
+            initial.clone(),
+            cfg.with_executor(RoundExecutor::Sequential),
+            &mut StdRng::seed_from_u64(0),
+            kernel,
+        );
+        let before = sharded_activations();
+        let sharded = run_dynamics_with_kernel(
+            initial.clone(),
+            cfg.with_executor(RoundExecutor::Sharded),
+            &mut StdRng::seed_from_u64(0),
+            kernel,
+        );
+        assert!(sharded_activations() > before, "{kernel:?}: nothing split");
+        assert_eq!(sharded.state.strategy(NodeId::new(0)), &[NodeId::new(2)]);
+        assert_eq!(seq.state, sharded.state, "{kernel:?}");
+    }
+}
+
+/// `Auto` splits only the activations whose candidate work clears
+/// `SHARD_MIN_WORK` — and only where it resolves to sharded at all
+/// (more than one thread on a multi-CPU host).
+#[test]
+fn auto_shards_only_activations_worth_splitting() {
+    let _lock = counting();
+    for (n, splits) in [(64, 0), (260, 4)] {
+        // Swap over b·n pairs of n-vertex pricing each. At n = 64 every
+        // activation is far below the threshold; at n = 260 the four
+        // budget-2 players (2·260² = 135200 units) clear it and the four
+        // budget-1 players (260² = 67600) do not. Everyone else owns
+        // nothing and never activates.
+        let budgets: Vec<usize> = (0..n).map(|i| [2, 1, 0][(i / 4).min(2)]).collect();
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let initial = Realization::new(generators::random_realization(&budgets, &mut rng));
+        let cfg = DynamicsConfig::swap(CostModel::Sum, 1);
+        let seq = run_dynamics_with_kernel(
+            initial.clone(),
+            cfg.with_executor(RoundExecutor::Sequential),
+            &mut StdRng::seed_from_u64(0),
+            CostKernel::Auto,
+        );
+        let before = sharded_activations();
+        let auto = run_dynamics_with_kernel(
+            initial.clone(),
+            cfg.with_executor(RoundExecutor::Auto),
+            &mut StdRng::seed_from_u64(0),
+            CostKernel::Auto,
+        );
+        let sharded = RoundExecutor::Auto.resolve(n) == RoundExecutor::Sharded;
+        let want = if sharded { splits } else { 0 };
+        assert_eq!(sharded_activations() - before, want, "n {n}");
+        assert_eq!(seq.state, auto.state);
+        assert_eq!(seq.steps, auto.steps);
     }
 }
 
@@ -133,6 +387,7 @@ fn speculative_dynamics_match_naive_reference() {
 /// executors agree round by round, not only at the end.
 #[test]
 fn traces_agree_round_by_round() {
+    let _lock = counting();
     for seed in [2u64, 9, 23] {
         let initial = random_instance(10, seed);
         for model in CostModel::ALL {
@@ -142,63 +397,54 @@ fn traces_agree_round_by_round() {
                 cfg.with_executor(RoundExecutor::Sequential),
                 &mut StdRng::seed_from_u64(1),
             );
-            let (spec_rep, spec_trace) = run_dynamics_traced(
+            let (sharded_rep, sharded_trace) = run_dynamics_traced(
                 initial.clone(),
-                cfg.with_executor(RoundExecutor::Speculative),
+                cfg.with_executor(RoundExecutor::Sharded),
                 &mut StdRng::seed_from_u64(1),
             );
-            assert_eq!(seq_rep.state, spec_rep.state, "seed {seed} {model:?}");
-            assert_eq!(seq_trace, spec_trace, "seed {seed} {model:?}");
+            assert_eq!(seq_rep.state, sharded_rep.state, "seed {seed} {model:?}");
+            assert_eq!(seq_trace, sharded_trace, "seed {seed} {model:?}");
         }
     }
 }
 
-/// A medium instance above the Auto size floor, swap rule (the
-/// scalable large-n configuration): step-identity holds where the
-/// speculative executor is actually meant to run, and `Auto` — however
-/// it resolves on this host — lands on one of the two identical
-/// trajectories.
+/// A medium swap instance (the scalable large-n configuration):
+/// step-identity holds for explicit sharding, and `Auto` — however it
+/// resolves on this host — lands on the same trajectory.
 #[test]
 fn medium_swap_instance_is_step_identical() {
+    let _lock = counting();
     let mut rng = StdRng::seed_from_u64(5);
     let budgets = vec![1usize; 72];
     let initial = Realization::new(generators::random_realization(&budgets, &mut rng));
     let cfg = DynamicsConfig::swap(CostModel::Sum, 40);
-    let seq = run_dynamics_with_kernel(
-        initial.clone(),
-        cfg.with_executor(RoundExecutor::Sequential),
-        &mut StdRng::seed_from_u64(0),
-        CostKernel::Auto,
-    );
-    let spec = run_dynamics_with_kernel(
-        initial.clone(),
-        cfg.with_executor(RoundExecutor::Speculative),
-        &mut StdRng::seed_from_u64(0),
-        CostKernel::Auto,
-    );
-    let auto = run_dynamics_with_kernel(
-        initial,
-        cfg.with_executor(RoundExecutor::Auto),
-        &mut StdRng::seed_from_u64(0),
-        CostKernel::Auto,
-    );
-    assert_eq!(seq.state, spec.state);
-    assert_eq!(seq.steps, spec.steps);
-    assert_eq!(seq.rounds, spec.rounds);
-    assert_eq!(seq.converged, spec.converged);
+    let run = |executor| {
+        run_dynamics_with_kernel(
+            initial.clone(),
+            cfg.with_executor(executor),
+            &mut StdRng::seed_from_u64(0),
+            CostKernel::Auto,
+        )
+    };
+    let seq = run(RoundExecutor::Sequential);
+    let sharded = run(RoundExecutor::Sharded);
+    let auto = run(RoundExecutor::Auto);
+    assert_eq!(seq.state, sharded.state);
+    assert_eq!(seq.steps, sharded.steps);
+    assert_eq!(seq.rounds, sharded.rounds);
+    assert_eq!(seq.converged, sharded.converged);
     assert_eq!(seq.state, auto.state);
     assert_eq!(seq.steps, auto.steps);
 }
 
-/// Brace-dense instances stress the presence-preservation fast path:
-/// commits that only shuffle brace multiplicities must not invalidate
-/// later proposals, and the trajectory must still be identical.
+/// Brace-dense instances: budget 2 everywhere gives plenty of braces and
+/// multiplicity-only rewires under the swap rule, and the trajectory
+/// must still be identical.
 #[test]
 fn brace_rich_instances_stay_identical() {
+    let _lock = counting();
     for seed in 0..6u64 {
         let mut rng = StdRng::seed_from_u64(100 + seed);
-        // Budget-2 everywhere: plenty of braces, plenty of
-        // multiplicity-only rewires under the swap rule.
         let budgets = vec![2usize; 9];
         let initial = Realization::new(generators::random_realization(&budgets, &mut rng));
         for model in CostModel::ALL {
@@ -213,15 +459,15 @@ fn brace_rich_instances_stay_identical() {
                     &mut StdRng::seed_from_u64(3),
                     CostKernel::Queue,
                 );
-                let spec = run_dynamics_with_kernel(
+                let sharded = run_dynamics_with_kernel(
                     initial.clone(),
-                    cfg.with_executor(RoundExecutor::Speculative),
+                    cfg.with_executor(RoundExecutor::Sharded),
                     &mut StdRng::seed_from_u64(3),
                     CostKernel::Queue,
                 );
-                assert_eq!(seq.state, spec.state, "seed {seed} {model:?} {rule:?}");
-                assert_eq!(seq.steps, spec.steps);
-                assert_eq!(seq.rounds, spec.rounds);
+                assert_eq!(seq.state, sharded.state, "seed {seed} {model:?} {rule:?}");
+                assert_eq!(seq.steps, sharded.steps);
+                assert_eq!(seq.rounds, sharded.rounds);
             }
         }
     }

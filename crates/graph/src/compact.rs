@@ -13,7 +13,7 @@
 //!
 //! The edit API mirrors [`PatchableCsr`](crate::PatchableCsr)
 //! (`add_edge` / `remove_edge` / `replace_strategy`, multiplicity kept,
-//! edge/presence epochs) so the deviation engine can treat either as
+//! edge epochs) so the deviation engine can treat either as
 //! its backing store.
 
 use crate::adjacency::Adjacency;
@@ -47,10 +47,6 @@ pub struct CompactCsr {
     compactions: u64,
     /// Bumped on every structural edit (multiplicity included).
     edge_epoch: u64,
-    /// Bumped only when adjacency *presence* changes (first occurrence
-    /// added or last removed) — same contract as
-    /// [`PatchableCsr::presence_epoch`](crate::PatchableCsr::presence_epoch).
-    presence_epoch: u64,
 }
 
 impl CompactCsr {
@@ -89,7 +85,6 @@ impl CompactCsr {
             relocations: 0,
             compactions: 0,
             edge_epoch: 0,
-            presence_epoch: 0,
         }
     }
 
@@ -137,12 +132,6 @@ impl CompactCsr {
         self.edge_epoch
     }
 
-    /// Presence-edit counter (adjacency set changes only).
-    #[inline]
-    pub fn presence_epoch(&self) -> u64 {
-        self.presence_epoch
-    }
-
     /// Is at least one occurrence of the undirected edge `{u, v}` live?
     #[inline]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
@@ -159,9 +148,6 @@ impl CompactCsr {
         self.remove_half(v, u);
         self.live_entries -= 2;
         self.edge_epoch += 1;
-        if !self.has_edge(u, v) {
-            self.presence_epoch += 1;
-        }
     }
 
     fn remove_half(&mut self, u: NodeId, v: NodeId) {
@@ -188,16 +174,12 @@ impl CompactCsr {
             "edge {u} - {v} out of range (n = {})",
             self.n()
         );
-        let fresh = !self.has_edge(u, v);
         self.ensure_slot(u);
         self.ensure_slot(v);
         self.add_half(u, v);
         self.add_half(v, u);
         self.live_entries += 2;
         self.edge_epoch += 1;
-        if fresh {
-            self.presence_epoch += 1;
-        }
     }
 
     fn add_half(&mut self, u: NodeId, v: NodeId) {
@@ -417,11 +399,13 @@ mod tests {
         let mut c = CompactCsr::from_digraph(&g);
         c.remove_edge(v(0), v(1));
         assert_eq!(c.edge_epoch(), 1);
-        assert_eq!(c.presence_epoch(), 0, "brace half kept presence");
+        assert!(c.has_edge(v(0), v(1)), "brace half kept presence");
         c.remove_edge(v(0), v(1));
-        assert_eq!(c.presence_epoch(), 1, "last occurrence removed");
+        assert_eq!(c.edge_epoch(), 2);
+        assert!(!c.has_edge(v(0), v(1)), "last occurrence removed");
         c.add_edge(v(0), v(1));
-        assert_eq!(c.presence_epoch(), 2);
+        assert_eq!(c.edge_epoch(), 3);
+        assert!(c.has_edge(v(0), v(1)));
     }
 
     #[test]

@@ -204,35 +204,6 @@ impl OwnedDigraph {
             .filter(|&(u, v)| u < v && self.has_arc(v, u))
             .count()
     }
-
-    /// Would replacing `u`'s strategy with `new` change the **edge
-    /// presence** of the underlying undirected graph? Must be called
-    /// *before* the move is applied (it reads `u`'s current strategy).
-    ///
-    /// A move that only changes brace multiplicities — every dropped
-    /// target still linked back by its own arc `t → u`, every added
-    /// target already linking `t → u` — leaves every distance,
-    /// component, and in-neighbour *set* in the graph untouched, so no
-    /// other player's cost landscape (hence no other player's
-    /// best-response decision, under any rule and any kernel) can
-    /// change. This is the commit-validity test of the speculative
-    /// round executor: presence-preserving commits never invalidate
-    /// in-flight proposals. Note that nothing weaker is sound there —
-    /// a presence change even in a *different component* shifts the
-    /// cost of candidates linking into it, so component-based affected
-    /// sets cannot certify an unchanged best response.
-    pub fn move_changes_presence(&self, u: NodeId, new: &[NodeId]) -> bool {
-        let old = self.out(u);
-        // A dropped edge {u, t} survives iff t braces back; an added
-        // edge {u, t} already existed iff t links u. (No other player
-        // can own u → t, so arc multiplicity beyond the brace is
-        // impossible.)
-        old.iter()
-            .any(|&t| !new.contains(&t) && !self.has_arc(t, u))
-            || new
-                .iter()
-                .any(|&t| !old.contains(&t) && !self.has_arc(t, u))
-    }
 }
 
 #[cfg(test)]

@@ -50,14 +50,6 @@ pub struct PatchableCsr {
     /// Bumped on **every** structural edit (edge added or removed,
     /// multiplicity changes included).
     edge_epoch: u64,
-    /// Bumped only when an edit changes edge **presence** — the first
-    /// occurrence of an edge appears or the last one vanishes. Distances,
-    /// components and neighbour *sets* are presence functions, so two
-    /// states with equal presence epochs (and a common history) are
-    /// metrically identical even when brace multiplicities differ. This
-    /// is the patch-session epoch the speculative round executor keys
-    /// its proposal revalidation on.
-    presence_epoch: u64,
 }
 
 impl PatchableCsr {
@@ -109,7 +101,6 @@ impl PatchableCsr {
             live_entries,
             rebuilds: 0,
             edge_epoch: 0,
-            presence_epoch: 0,
         }
     }
 
@@ -155,17 +146,6 @@ impl PatchableCsr {
         self.edge_epoch
     }
 
-    /// Presence-edit counter: increases only when an edit changes which
-    /// vertex pairs are adjacent (first occurrence added or last
-    /// occurrence removed). Equal readings across a span of edits
-    /// certify that every distance, component labelling and neighbour
-    /// set is unchanged — the revalidation test speculative round
-    /// commits use.
-    #[inline]
-    pub fn presence_epoch(&self) -> u64 {
-        self.presence_epoch
-    }
-
     /// Is at least one occurrence of the undirected edge `{u, v}` live?
     /// (Linear scan of `u`'s block; blocks are small in game profiles.)
     #[inline]
@@ -188,9 +168,6 @@ impl PatchableCsr {
         self.remove_half(v, u);
         self.live_entries -= 2;
         self.edge_epoch += 1;
-        if !self.has_edge(u, v) {
-            self.presence_epoch += 1;
-        }
     }
 
     fn remove_half(&mut self, u: NodeId, v: NodeId) {
@@ -217,7 +194,6 @@ impl PatchableCsr {
             "edge {u} - {v} out of range (n = {})",
             self.n()
         );
-        let fresh = !self.has_edge(u, v);
         let u_full = self.len[u.index()] == self.capacity(u);
         let v_full = self.len[v.index()] == self.capacity(v);
         if u_full || v_full {
@@ -237,9 +213,6 @@ impl PatchableCsr {
         self.add_half(v, u);
         self.live_entries += 2;
         self.edge_epoch += 1;
-        if fresh {
-            self.presence_epoch += 1;
-        }
     }
 
     fn add_half(&mut self, u: NodeId, v: NodeId) {
@@ -471,68 +444,28 @@ mod tests {
 
     #[test]
     fn epochs_track_presence_vs_multiplicity() {
-        // Brace {0,1}: dropping one occurrence is a multiplicity-only
-        // edit (edge epoch moves, presence epoch does not); dropping
-        // the second is a presence edit.
+        // Brace {0,1}: every edit moves the edge epoch, multiplicity
+        // changes included, while presence drops only with the last
+        // occurrence.
         let g = OwnedDigraph::from_arcs(3, &[(0, 1), (1, 0)]);
         let mut patch = PatchableCsr::from_digraph(&g);
         assert_eq!(patch.edge_epoch(), 0);
-        assert_eq!(patch.presence_epoch(), 0);
         assert!(patch.has_edge(v(0), v(1)));
 
         patch.remove_edge(v(0), v(1));
         assert_eq!(patch.edge_epoch(), 1);
-        assert_eq!(patch.presence_epoch(), 0, "brace half kept presence");
-        assert!(patch.has_edge(v(0), v(1)));
+        assert!(patch.has_edge(v(0), v(1)), "brace half kept presence");
 
         patch.remove_edge(v(0), v(1));
         assert_eq!(patch.edge_epoch(), 2);
-        assert_eq!(patch.presence_epoch(), 1, "last occurrence removed");
-        assert!(!patch.has_edge(v(0), v(1)));
+        assert!(!patch.has_edge(v(0), v(1)), "last occurrence removed");
 
-        // Re-adding is a presence edit; doubling it back into a brace
-        // is multiplicity-only again.
+        // Re-adding restores presence; doubling it back into a brace
+        // is multiplicity only, and still an edit.
         patch.add_edge(v(0), v(1));
-        assert_eq!(patch.presence_epoch(), 2);
         patch.add_edge(v(1), v(0));
         assert_eq!(patch.edge_epoch(), 4);
-        assert_eq!(
-            patch.presence_epoch(),
-            2,
-            "second occurrence is multiplicity"
-        );
-    }
-
-    #[test]
-    fn replace_strategy_epochs_agree_with_digraph_presence_predicate() {
-        // move_changes_presence (computed on the digraph before the
-        // move) must predict exactly whether replace_strategy bumps the
-        // patch's presence epoch.
-        type Case = (&'static [(usize, usize)], usize, &'static [usize]);
-        let cases: &[Case] = &[
-            // brace swap: 1 drops 1→0 (0→1 remains) and adds 1→2 (2→1
-            // exists) — pure multiplicity.
-            (&[(0, 1), (1, 0), (2, 1)], 1, &[2]),
-            // plain rewire: presence changes.
-            (&[(0, 1), (1, 2)], 1, &[0]),
-            // no-op move: nothing changes.
-            (&[(0, 1), (1, 2)], 1, &[2]),
-        ];
-        for &(arcs, mover, new) in cases {
-            let mut g = OwnedDigraph::from_arcs(3, arcs);
-            let mut patch = PatchableCsr::from_digraph(&g);
-            let new: Vec<NodeId> = new.iter().map(|&t| v(t)).collect();
-            let predicted = g.move_changes_presence(v(mover), &new);
-            let before = patch.presence_epoch();
-            let old = g.out(v(mover)).to_vec();
-            patch.replace_strategy(v(mover), &old, &new);
-            g.set_out(v(mover), new.clone());
-            assert_eq!(
-                patch.presence_epoch() != before,
-                predicted,
-                "arcs {arcs:?}, mover {mover}, new {new:?}"
-            );
-            assert!(patch.same_graph_as(&Csr::from_digraph(&g)));
-        }
+        assert!(patch.has_edge(v(1), v(0)));
+        assert_eq!(patch.neighbors(v(0)), &[v(1), v(1)]);
     }
 }

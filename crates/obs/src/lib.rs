@@ -39,7 +39,7 @@
 //!
 //! bbncg_obs::enable();
 //! bbncg_obs::counter_add(Counter::DynamicsSteps, 3);
-//! bbncg_obs::observe(Histogram::WindowWidth, 8);
+//! bbncg_obs::observe(Histogram::RepairAffected, 8);
 //! assert!(bbncg_obs::counter_value(Counter::DynamicsSteps) >= 3);
 //! let page = bbncg_obs::render_prometheus();
 //! bbncg_obs::validate_exposition(&page).unwrap();

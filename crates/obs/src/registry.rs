@@ -59,7 +59,7 @@ pub fn enabled() -> bool {
 /// Every monotonic counter in the catalogue.
 ///
 /// Variants are grouped by layer: cost kernels (`Kernel*`), the
-/// speculative round executor (`Rounds*`), dynamics totals
+/// sharded round executor (`Rounds*`), dynamics totals
 /// (`Dynamics*`), the scenario engine (`Scenario*`), and the job
 /// server (`Http*` / `Jobs*`). The `usize` discriminant is the
 /// registry array index; [`Counter::ALL`] iterates in export order.
@@ -102,16 +102,13 @@ pub enum Counter {
     KernelBoundCacheHits,
     /// Per-target candidate-bound cache misses (sparse sessions).
     KernelBoundCacheMisses,
-    /// Speculative windows opened by the parallel round executor.
-    RoundsWindows,
-    /// Speculative proposal evaluations (parallel best-response calls).
+    /// Activations the sharded round executor split across engines.
     RoundsEvals,
-    /// Speculative proposals committed (window position consumed).
+    /// Moves committed by sharded activations.
     RoundsCommits,
-    /// Speculative evaluations discarded after an earlier commit.
+    /// Candidates sharded activations examined past an earlier slice's
+    /// proof of the optimum (work the sequential search never does).
     RoundsDiscards,
-    /// Windows cut short by a presence-set-changing commit.
-    RoundsInvalidations,
     /// Dynamics rounds executed (all executors).
     DynamicsRounds,
     /// Improving moves committed by dynamics (all executors).
@@ -153,7 +150,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters in the catalogue.
-    pub const COUNT: usize = 37;
+    pub const COUNT: usize = 35;
 
     /// Every counter, in export order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -172,11 +169,9 @@ impl Counter {
         Counter::KernelPruneAbortSparse,
         Counter::KernelBoundCacheHits,
         Counter::KernelBoundCacheMisses,
-        Counter::RoundsWindows,
         Counter::RoundsEvals,
         Counter::RoundsCommits,
         Counter::RoundsDiscards,
-        Counter::RoundsInvalidations,
         Counter::DynamicsRounds,
         Counter::DynamicsSteps,
         Counter::ScenarioPhases,
@@ -216,11 +211,9 @@ impl Counter {
             Counter::KernelBoundCacheHits | Counter::KernelBoundCacheMisses => {
                 "bbncg_kernel_bound_cache_total"
             }
-            Counter::RoundsWindows => "bbncg_rounds_windows_total",
             Counter::RoundsEvals => "bbncg_rounds_evals_total",
             Counter::RoundsCommits => "bbncg_rounds_commits_total",
             Counter::RoundsDiscards => "bbncg_rounds_discards_total",
-            Counter::RoundsInvalidations => "bbncg_rounds_presence_invalidations_total",
             Counter::DynamicsRounds => "bbncg_dynamics_rounds_total",
             Counter::DynamicsSteps => "bbncg_dynamics_steps_total",
             Counter::ScenarioPhases => "bbncg_scenario_phases_total",
@@ -286,11 +279,11 @@ impl Counter {
             Counter::KernelBoundCacheHits | Counter::KernelBoundCacheMisses => {
                 "Per-target candidate-bound cache lookups (sparse sessions)"
             }
-            Counter::RoundsWindows => "Speculative activation windows opened",
-            Counter::RoundsEvals => "Speculative proposal evaluations",
-            Counter::RoundsCommits => "Speculative proposals committed",
-            Counter::RoundsDiscards => "Speculative evaluations discarded",
-            Counter::RoundsInvalidations => "Windows cut short by presence-set commits",
+            Counter::RoundsEvals => "Activations split across sharded pricing engines",
+            Counter::RoundsCommits => "Moves committed by sharded activations",
+            Counter::RoundsDiscards => {
+                "Candidates examined past an earlier shard's proof of the optimum"
+            }
             Counter::DynamicsRounds => "Dynamics rounds executed",
             Counter::DynamicsSteps => "Improving moves committed by dynamics",
             Counter::ScenarioPhases => "Scenario phases entered",
@@ -351,8 +344,6 @@ impl Gauge {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Histogram {
-    /// Speculative window widths chosen by the round executor.
-    WindowWidth,
     /// Scenario phase wall time (µs).
     PhaseMicros,
     /// Perturbation event application time (µs).
@@ -389,11 +380,10 @@ pub enum Histogram {
 
 impl Histogram {
     /// Number of histograms in the catalogue.
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 14;
 
     /// Every histogram, in export order.
     pub const ALL: [Histogram; Histogram::COUNT] = [
-        Histogram::WindowWidth,
         Histogram::PhaseMicros,
         Histogram::EventMicros,
         Histogram::SeedMicros,
@@ -413,7 +403,6 @@ impl Histogram {
     /// Prometheus metric family name (shared across labelled variants).
     pub fn name(self) -> &'static str {
         match self {
-            Histogram::WindowWidth => "bbncg_rounds_window_width",
             Histogram::PhaseMicros => "bbncg_scenario_phase_duration_us",
             Histogram::EventMicros => "bbncg_scenario_event_duration_us",
             Histogram::SeedMicros => "bbncg_scenario_seed_duration_us",
@@ -442,7 +431,6 @@ impl Histogram {
     /// One-line `# HELP` text for the metric family.
     pub fn help(self) -> &'static str {
         match self {
-            Histogram::WindowWidth => "Speculative window widths chosen per window",
             Histogram::PhaseMicros => "Scenario phase wall time in microseconds",
             Histogram::EventMicros => "Perturbation event application time in microseconds",
             Histogram::SeedMicros => "Per-seed scenario run time in microseconds",

@@ -64,7 +64,7 @@ proptest! {
         bbncg_par::par_map_init(
             values.len(),
             || (),
-            |(), i| observe(Histogram::WindowWidth, values[i]),
+            |(), i| observe(Histogram::RepairAffected, values[i]),
         );
         let mut buckets = [0u64; NBUCKETS];
         let mut sum = 0u64;
@@ -72,7 +72,7 @@ proptest! {
             buckets[bucket_index(v)] += 1;
             sum = sum.saturating_add(v);
         }
-        let snap = histogram_snapshot(Histogram::WindowWidth);
+        let snap = histogram_snapshot(Histogram::RepairAffected);
         prop_assert_eq!(snap.count(), values.len() as u64);
         prop_assert_eq!(snap.sum(), sum);
         prop_assert_eq!(snap.buckets(), &buckets);

@@ -69,8 +69,8 @@ fn set_max_threads_bounds_worker_count() {
     // bound is sampled once at call start, workers (and their
     // worker-local init() state) are spawned from that sample, and a
     // raise issued *from inside the call* only affects later calls.
-    // This is what lets a serve job or a speculative dynamics round
-    // trust its per-worker engine count for the whole call.
+    // This is what lets a serve job or a seed sweep trust its
+    // per-worker engine count for the whole call.
     set_max_threads(2);
     let inits = AtomicUsize::new(0);
     let threads = Mutex::new(HashSet::new());

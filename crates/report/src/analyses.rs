@@ -17,7 +17,7 @@ use bbncg_core::{BudgetVector, CostModel};
 use bbncg_graph::{eccentricities, GraphMetrics, NodeId};
 
 /// Schema version stamped into every JSON fragment.
-pub const FRAGMENT_SCHEMA_VERSION: u64 = 1;
+pub const FRAGMENT_SCHEMA_VERSION: u64 = 2;
 
 /// One rendered analysis: the JSON fragment and the HTML section body.
 #[derive(Clone, Debug)]
@@ -43,13 +43,12 @@ pub struct ObsDelta {
     pub prune_skips: u64,
     /// Candidates priced exactly from the bound, without a BFS.
     pub prune_exact: u64,
-    /// Speculative windows opened by the parallel round executor.
-    pub rounds_windows: u64,
-    /// Speculative proposal evaluations.
+    /// Activations the sharded round executor split across engines.
     pub rounds_evals: u64,
-    /// Speculative proposals committed.
+    /// Moves committed by sharded activations.
     pub rounds_commits: u64,
-    /// Speculative evaluations discarded.
+    /// Candidates sharded activations examined past an earlier slice's
+    /// proof of the optimum.
     pub rounds_discards: u64,
     /// Dynamics rounds executed.
     pub dynamics_rounds: u64,
@@ -76,7 +75,6 @@ impl ObsDelta {
                 + cv(C::KernelPruneSkipBitset)
                 + cv(C::KernelPruneSkipSparse),
             prune_exact: cv(C::KernelPruneExact),
-            rounds_windows: cv(C::RoundsWindows),
             rounds_evals: cv(C::RoundsEvals),
             rounds_commits: cv(C::RoundsCommits),
             rounds_discards: cv(C::RoundsDiscards),
@@ -94,7 +92,6 @@ impl ObsDelta {
             priced: self.priced - before.priced,
             prune_skips: self.prune_skips - before.prune_skips,
             prune_exact: self.prune_exact - before.prune_exact,
-            rounds_windows: self.rounds_windows - before.rounds_windows,
             rounds_evals: self.rounds_evals - before.rounds_evals,
             rounds_commits: self.rounds_commits - before.rounds_commits,
             rounds_discards: self.rounds_discards - before.rounds_discards,
@@ -534,8 +531,8 @@ pub fn census(
     }
 }
 
-/// Observability digest: kernel prune-hit and speculative commit rates
-/// over the report's scenario run.
+/// Observability digest: kernel prune-hit rate and the sharded
+/// executor's move and discard rates over the report's scenario run.
 pub fn obs_digest(delta: &ObsDelta) -> Fragment {
     let considered = delta.priced + delta.prune_skips + delta.prune_exact;
     let rate = |num: u64, den: u64| -> f64 {
@@ -552,7 +549,7 @@ pub fn obs_digest(delta: &ObsDelta) -> Fragment {
         "obs-digest",
         &format!(
             "\"priced\":{},\"prune_skips\":{},\"prune_exact\":{},\"prune_hit_rate\":{},\
-             \"rounds_windows\":{},\"rounds_evals\":{},\"rounds_commits\":{},\
+             \"rounds_evals\":{},\"rounds_commits\":{},\
              \"rounds_discards\":{},\"commit_rate\":{},\"discard_rate\":{},\
              \"dynamics_rounds\":{},\"dynamics_steps\":{},\"scenario_phases\":{},\
              \"scenario_events\":{},\"scenario_seeds\":{}",
@@ -560,7 +557,6 @@ pub fn obs_digest(delta: &ObsDelta) -> Fragment {
             delta.prune_skips,
             delta.prune_exact,
             fnum(prune_hit),
-            delta.rounds_windows,
             delta.rounds_evals,
             delta.rounds_commits,
             delta.rounds_discards,
@@ -573,12 +569,10 @@ pub fn obs_digest(delta: &ObsDelta) -> Fragment {
             delta.scenario_seeds,
         ),
     );
+    // Discards are candidates per sharded activation, not a fraction,
+    // so they stay out of the chart.
     let mut bars = Vec::new();
-    for (label, v) in [
-        ("prune hit", prune_hit),
-        ("commit", commit),
-        ("discard", discard),
-    ] {
+    for (label, v) in [("prune hit", prune_hit), ("sharded move", commit)] {
         if v.is_finite() {
             bars.push((label.to_string(), v));
         }
@@ -590,15 +584,19 @@ pub fn obs_digest(delta: &ObsDelta) -> Fragment {
         vec!["prune exact".to_string(), delta.prune_exact.to_string()],
         vec!["prune-hit rate".to_string(), fnum(prune_hit)],
         vec![
-            "speculative windows".to_string(),
-            delta.rounds_windows.to_string(),
-        ],
-        vec![
-            "speculative evals".to_string(),
+            "sharded activations".to_string(),
             delta.rounds_evals.to_string(),
         ],
-        vec!["commits".to_string(), delta.rounds_commits.to_string()],
-        vec!["discards".to_string(), delta.rounds_discards.to_string()],
+        vec![
+            "sharded moves".to_string(),
+            delta.rounds_commits.to_string(),
+        ],
+        vec![
+            "candidates past a proven optimum".to_string(),
+            delta.rounds_discards.to_string(),
+        ],
+        vec!["sharded move rate".to_string(), fnum(commit)],
+        vec!["discards per sharded activation".to_string(), fnum(discard)],
         vec![
             "dynamics rounds".to_string(),
             delta.dynamics_rounds.to_string(),
@@ -678,7 +676,7 @@ mod tests {
         let f = convergence(&churn_records());
         assert!(f
             .json
-            .starts_with("{\"fragment_schema_version\":1,\"kind\":\"convergence\""));
+            .starts_with("{\"fragment_schema_version\":2,\"kind\":\"convergence\""));
         assert!(f.json.contains("\"total_steps\":6"));
         assert!(f.json.contains("\"total_rounds\":3"));
         assert!(f.html.contains("<svg"));

@@ -140,7 +140,7 @@ pub fn plan(report: &ReportSpec, from: Option<&str>) -> String {
                 "recovery rounds/steps after each perturbation event".to_string()
             }
             AnalysisSpec::ObsDigest => {
-                "prune-hit + speculative commit/discard rates from live counters".to_string()
+                "prune-hit + sharded move/discard rates from live counters".to_string()
             }
             AnalysisSpec::PoaSpectrum {
                 sizes,

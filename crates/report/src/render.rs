@@ -131,7 +131,7 @@ mod tests {
         Fragment {
             kind: "convergence",
             title: "A <title> & more".to_string(),
-            json: "{\"fragment_schema_version\":1,\"kind\":\"convergence\"}".to_string(),
+            json: "{\"fragment_schema_version\":2,\"kind\":\"convergence\"}".to_string(),
             html: "<p>body</p>".to_string(),
         }
     }

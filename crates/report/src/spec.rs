@@ -66,8 +66,8 @@ pub enum AnalysisSpec {
     /// Recovery time (rounds/steps of the next dynamics phase) after
     /// each perturbation event.
     Recovery,
-    /// Counter digest of the run: prune-hit rates, speculative
-    /// commit/discard rates (the PR 7 registry).
+    /// Counter digest of the run: prune-hit rates, sharded-executor
+    /// move/discard rates (the `bbncg-obs` registry).
     ObsDigest,
     /// Empirical price-of-anarchy series vs the paper's Table 1.
     PoaSpectrum {

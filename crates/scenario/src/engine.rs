@@ -128,7 +128,9 @@ impl Checkpoint {
                 Some((_, v)) => CostKernel::parse(v)?,
             },
             // Absent in pre-executor checkpoints; Auto is the
-            // behaviour they were written under.
+            // behaviour they were written under. Checkpoints written
+            // before sharding carry "speculative", which parses to
+            // the sharded executor.
             executor: match snap.meta.iter().find(|(k, _)| k == "executor") {
                 None => RoundExecutor::Auto,
                 Some((_, v)) => RoundExecutor::parse(v)?,

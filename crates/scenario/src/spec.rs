@@ -538,8 +538,9 @@ pub fn parse_spec(text: &str) -> Result<ScenarioSpec, SpecError> {
             .transpose()?
             .unwrap_or(PlayerOrder::RoundRobin),
         max_rounds: get_usize(dy, "max_rounds")?.unwrap_or(300),
-        // `[dynamics] rounds = "sequential"|"speculative"|"auto"` picks
-        // the round executor. Executors are step-identical, so this —
+        // `[dynamics] rounds = "sequential"|"sharded"|"auto"` picks
+        // the round executor (the legacy "speculative" parses to
+        // sharded). Executors are step-identical, so this —
         // like `kernel` — is purely a throughput knob: records,
         // checkpoints and resumes are executor-independent at any
         // thread count.
@@ -685,7 +686,9 @@ rounds = 50
         assert_eq!(spec.defaults.executor, RoundExecutor::Auto);
         for (label, want) in [
             ("sequential", RoundExecutor::Sequential),
-            ("speculative", RoundExecutor::Speculative),
+            ("sharded", RoundExecutor::Sharded),
+            // The label of the executor sharding replaced.
+            ("speculative", RoundExecutor::Sharded),
             ("auto", RoundExecutor::Auto),
         ] {
             let text = format!(

@@ -7,6 +7,7 @@
 //!    exact final state hash (and the exact remaining records) of an
 //!    uninterrupted run.
 
+use bbncg_core::RoundExecutor;
 use bbncg_scenario::{parse_spec, run_scenario, run_sweep, Checkpoint, MemorySink, ScenarioSpec};
 
 /// A scenario exercising every phase kind, with enough randomness
@@ -221,7 +222,7 @@ fn executors_trace_identically_and_checkpoint_meta_roundtrips() {
     // roundtrip, and a pre-executor checkpoint (no "executor" meta
     // key) parses with the auto default — same policy as kernels.
     let mut specs = Vec::new();
-    for mode in ["sequential", "speculative"] {
+    for mode in ["sequential", "sharded"] {
         let text = FULL.replace(
             "rule = \"exact\"",
             &format!("rule = \"exact\"\nrounds = \"{mode}\""),
@@ -238,9 +239,9 @@ fn executors_trace_identically_and_checkpoint_meta_roundtrips() {
     assert_eq!(rs.steps, rp.steps);
     assert_eq!(ss.records, ps.records);
 
-    // Freeze under speculative, thaw, and finish under sequential.
+    // Freeze under sharded, thaw, and finish under sequential.
     let part = run_scenario(spe, 9, None, &mut MemorySink::default(), Some(3), |_| ()).unwrap();
-    assert_eq!(part.checkpoint.executor.label(), "speculative");
+    assert_eq!(part.checkpoint.executor.label(), "sharded");
     let mut ck = Checkpoint::from_text(&part.checkpoint.to_text()).unwrap();
     assert_eq!(ck, part.checkpoint, "executor survives the text roundtrip");
     ck.spec_hash = seq.spec_hash;
@@ -261,6 +262,74 @@ fn executors_trace_identically_and_checkpoint_meta_roundtrips() {
     let thawed = Checkpoint::from_text(&stripped).unwrap();
     assert_eq!(thawed.executor.label(), "auto");
     assert_eq!(thawed.state, part.checkpoint.state);
+}
+
+/// `FULL` under `rounds = "speculative"`, the label of the round
+/// executor sharding replaced, stopped after phase 3 at seed 9: this
+/// checkpoint text was written by that executor's version of the
+/// engine, verbatim.
+const SPECULATIVE_CHECKPOINT: &str = "bbncg-snapshot v1
+rng 4939223505431783235 10359310932433379406 17159440232970425223 6801058228364551183
+meta scenario kitchen-sink
+meta spec-hash 30ccef686d5b6fa9
+meta seed 9
+meta next-phase 3
+meta steps 11
+meta rounds 4
+meta converged true
+meta cycled false
+meta kernel auto
+meta executor speculative
+profile
+bbncg v1
+n 13
+budgets 1 1 1 1 1 1 1 1 1 1 2 2 2
+arcs
+0 2
+1 2
+2 3
+3 0
+4 2
+5 2
+6 2
+7 2
+8 2
+9 2
+10 2
+10 11
+11 0
+11 2
+12 0
+12 2
+";
+
+/// The final state hash the same version reached running that spec
+/// and seed uninterrupted.
+const SPECULATIVE_FINAL_HASH: u64 = 0x1432_7661_10b7_8429;
+
+#[test]
+fn pre_sharding_checkpoints_resume_to_identical_hashes() {
+    let text = FULL.replace(
+        "rule = \"exact\"",
+        "rule = \"exact\"\nrounds = \"speculative\"",
+    );
+    let spec = parse_spec(&text).unwrap();
+    assert_eq!(spec.defaults.executor, RoundExecutor::Sharded);
+    let ck = Checkpoint::from_text(SPECULATIVE_CHECKPOINT).unwrap();
+    assert_eq!(ck.executor, RoundExecutor::Sharded);
+    assert_eq!(ck.spec_hash, spec.spec_hash);
+    // Today's engine freezes the same state at the same point…
+    let part = run_scenario(&spec, 9, None, &mut MemorySink::default(), Some(3), |_| ()).unwrap();
+    assert_eq!(part.checkpoint.state, ck.state);
+    assert_eq!(part.checkpoint.rng_state, ck.rng_state);
+    assert_eq!(part.checkpoint.steps, ck.steps);
+    // …and both the resumed and the uninterrupted run land on the old
+    // version's final hash.
+    let resumed =
+        run_scenario(&spec, 9, Some(ck), &mut MemorySink::default(), None, |_| ()).unwrap();
+    assert_eq!(resumed.state_hash, SPECULATIVE_FINAL_HASH);
+    let full = run_scenario(&spec, 9, None, &mut MemorySink::default(), None, |_| ()).unwrap();
+    assert_eq!(full.state_hash, SPECULATIVE_FINAL_HASH);
 }
 
 #[test]

@@ -114,7 +114,7 @@ pub struct Job {
     /// boundary (single-seed scenario jobs only; sweeps interleave
     /// phases across seeds, so per-phase timing is not well-defined).
     phase_us: Mutex<Vec<u64>>,
-    /// The result-cache key this job is (or was) registered under —
+    /// The result-cache slot this job is (or was) registered under —
     /// how retirement paths (failure, cancellation, history eviction)
     /// find their cache entry to drop.
     cache_key: Mutex<Option<u64>>,
@@ -138,12 +138,12 @@ impl Job {
         })
     }
 
-    /// Record the cache key this job was inserted under.
+    /// Record the cache slot this job was inserted under.
     pub fn set_cache_key(&self, key: u64) {
         *self.cache_key.lock().expect("cache key poisoned") = Some(key);
     }
 
-    /// The cache key this job was inserted under, if any.
+    /// The cache slot this job was inserted under, if any.
     pub fn cache_key(&self) -> Option<u64> {
         *self.cache_key.lock().expect("cache key poisoned")
     }

@@ -395,7 +395,7 @@ fn worker_loop(shared: Arc<Shared>) {
     // Job workers are the server's parallelism: mark the thread so
     // `RoundExecutor::Auto` inside jobs stays sequential instead of
     // nesting a second fan-out per worker (an explicit
-    // speculative/`?rounds=` ask still fans out).
+    // `sharded`/`?rounds=` ask still fans out).
     bbncg_par::mark_parallel_worker();
     // The worker-local engine slot: filled by the first single-seed
     // scenario job, re-synced by diffing (or transparently rebuilt on
@@ -820,7 +820,7 @@ fn submit(shared: &Arc<Shared>, req: &Request) -> Routed {
     } else {
         None
     };
-    if let (Some(guard), Some(key)) = (cache_guard.as_mut(), cache_key) {
+    if let (Some(guard), Some(key)) = (cache_guard.as_mut(), &cache_key) {
         if let Some(job) = guard.lookup(key) {
             return receipt(&job, true);
         }
@@ -879,9 +879,8 @@ fn submit(shared: &Arc<Shared>, req: &Request) -> Routed {
                 }
             }
         }
-        if let (Some(guard), Some(key)) = (cache_guard.as_mut(), cache_key) {
-            job.set_cache_key(key);
-            guard.insert(key, &job);
+        if let (Some(guard), Some(key)) = (cache_guard.as_mut(), &cache_key) {
+            job.set_cache_key(guard.insert(key, &job));
         }
         q.push_back(Arc::clone(&job));
         shared.queue_cv.notify_one();

@@ -134,7 +134,7 @@ fn healthz_reports_round_executor_mode_and_thread_cap() {
     // executor jobs default to and the worker-thread cap every
     // parallel primitive obeys.
     let server = spawn(ServerConfig {
-        default_executor: bbncg_core::RoundExecutor::Speculative,
+        default_executor: bbncg_core::RoundExecutor::Sharded,
         ..ServerConfig::default()
     })
     .unwrap();
@@ -143,7 +143,7 @@ fn healthz_reports_round_executor_mode_and_thread_cap() {
     let h = client::request(&addr, "GET", "/healthz", b"")
         .unwrap()
         .text();
-    assert!(h.contains("\"rounds\":\"speculative\""), "{h}");
+    assert!(h.contains("\"rounds\":\"sharded\""), "{h}");
     assert!(
         h.contains(&format!("\"threads\":{}", bbncg_par::max_threads())),
         "{h}"
@@ -158,6 +158,8 @@ fn healthz_reports_round_executor_mode_and_thread_cap() {
         served_lines(&addr, CHURN_SPEC, "?rounds=sequential"),
         offline
     );
+    assert_eq!(served_lines(&addr, CHURN_SPEC, "?rounds=sharded"), offline);
+    // The label of the executor sharding replaced still parses.
     assert_eq!(
         served_lines(&addr, CHURN_SPEC, "?rounds=speculative"),
         offline

@@ -48,41 +48,12 @@
 #                                      sparse leg; the soak must fit in
 #                                      O(n + m) memory, no bit mirror)
 #
-# Round-executor fields (see `bbncg_core::round` — sequential vs
-# speculative-parallel rounds; executors are step-identical, so the
-# seq/spec step counts are asserted equal and every ratio is
-# workload-fair):
-#   rounds_workload                  — the two workload shapes (n=256
-#                                      and n=1024, unit budgets, exact
-#                                      best response, capped rounds)
-#   rounds_host_cpus                 — std::thread::available_parallelism
-#                                      at snapshot time; speculative
-#                                      speedups are only meaningful
-#                                      (and the >=2x n=1024/t8 bar only
-#                                      enforced) when this is >= 2 —
-#                                      single-core hosts record the
-#                                      honest ~1x numbers instead
-#   rounds_seq_steps_per_sec_n{256,1024}
-#                                    — sequential executor, 1 thread
-#   rounds_spec_steps_per_sec_n{256,1024}_t{1,2,8}
-#                                    — speculative executor at a pinned
-#                                      worker-thread cap (the scaling
-#                                      curve tracked per-PR)
-#   rounds_spec_speedup_n{256,1024}_t8
-#                                    — speculative t8 / sequential t1
-#   rounds_total_steps_n{256,1024}   — applied deviations (identical
-#                                      across executors; asserted)
-#
-# Speculation / pruning health (read from the `bbncg_obs` registry,
-# which the binary enables only after every timed measurement so the
-# perf series keeps measuring the disabled, zero-cost configuration):
-#   rounds_commit_rate               — speculative commits / evals on
-#                                      the n=1024 rounds workload
-#                                      (wasted-work complement:
-#                                      1 - commit - discard is window
-#                                      positions invalidated/unused)
-#   rounds_discard_rate              — speculative evals discarded
-#                                      after an earlier commit / evals
+# Pruning health (read from the `bbncg_obs` registry, which the
+# binary enables only after every timed measurement so the perf series
+# keeps measuring the disabled, zero-cost configuration). Round-executor
+# figures are not snapshotted here: the benchmark package in benchmark/
+# measures the default executor end to end, and README's "Parallel
+# rounds" tabulates sharded vs sequential:
 #   prune_hit_rate_{queue,bitset,sparse}
 #                                    — Lemma 2.2 lower-bound skips /
 #                                      (skips + priced candidates) per
@@ -121,7 +92,7 @@
 # snapshot. The separate `obs_guard` bin (cargo run -p bbncg-bench
 # --bin obs_guard) enforces the zero-cost-when-off promise:
 # enabled-registry throughput must stay within a few percent of
-# disabled on the n=1024 speculative workload.
+# disabled on n=1024 exact dynamics (sequential rounds, one thread).
 #
 # Also emits BENCH_serve.json via the `loadgen` bin: an in-process
 # bbncg-serve instance (epoll front end, 4 workers, bounded queue)
