@@ -719,7 +719,7 @@ pub fn e_convergence_legacy_table() -> Table {
 /// `E-convergence` — the §8 open problem: does best-response dynamics
 /// converge, and how fast? Round-robin and random orders, exact and
 /// swap rules. Since PR 2 the sweeps run through the scenario engine
-/// ([`scenario_convergence_stats`]); `tests/convergence_parity.rs`
+/// (`scenario_convergence_stats`); `tests/convergence_parity.rs`
 /// pins the output to [`e_convergence_legacy_table`] row for row.
 pub fn e_convergence() -> Vec<Table> {
     let t = convergence_table(scenario_convergence_stats);

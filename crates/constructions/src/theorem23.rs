@@ -333,8 +333,13 @@ pub fn figure1_budgets() -> BudgetVector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bbncg_core::{is_nash_equilibrium, lemma22_certifies_all, CostModel};
+    use bbncg_core::{
+        is_nash_equilibrium_with_kernel, lemma22_certifies_all, CostKernel, CostModel,
+    };
 
+    /// The construction realizes `budgets` exactly, meets its diameter
+    /// bound, and is a Nash equilibrium in both models under every
+    /// concrete cost kernel.
     fn check_equilibrium_both(budgets: Vec<usize>) {
         let b = BudgetVector::new(budgets.clone());
         let c = theorem23_equilibrium(&b);
@@ -349,12 +354,14 @@ mod tests {
             c.realization.social_diameter(),
             c.diameter_bound
         );
-        for model in CostModel::ALL {
-            assert!(
-                is_nash_equilibrium(&c.realization, model),
-                "{budgets:?} must be a {model:?} equilibrium (case {:?})",
-                c.case
-            );
+        for kernel in [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse] {
+            for model in CostModel::ALL {
+                assert!(
+                    is_nash_equilibrium_with_kernel(&c.realization, model, kernel),
+                    "{budgets:?} must be a {model:?} equilibrium under {kernel} (case {:?})",
+                    c.case
+                );
+            }
         }
     }
 
@@ -421,9 +428,7 @@ mod tests {
         assert!(c.realization.social_diameter() <= 4);
         // Exact Nash verification: budgets ≤ 5, n = 22 → C(21,5) = 20349
         // candidates per player, fine.
-        for model in CostModel::ALL {
-            assert!(is_nash_equilibrium(&c.realization, model));
-        }
+        check_equilibrium_both(b.as_slice().to_vec());
     }
 
     #[test]
@@ -456,11 +461,6 @@ mod tests {
     fn unsorted_budget_order_is_respected() {
         // Budgets given in arbitrary order: player ids keep their own
         // budgets in the output.
-        let b = BudgetVector::new(vec![3, 0, 2, 0, 1]);
-        let c = theorem23_equilibrium(&b);
-        assert_eq!(c.realization.budgets().as_slice(), &[3, 0, 2, 0, 1]);
-        for model in CostModel::ALL {
-            assert!(is_nash_equilibrium(&c.realization, model));
-        }
+        check_equilibrium_both(vec![3, 0, 2, 0, 1]);
     }
 }

@@ -10,8 +10,9 @@
 //! [`DeviationScratch`] owns all of it once and keeps it alive across
 //! activations, moves and whole dynamics runs:
 //!
-//! * a [`PatchableCsr`] mirror of the current profile, edited **in
-//!   place** as players move (cost ∝ the diff, not `n + m`);
+//! * a [`CompactCsr`] mirror of the current profile, edited **in
+//!   place** as players move (cost ∝ the diff, not `n + m`) — the one
+//!   undirected store every cost kernel reads;
 //! * a [`BfsScratch`] reused by every candidate BFS;
 //! * reusable component-label and candidate buffers.
 //!
@@ -41,8 +42,8 @@ use crate::cost::{c_inf, cost_from_bfs, CostModel};
 use crate::kernel::CostKernel;
 use crate::realization::Realization;
 use bbncg_graph::{
-    Adjacency, BfsScratch, BitAdjacency, BitBfsScratch, CompactCsr, NodeId, OwnedDigraph,
-    PatchableCsr, SparseSssp, UNREACHED,
+    BfsScratch, BitAdjacency, BitBfsScratch, CompactCsr, NodeId, OwnedDigraph, SparseSssp,
+    UNREACHED,
 };
 use bbncg_obs::Counter;
 
@@ -110,83 +111,21 @@ const RETENTION_CAP: usize = 256;
 /// lopsidedly in the ball's favour.
 const BALL_OVERSHOOT: u64 = 64;
 
-/// The editable undirected mirror backing a deviation engine: the
-/// queue/bitset tiers keep the slack-padded [`PatchableCsr`] (O(1)
-/// in-block edits, bitset mirror alongside), the sparse tier the
-/// zero-padding [`CompactCsr`] (O(n + m) memory at any scale). Both
-/// expose the same strategy-diff edit surface, so every session
-/// operation is written once against this enum.
-#[derive(Debug)]
-enum Backing {
-    /// Slack-padded arena (queue and bitset kernels).
-    Padded(PatchableCsr),
-    /// Slack-free compact arena (sparse kernel).
-    Compact(CompactCsr),
-}
-
-impl Backing {
-    #[inline]
-    fn neighbors(&self, u: NodeId) -> &[NodeId] {
-        match self {
-            Backing::Padded(p) => p.neighbors(u),
-            Backing::Compact(c) => c.neighbors(u),
-        }
-    }
-
-    fn replace_strategy(&mut self, owner: NodeId, old: &[NodeId], new: &[NodeId]) {
-        match self {
-            Backing::Padded(p) => p.replace_strategy(owner, old, new),
-            Backing::Compact(c) => c.replace_strategy(owner, old, new),
-        }
-    }
-
-    /// Arena re-layouts: full-arena rebuilds for the padded tier,
-    /// compactions for the compact tier (its single-row relocations are
-    /// O(deg) and not re-layouts).
-    fn relayouts(&self) -> u64 {
-        match self {
-            Backing::Padded(p) => p.rebuilds(),
-            Backing::Compact(c) => c.compactions(),
-        }
-    }
-
-    /// Debug-assertion helper: does the backing match a ground-truth CSR?
-    fn same_graph_as(&self, csr: &bbncg_graph::Csr) -> bool {
-        match self {
-            Backing::Padded(p) => p.same_graph_as(csr),
-            Backing::Compact(c) => c.same_graph_as(csr),
-        }
-    }
-}
-
-impl Adjacency for Backing {
-    #[inline]
-    fn n(&self) -> usize {
-        match self {
-            Backing::Padded(p) => PatchableCsr::n(p),
-            Backing::Compact(c) => CompactCsr::n(c),
-        }
-    }
-
-    #[inline]
-    fn neighbors(&self, u: NodeId) -> &[NodeId] {
-        Backing::neighbors(self, u)
-    }
-}
-
 /// Reusable engine state for pricing candidate deviations.
 #[derive(Debug)]
 pub struct DeviationScratch {
     /// The profile the patch currently reflects (minus the detached
     /// player's arcs).
     mirror: OwnedDigraph,
-    /// In-place-editable undirected view of `mirror` (padded or
-    /// compact, by resolved kernel).
-    patch: Backing,
+    /// In-place-editable undirected view of `mirror`.
+    patch: CompactCsr,
     bfs: BfsScratch,
     /// The kernel the caller asked for (`Auto` re-resolves when the
     /// engine is rebuilt for a different instance size).
     kernel: CostKernel,
+    /// The concrete kernel `kernel` resolved to for this `n`; `Sparse`
+    /// gates the rebase, bounded pricing and landmark bounds.
+    resolved: CostKernel,
     /// Word-parallel presence mirror of `patch`, maintained through the
     /// same strategy diffs; `Some` iff the resolved kernel is `Bitset`.
     bits: Option<BitAdjacency>,
@@ -259,21 +198,23 @@ pub struct DeviationScratch {
     tally: ObsTally,
 }
 
-/// Apply one player's strategy change to the patchable CSR **and** its
+/// Apply one player's strategy change to the editable CSR **and** its
 /// bit mirror. The mirror is a presence matrix over a multigraph, so a
 /// removed arc clears its bit only when the patch (already updated)
 /// lost the last occurrence of the edge — a brace owned from the other
 /// side keeps the bit alive.
 ///
-/// On the sparse tier this is also the single funnel every premise
-/// edit flows through, so the retention journal is maintained here:
-/// edits by players other than the retained source are recorded as
-/// raw arc deltas (the source's own arcs are excluded from its premise
-/// graph, so its edits — including the detach/attach session protocol
-/// — are net zero and skipped), and the recorded edge epoch is
-/// advanced so a bypassing edit is detectable at repair time.
+/// This is also the single funnel every premise edit flows through, so
+/// the sparse tier's retention journal is maintained here. It records
+/// only while a sparse base is retained (`retained_source` is `Some`,
+/// which never happens under queue or bitset): edits by players other
+/// than the retained source are recorded as raw arc deltas (the
+/// source's own arcs are excluded from its premise graph, so its edits
+/// — including the detach/attach session protocol — are net zero and
+/// skipped), and the recorded edge epoch is advanced so a bypassing
+/// edit is detectable at repair time.
 fn apply_strategy_patch(
-    patch: &mut Backing,
+    patch: &mut CompactCsr,
     bits: Option<&mut BitAdjacency>,
     retention: &mut Retention,
     retained_source: Option<NodeId>,
@@ -292,23 +233,21 @@ fn apply_strategy_patch(
             bits.set_edge(owner, t);
         }
     }
-    if let Backing::Compact(c) = patch {
-        if let Some(s) = retained_source {
-            if owner != s && !retention.overflow {
-                if retention.pending.len() + old.len() + new.len() > RETENTION_CAP {
-                    retention.overflow = true;
-                    retention.pending.clear();
-                } else {
-                    for &t in old {
-                        retention.pending.push((owner, t, -1));
-                    }
-                    for &t in new {
-                        retention.pending.push((owner, t, 1));
-                    }
+    if let Some(s) = retained_source {
+        if owner != s && !retention.overflow {
+            if retention.pending.len() + old.len() + new.len() > RETENTION_CAP {
+                retention.overflow = true;
+                retention.pending.clear();
+            } else {
+                for &t in old {
+                    retention.pending.push((owner, t, -1));
+                }
+                for &t in new {
+                    retention.pending.push((owner, t, 1));
                 }
             }
-            retention.epoch = c.edge_epoch();
         }
+        retention.epoch = patch.edge_epoch();
     }
 }
 
@@ -326,10 +265,7 @@ impl DeviationScratch {
         let mirror = r.graph().clone();
         let n = mirror.n();
         let resolved = kernel.resolve(n);
-        let patch = match resolved {
-            CostKernel::Sparse => Backing::Compact(CompactCsr::from_digraph(&mirror)),
-            _ => Backing::Padded(PatchableCsr::from_digraph(&mirror)),
-        };
+        let patch = CompactCsr::from_digraph(&mirror);
         let bits = match resolved {
             CostKernel::Bitset => Some(BitAdjacency::from_adjacency(&patch)),
             _ => None,
@@ -339,6 +275,7 @@ impl DeviationScratch {
             patch,
             bfs: BfsScratch::new(n),
             kernel,
+            resolved,
             bits,
             bitbfs: BitBfsScratch::new(n),
             // Zero-sized unless sparse; `rebase` sizes it on first use.
@@ -381,7 +318,7 @@ impl DeviationScratch {
         if !bbncg_obs::enabled() {
             return;
         }
-        let (priced, skips) = match self.resolved_kernel() {
+        let (priced, skips) = match self.resolved {
             CostKernel::Bitset => (Counter::KernelPricedBitset, Counter::KernelPruneSkipBitset),
             CostKernel::Sparse => (Counter::KernelPricedSparse, Counter::KernelPruneSkipSparse),
             _ => (Counter::KernelPricedQueue, Counter::KernelPruneSkipQueue),
@@ -391,7 +328,7 @@ impl DeviationScratch {
         bbncg_obs::counter_add(Counter::KernelPruneExact, t.prune_exact);
         bbncg_obs::counter_add(Counter::KernelBaseBfs, t.base_bfs);
         bbncg_obs::counter_add(Counter::KernelSessions, t.sessions);
-        if matches!(self.patch, Backing::Compact(_)) {
+        if self.resolved == CostKernel::Sparse {
             // Sparse pricing is one decrease-only repair per candidate.
             bbncg_obs::counter_add(Counter::KernelSsspRepairs, t.priced);
             bbncg_obs::counter_add(Counter::KernelBaseRepaired, t.base_repaired);
@@ -411,11 +348,7 @@ impl DeviationScratch {
     /// The concrete kernel pricing candidates right now.
     #[inline]
     pub fn resolved_kernel(&self) -> CostKernel {
-        match &self.patch {
-            Backing::Compact(_) => CostKernel::Sparse,
-            Backing::Padded(_) if self.bits.is_some() => CostKernel::Bitset,
-            Backing::Padded(_) => CostKernel::Queue,
-        }
+        self.resolved
     }
 
     /// Number of vertices the engine is sized for.
@@ -430,12 +363,12 @@ impl DeviationScratch {
         self.active.map(|(u, _)| u)
     }
 
-    /// Arena re-layouts the underlying editable CSR has performed
-    /// (0 for ordinary dynamics runs; [`PatchableCsr::rebuilds`] for
-    /// the padded tiers, [`CompactCsr::compactions`] for sparse).
+    /// Whole-arena re-packs the underlying editable CSR has performed
+    /// ([`CompactCsr::compactions`]; its single-row relocations are
+    /// `O(deg)` and not counted).
     #[inline]
     pub fn rebuilds(&self) -> u64 {
-        self.patch.relayouts()
+        self.patch.compactions()
     }
 
     /// Re-attach the detached player's arcs, making `patch` mirror
@@ -516,7 +449,7 @@ impl DeviationScratch {
         self.memo_current = None;
         self.recompute_components();
         self.recompute_distinct_in(u);
-        if matches!(self.patch, Backing::Compact(_)) {
+        if self.resolved == CostKernel::Sparse {
             self.rebase_sparse_session(u);
         }
     }
@@ -530,17 +463,11 @@ impl DeviationScratch {
     /// per-candidate lower bound.
     fn rebase_sparse_session(&mut self, u: NodeId) {
         if !self.try_repair_retained(u) {
-            let Backing::Compact(c) = &self.patch else {
-                unreachable!("sparse session over padded backing");
-            };
             self.tally.base_bfs += 1;
-            self.sssp.rebase(c, u);
+            self.sssp.rebase(&self.patch, u);
             self.retention.pending.clear();
             self.retention.overflow = false;
-            let Backing::Compact(c) = &self.patch else {
-                unreachable!();
-            };
-            self.retention.epoch = c.edge_epoch();
+            self.retention.epoch = self.patch.edge_epoch();
         }
         // Fresh base profile (either way) ⇒ new bound-cache epoch.
         self.tb_epoch = self.tb_epoch.wrapping_add(1);
@@ -586,10 +513,7 @@ impl DeviationScratch {
         if self.sssp.source() != Some(u) {
             return false;
         }
-        let Backing::Compact(c) = &self.patch else {
-            return false;
-        };
-        if self.retention.overflow || c.edge_epoch() != self.retention.epoch {
+        if self.retention.overflow || self.patch.edge_epoch() != self.retention.epoch {
             self.tally.repair_fallbacks += 1;
             self.sssp.invalidate();
             return false;
@@ -617,7 +541,7 @@ impl DeviationScratch {
             // Presence transition: multiplicity now (in the premise —
             // the source's own arcs are detached and were never
             // journalled, so the units agree) vs before the journal.
-            let now = c.neighbors(a).iter().filter(|&&x| x == b).count() as i64;
+            let now = self.patch.neighbors(a).iter().filter(|&&x| x == b).count() as i64;
             let before = now - delta as i64;
             if before < 0 {
                 // Journal out of step with the graph — never expected;
@@ -633,10 +557,13 @@ impl DeviationScratch {
             }
         }
         let threshold = (self.n() / 4).max(16);
-        match self
-            .sssp
-            .repair_batch(c, u, &self.diff_removed, &self.diff_inserted, threshold)
-        {
+        match self.sssp.repair_batch(
+            &self.patch,
+            u,
+            &self.diff_removed,
+            &self.diff_inserted,
+            threshold,
+        ) {
             bbncg_graph::RepairOutcome::Repaired(touched) => {
                 self.tally.base_repaired += 1;
                 bbncg_obs::observe(bbncg_obs::Histogram::RepairAffected, touched as u64);
@@ -753,12 +680,12 @@ impl DeviationScratch {
     fn cost_with_kappa(&mut self, targets: &[NodeId], kappa: usize) -> u64 {
         let (u, model) = self.active.expect("no deviation session open");
         self.tally.priced += 1;
-        let stats = match (&self.patch, &self.bits) {
+        let stats = match (self.resolved, &self.bits) {
             // Sparse: decrease-only repair of the session's base
             // profile — cost ∝ improved region, not n.
-            (Backing::Compact(c), _) => self.sssp.price(c, u, targets),
-            (Backing::Padded(_), Some(bits)) => self.bitbfs.run_patched(bits, u, u, targets),
-            (Backing::Padded(p), None) => self.bfs.run_patched(p, u, u, targets),
+            (CostKernel::Sparse, _) => self.sssp.price(&self.patch, u, targets),
+            (_, Some(bits)) => self.bitbfs.run_patched(bits, u, u, targets),
+            (_, None) => self.bfs.run_patched(&self.patch, u, u, targets),
         };
         cost_from_bfs(
             model,
@@ -796,7 +723,7 @@ impl DeviationScratch {
         // candidate whose final cost provably meets the incumbent is
         // abandoned part-way and reported as a prune skip (it can
         // never be *strictly* better, so tie-breaking is unchanged).
-        if matches!(self.patch, Backing::Compact(_)) {
+        if self.resolved == CostKernel::Sparse {
             // Ball floor first: an earlier overshot abort may have
             // already certified this single-target candidate at or
             // over the incumbent — same skip semantics, zero BFS.
@@ -853,9 +780,6 @@ impl DeviationScratch {
                 need_max: true,
             },
         };
-        let Backing::Compact(c) = &self.patch else {
-            unreachable!("bounded pricing over padded backing");
-        };
         // Single-target SUM candidates overshoot their abort so the
         // certified bound clears the incumbent by BALL_OVERSHOOT
         // levels' worth of sum — every vertex the repair touched
@@ -865,9 +789,9 @@ impl DeviationScratch {
         let ball = matches!(model, CostModel::Sum) && targets.len() == 1 && budget.sum < u64::MAX;
         let overshoot = if ball { BALL_OVERSHOOT } else { 0 };
         let mut buf = std::mem::take(&mut self.ball_buf);
-        let res = self
-            .sssp
-            .price_bounded_ball(c, u, targets, &budget, overshoot, &mut buf);
+        let res =
+            self.sssp
+                .price_bounded_ball(&self.patch, u, targets, &budget, overshoot, &mut buf);
         match res {
             Ok(stats) => {
                 self.ball_buf = buf;
@@ -930,7 +854,7 @@ impl DeviationScratch {
             return (0, false, kappa, reachable);
         }
         let cinf = c_inf(n);
-        let sparse = matches!(self.patch, Backing::Compact(_));
+        let sparse = self.resolved == CostKernel::Sparse;
         // |targets ∪ in-neighbours(u)|: targets are tiny, so dedup by
         // scan; in-neighbour membership via binary search in the sorted
         // distinct-in list `dedup_buf` built at session open. Sparse

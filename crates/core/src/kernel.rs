@@ -3,7 +3,10 @@
 //! Every best-response step prices `O(C(n−1, b))` candidate strategies,
 //! each via one single-source BFS, so BFS throughput *is* the
 //! throughput of dynamics, Nash audits and scenario sweeps. The engine
-//! therefore lets callers choose **how** that BFS runs:
+//! therefore lets callers choose **how** that BFS runs. All three read
+//! the same editable undirected store, a slack-free
+//! [`CompactCsr`](bbncg_graph::CompactCsr) kept in step with the
+//! profile one strategy diff at a time:
 //!
 //! * [`CostKernel::Queue`] — the classic stamped queue BFS
 //!   ([`BfsScratch`](bbncg_graph::BfsScratch)): `O(n + m)` per query,
@@ -14,16 +17,15 @@
 //!   incrementally through patch sessions: `O(n²/64)` word ops per
 //!   query, branch-light and cache-linear. A large constant-factor win
 //!   for the dense, repeated queries of larger instances.
-//! * [`CostKernel::Sparse`] — incremental repair over a slack-free
-//!   [`CompactCsr`](bbncg_graph::CompactCsr): the session's base BFS is
-//!   computed once per activation and every candidate is priced by a
-//!   decrease-only dynamic-SSSP repair
+//! * [`CostKernel::Sparse`] — incremental repair over that CSR: the
+//!   session's base BFS is computed once per activation and every
+//!   candidate is priced by a decrease-only dynamic-SSSP repair
 //!   ([`SparseSssp`](bbncg_graph::SparseSssp)), touching only the
 //!   vertices the candidate actually improves, with landmark lower
 //!   bounds (the base profile doubles as a free landmark) rejecting
 //!   most candidates without touching the graph at all. No bitset
-//!   mirror, no per-row padding: `O(n + m)` memory, per-candidate time
-//!   ∝ improved region. The tier that takes dynamics to n ≈ 10⁵–10⁶.
+//!   mirror: `O(n + m)` memory, per-candidate time ∝ improved region.
+//!   The tier that takes dynamics to n ≈ 10⁵–10⁶.
 //! * [`CostKernel::Auto`] — pick by instance size
 //!   ([`CostKernel::AUTO_BITSET_MIN_N`] / [`CostKernel::AUTO_BITSET_MAX_N`]).
 //!
@@ -38,12 +40,12 @@
 /// Which BFS machinery prices candidate deviations.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum CostKernel {
-    /// Stamped queue BFS over the patchable CSR (`O(n + m)` per query).
+    /// Stamped queue BFS over the compact CSR (`O(n + m)` per query).
     Queue,
     /// Word-parallel frontier-bitset BFS over a bit-matrix mirror
     /// (`O(n²/64)` word ops per query).
     Bitset,
-    /// Decrease-only dynamic-SSSP repair over a slack-free compact CSR
+    /// Decrease-only dynamic-SSSP repair over the compact CSR
     /// (per-candidate time ∝ improved region, `O(n + m)` memory).
     Sparse,
     /// Resolve by instance size: queue below

@@ -24,11 +24,11 @@
 //! Hot-path note: the only remaining [`Csr::from_digraph`] here is the
 //! constructor's one-time build of the cached view. Swap pricing
 //! ([`WeightedGraph::is_weak_equilibrium`]) and leaf folding
-//! ([`WeightedGraph::fold_poor_leaves`]) edit a [`PatchableCsr`] in
+//! ([`WeightedGraph::fold_poor_leaves`]) edit a [`CompactCsr`] in
 //! place, per the deviation-engine discipline.
 
 use crate::cost::c_inf;
-use bbncg_graph::{Adjacency, BfsScratch, Csr, NodeId, OwnedDigraph, PatchableCsr};
+use bbncg_graph::{Adjacency, BfsScratch, CompactCsr, Csr, NodeId, OwnedDigraph};
 
 /// A vertex-weighted ownership digraph for the SUM game (Section 6).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -110,7 +110,7 @@ impl WeightedGraph {
     /// returning: no graph rebuild per candidate.
     fn swap_cost(
         &self,
-        patch: &mut PatchableCsr,
+        patch: &mut CompactCsr,
         u: NodeId,
         old: NodeId,
         new: NodeId,
@@ -131,7 +131,7 @@ impl WeightedGraph {
     pub fn is_weak_equilibrium(&self) -> bool {
         let n = self.n();
         let mut scratch = BfsScratch::new(n);
-        let mut patch = PatchableCsr::from_digraph(&self.g);
+        let mut patch = CompactCsr::from_digraph(&self.g);
         for u in 0..n {
             let u = NodeId::new(u);
             if self.g.out_degree(u) == 0 {
@@ -186,7 +186,7 @@ impl WeightedGraph {
         // plus the live undirected view (degrees stay current across
         // folds, so no rebuild between iterations).
         let mut g = self.g.clone();
-        let mut patch = PatchableCsr::from_digraph(&g);
+        let mut patch = CompactCsr::from_digraph(&g);
         loop {
             let mut folded_any = false;
             for l in 0..n {

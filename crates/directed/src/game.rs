@@ -150,7 +150,7 @@ impl DirectedRealization {
 ///
 /// # Panics
 /// Panics if the candidate space exceeds
-/// [`MAX_EXACT_CANDIDATES`](bbncg_core::MAX_EXACT_CANDIDATES).
+/// [`MAX_EXACT_CANDIDATES`].
 pub fn directed_best_response(r: &DirectedRealization, u: NodeId) -> ScoredStrategy {
     let n = r.n();
     let b = r.graph().out_degree(u);

@@ -2,8 +2,9 @@
 //!
 //! BFS, component labelling and the distance primitives only need "how
 //! many vertices" and "who neighbours `u`", so they are written against
-//! [`Adjacency`] and work identically over the immutable [`Csr`] and
-//! the in-place-editable [`PatchableCsr`](crate::PatchableCsr). Slices
+//! [`Adjacency`] and work identically over the immutable
+//! [`Csr`](crate::Csr) and the in-place-editable
+//! [`CompactCsr`](crate::CompactCsr). Slices
 //! keep the hot loop monomorphic and branch-free — no iterator
 //! indirection on the innermost BFS loop.
 

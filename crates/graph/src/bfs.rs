@@ -7,8 +7,8 @@
 //! O(1) per run instead of O(n) (perf-book "reusing collections" idiom,
 //! strengthened with the classic timestamp trick). Every run is generic
 //! over [`Adjacency`], so the same scratch serves the immutable
-//! [`Csr`](crate::Csr) and the deviation engine's
-//! [`PatchableCsr`](crate::PatchableCsr).
+//! [`Csr`](crate::Csr) and the deviation engine's editable
+//! [`CompactCsr`](crate::CompactCsr).
 
 use crate::adjacency::Adjacency;
 use crate::node::NodeId;

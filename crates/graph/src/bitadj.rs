@@ -13,7 +13,7 @@
 //! `{u, v}` appearing twice) collapses to one set bit, which is exactly
 //! what reachability and distances need. Callers that maintain a
 //! multigraph alongside (the engine's
-//! [`PatchableCsr`](crate::PatchableCsr)) decide at removal time
+//! [`CompactCsr`](crate::CompactCsr)) decide at removal time
 //! whether the *last* occurrence of an edge is gone — see
 //! [`BitAdjacency::clear_edge`].
 
@@ -165,8 +165,8 @@ mod tests {
     #[test]
     fn braces_collapse_to_presence() {
         let g = crate::OwnedDigraph::from_arcs(2, &[(0, 1), (1, 0)]);
-        let patch = crate::PatchableCsr::from_digraph(&g);
-        let bits = BitAdjacency::from_adjacency(&patch);
+        let csr = crate::CompactCsr::from_digraph(&g);
+        let bits = BitAdjacency::from_adjacency(&csr);
         assert!(bits.has_edge(v(0), v(1)));
         assert_eq!(bits.simple_degree(v(0)), 1);
     }

@@ -1,20 +1,26 @@
-//! A slack-free editable CSR for huge low-degree graphs.
+//! The editable undirected CSR behind every cost kernel.
 //!
-//! [`PatchableCsr`](crate::PatchableCsr) pads every vertex block with
-//! `BASE_SLACK` spare slots so in-place edits are O(1); at n = 10⁶ that
-//! padding alone costs 4n extra entries — more than the live data of a
-//! budget-1 profile — and every overflow triggers a *full-arena*
-//! re-layout. [`CompactCsr`] is the storage tier for the `sparse` cost
-//! kernel: rows are allocated at **exactly** their degree, an
-//! overflowing row is relocated alone to the arena tail in O(deg), and
-//! the arena is re-packed only when dead space (abandoned old rows)
-//! exceeds the live data — classic geometric amortization without any
-//! per-row reservation.
+//! Best-response search changes exactly one player's arcs at a time,
+//! so re-deriving the undirected view with [`Csr::from_digraph`] per
+//! deviation — an `O(n + m)` rebuild plus fresh allocations — would
+//! dominate dynamics. [`CompactCsr`] keeps the neighbour lists in one
+//! arena and edits them in place:
 //!
-//! The edit API mirrors [`PatchableCsr`](crate::PatchableCsr)
-//! (`add_edge` / `remove_edge` / `replace_strategy`, multiplicity kept,
-//! edge epochs) so the deviation engine can treat either as
-//! its backing store.
+//! * removing the edge `{u, v}` swap-removes one `v` from `u`'s row and
+//!   one `u` from `v`'s row — `O(deg)`, leaving a free slot in both;
+//! * adding `{u, v}` writes into a free slot; a full row is relocated
+//!   alone to the arena tail with 1.5× headroom in `O(deg)`;
+//! * [`CompactCsr::replace_strategy`] diffs two sorted target lists and
+//!   touches only the arcs that actually change.
+//!
+//! Rows are allocated at **exactly** their degree, so memory is
+//! `O(n + m)` at any scale, and the arena is re-packed only when dead
+//! space (abandoned old rows) exceeds the live data — geometric
+//! amortization without any per-row reservation. The deviation
+//! engine's detach/attach cycle re-adds arcs into the slots it just
+//! freed, so opening a session never relocates a row. BFS and
+//! component labelling run over this structure through
+//! [`Adjacency`] exactly as they do over [`Csr`].
 
 use crate::adjacency::Adjacency;
 use crate::csr::Csr;
@@ -119,8 +125,7 @@ impl CompactCsr {
         self.relocations
     }
 
-    /// Whole-arena re-packs so far (the compact-tier analogue of
-    /// [`PatchableCsr::rebuilds`](crate::PatchableCsr::rebuilds)).
+    /// Whole-arena re-packs so far (the only `O(n + m)` edits).
     #[inline]
     pub fn compactions(&self) -> u64 {
         self.compactions
@@ -174,6 +179,13 @@ impl CompactCsr {
             "edge {u} - {v} out of range (n = {})",
             self.n()
         );
+        // Compact before either endpoint relocates: a re-pack resets
+        // every row's capacity to its length, which would strip the
+        // headroom the other endpoint is about to write into.
+        let full = |x: NodeId| self.len[x.index()] == self.cap[x.index()];
+        if (full(u) || full(v)) && self.arena.len() > 2 * self.live_entries + COMPACT_FLOOR {
+            self.compact();
+        }
         self.ensure_slot(u);
         self.ensure_slot(v);
         self.add_half(u, v);
@@ -188,16 +200,13 @@ impl CompactCsr {
         self.len[u.index()] += 1;
     }
 
-    /// Make room for one more entry in `u`'s row: re-pack the arena if
-    /// dead space dominates, then move the row to the tail with 1.5×
-    /// headroom (geometric ⇒ amortized O(1) per append, and the
-    /// headroom exists only on rows that actually grew).
+    /// Make room for one more entry in `u`'s row: move a full row to
+    /// the tail with 1.5× headroom (geometric ⇒ amortized O(1) per
+    /// append, and the headroom exists only on rows that actually
+    /// grew).
     fn ensure_slot(&mut self, u: NodeId) {
         if self.len[u.index()] < self.cap[u.index()] {
             return;
-        }
-        if self.arena.len() > 2 * self.live_entries + COMPACT_FLOOR {
-            self.compact();
         }
         let len = self.len[u.index()] as usize;
         let new_cap = len + (len / 2).max(1);
@@ -227,9 +236,12 @@ impl CompactCsr {
         self.compactions += 1;
     }
 
-    /// Swap player `owner`'s arcs from sorted strategy `old` to sorted
-    /// strategy `new`, touching only the diff — identical contract to
-    /// [`PatchableCsr::replace_strategy`](crate::PatchableCsr::replace_strategy).
+    /// Swap player `owner`'s neighbour row from strategy `old` to
+    /// strategy `new` (both sorted ascending, as [`OwnedDigraph`]
+    /// stores them): each owned arc `owner → t` contributes the
+    /// undirected edge `{owner, t}`. Arcs present in both lists are
+    /// left untouched, so the cost is proportional to the *diff*, not
+    /// the budget.
     pub fn replace_strategy(&mut self, owner: NodeId, old: &[NodeId], new: &[NodeId]) {
         debug_assert!(old.windows(2).all(|w| w[0] < w[1]), "old not sorted");
         debug_assert!(new.windows(2).all(|w| w[0] < w[1]), "new not sorted");
@@ -373,6 +385,26 @@ mod tests {
     }
 
     #[test]
+    fn compaction_keeps_the_other_endpoints_free_slot() {
+        // Dead space from the hub's relocations outweighs the 3 edges
+        // left, so the next full row compacts the arena. Row 1 has a
+        // free slot going in; the re-pack must not strip it before
+        // `add_edge` writes there, or the write lands in row 2.
+        let n = 40;
+        let mut c = CompactCsr::from_digraph(&OwnedDigraph::empty(n));
+        for u in 1..n {
+            c.add_edge(v(0), v(u));
+        }
+        for u in (1..n).filter(|&u| ![2, n - 2, n - 1].contains(&u)) {
+            c.remove_edge(v(0), v(u));
+        }
+        c.add_edge(v(1), v(n - 1));
+        let edges = [(0, 2), (0, n - 2), (0, n - 1), (1, n - 1)];
+        assert!(c.same_graph_as(&Csr::from_edges(n, &edges)));
+        assert_eq!(c.compactions(), 1);
+    }
+
+    #[test]
     fn braces_keep_multiplicity() {
         let g = OwnedDigraph::from_arcs(2, &[(0, 1), (1, 0)]);
         let mut c = CompactCsr::from_digraph(&g);
@@ -403,9 +435,13 @@ mod tests {
         c.remove_edge(v(0), v(1));
         assert_eq!(c.edge_epoch(), 2);
         assert!(!c.has_edge(v(0), v(1)), "last occurrence removed");
+        // Re-adding restores presence; doubling it back into a brace
+        // is multiplicity only, and still an edit.
         c.add_edge(v(0), v(1));
-        assert_eq!(c.edge_epoch(), 3);
-        assert!(c.has_edge(v(0), v(1)));
+        c.add_edge(v(1), v(0));
+        assert_eq!(c.edge_epoch(), 4);
+        assert!(c.has_edge(v(1), v(0)));
+        assert_eq!(c.neighbors(v(0)), &[v(1), v(1)]);
     }
 
     #[test]

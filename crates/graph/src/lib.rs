@@ -8,14 +8,16 @@
 //!   tail (the player who pays for it), the paper's realization object;
 //! * [`Csr`] — the undirected underlying graph `U(G)` in compressed
 //!   sparse row form, the structure all distances are measured in;
+//! * [`CompactCsr`] — the same view editable in place, one strategy
+//!   diff at a time, with no per-row padding: the deviation engine's
+//!   store under every cost kernel;
 //! * [`BfsScratch`] — allocation-free repeated BFS (the workspace's
 //!   hottest loop);
 //! * [`BitAdjacency`] / [`BitBfsScratch`] — word-parallel mirror of the
 //!   same loop: n × ⌈n/64⌉ bit rows and a frontier-bitset BFS that
 //!   produces identical [`BfsStats`] in `O(n²/64)` word ops per query
 //!   (the deviation engine's `bitset` cost kernel);
-//! * [`CompactCsr`] / [`SparseSssp`] — the sparse tier: a slack-free
-//!   editable CSR plus decrease-only dynamic-SSSP repair that prices a
+//! * [`SparseSssp`] — decrease-only dynamic-SSSP repair that prices a
 //!   candidate in time proportional to its *improved region* (the
 //!   deviation engine's `sparse` cost kernel for n ≫ 10⁴);
 //! * [`distance`] — eccentricities, diameter, distance sums and the
@@ -45,7 +47,6 @@ pub mod dot;
 pub mod generators;
 pub mod metrics;
 pub mod node;
-pub mod patch;
 pub mod sssp;
 
 pub use adjacency::Adjacency;
@@ -67,5 +68,4 @@ pub use distance::{
 };
 pub use metrics::GraphMetrics;
 pub use node::{node_ids, NodeId};
-pub use patch::PatchableCsr;
 pub use sssp::{PriceBudget, RepairOutcome, SparseSssp};

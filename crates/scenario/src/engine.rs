@@ -5,7 +5,7 @@
 //! advance the profile through the core engine (one
 //! [`DeviationScratch`] for the whole run, resynced by diffing at every
 //! phase boundary), perturbation events rewrite the world, and every
-//! phase emits one [`MetricRecord`](crate::MetricRecord) into the sink.
+//! phase emits one [`MetricRecord`] into the sink.
 //! All randomness flows through a single `StdRng` seeded per run, so a
 //! `(spec, seed)` pair names a unique trajectory — and freezing
 //! `(state, rng state, next phase)` in a [`Checkpoint`] lets a killed

@@ -1,5 +1,5 @@
 //! Cross-layer sync enforcement: the word-parallel `BitAdjacency`
-//! mirror must stay consistent with the `PatchableCsr` arena when the
+//! mirror must stay consistent with the `CompactCsr` arena when the
 //! world changes through `events.rs` perturbations — departures with
 //! orphan retargeting, adversarial deletion, budget shocks, arrivals,
 //! reorientation — not just through plain dynamics patch sessions.
@@ -10,8 +10,8 @@
 //! single dynamics move never does. The oracle here is a fresh
 //! queue-kernel engine plus the full-recompute `Realization::cost`;
 //! the bitset engine's `sync` additionally self-checks
-//! `bits.mirrors(patch)` via debug assertions, which are active in
-//! this test profile.
+//! `patch.same_graph_as(csr)` and `bits.mirrors(patch)` via debug
+//! assertions, which are active in this test profile.
 
 use bbncg_core::{CostKernel, CostModel, DeviationScratch, Realization};
 use bbncg_graph::NodeId;

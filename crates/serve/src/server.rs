@@ -8,29 +8,30 @@
 //!   `epoll(7)` bindings ([`crate::sys`]), the production path;
 //!   `poll` — the same loop on portable `poll(2)`; `threads` — the
 //!   legacy one-thread-per-connection fallback. The readiness loop
-//!   ([`crate::event_loop`]) speaks HTTP/1.1 keep-alive and drives
-//!   chunked streaming by write interest, so a stalled reader can
-//!   never pin a handler thread;
+//!   (the private `event_loop` module) speaks HTTP/1.1 keep-alive and
+//!   drives chunked streaming by write interest, so a stalled reader
+//!   can never pin a handler thread;
 //! * a **bounded job queue** (`VecDeque` + condvar) decouples
 //!   submission from execution — when it is full, `POST /jobs`
 //!   answers `429` immediately instead of queueing unbounded work
 //!   (backpressure the client can see and retry on);
-//! * a **content-addressed result cache** ([`crate::cache`]): an
-//!   identical re-submission answers with the original job's id —
-//!   byte-identical streams make that trivially correct — and a
-//!   duplicate POST racing a still-running job coalesces onto the
-//!   same stream. `?nocache=1` bypasses; `cache_capacity: 0`
+//! * a **content-addressed result cache** (the private `cache`
+//!   module): an identical re-submission answers with the original
+//!   job's id — byte-identical streams make that trivially correct —
+//!   and a duplicate POST racing a still-running job coalesces onto
+//!   the same stream. `?nocache=1` bypasses; `cache_capacity: 0`
 //!   disables;
 //! * a **worker pool** of `workers` threads executes jobs; each worker
 //!   owns one reusable [`DeviationScratch`] slot (the
 //!   `par_map_init` discipline lifted to job granularity), so
 //!   consecutive same-size jobs never rebuild the engine arena;
 //! * with `peers` configured, sweep jobs run as **shard coordinator**
-//!   ([`crate::shard`]): contiguous seed chunks fan out to peer
-//!   processes over the same HTTP protocol and merge back
+//!   (the private `shard` module): contiguous seed chunks fan out to
+//!   peer processes over the same HTTP protocol and merge back
 //!   byte-identically;
-//! * every job streams its results through a [`LineBuffer`], which any
-//!   number of `GET /jobs/{id}/stream` connections replay-and-follow;
+//! * every job streams its results through a
+//!   [`LineBuffer`](crate::LineBuffer), which any number of
+//!   `GET /jobs/{id}/stream` connections replay-and-follow;
 //! * **graceful drain**: `POST /shutdown` (or
 //!   [`ServerHandle::shutdown`], which a supervisor should call on
 //!   SIGTERM) stops accepting connections and lets the queue run dry

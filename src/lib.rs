@@ -9,7 +9,7 @@
 //!
 //! * [`graph`] — graph substrate (ownership digraphs, BFS, distances,
 //!   connectivity, generators, and the in-place-editable
-//!   [`PatchableCsr`](graph::PatchableCsr));
+//!   [`CompactCsr`](graph::CompactCsr));
 //! * [`game`] — the game itself (instances, costs, best responses,
 //!   equilibria, dynamics, price of anarchy), built on the
 //!   allocation-free deviation engine

@@ -11,11 +11,25 @@ use bbncg::constructions::{
 use bbncg::facility::verify_reduction;
 use bbncg::game::dynamics::DynamicsConfig;
 use bbncg::game::{
-    is_nash_equilibrium, opt_diameter_lower_bound, BudgetVector, CostModel, Realization,
+    is_nash_equilibrium, is_nash_equilibrium_with_kernel, opt_diameter_lower_bound, BudgetVector,
+    CostKernel, CostModel, Realization,
 };
 use bbncg::graph::{generators, Csr};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// `r` is a Nash equilibrium in both versions under every concrete
+/// cost kernel (`Auto` alone would check only the one its size picks).
+fn assert_equilibrium_under_every_kernel(r: &Realization, what: &str) {
+    for kernel in [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse] {
+        for model in CostModel::ALL {
+            assert!(
+                is_nash_equilibrium_with_kernel(r, model, kernel),
+                "{what}: not a {model:?} equilibrium under {kernel}"
+            );
+        }
+    }
+}
 
 /// Theorem 2.3: equilibria exist for every budget vector, in both
 /// versions, and connectable instances get diameter ≤ 4 (PoS = O(1)).
@@ -26,14 +40,10 @@ fn theorem_2_3_existence_and_pos() {
         for _ in 0..3 {
             let budgets = BudgetVector::random_in_range(n, 0, 3, &mut rng);
             let c = theorem23_equilibrium(&budgets);
-            for model in CostModel::ALL {
-                assert!(
-                    is_nash_equilibrium(&c.realization, model),
-                    "budgets {:?} case {:?} model {model:?}",
-                    budgets.as_slice(),
-                    c.case
-                );
-            }
+            assert_equilibrium_under_every_kernel(
+                &c.realization,
+                &format!("budgets {:?} case {:?}", budgets.as_slice(), c.case),
+            );
             if budgets.connectable() {
                 assert!(c.realization.social_diameter() <= 4);
                 let opt = opt_diameter_lower_bound(&budgets);
@@ -151,7 +161,5 @@ fn lemma_3_1_equilibria_are_connected() {
 fn figure_1_instance_end_to_end() {
     let c = theorem23_equilibrium(&figure1_budgets());
     assert!(c.realization.social_diameter() <= 4);
-    for model in CostModel::ALL {
-        assert!(is_nash_equilibrium(&c.realization, model));
-    }
+    assert_equilibrium_under_every_kernel(&c.realization, "Figure 1");
 }
