@@ -638,9 +638,6 @@ pub fn cmd_exact_poa(args: &Args) -> Result<String, String> {
 /// * `--checkpoint-dir DIR` — persist a `job-{id}.ck` checkpoint after
 ///   every phase of single-seed scenario jobs (crash recovery via
 ///   `bbncg scenario resume`).
-/// * `--conn auto|epoll|poll|threads` (default auto) — connection
-///   front end: the non-blocking readiness loop (epoll on Linux, poll
-///   elsewhere) or the legacy thread-per-connection fallback.
 /// * `--cache N` (default 128; 0 disables) — content-addressed result
 ///   cache: an identical re-submission answers with the original
 ///   job's stream instead of recomputing (`?nocache=1` bypasses).
@@ -648,7 +645,9 @@ pub fn cmd_exact_poa(args: &Args) -> Result<String, String> {
 ///   jobs split into contiguous seed chunks across this process and
 ///   the listed peers, merged back byte-identically.
 ///
-/// The bound address is printed (and flushed) before the server
+/// Connections are served by one non-blocking readiness loop (epoll
+/// on Linux, `poll(2)` on other Unix hosts); the server needs a Unix
+/// host. The bound address is printed (and flushed) before the server
 /// blocks, so scripts can scrape it even under `--addr ...:0`.
 pub fn cmd_serve(args: &Args) -> Result<String, String> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:7199");
@@ -661,8 +660,6 @@ pub fn cmd_serve(args: &Args) -> Result<String, String> {
     if let Some(d) = &checkpoint_dir {
         std::fs::create_dir_all(d).map_err(|e| format!("--checkpoint-dir {}: {e}", d.display()))?;
     }
-    let conn = bbncg_serve::ConnMode::parse(args.get("conn").unwrap_or("auto"))
-        .map_err(|e| format!("--conn: {e}"))?;
     let cache_capacity: usize = args
         .get("cache")
         .unwrap_or("128")
@@ -689,7 +686,6 @@ pub fn cmd_serve(args: &Args) -> Result<String, String> {
         // carrying it in the config keeps the server self-describing
         // (and lets library users opt in without the CLI).
         obs: args.has("--obs"),
-        conn,
         cache_capacity,
         peers,
         ..bbncg_serve::ServerConfig::default()
@@ -958,7 +954,7 @@ COMMANDS:
   report          SPEC [--out FILE] [--from FILE] [--seed S] [--dry-run]
                   | --from FILE [--out FILE]  (default stream report, no spec)
   serve           [--addr HOST:PORT] [--queue N] [--checkpoint-dir DIR] [--rounds MODE]
-                  [--conn auto|epoll|poll|threads] [--cache N] [--peers HOST:PORT,...]
+                  [--cache N] [--peers HOST:PORT,...]
                   [--obs]  (GET /metrics serves Prometheus text either way)
   submit          SPEC --addr HOST:PORT [--type scenario|verify] [--model sum|max]
                   [--kernel K] [--rounds MODE] [--seed S] [--seeds N] [--nocache 1]
@@ -996,9 +992,9 @@ metric records are JSONL, one line per phase.
 to /jobs, stream /jobs/{id}/stream, and the JSONL you get is byte-
 identical to the offline `scenario run` for the same spec and seed
 (429 = queue full; retry later). `submit` is the matching client.
-The front end is a non-blocking epoll/poll readiness loop with
-HTTP/1.1 keep-alive (--conn threads restores one thread per
-connection); identical re-submissions answer from a content-addressed
+The front end is a non-blocking readiness loop (epoll on Linux,
+poll(2) on other Unix hosts; serve needs a Unix host) with HTTP/1.1
+keep-alive; identical re-submissions answer from a content-addressed
 result cache (--cache, ?nocache=1 bypasses), and --peers makes the
 server a sweep shard coordinator whose merged stream stays
 byte-identical to a single-process run.
@@ -1334,11 +1330,16 @@ kind = "dynamics"
         std::fs::remove_file(&out).ok();
     }
 
+    /// The trace sink is process-global: a test installing its own
+    /// while another's scenario runs would divert that test's spans
+    /// into the wrong file, so tests that pass `--trace` take turns.
+    static TRACE_SINK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn trace_flag_emits_one_span_per_phase() {
-        // A scenario with a unique name, so the span count below is
-        // immune to other tests in this process tracing concurrently
-        // (the trace sink is process-global).
+        let _sink = TRACE_SINK.lock().unwrap_or_else(|e| e.into_inner());
+        // A scenario with a unique name, so the span count below
+        // ignores spans of other tests' (untraced) scenario runs.
         let dir = std::env::temp_dir();
         let spec = dir.join("bbncg_cli_trace.toml");
         let trace = dir.join("bbncg_cli_trace.jsonl");
@@ -1381,6 +1382,7 @@ kind = "dynamics"
     #[test]
     fn trace_lines_round_trip_full_span_schema() {
         use bbncg_report::json::{parse, Json};
+        let _sink = TRACE_SINK.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir();
         let spec = dir.join("bbncg_cli_trace_schema.toml");
         let trace = dir.join("bbncg_cli_trace_schema.jsonl");

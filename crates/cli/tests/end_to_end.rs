@@ -303,3 +303,39 @@ fn threads_flag_rejects_zero_and_garbage() {
     assert!(a.status.success() && b.status.success());
     assert_eq!(a.stdout, b.stdout, "thread count must never change results");
 }
+
+#[test]
+fn oversized_specs_exit_2_with_a_positioned_error() {
+    let dir = std::env::temp_dir();
+    for (i, (spec, want)) in [
+        (
+            "[init]\nfamily = \"uniform\"\nn = 10000000000\nbudget = 1\n[[phase]]\nkind = \"dynamics\"\n",
+            "line 1: [init] reaches 10000000000 vertices",
+        ),
+        (
+            "[scenario]\nseeds = 1000000000000000\n[init]\nfamily = \"uniform\"\nn = 8\nbudget = 1\n[[phase]]\nkind = \"dynamics\"\n",
+            "line 1: seeds = 1000000000000000",
+        ),
+        (
+            "[init]\nfamily = \"btree\"\nparams = [70]\n[[phase]]\nkind = \"dynamics\"\n",
+            "line 1: [init] family \"btree\" [70]",
+        ),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let path = dir.join(format!("bbncg_e2e_caps_{}_{i}.toml", std::process::id()));
+        std::fs::write(&path, spec).unwrap();
+        for action in ["validate", "run"] {
+            let out = bbncg()
+                .args(["scenario", action])
+                .arg(&path)
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(2), "{action} {spec:?}");
+            let err = String::from_utf8(out.stderr).unwrap();
+            assert!(err.contains(want), "{action}: {err}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}

@@ -95,10 +95,13 @@ pub fn perfect_kary_tree(arity: usize, height: u32) -> OwnedDigraph {
     let mut arcs = Vec::with_capacity(n - 1);
     for i in 0..n {
         for j in 0..arity {
+            // Children are numbered in order: the first one past the
+            // tree ends the row (so a huge arity at height 0 is cheap).
             let c = arity * i + 1 + j;
-            if c < n {
-                arcs.push((i, c));
+            if c >= n {
+                break;
             }
+            arcs.push((i, c));
         }
     }
     OwnedDigraph::from_arcs(n, &arcs)
@@ -433,11 +436,20 @@ pub const FAMILIES: &[(&str, usize, &str)] = &[
     ),
 ];
 
-/// Build a realization digraph from a family name and integer
-/// parameters. Random families draw from `rng`; deterministic families
-/// ignore it. `"random"` treats `params` as a whole budget vector; every
-/// other family takes the arity listed in [`FAMILIES`].
-pub fn from_name(name: &str, params: &[usize], rng: &mut impl Rng) -> Result<OwnedDigraph, String> {
+/// Most vertices [`from_name`] builds: 2²¹ ≈ 2.1 M, room for
+/// n ≈ 10⁶ instances with arrivals on top. Parameters arrive from
+/// untrusted specs, so sizes are checked before anything is allocated.
+pub const MAX_VERTICES: usize = 1 << 21;
+
+/// Most arcs (Σ budgets) [`from_name`] builds: 2²³ ≈ 8.4 M.
+pub const MAX_ARCS: usize = 1 << 23;
+
+/// The `(vertices, arcs)` that `from_name(name, params, _)` builds,
+/// computed without allocating (saturating, so absurd parameters
+/// cannot overflow). Errors exactly where [`from_name`] does: an
+/// unknown family, a wrong arity, a parameter outside the family's
+/// range, or a size over [`MAX_VERTICES`] or [`MAX_ARCS`].
+pub fn family_size(name: &str, params: &[usize]) -> Result<(usize, usize), String> {
     let arity = FAMILIES
         .iter()
         .find(|(f, _, _)| *f == name)
@@ -455,35 +467,104 @@ pub fn from_name(name: &str, params: &[usize], rng: &mut impl Rng) -> Result<Own
             params.len()
         ));
     }
-    Ok(match name {
-        "path" => path(params[0]),
+    let (n, arcs) = match name {
+        "path" | "star" | "random-tree" => (params[0], params[0].saturating_sub(1)),
         "cycle" => {
             if params[0] < 2 {
                 return Err("cycle needs at least 2 vertices".into());
             }
-            cycle(params[0])
+            (params[0], params[0])
         }
-        "star" => star(params[0]),
-        "spider" => spider(params[0]),
-        "btree" => perfect_binary_tree(params[0] as u32),
+        "spider" => (
+            params[0].saturating_mul(3).saturating_add(1),
+            params[0].saturating_mul(3),
+        ),
+        "btree" => {
+            // n = 2^(height+1) − 1; a shift past the word saturates.
+            let n = u32::try_from(params[0])
+                .ok()
+                .and_then(|h| h.checked_add(1))
+                .and_then(|s| 1usize.checked_shl(s))
+                .map_or(usize::MAX, |p| p - 1);
+            (n, n.saturating_sub(1))
+        }
         "kary" => {
-            if params[0] < 2 {
+            let (arity, height) = (params[0], params[1]);
+            if arity < 2 {
                 return Err("kary arity must be at least 2".into());
             }
-            perfect_kary_tree(params[0], params[1] as u32)
+            // n = Σ arity^i for i ≤ height; stop once past the cap, so
+            // a huge height costs at most ~21 iterations.
+            let (mut n, mut layer) = (0usize, 1usize);
+            for _ in 0..=height {
+                n = n.saturating_add(layer);
+                if n > MAX_VERTICES {
+                    break;
+                }
+                layer = layer.saturating_mul(arity);
+            }
+            (n, n.saturating_sub(1))
         }
         "caterpillar" => {
-            if params[0] < 1 {
+            let (spine, legs) = (params[0], params[1]);
+            if spine < 1 {
                 return Err("caterpillar needs a spine".into());
             }
-            caterpillar(params[0], params[1])
+            (spine.saturating_add(legs), (spine - 1).saturating_add(legs))
         }
         "prefattach" => {
-            if params[1] == 0 || params[0] <= params[1] {
+            let (n, m) = (params[0], params[1]);
+            if m == 0 || n <= m {
                 return Err("prefattach needs n > m >= 1".into());
             }
-            preferential_attachment(params[0], params[1], rng)
+            // A seed clique on m vertices, then m arcs per newcomer.
+            let clique = m.saturating_mul(m - 1) / 2;
+            (n, clique.saturating_add((n - m).saturating_mul(m)))
         }
+        "random" => {
+            let n = params.len();
+            if let Some((u, &b)) = params.iter().enumerate().find(|&(_, &b)| b >= n.max(1)) {
+                return Err(format!("budget {b} of vertex {u} is not less than n = {n}"));
+            }
+            (n, params.iter().fold(0usize, |a, &b| a.saturating_add(b)))
+        }
+        _ => unreachable!("family table and match arms agree"),
+    };
+    // A budget vector can be long; name only fixed-arity parameters.
+    let what = if arity == usize::MAX {
+        format!("family {name:?}")
+    } else {
+        format!("family {name:?} {params:?}")
+    };
+    if n > MAX_VERTICES {
+        return Err(format!("{what} exceeds the {MAX_VERTICES}-vertex cap"));
+    }
+    if arcs > MAX_ARCS {
+        return Err(format!("{what} exceeds the {MAX_ARCS}-arc cap"));
+    }
+    Ok((n, arcs))
+}
+
+/// Build a realization digraph from a family name and integer
+/// parameters. Random families draw from `rng`; deterministic families
+/// ignore it. `"random"` treats `params` as a whole budget vector; every
+/// other family takes the arity listed in [`FAMILIES`]. Parameters are
+/// validated by [`family_size`] before anything is built, so an
+/// instance over [`MAX_VERTICES`] or [`MAX_ARCS`] is an error, never an
+/// allocation.
+pub fn from_name(name: &str, params: &[usize], rng: &mut impl Rng) -> Result<OwnedDigraph, String> {
+    family_size(name, params)?;
+    // Heights fit a u32: family_size capped the vertex count.
+    let height = |h: usize| u32::try_from(h).expect("height bounded by the vertex cap");
+    Ok(match name {
+        "path" => path(params[0]),
+        "cycle" => cycle(params[0]),
+        "star" => star(params[0]),
+        "spider" => spider(params[0]),
+        "btree" => perfect_binary_tree(height(params[0])),
+        "kary" => perfect_kary_tree(params[0], height(params[1])),
+        "caterpillar" => caterpillar(params[0], params[1]),
+        "prefattach" => preferential_attachment(params[0], params[1], rng),
         "random-tree" => {
             let n = params[0];
             if n <= 1 {
@@ -492,13 +573,7 @@ pub fn from_name(name: &str, params: &[usize], rng: &mut impl Rng) -> Result<Own
             let edges = random_tree_edges(n, rng);
             orient_away_from_root(n, &edges, 0)
         }
-        "random" => {
-            let n = params.len();
-            if let Some((u, &b)) = params.iter().enumerate().find(|&(_, &b)| b >= n.max(1)) {
-                return Err(format!("budget {b} of vertex {u} is not less than n = {n}"));
-            }
-            random_realization(params, rng)
-        }
+        "random" => random_realization(params, rng),
         _ => unreachable!("family table and match arms agree"),
     })
 }
@@ -760,6 +835,73 @@ mod tests {
         assert!(from_name("random", &[9, 9], &mut rng)
             .unwrap_err()
             .contains("not less than"));
+    }
+
+    #[test]
+    fn family_size_matches_what_from_name_builds() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for (name, params) in [
+            ("path", vec![0]),
+            ("path", vec![7]),
+            ("random-tree", vec![1]),
+            ("random-tree", vec![9]),
+            ("cycle", vec![5]),
+            ("star", vec![0]),
+            ("star", vec![6]),
+            ("spider", vec![0]),
+            ("spider", vec![3]),
+            ("btree", vec![0]),
+            ("btree", vec![4]),
+            ("kary", vec![3, 0]),
+            ("kary", vec![3, 3]),
+            ("kary", vec![usize::MAX, 0]),
+            ("caterpillar", vec![1, 0]),
+            ("caterpillar", vec![3, 4]),
+            ("prefattach", vec![20, 3]),
+            ("random", vec![]),
+            ("random", vec![1, 1, 2, 0]),
+        ] {
+            let g = from_name(name, &params, &mut rng).unwrap();
+            assert_eq!(
+                family_size(name, &params).unwrap(),
+                (g.n(), g.total_arcs()),
+                "{name} {params:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_families_are_refused_before_allocating() {
+        let mut rng = StdRng::seed_from_u64(3);
+        // Height 70 overflows 2^(h+1): an unchecked shift wraps in
+        // release and builds the height-6 tree instead.
+        for (name, params) in [
+            ("btree", vec![70]),
+            ("btree", vec![usize::MAX]),
+            ("btree", vec![21]),
+            ("kary", vec![2, usize::MAX]),
+            ("kary", vec![usize::MAX, 2]),
+            ("path", vec![MAX_VERTICES + 1]),
+            ("spider", vec![usize::MAX]),
+            ("caterpillar", vec![1, usize::MAX]),
+            ("prefattach", vec![4_000_000, 3]),
+            ("prefattach", vec![usize::MAX, usize::MAX - 1]),
+        ] {
+            let err = from_name(name, &params, &mut rng).unwrap_err();
+            assert!(err.contains("cap"), "{name} {params:?}: {err}");
+        }
+        // Just under the caps still builds (sizes only: no allocation).
+        assert_eq!(
+            family_size("btree", &[20]).unwrap().0,
+            (1 << 21) - 1,
+            "the largest perfect binary tree under the cap"
+        );
+        assert_eq!(
+            family_size("path", &[MAX_VERTICES]).unwrap(),
+            (MAX_VERTICES, MAX_VERTICES - 1)
+        );
+        assert!(family_size("prefattach", &[MAX_VERTICES, 4]).is_ok());
+        assert!(family_size("prefattach", &[MAX_VERTICES, 5]).is_err());
     }
 
     #[test]

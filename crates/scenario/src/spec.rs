@@ -7,7 +7,12 @@
 
 use crate::toml::{self, SpecError, TomlTable, Value};
 use bbncg_core::{CostKernel, CostModel, DynamicsConfig, PlayerOrder, ResponseRule, RoundExecutor};
-use rand::SeedableRng as _;
+use bbncg_graph::generators::{family_size, MAX_ARCS, MAX_VERTICES};
+
+/// Most seeds one sweep may run (loadgen's cache leg runs 256). A
+/// sweep keeps every seed's final state, so a larger instance lowers
+/// the cap further: see [`ScenarioSpec::check_sweep`].
+pub const MAX_SEEDS: usize = 1 << 12;
 
 /// How the initial realization is produced.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -155,6 +160,89 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+impl ScenarioSpec {
+    /// Check the sweep width against the cap, as `parse_spec` does; a
+    /// caller that overrides `seeds` after parsing (serve's `?seeds=`)
+    /// calls this again.
+    pub fn check_sweep(&self) -> Result<(), SpecError> {
+        let peak = self.phases.iter().fold(init_size(&self.init), grow);
+        check_sweep(0, self.seeds, peak)
+    }
+}
+
+/// `(vertices, arcs)` of the initial profile.
+fn init_size(init: &InitSpec) -> (usize, usize) {
+    match init {
+        InitSpec::Inline { n, arcs } => (*n, arcs.len()),
+        InitSpec::Family { family, params } => {
+            family_size(family, params).unwrap_or((usize::MAX, usize::MAX))
+        }
+    }
+}
+
+/// The most `(vertices, arcs)` a run holds after `phase`, given the
+/// most before it. Arrivals add vertices and their links, positive
+/// budget shocks add links; each link count is clamped as the event
+/// clamps it (no more targets than vertices). Departures and
+/// revocations are ignored, so this bounds the peak from above.
+/// Saturating, so hostile counts cannot overflow.
+fn grow((v, a): (usize, usize), phase: &PhaseSpec) -> (usize, usize) {
+    match phase {
+        PhaseSpec::Arrive { count, budget } => {
+            let v = v.saturating_add(*count);
+            (v, a.saturating_add(count.saturating_mul((*budget).min(v))))
+        }
+        PhaseSpec::BudgetShock {
+            nodes,
+            count,
+            delta,
+        } if *delta > 0 => {
+            let k = if nodes.is_empty() {
+                (*count).min(v)
+            } else {
+                nodes.len()
+            };
+            let per_node = usize::try_from(*delta).unwrap_or(usize::MAX).min(v);
+            (v, a.saturating_add(k.saturating_mul(per_node)))
+        }
+        _ => (v, a),
+    }
+}
+
+/// Refuse a run whose peak size is over the vertex or arc cap.
+fn check_size(line: usize, what: &str, (v, a): (usize, usize)) -> Result<(), SpecError> {
+    if v > MAX_VERTICES {
+        return Err(SpecError::at(
+            line,
+            format!("{what} reaches {v} vertices, over the {MAX_VERTICES}-vertex cap"),
+        ));
+    }
+    if a > MAX_ARCS {
+        return Err(SpecError::at(
+            line,
+            format!("{what} reaches {a} arcs, over the {MAX_ARCS}-arc cap"),
+        ));
+    }
+    Ok(())
+}
+
+/// Refuse a sweep wider than the cap: [`MAX_SEEDS`] runs, and no more
+/// runs than fit one maximal instance's worth of vertices and arcs
+/// (every seed's final state is kept until the sweep ends).
+fn check_sweep(line: usize, seeds: usize, (v, a): (usize, usize)) -> Result<(), SpecError> {
+    let cap = MAX_SEEDS.min((MAX_VERTICES + MAX_ARCS) / v.saturating_add(a).max(1));
+    if seeds > cap {
+        return Err(SpecError::at(
+            line,
+            format!(
+                "seeds = {seeds} is over the sweep-width cap of {cap} \
+                 for a run of up to {v} vertices and {a} arcs"
+            ),
+        ));
+    }
+    Ok(())
 }
 
 fn get_int(t: &TomlTable, key: &str) -> Result<Option<i64>, SpecError> {
@@ -338,6 +426,8 @@ fn parse_init(t: &TomlTable) -> Result<InitSpec, SpecError> {
                     format!("[init] budget {b} ≥ n = {n}"),
                 ));
             }
+            // Before the n-entry budget vector is allocated.
+            check_size(t.line, "[init]", (n, n.saturating_mul(b)))?;
             Ok(InitSpec::Family {
                 family: "random".into(),
                 params: vec![b; n],
@@ -353,6 +443,8 @@ fn parse_init(t: &TomlTable) -> Result<InitSpec, SpecError> {
                     format!("[init] budget {b} ≥ n = {n}"),
                 ));
             }
+            family_size("random", &budgets)
+                .map_err(|e| SpecError::at(t.line, format!("[init] {e}")))?;
             Ok(InitSpec::Family {
                 family: "random".into(),
                 params: budgets,
@@ -370,15 +462,12 @@ fn parse_init(t: &TomlTable) -> Result<InitSpec, SpecError> {
             }
             let params = get_usize_list(t, "params")?
                 .ok_or_else(|| SpecError::at(t.line, "[init] requires params = [...]"))?;
-            // Dry-run the registry so arity and value constraints
-            // (cycle n ≥ 2, prefattach n > m, …) fail at `validate`
-            // time with a line number, not at `run` time. Whether
-            // `from_name` errors never depends on the RNG, so this
-            // decides exactly what the real seeded build will hit.
-            let mut probe = rand::rngs::StdRng::seed_from_u64(0);
-            if let Err(e) = bbncg_graph::generators::from_name(name, &params, &mut probe) {
-                return Err(SpecError::at(t.line, format!("[init] {e}")));
-            }
+            // Arity, value constraints (cycle n ≥ 2, prefattach n > m,
+            // …) and the size caps fail at `validate` time with a line
+            // number, not at `run` time: `family_size` errors exactly
+            // where the seeded `from_name` build would, and builds
+            // nothing.
+            family_size(name, &params).map_err(|e| SpecError::at(t.line, format!("[init] {e}")))?;
             Ok(InitSpec::Family {
                 family: name.to_string(),
                 params,
@@ -506,10 +595,10 @@ pub fn parse_spec(text: &str) -> Result<ScenarioSpec, SpecError> {
     let seed = get_usize(sc, "seed")?.unwrap_or(0) as u64;
     let seeds = get_usize(sc, "seeds")?.unwrap_or(1).max(1);
 
-    let init = parse_init(
-        doc.section("init")
-            .ok_or_else(|| SpecError::at(0, "missing [init] section"))?,
-    )?;
+    let init_table = doc
+        .section("init")
+        .ok_or_else(|| SpecError::at(0, "missing [init] section"))?;
+    let init = parse_init(init_table)?;
 
     let dy = doc.section("dynamics").unwrap_or(&empty);
     check_keys(
@@ -575,13 +664,25 @@ pub fn parse_spec(text: &str) -> Result<ScenarioSpec, SpecError> {
         }
     };
 
-    let phases: Vec<PhaseSpec> = doc
-        .array_sections("phase")
-        .map(parse_phase)
+    let phase_tables: Vec<&TomlTable> = doc.array_sections("phase").collect();
+    let phases: Vec<PhaseSpec> = phase_tables
+        .iter()
+        .map(|t| parse_phase(t))
         .collect::<Result<_, _>>()?;
     if phases.is_empty() {
         return Err(SpecError::at(0, "scenario has no [[phase]] entries"));
     }
+
+    // Bound what a run can grow to before anything is allocated: the
+    // initial profile, then every arrival and budget grant, then the
+    // sweep that keeps one final state per seed.
+    let mut peak = init_size(&init);
+    check_size(init_table.line, "[init]", peak)?;
+    for (t, phase) in phase_tables.iter().zip(&phases) {
+        peak = grow(peak, phase);
+        check_size(t.line, &format!("[[phase]] {}", phase.kind()), peak)?;
+    }
+    check_sweep(sc.line, seeds, peak)?;
 
     Ok(ScenarioSpec {
         name,

@@ -1,11 +1,10 @@
-//! The non-blocking connection front end: one thread, an epoll/poll
+//! The server's connection front end: one thread, an epoll/poll
 //! readiness loop ([`crate::sys`]), and per-connection state machines.
 //!
-//! Why this exists: the legacy threads front end spends one OS thread
-//! per connection, so hundreds of keep-alive clients mean hundreds of
-//! stacks and a scheduler fight with the worker pool that does the
-//! actual dynamics. Here *all* connections share one loop thread;
-//! workers stay the only compute parallelism. Concretely:
+//! *All* connections share the one loop thread, so hundreds of
+//! keep-alive clients cost buffers, not stacks, and never fight the
+//! worker pool that runs the dynamics; workers stay the only compute
+//! parallelism. Concretely:
 //!
 //! * **reads** are non-blocking: bytes accumulate per connection and
 //!   [`crate::http::parse_request`] retries until a request completes

@@ -5,23 +5,20 @@
 //! than a dependency. The accepted subset is exactly what the job
 //! server needs: `Content-Length` bodies with a hard size cap, chunked
 //! transfer encoding on responses for streaming JSONL, and HTTP/1.1
-//! keep-alive (the event-loop front end reuses connections; the
-//! legacy thread-per-connection mode stays one request per
-//! connection).
+//! keep-alive with pipelining.
 //!
-//! Two entry points share one grammar: [`read_request`] blocks on a
-//! `BufReader` (threads mode), [`parse_request`] consumes a byte
-//! buffer incrementally (the epoll/poll readiness loop feeds it
-//! whatever has arrived and retries on [`ParseStatus::Partial`]).
+//! [`parse_request`] is the one parser of request bytes: it consumes a
+//! byte buffer incrementally (the readiness loop feeds it whatever has
+//! arrived and retries on [`ParseStatus::Partial`]). The encoders
+//! ([`response_bytes`], [`chunked_head_bytes`], [`chunk_bytes`],
+//! [`CHUNKED_TRAILER`]) produce the bytes the loop queues on a
+//! connection's write buffer.
 //!
 //! Anything outside the subset fails loudly with a 4xx so clients
 //! never see silent misbehaviour: an over-long request line or header
 //! block is `413`, a malformed request line or header is `400`, and a
 //! body larger than the server's cap is `413` *before* the server
 //! buffers it.
-
-use std::io::{self, BufReader, Read, Write};
-use std::net::TcpStream;
 
 /// Default cap on request bodies (scenario specs are a few KiB; 1 MiB
 /// leaves two orders of magnitude of headroom).
@@ -37,19 +34,14 @@ pub enum HttpError {
     BadRequest(String),
     /// 413 — request line, header block, or body exceeds a cap.
     TooLarge(String),
-    /// The peer vanished (or broke the connection) mid-request; there
-    /// is nobody left to answer, so handlers drop these silently.
-    Disconnected,
 }
 
 impl HttpError {
-    /// The status line this error should be answered with (where
-    /// answering is still possible).
+    /// The status line this error is answered with.
     pub fn status(&self) -> (u16, &'static str) {
         match self {
             HttpError::BadRequest(_) => (400, "Bad Request"),
             HttpError::TooLarge(_) => (413, "Payload Too Large"),
-            HttpError::Disconnected => (400, "Bad Request"),
         }
     }
 
@@ -57,13 +49,12 @@ impl HttpError {
     pub fn detail(&self) -> &str {
         match self {
             HttpError::BadRequest(s) | HttpError::TooLarge(s) => s,
-            HttpError::Disconnected => "client disconnected",
         }
     }
 }
 
 /// A parsed request.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Request {
     /// Uppercase method token (`GET`, `POST`, …) as sent.
     pub method: String,
@@ -78,8 +69,8 @@ pub struct Request {
     pub body: Vec<u8>,
     /// Whether the client may reuse this connection after the
     /// response: HTTP/1.1 unless `Connection: close`, HTTP/1.0 only
-    /// with `Connection: keep-alive`. Only the event-loop front end
-    /// honours it; threads mode always closes.
+    /// with `Connection: keep-alive`. The server closes the connection
+    /// after the response when this is `false`.
     pub keep_alive: bool,
 }
 
@@ -99,42 +90,6 @@ impl Request {
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
     }
-}
-
-/// Read one CRLF- (or LF-) terminated line, enforcing `remaining_head`
-/// bytes of budget across the whole head.
-fn read_head_line(
-    r: &mut BufReader<TcpStream>,
-    remaining_head: &mut usize,
-) -> Result<String, HttpError> {
-    let mut line = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte) {
-            Ok(0) => {
-                if line.is_empty() {
-                    return Err(HttpError::Disconnected);
-                }
-                break;
-            }
-            Ok(_) => {
-                if *remaining_head == 0 {
-                    return Err(HttpError::TooLarge("request head too large".into()));
-                }
-                *remaining_head -= 1;
-                if byte[0] == b'\n' {
-                    break;
-                }
-                line.push(byte[0]);
-            }
-            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return Err(HttpError::Disconnected),
-        }
-    }
-    if line.last() == Some(&b'\r') {
-        line.pop();
-    }
-    String::from_utf8(line).map_err(|_| HttpError::BadRequest("non-UTF-8 in request head".into()))
 }
 
 /// Parsed request line: `(method, path, query, is_http11)`.
@@ -228,35 +183,8 @@ fn wants_keep_alive(http11: bool, headers: &[(String, String)]) -> bool {
     }
 }
 
-/// Parse one request from `stream`, capping the body at `max_body`.
-pub fn read_request(r: &mut BufReader<TcpStream>, max_body: usize) -> Result<Request, HttpError> {
-    let mut head_budget = MAX_HEAD;
-    let request_line = read_head_line(r, &mut head_budget)?;
-    let (method, path, query, http11) = parse_request_line(&request_line)?;
-    let mut headers = Vec::new();
-    loop {
-        let line = read_head_line(r, &mut head_budget)?;
-        if line.is_empty() {
-            break;
-        }
-        headers.push(parse_header_line(&line)?);
-    }
-    let content_length = body_length(&headers, max_body)?;
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body)
-        .map_err(|_| HttpError::Disconnected)?;
-    let keep_alive = wants_keep_alive(http11, &headers);
-    Ok(Request {
-        method,
-        path,
-        query,
-        headers,
-        body,
-        keep_alive,
-    })
-}
-
 /// Outcome of one [`parse_request`] attempt over a byte buffer.
+#[derive(Debug)]
 pub enum ParseStatus {
     /// A complete request, plus the number of buffer bytes it consumed
     /// (the caller drains them; any remainder is pipelined input for
@@ -266,10 +194,11 @@ pub enum ParseStatus {
     Partial,
 }
 
-/// Incrementally parse a request from `buf` (the readiness-loop entry
-/// point — same grammar and limits as [`read_request`], but
-/// non-blocking). Over-cap bodies fail at head-complete time, before
-/// the body has arrived, so a `413` goes out without buffering it.
+/// Incrementally parse a request from `buf`: `Partial` until the head
+/// and the whole body have arrived. The head is capped at
+/// [`MAX_HEAD`] bytes and the body at `max_body`; an over-cap body
+/// fails as soon as the head is complete, before the body has arrived,
+/// so a `413` goes out without buffering it.
 pub fn parse_request(buf: &[u8], max_body: usize) -> Result<ParseStatus, HttpError> {
     // Walk '\n'-terminated head lines until the blank line.
     let mut lines: Vec<&[u8]> = Vec::new();
@@ -306,10 +235,12 @@ pub fn parse_request(buf: &[u8], max_body: usize) -> Result<ParseStatus, HttpErr
         .map(|l| parse_header_line(l?))
         .collect::<Result<Vec<_>, _>>()?;
     let content_length = body_length(&headers, max_body)?;
-    if buf.len() < head_len + content_length {
+    // Compared as a remainder so a huge `max_body` cannot overflow.
+    if buf.len() - head_len < content_length {
         return Ok(ParseStatus::Partial);
     }
-    let body = buf[head_len..head_len + content_length].to_vec();
+    let used = head_len + content_length;
+    let body = buf[head_len..used].to_vec();
     let keep_alive = wants_keep_alive(http11, &headers);
     Ok(ParseStatus::Complete(
         Box::new(Request {
@@ -320,7 +251,7 @@ pub fn parse_request(buf: &[u8], max_body: usize) -> Result<ParseStatus, HttpErr
             body,
             keep_alive,
         }),
-        head_len + content_length,
+        used,
     ))
 }
 
@@ -381,48 +312,6 @@ pub fn chunk_bytes(data: &[u8]) -> Vec<u8> {
 
 /// The terminating zero chunk of a chunked stream.
 pub const CHUNKED_TRAILER: &[u8] = b"0\r\n\r\n";
-
-/// Write a complete (non-streaming) response with a `Content-Length`
-/// body. Always `Connection: close` — threads mode is one request per
-/// connection by design.
-pub fn write_response(
-    w: &mut impl Write,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &[u8],
-) -> io::Result<()> {
-    w.write_all(&response_bytes(status, reason, content_type, body, false))?;
-    w.flush()
-}
-
-/// Write the head of a chunked streaming response; follow with
-/// [`write_chunk`] calls and one [`finish_chunked`].
-pub fn start_chunked(
-    w: &mut impl Write,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-) -> io::Result<()> {
-    w.write_all(&chunked_head_bytes(status, reason, content_type, false))?;
-    w.flush()
-}
-
-/// Write one chunk (flushed immediately so consumers see records as
-/// they are produced, not when the job ends).
-pub fn write_chunk(w: &mut impl Write, data: &[u8]) -> io::Result<()> {
-    if data.is_empty() {
-        return Ok(()); // an empty chunk would terminate the stream
-    }
-    w.write_all(&chunk_bytes(data))?;
-    w.flush()
-}
-
-/// Terminate a chunked stream.
-pub fn finish_chunked(w: &mut impl Write) -> io::Result<()> {
-    w.write_all(CHUNKED_TRAILER)?;
-    w.flush()
-}
 
 /// Minimal JSON string escaping for hand-built response bodies (the
 /// same subset `bbncg_scenario::sink` emits).

@@ -14,7 +14,9 @@
 //! content-addressed result cache that coalesces duplicate
 //! submissions (`cache`), sweep sharding across peer processes
 //! (`shard`), and chunked JSONL result streaming backed by a
-//! replay-and-follow line buffer ([`stream`]).
+//! replay-and-follow line buffer ([`stream`]). The server needs a Unix
+//! host (epoll on Linux, `poll(2)` elsewhere); on other hosts
+//! [`spawn`] returns [`std::io::ErrorKind::Unsupported`].
 //!
 //! The load-bearing invariant: **a served record stream is
 //! byte-identical to the offline run.** Submitting a spec and
@@ -56,5 +58,5 @@ pub mod sys;
 
 pub use http::{HttpError, Request};
 pub use job::{Job, JobKind, JobStatus};
-pub use server::{spawn, ConnMode, ServerConfig, ServerHandle};
+pub use server::{spawn, ServerConfig, ServerHandle};
 pub use stream::{BufferSink, LineBuffer};

@@ -3,14 +3,14 @@
 //!
 //! Architecture (all `std`, no dependencies):
 //!
-//! * a **connection front end** in one of three modes (`/healthz`
-//!   reports which): `epoll` — a non-blocking readiness loop over raw
-//!   `epoll(7)` bindings ([`crate::sys`]), the production path;
-//!   `poll` — the same loop on portable `poll(2)`; `threads` — the
-//!   legacy one-thread-per-connection fallback. The readiness loop
-//!   (the private `event_loop` module) speaks HTTP/1.1 keep-alive and
-//!   drives chunked streaming by write interest, so a stalled reader
-//!   can never pin a handler thread;
+//! * one **connection front end**: a non-blocking readiness loop (the
+//!   private `event_loop` module) over raw `epoll(7)` bindings on
+//!   Linux or portable `poll(2)` on other Unix hosts ([`crate::sys`];
+//!   `/healthz` reports which as `conn`). It speaks HTTP/1.1
+//!   keep-alive and drives chunked streaming by write interest, so a
+//!   stalled reader never pins a thread. The server needs a Unix
+//!   host: elsewhere [`spawn`] fails with
+//!   [`std::io::ErrorKind::Unsupported`];
 //! * a **bounded job queue** (`VecDeque` + condvar) decouples
 //!   submission from execution — when it is full, `POST /jobs`
 //!   answers `429` immediately instead of queueing unbounded work
@@ -53,10 +53,7 @@
 //! | POST   | `/shutdown`         | drain (finish queue) or `?mode=abort` |
 
 use crate::cache::{scenario_cache_key, ResultCache};
-use crate::http::{
-    finish_chunked, json_escape, read_request, start_chunked, write_chunk, write_response,
-    HttpError, Request, DEFAULT_MAX_BODY,
-};
+use crate::http::{json_escape, Request, DEFAULT_MAX_BODY};
 use crate::job::{Job, JobKind, JobStatus};
 use crate::stream::BufferSink;
 use bbncg_core::{
@@ -66,41 +63,11 @@ use bbncg_core::{
 use bbncg_obs::{Counter, Gauge, Histogram};
 use bbncg_scenario::{parse_spec, run_scenario_with_engine, run_sweep_cancellable, Checkpoint};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Which connection front end to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ConnMode {
-    /// Best available: epoll on Linux, else poll, else threads.
-    Auto,
-    /// The epoll readiness loop (Linux only; spawn errors elsewhere).
-    Epoll,
-    /// The same readiness loop on portable `poll(2)`.
-    Poll,
-    /// Legacy thread-per-connection handling (one request per
-    /// connection, no keep-alive).
-    Threads,
-}
-
-impl ConnMode {
-    /// Parse a CLI label.
-    pub fn parse(s: &str) -> Result<ConnMode, String> {
-        match s {
-            "auto" => Ok(ConnMode::Auto),
-            "epoll" => Ok(ConnMode::Epoll),
-            "poll" => Ok(ConnMode::Poll),
-            "threads" => Ok(ConnMode::Threads),
-            other => Err(format!(
-                "unknown conn mode {other:?} (auto|epoll|poll|threads)"
-            )),
-        }
-    }
-}
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -139,9 +106,6 @@ pub struct ServerConfig {
     /// Prometheus exposition either way — with observability off it
     /// simply reads all-zero counters.
     pub obs: bool,
-    /// Connection front end (see [`ConnMode`]). `/healthz` reports the
-    /// effective mode as `conn`.
-    pub conn: ConnMode,
     /// Result-cache capacity in jobs; 0 disables caching. The library
     /// default is 0 (a POST always creates a job — what embedding
     /// tests expect); the `bbncg serve` CLI defaults it on.
@@ -167,7 +131,6 @@ impl Default for ServerConfig {
             history_limit: 256,
             default_executor: RoundExecutor::Auto,
             obs: false,
-            conn: ConnMode::Auto,
             cache_capacity: 0,
             peers: Vec::new(),
             read_timeout: Duration::from_secs(30),
@@ -185,22 +148,16 @@ pub(crate) struct Shared {
     pub(crate) queue_cv: Condvar,
     pub(crate) running: AtomicUsize,
     pub(crate) draining: AtomicBool,
-    /// In-flight connection handlers (threads mode); join() waits for
-    /// zero so every response written during a drain (including
-    /// /shutdown's own 200) reaches its client before the process
-    /// exits. The event loop keeps this at zero — its conns close
-    /// before the loop thread exits.
-    pub(crate) open_conns: Mutex<usize>,
-    pub(crate) conns_cv: Condvar,
     pub(crate) cache: ResultCache,
-    /// Effective connection front end (`epoll`/`poll`/`threads`).
+    /// Readiness backend of the front end (`epoll` or `poll`).
     pub(crate) conn_label: &'static str,
 }
 
-/// A running server: its bound address plus the accept/worker threads.
+/// A running server: its bound address plus the event-loop and worker
+/// threads.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    accept_thread: Option<JoinHandle<()>>,
+    loop_thread: JoinHandle<()>,
     worker_threads: Vec<JoinHandle<()>>,
 }
 
@@ -215,8 +172,8 @@ impl ServerHandle {
         self.shared.workers
     }
 
-    /// Effective connection front end (`"epoll"`, `"poll"`, or
-    /// `"threads"`).
+    /// Readiness backend of the connection front end (`"epoll"` or
+    /// `"poll"`).
     pub fn conn_mode(&self) -> &'static str {
         self.shared.conn_label
     }
@@ -232,25 +189,17 @@ impl ServerHandle {
         begin_drain(&self.shared, abort);
     }
 
-    /// Wait for the accept loop and every worker to exit. Call after
+    /// Wait for the event loop and every worker to exit. Call after
     /// [`ServerHandle::shutdown`] (or after something POSTs
     /// `/shutdown`); joining a server nobody is draining blocks
-    /// forever by design.
-    pub fn join(mut self) {
-        if let Some(t) = self.accept_thread.take() {
+    /// forever by design. The event loop exits only once its last
+    /// connection has closed, so every response written during the
+    /// drain (the drain's own 200 included) has reached its client
+    /// when this returns.
+    pub fn join(self) {
+        let _ = self.loop_thread.join();
+        for t in self.worker_threads {
             let _ = t.join();
-        }
-        for t in self.worker_threads.drain(..) {
-            let _ = t.join();
-        }
-        // Connection handlers are detached threads; wait for the last
-        // of them so no response (the drain's own 200 in particular)
-        // is cut off by process exit. Bounded: handlers either answer
-        // promptly or hit the request read timeout, and by now
-        // every job is terminal so no stream can follow forever.
-        let mut open = self.shared.open_conns.lock().expect("conns poisoned");
-        while *open > 0 {
-            open = self.shared.conns_cv.wait(open).expect("conns poisoned");
         }
     }
 
@@ -273,62 +222,55 @@ pub(crate) fn begin_drain(shared: &Arc<Shared>, abort: bool) {
         }
     }
     shared.queue_cv.notify_all();
-    // Wake the connection front end out of its blocking accept()/wait()
-    // with a throwaway connection; it re-checks the drain flag before
-    // handling anything. (The event loop also re-checks on its
-    // periodic tick, so a refused connect — listener already closed —
-    // is harmless.)
+    // Wake the event loop out of its wait() with a throwaway
+    // connection, so it closes the listener now rather than on its
+    // next tick; it re-checks the drain flag before accepting anything.
+    // (A refused connect, the listener already closed, is harmless.)
     let _ = TcpStream::connect(shared.addr);
 }
 
-/// Bind, spawn the worker pool and connection front end, and return
-/// the handle.
+/// Bind, spawn the worker pool and the event loop on the best
+/// readiness backend ([`crate::sys::Poller::new_auto`]: epoll on
+/// Linux, `poll(2)` on other Unix hosts), and return the handle. The
+/// server needs a Unix host: elsewhere this fails with
+/// [`std::io::ErrorKind::Unsupported`].
 pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
+    #[cfg(unix)]
+    {
+        spawn_on(cfg, crate::sys::Poller::new_auto())
+    }
+    #[cfg(not(unix))]
+    {
+        drop(cfg);
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "bbncg-serve needs a Unix host (epoll or poll(2))",
+        ))
+    }
+}
+
+/// [`spawn`] on an explicit readiness backend (tests run the protocol
+/// over `poll(2)` through this seam).
+#[cfg(unix)]
+pub(crate) fn spawn_on(
+    cfg: ServerConfig,
+    poller: crate::sys::Poller,
+) -> std::io::Result<ServerHandle> {
+    use std::os::unix::io::AsRawFd;
     if cfg.obs {
         bbncg_obs::enable();
     }
-    let listener = TcpListener::bind(&cfg.addr)?;
+    let listener = std::net::TcpListener::bind(&cfg.addr)?;
     // std hard-codes a backlog of 128; with syncookies on, a connect
     // burst beyond that gets RST instead of queued. Deepen the queue
     // to ride out many-hundred-client bursts (best effort).
-    #[cfg(unix)]
-    {
-        use std::os::unix::io::AsRawFd;
-        let _ = crate::sys::set_backlog(listener.as_raw_fd(), 1024);
-    }
+    let _ = crate::sys::set_backlog(listener.as_raw_fd(), 1024);
     let addr = listener.local_addr()?;
     let workers = if cfg.workers == 0 {
         bbncg_par::max_threads()
     } else {
         cfg.workers
     };
-
-    // Resolve the connection front end up front so /healthz can report
-    // it and an impossible explicit ask (epoll off-Linux) fails the
-    // spawn, not the first request.
-    #[cfg(unix)]
-    let poller = match cfg.conn {
-        ConnMode::Threads => None,
-        ConnMode::Epoll => Some(crate::sys::Poller::new_epoll()?),
-        ConnMode::Poll => Some(crate::sys::Poller::new_poll()),
-        ConnMode::Auto => Some(crate::sys::Poller::new_auto()),
-    };
-    #[cfg(not(unix))]
-    let poller: Option<()> = match cfg.conn {
-        ConnMode::Threads | ConnMode::Auto => None,
-        ConnMode::Epoll | ConnMode::Poll => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "readiness front ends need a Unix host; use conn=threads",
-            ))
-        }
-    };
-
-    #[cfg(unix)]
-    let conn_label = poller.as_ref().map_or("threads", |p| p.label());
-    #[cfg(not(unix))]
-    let conn_label = "threads";
-
     let cache_capacity = cfg.cache_capacity;
     let shared = Arc::new(Shared {
         cfg,
@@ -340,56 +282,22 @@ pub fn spawn(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         queue_cv: Condvar::new(),
         running: AtomicUsize::new(0),
         draining: AtomicBool::new(false),
-        open_conns: Mutex::new(0),
-        conns_cv: Condvar::new(),
         cache: ResultCache::new(cache_capacity),
-        conn_label,
+        conn_label: poller.label(),
     });
-    let mut worker_threads = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let sh = Arc::clone(&shared);
-        worker_threads.push(std::thread::spawn(move || worker_loop(sh)));
-    }
+    let worker_threads = (0..workers)
+        .map(|_| {
+            let sh = Arc::clone(&shared);
+            std::thread::spawn(move || worker_loop(sh))
+        })
+        .collect();
     let sh = Arc::clone(&shared);
-    #[cfg(unix)]
-    let accept_thread = Some(match poller {
-        Some(poller) => std::thread::spawn(move || crate::event_loop::run(sh, listener, poller)),
-        None => std::thread::spawn(move || accept_loop(sh, listener)),
-    });
-    #[cfg(not(unix))]
-    let accept_thread = Some(std::thread::spawn(move || accept_loop(sh, listener)));
+    let loop_thread = std::thread::spawn(move || crate::event_loop::run(sh, listener, poller));
     Ok(ServerHandle {
         shared,
-        accept_thread,
+        loop_thread,
         worker_threads,
     })
-}
-
-fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
-    for conn in listener.incoming() {
-        if shared.draining.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        let sh = Arc::clone(&shared);
-        *shared.open_conns.lock().expect("conns poisoned") += 1;
-        // One short-lived thread per connection. Handler panics (none
-        // are expected) would die with their thread, never the server;
-        // the guard keeps the open-connection count honest either way.
-        std::thread::spawn(move || {
-            struct ConnGuard(Arc<Shared>);
-            impl Drop for ConnGuard {
-                fn drop(&mut self) {
-                    let mut open = self.0.open_conns.lock().expect("conns poisoned");
-                    *open -= 1;
-                    self.0.conns_cv.notify_all();
-                }
-            }
-            let guard = ConnGuard(Arc::clone(&sh));
-            handle_connection(sh, stream);
-            drop(guard);
-        });
-    }
 }
 
 fn worker_loop(shared: Arc<Shared>) {
@@ -519,51 +427,13 @@ fn execute_job(shared: &Shared, job: &Arc<Job>, scratch: &mut Option<DeviationSc
     }
 }
 
-fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    // A client gets read_timeout to deliver its request head + body;
-    // an idle or byte-trickling connection then errors out of
-    // read_request and releases this handler thread, instead of
-    // pinning it forever (responses are writes, so streaming followers
-    // are unaffected by the *read* timeout). Writes get their own cap:
-    // a connected-but-not-reading stream follower (zero TCP window)
-    // would otherwise block write_chunk forever and stall join()'s
-    // open-connection wait. 60s per write is generous for any reader
-    // that is actually consuming.
-    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
-    let _ = stream.set_write_timeout(Some(std::time::Duration::from_secs(60)));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let req = match read_request(&mut reader, shared.cfg.max_body) {
-        Ok(r) => r,
-        Err(HttpError::Disconnected) => return,
-        Err(e) => {
-            let (code, reason) = e.status();
-            let body = format!("{{\"error\":\"{}\"}}", json_escape(e.detail()));
-            let _ = write_response(
-                &mut writer,
-                code,
-                reason,
-                "application/json",
-                body.as_bytes(),
-            );
-            return;
-        }
-    };
-    route(&shared, &req, &mut writer);
-}
-
 fn error_body(detail: &str) -> Vec<u8> {
     format!("{{\"error\":\"{}\"}}", json_escape(detail)).into_bytes()
 }
 
-/// A routed request's disposition — shared by both front ends. `Full`
-/// responses are complete bytes; `Stream`/`Report` need job-lifecycle
-/// waiting, which threads mode does by blocking and the event loop by
-/// waker-driven state machines.
+/// A routed request's disposition. `Full` responses are complete
+/// bytes; `Stream`/`Report` follow a job's lifecycle, which the event
+/// loop does with waker-driven connection states.
 pub(crate) enum Routed {
     /// A complete response, ready to encode.
     Full {
@@ -637,9 +507,9 @@ pub(crate) fn route_request(shared: &Arc<Shared>, req: &Request) -> (Routed, His
             // the default round-executor mode jobs will run under and
             // the worker-thread cap every parallel primitive obeys
             // (`--threads` / BBNCG_THREADS / auto-detect). `conn`,
-            // the cache block, and the shard block describe this PR's
-            // front end: connection mode, result-cache pressure, and
-            // the coordinator role.
+            // the cache block, and the shard block describe the front
+            // end: readiness backend, result-cache pressure, and the
+            // coordinator role.
             Routed::ok_json(format!(
                 "{{\"status\":\"{}\",\"workers\":{},\"queue_depth\":{},\"queue_capacity\":{},\"running\":{},\"jobs\":{},\"rounds\":\"{}\",\"threads\":{},\"conn\":\"{}\",\"cache_capacity\":{},\"cache_size\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_coalesced\":{},\"cache_evictions\":{},\"cache_hit_rate\":{:.4},\"shard_role\":\"{}\",\"shard_peers\":{}}}",
                 if shared.draining.load(Ordering::SeqCst) { "draining" } else { "ok" },
@@ -747,32 +617,6 @@ pub(crate) fn route_request(shared: &Arc<Shared>, req: &Request) -> (Routed, His
         ),
     };
     (routed, hist)
-}
-
-/// Threads-mode request handling: act on the disposition, blocking
-/// where the event loop would wait on wakers.
-fn route(shared: &Arc<Shared>, req: &Request, w: &mut TcpStream) {
-    let t0 = std::time::Instant::now();
-    let (routed, hist) = route_request(shared, req);
-    match routed {
-        Routed::Full {
-            status,
-            reason,
-            content_type,
-            body,
-        } => {
-            let _ = write_response(w, status, reason, content_type, &body);
-        }
-        Routed::Stream { job } => stream_job(&job, w),
-        Routed::Report { job } => {
-            job.wait_terminal();
-            let (status, reason, content_type, body) = render_job_report(&job);
-            let _ = write_response(w, status, reason, content_type, &body);
-        }
-    }
-    // For `stream`, this is the whole follow duration — which is the
-    // honest latency of a streaming endpoint.
-    bbncg_obs::observe(hist, t0.elapsed().as_micros() as u64);
 }
 
 fn lookup(shared: &Shared, id: &str) -> Option<Arc<Job>> {
@@ -942,6 +786,7 @@ fn build_job_kind(req: &Request, default_executor: RoundExecutor) -> Result<JobK
                 if spec.seeds == 0 {
                     return Err("seeds: must be at least 1".into());
                 }
+                spec.check_sweep().map_err(|e| format!("seeds: {e}"))?;
             }
             if req.query_get("kernel").is_some() {
                 spec.kernel = parse_kernel_param(req)?;
@@ -1001,23 +846,65 @@ pub(crate) fn render_job_report(job: &Arc<Job>) -> (u16, &'static str, &'static 
     }
 }
 
-fn stream_job(job: &Arc<Job>, w: &mut TcpStream) {
-    if start_chunked(w, 200, "OK", "application/x-ndjson").is_err() {
-        return;
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+    use crate::client;
+    use std::io::{Read, Write};
+    use std::time::Duration;
+
+    const TINY_SPEC: &str =
+        "[scenario]\nseed = 1\n[init]\nfamily = \"uniform\"\nn = 8\nbudget = 1\n[[phase]]\nkind = \"dynamics\"\n";
+
+    fn raw_exchange(addr: &str, bytes: &[u8]) -> String {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.write_all(bytes).unwrap();
+        let mut out = Vec::new();
+        let _ = s.read_to_end(&mut out);
+        String::from_utf8_lossy(&out).into_owned()
     }
-    let mut idx = 0;
-    let mut line_buf = String::new();
-    while let Some(line) = job.lines.wait_line(idx) {
-        idx += 1;
-        line_buf.clear();
-        line_buf.push_str(&line);
-        line_buf.push('\n');
-        if write_chunk(w, line_buf.as_bytes()).is_err() {
-            // Client went away mid-stream. The job is untouched — it
-            // keeps its queue slot accounting and other followers keep
-            // streaming; only this connection ends.
-            return;
-        }
+
+    /// The key cases of `tests/protocol_edge_cases.rs`, which run on the
+    /// default backend (epoll on Linux), on `poll(2)`.
+    #[test]
+    fn key_protocol_cases_hold_under_the_poll_backend() {
+        let cfg = ServerConfig {
+            max_body: 4096,
+            ..ServerConfig::default()
+        };
+        let server = spawn_on(cfg, crate::sys::Poller::new_poll()).unwrap();
+        assert_eq!(server.conn_mode(), "poll");
+        let addr = server.addr().to_string();
+        client::wait_ready(&addr, Duration::from_secs(10)).unwrap();
+
+        let h = client::request(&addr, "GET", "/healthz", b"")
+            .unwrap()
+            .text();
+        assert!(h.contains("\"conn\":\"poll\""), "{h}");
+
+        let resp = raw_exchange(&addr, b"GARBAGE\r\n\r\n");
+        assert!(resp.starts_with("HTTP/1.1 400"), "{resp:?}");
+        // Rejected from the header alone: no body byte is ever sent.
+        let resp = raw_exchange(
+            &addr,
+            b"POST /jobs HTTP/1.1\r\nContent-Length: 5000000\r\n\r\n",
+        );
+        assert!(resp.starts_with("HTTP/1.1 413"), "{resp:?}");
+
+        let resp = client::request(&addr, "POST", "/jobs", TINY_SPEC.as_bytes()).unwrap();
+        assert_eq!(resp.status, 202, "{}", resp.text());
+        let id = client::job_id(&resp.text()).unwrap();
+        let mut lines = Vec::new();
+        client::stream_lines(&addr, &format!("/jobs/{id}/stream"), |l| {
+            lines.push(l.to_string());
+            true
+        })
+        .unwrap();
+        assert_eq!(lines.len(), 2, "1 phase + summary: {lines:?}");
+        assert!(lines[1].contains("\"kind\":\"summary\""), "{lines:?}");
+
+        server.shutdown(false);
+        server.join();
     }
-    let _ = finish_chunked(w);
 }

@@ -7,15 +7,18 @@
 //! follows live appends, so a client that connects late (or
 //! reconnects) sees exactly the same byte stream as one that was there
 //! from the beginning. Readers never block the writer — a slow or
-//! vanished client only stalls its own connection thread.
+//! vanished client only stalls its own connection.
+//!
+//! Reads never block either: a reader pulls batches with
+//! [`LineBuffer::read_from`] and registers a [`Waker`] to learn when
+//! there is more.
 
 use bbncg_scenario::{MetricRecord, MetricSink};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// A callback the buffer fires (outside its lock) whenever new lines
-/// land or the stream closes — how the non-blocking event loop learns
-/// that a followed stream has progressed without parking a thread on
-/// [`LineBuffer::wait_line`].
+/// land or the stream closes — how the event loop learns that a
+/// followed stream has progressed without parking a thread on it.
 pub type Waker = Arc<dyn Fn() + Send + Sync>;
 
 #[derive(Default)]
@@ -25,11 +28,10 @@ struct State {
     wakers: Vec<Waker>,
 }
 
-/// An append-only, multi-reader line buffer with blocking iteration.
+/// An append-only, multi-reader line buffer with waker notification.
 #[derive(Default)]
 pub struct LineBuffer {
     state: Mutex<State>,
-    cv: Condvar,
 }
 
 impl LineBuffer {
@@ -43,7 +45,6 @@ impl LineBuffer {
         let wakers = {
             let mut st = self.state.lock().expect("line buffer poisoned");
             st.lines.push(line);
-            self.cv.notify_all();
             st.wakers.clone()
         };
         // Fire outside the lock: wakers take the event loop's own
@@ -55,7 +56,7 @@ impl LineBuffer {
     }
 
     /// Mark the stream complete: readers drain what is buffered and
-    /// then see end-of-stream instead of blocking forever. Registered
+    /// then see the closed flag from [`LineBuffer::read_from`]. Registered
     /// wakers fire one final time and are dropped — a closed buffer
     /// never wakes anyone again, so long-lived (cached) buffers cannot
     /// accumulate stale wakers.
@@ -63,7 +64,6 @@ impl LineBuffer {
         let wakers = {
             let mut st = self.state.lock().expect("line buffer poisoned");
             st.closed = true;
-            self.cv.notify_all();
             std::mem::take(&mut st.wakers)
         };
         for w in wakers {
@@ -99,26 +99,9 @@ impl LineBuffer {
         self.len() == 0
     }
 
-    /// Blocking read of line `idx`: waits until that line exists or
-    /// the buffer closes. `None` means end-of-stream (closed and
-    /// `idx` is past the final line).
-    pub fn wait_line(&self, idx: usize) -> Option<String> {
-        let mut st = self.state.lock().expect("line buffer poisoned");
-        loop {
-            if idx < st.lines.len() {
-                return Some(st.lines[idx].clone());
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.cv.wait(st).expect("line buffer poisoned");
-        }
-    }
-
     /// Non-blocking read of up to `max` lines starting at `idx`, plus
-    /// the closed flag — the event loop's poll-style counterpart to
-    /// [`LineBuffer::wait_line`]. The cap bounds each pull so a huge
-    /// sweep buffer is streamed in batches instead of cloned whole.
+    /// the closed flag. The cap bounds each pull so a huge sweep buffer
+    /// is streamed in batches instead of cloned whole.
     pub fn read_from(&self, idx: usize, max: usize) -> (Vec<String>, bool) {
         let st = self.state.lock().expect("line buffer poisoned");
         let lines = if idx < st.lines.len() {
@@ -162,25 +145,48 @@ impl MetricSink for BufferSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use std::thread;
+
+    /// Follow `buf` to its end the way the event loop does: pull small
+    /// batches with `read_from`, and when caught up, wait for the
+    /// registered waker. Registering before the first pull means a
+    /// push landing in between is never a lost wakeup.
+    fn follow(buf: &LineBuffer) -> Vec<String> {
+        let (tx, rx) = mpsc::channel();
+        buf.register_waker(Arc::new(move || {
+            let _ = tx.send(());
+        }));
+        let mut got = Vec::new();
+        loop {
+            let (lines, closed) = buf.read_from(got.len(), 7);
+            if !lines.is_empty() {
+                got.extend(lines);
+            } else if closed {
+                return got;
+            } else {
+                rx.recv().expect("an open buffer keeps its waker");
+            }
+        }
+    }
 
     #[test]
     fn replay_then_follow_then_eof() {
         let buf = LineBuffer::new();
         buf.push("a".into());
         buf.push("b".into());
-        assert_eq!(buf.wait_line(0).as_deref(), Some("a"));
-        assert_eq!(buf.wait_line(1).as_deref(), Some("b"));
+        assert_eq!(buf.read_from(0, 16), (vec!["a".into(), "b".into()], false));
         let writer = Arc::clone(&buf);
         let t = thread::spawn(move || {
             writer.push("c".into());
             writer.close();
         });
-        assert_eq!(buf.wait_line(2).as_deref(), Some("c"));
-        assert_eq!(buf.wait_line(3), None);
+        assert_eq!(follow(&buf), vec!["a", "b", "c"]);
         t.join().unwrap();
         assert!(buf.is_closed());
         assert_eq!(buf.snapshot(), vec!["a", "b", "c"]);
+        // Following a closed buffer replays it without waiting.
+        assert_eq!(follow(&buf), vec!["a", "b", "c"]);
     }
 
     #[test]
@@ -215,15 +221,7 @@ mod tests {
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 let b = Arc::clone(&buf);
-                thread::spawn(move || {
-                    let mut got = Vec::new();
-                    let mut i = 0;
-                    while let Some(line) = b.wait_line(i) {
-                        got.push(line);
-                        i += 1;
-                    }
-                    got
-                })
+                thread::spawn(move || follow(&b))
             })
             .collect();
         for i in 0..100 {

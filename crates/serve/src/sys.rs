@@ -7,11 +7,11 @@
 //! registers file descriptors with read/write interest and blocks
 //! until some are ready. Two backends:
 //!
-//! * **epoll** (Linux): O(ready) wakeups, level-triggered — the
-//!   production path;
+//! * **epoll** (Linux): O(ready) wakeups, level-triggered — what
+//!   [`Poller::new_auto`] picks on Linux;
 //! * **poll** (any Unix): O(registered) scans per wakeup — the
-//!   portable fallback, also selectable explicitly (`--conn poll`)
-//!   so CI can exercise both against the same protocol tests.
+//!   portable backend on other Unix hosts, and the one the server's
+//!   in-crate protocol test runs on so both stay covered.
 //!
 //! Level-triggered everywhere: a readiness the loop does not fully
 //! consume simply reports again, which keeps the connection state
@@ -221,21 +221,6 @@ impl Poller {
         Poller::Poll(PollSet {
             registered: Vec::new(),
         })
-    }
-
-    /// Explicit epoll backend (errors where unsupported).
-    pub fn new_epoll() -> io::Result<Poller> {
-        #[cfg(target_os = "linux")]
-        {
-            Ok(Poller::Epoll(Epoll::new()?))
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "epoll is Linux-only; use the poll backend",
-            ))
-        }
     }
 
     /// Explicit poll(2) backend.
@@ -458,8 +443,8 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn epoll_backend_reports_readiness() {
-        let poller = Poller::new_epoll().expect("epoll available on linux");
-        assert_eq!(poller.label(), "epoll");
+        let poller = Poller::new_auto();
+        assert_eq!(poller.label(), "epoll", "epoll available on linux");
         exercise(poller);
     }
 

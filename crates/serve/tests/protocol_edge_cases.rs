@@ -2,11 +2,11 @@
 //! bodies, bad submissions, clients that vanish mid-stream, slow-loris
 //! trickles, and keep-alive reuse/pipelining. The server must answer
 //! 4xx where an answer is possible, and must never panic or leak a
-//! queue/worker slot. The default front end here is the epoll
-//! readiness loop; a backend matrix re-runs the key cases under
-//! `poll` and `threads`.
+//! queue/worker slot. These run on the default readiness backend
+//! (epoll on Linux); the key cases also run on `poll(2)` in the
+//! crate's own `server` tests, through the crate-private backend seam.
 
-use bbncg_serve::{client, spawn, ConnMode, ServerConfig};
+use bbncg_serve::{client, spawn, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -166,6 +166,52 @@ fn bad_submissions_and_unknown_routes() {
 }
 
 #[test]
+fn oversized_instances_get_400_and_the_server_stays_up() {
+    let server = spawn(ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    client::wait_ready(&addr, Duration::from_secs(10)).unwrap();
+
+    // Submissions are parsed on the event-loop thread, so a spec that
+    // made the parser allocate its instance (10¹⁰ vertices here) would
+    // abort the whole server, not just fail its own request.
+    let huge_n = "[init]\nfamily = \"uniform\"\nn = 10000000000\nbudget = 1\n[[phase]]\nkind = \"dynamics\"\n";
+    let wide_sweep = TINY_SPEC.replace("seed = 1\n", "seed = 1\nseeds = 1000000000000000\n");
+    let tall_tree = "[init]\nfamily = \"btree\"\nparams = [70]\n[[phase]]\nkind = \"dynamics\"\n";
+    for (target, body, want) in [
+        (
+            "/jobs",
+            huge_n,
+            "line 1: [init] reaches 10000000000 vertices",
+        ),
+        (
+            "/jobs",
+            wide_sweep.as_str(),
+            "line 1: seeds = 1000000000000000",
+        ),
+        (
+            "/jobs",
+            tall_tree,
+            "line 1: [init] family \\\"btree\\\" [70]",
+        ),
+        (
+            "/jobs?seeds=1000000000000000",
+            TINY_SPEC,
+            "seeds: seeds = 1000000000000000",
+        ),
+    ] {
+        let resp = client::request(&addr, "POST", target, body.as_bytes()).unwrap();
+        assert_eq!(resp.status, 400, "{target}: {}", resp.text());
+        assert!(resp.text().contains(want), "{target}: {}", resp.text());
+    }
+
+    let health = client::request(&addr, "GET", "/healthz", b"").unwrap();
+    assert_eq!(health.status, 200);
+    assert_eq!(json_int(&health.text(), "jobs"), 0, "{}", health.text());
+    server.shutdown(false);
+    server.join();
+}
+
+#[test]
 fn disconnect_mid_stream_leaks_nothing() {
     let server = spawn(ServerConfig {
         workers: 1,
@@ -317,50 +363,6 @@ fn keep_alive_reuses_one_connection_and_honours_pipelining() {
     assert!(text.trim_end().ends_with("]"), "{text}");
     server.shutdown(false);
     server.join();
-}
-
-#[test]
-fn key_protocol_cases_hold_under_poll_and_threads_backends() {
-    // The readiness loop is the default; the poll fallback and the
-    // legacy threads mode must answer the same protocol the same way.
-    for (mode, label) in [(ConnMode::Poll, "poll"), (ConnMode::Threads, "threads")] {
-        let server = spawn(ServerConfig {
-            conn: mode,
-            max_body: 4096,
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        let addr = server.addr().to_string();
-        client::wait_ready(&addr, Duration::from_secs(10)).unwrap();
-
-        let h = client::request(&addr, "GET", "/healthz", b"")
-            .unwrap()
-            .text();
-        assert!(h.contains(&format!("\"conn\":\"{label}\"")), "{label}: {h}");
-
-        let resp = raw_exchange(&addr, b"GARBAGE\r\n\r\n");
-        assert!(resp.starts_with("HTTP/1.1 400"), "{label}: {resp:?}");
-        let resp = raw_exchange(
-            &addr,
-            b"POST /jobs HTTP/1.1\r\nContent-Length: 5000000\r\n\r\n",
-        );
-        assert!(resp.starts_with("HTTP/1.1 413"), "{label}: {resp:?}");
-
-        let resp = client::request(&addr, "POST", "/jobs", TINY_SPEC.as_bytes()).unwrap();
-        assert_eq!(resp.status, 202, "{label}: {}", resp.text());
-        let id = client::job_id(&resp.text()).unwrap();
-        let mut lines = Vec::new();
-        client::stream_lines(&addr, &format!("/jobs/{id}/stream"), |l| {
-            lines.push(l.to_string());
-            true
-        })
-        .unwrap();
-        assert_eq!(lines.len(), 2, "{label}: {lines:?}");
-        assert!(lines[1].contains("\"kind\":\"summary\""), "{label}");
-
-        server.shutdown(false);
-        server.join();
-    }
 }
 
 #[test]
