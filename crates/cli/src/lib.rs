@@ -430,6 +430,8 @@ pub fn cmd_scenario(args: &Args) -> Result<String, String> {
         // resumes too: kernels are move-for-move equivalent, so the
         // continued trajectory is unchanged.
         spec.kernel = parse_kernel(args)?;
+        spec.check_kernel()
+            .map_err(|e| format!("{path}: --kernel: {e}"))?;
     }
     if args.get("rounds").is_some() {
         // Overrides the spec's [dynamics] rounds (executor) field.

@@ -320,6 +320,10 @@ fn oversized_specs_exit_2_with_a_positioned_error() {
             "[init]\nfamily = \"btree\"\nparams = [70]\n[[phase]]\nkind = \"dynamics\"\n",
             "line 1: [init] family \"btree\" [70]",
         ),
+        (
+            "[init]\nfamily = \"uniform\"\nn = 20000\nbudget = 1\n[dynamics]\nkernel = \"bitset\"\n[[phase]]\nkind = \"dynamics\"\n",
+            "line 5: [dynamics] kernel bitset reaches 20000 vertices",
+        ),
     ]
     .into_iter()
     .enumerate()
@@ -338,4 +342,26 @@ fn oversized_specs_exit_2_with_a_positioned_error() {
         }
         std::fs::remove_file(&path).ok();
     }
+
+    // `--kernel bitset` over a spec that leaves the kernel to auto is
+    // checked against the same cap, before the run starts.
+    let path = dir.join(format!("bbncg_e2e_caps_{}_kernel.toml", std::process::id()));
+    std::fs::write(
+        &path,
+        "[init]\nfamily = \"uniform\"\nn = 20000\nbudget = 1\n[[phase]]\nkind = \"dynamics\"\n",
+    )
+    .unwrap();
+    let out = bbncg()
+        .args(["scenario", "run"])
+        .arg(&path)
+        .args(["--kernel", "bitset"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.contains("--kernel: [dynamics] kernel bitset reaches 20000 vertices"),
+        "{err}"
+    );
+    std::fs::remove_file(&path).ok();
 }

@@ -13,6 +13,16 @@
 //! * [`best_swap_response`] searches only single-arc swaps (the move set
 //!   of Alon et al.'s basic network creation games), polynomial; swap
 //!   dynamics with this rule is the scalable dynamics used at large `n`.
+//!
+//! Every search keeps an incumbent and prices each candidate through
+//! [`DeviationScratch::cost_of_pruned`], so a candidate that cannot
+//! strictly beat it is skipped by its lower bound or abandoned
+//! part-way by the kernel. Dynamics asks a narrower question — does
+//! the player have a strictly improving move? — so its exact and swap
+//! searches start from the current strategy's cost instead of
+//! `u64::MAX` and return only a strict improvement: the same decision
+//! as the full search followed by a strict-improvement check, with
+//! every candidate abortable from the first one on.
 
 use crate::cost::CostModel;
 use crate::deviation::DeviationScratch;
@@ -57,8 +67,8 @@ pub fn exact_best_response(r: &Realization, u: NodeId, model: CostModel) -> Scor
 }
 
 /// [`exact_best_response`] reusing a caller-held [`DeviationScratch`]
-/// — the form dynamics and batched verification use, so repeated
-/// activations share one engine instead of rebuilding per player.
+/// — the form batched callers use, so repeated searches share one
+/// engine instead of rebuilding per player.
 ///
 /// # Panics
 /// Panics if the candidate space exceeds [`MAX_EXACT_CANDIDATES`].
@@ -68,14 +78,67 @@ pub fn exact_best_response_with(
     u: NodeId,
     model: CostModel,
 ) -> ScoredStrategy {
+    exact_search(scratch, r, u, model, u64::MAX).expect("at least one strategy exists")
+}
+
+/// The best strict improvement on `u`'s current strategy under the
+/// exact rule: the earliest least-cost strategy strictly cheaper than
+/// the current one, or `None` when `u` is already best-responding —
+/// the dynamics decision. It equals [`exact_best_response_with`]
+/// followed by a strict-improvement check (if the minimum lies below
+/// the current cost, the earliest candidate attaining it is the same
+/// candidate; otherwise neither moves), but the search starts with the
+/// current cost as its incumbent, so every candidate that cannot beat
+/// it is pruned or aborted from the first one on, and a current cost
+/// at the Lemma 2.2 floor prices no candidate at all.
+///
+/// # Panics
+/// Panics if the candidate space exceeds [`MAX_EXACT_CANDIDATES`].
+pub(crate) fn exact_best_improvement(
+    scratch: &mut DeviationScratch,
+    r: &Realization,
+    u: NodeId,
+    model: CostModel,
+) -> Option<ScoredStrategy> {
+    let current = current_cost(scratch, r, u, model);
+    exact_search(scratch, r, u, model, current)
+}
+
+/// The exact search over the whole candidate space on one engine,
+/// keeping only candidates strictly below `ceiling`.
+fn exact_search(
+    scratch: &mut DeviationScratch,
+    r: &Realization,
+    u: NodeId,
+    model: CostModel,
+    ceiling: u64,
+) -> Option<ScoredStrategy> {
     let b = r.graph().out_degree(u);
     assert_enumerable(r.n(), b, u);
     // Leading elements run over 0..n−b of the (n−1)-element pool; the
     // empty strategy (b = 0) leads with 0 and ends the enumeration at
     // once.
-    exact_best_over(scratch, r, u, model, &mut Whole(Some(0..r.n() - b)))
-        .expect("at least one strategy exists")
-        .0
+    exact_best_over(
+        scratch,
+        r,
+        u,
+        model,
+        ceiling,
+        &mut Whole(Some(0..r.n() - b)),
+    )
+    .map(|(s, _)| s)
+}
+
+/// `u`'s current cost, priced through a session opened (or reused) on
+/// `scratch` for `(u, model)`.
+pub(crate) fn current_cost(
+    scratch: &mut DeviationScratch,
+    r: &Realization,
+    u: NodeId,
+    model: CostModel,
+) -> u64 {
+    scratch.begin(r, u, model);
+    scratch.cost_of(r.strategy(u))
 }
 
 /// The [`MAX_EXACT_CANDIDATES`] guard of the exact solver.
@@ -123,19 +186,27 @@ impl Slices for Whole {
 /// The exact search over the slices `slices` deals, each a range of
 /// leading elements: the candidates whose smallest pool index lies in
 /// the range form one contiguous stretch of the lexicographic
-/// enumeration (the pool is `0..n` without `u`). Returns the cheapest
-/// candidate found — the earliest among equals — and its slice.
+/// enumeration (the pool is `0..n` without `u`). Candidates must cost
+/// strictly less than `ceiling` (`u64::MAX` admits every one, the
+/// current cost asks for an improvement); returns the cheapest one
+/// found — the earliest among equals — and its slice, or `None` when
+/// none goes below the ceiling — at once when the ceiling is at the
+/// Lemma 2.2 floor, which no candidate goes below.
 pub(crate) fn exact_best_over(
     scratch: &mut DeviationScratch,
     r: &Realization,
     u: NodeId,
     model: CostModel,
+    ceiling: u64,
     slices: &mut impl Slices,
 ) -> Option<(ScoredStrategy, usize)> {
     let n = r.n();
     let b = r.graph().out_degree(u);
     scratch.begin(r, u, model);
     let lb = scratch.cost_lower_bound(b);
+    if ceiling <= lb {
+        return None;
+    }
     let mut pool = std::mem::take(&mut scratch.pool_buf);
     let mut targets = std::mem::take(&mut scratch.cand_buf);
     pool.clear();
@@ -152,7 +223,7 @@ pub(crate) fn exact_best_over(
             // bound cannot beat the incumbent, skip its BFS entirely. A
             // pruned candidate's true cost is ≥ the incumbent, so neither
             // the optimum nor the lexicographic tie-break can change.
-            let incumbent = best.as_ref().map_or(u64::MAX, |(s, _)| s.cost);
+            let incumbent = best.as_ref().map_or(ceiling, |(s, _)| s.cost);
             if let Some(cost) = scratch.cost_of_pruned(&targets, incumbent) {
                 if cost < incumbent {
                     let found = ScoredStrategy {
@@ -369,32 +440,39 @@ pub fn best_swap_response_with(
     u: NodeId,
     model: CostModel,
 ) -> Option<ScoredStrategy> {
-    let b = r.strategy(u).len();
-    if b == 0 {
+    if r.strategy(u).is_empty() {
         return None;
     }
-    let found = best_swap_over(scratch, r, u, model, &mut Whole(Some(0..b * r.n())));
-    Some(found.map_or_else(|| current_strategy(scratch, r, u), |(s, _)| s))
+    let better = best_swap_improvement(scratch, r, u, model);
+    // No improving swap: the current strategy, priced through the
+    // session the search opened.
+    Some(better.unwrap_or_else(|| ScoredStrategy {
+        cost: scratch.cost_of(r.strategy(u)),
+        targets: r.strategy(u).to_vec(),
+    }))
 }
 
-/// `u`'s current strategy, priced through the open session.
-pub(crate) fn current_strategy(
+/// The best strictly improving single-arc swap for `u` — the earliest
+/// least-cost swap cheaper than the current strategy — or `None` when
+/// no swap improves (or `u` owns no arcs): the dynamics decision of the
+/// swap rule.
+pub(crate) fn best_swap_improvement(
     scratch: &mut DeviationScratch,
     r: &Realization,
     u: NodeId,
-) -> ScoredStrategy {
-    ScoredStrategy {
-        cost: scratch.cost_of(r.strategy(u)),
-        targets: r.strategy(u).to_vec(),
-    }
+    model: CostModel,
+) -> Option<ScoredStrategy> {
+    let pairs = r.strategy(u).len() * r.n();
+    best_swap_over(scratch, r, u, model, &mut Whole(Some(0..pairs))).map(|(s, _)| s)
 }
 
 /// The swap search over the slices `slices` deals, each a range of
 /// (slot, target) pairs: pair `p` replaces owned arc `p / n` by target
-/// `p % n`, and [`best_swap_response_with`] is this search over
-/// `0..b·n` as one slice. Candidates must strictly beat the current
+/// `p % n`, and [`best_swap_improvement`] is this search over `0..b·n`
+/// as one slice. Candidates must strictly beat the current
 /// strategy; returns the cheapest one found — the earliest among
-/// equals — and its slice, or `None` when no candidate improves.
+/// equals — and its slice, or `None` when no candidate improves (at
+/// once when the current cost is at the Lemma 2.2 floor).
 pub(crate) fn best_swap_over(
     scratch: &mut DeviationScratch,
     r: &Realization,
@@ -403,13 +481,15 @@ pub(crate) fn best_swap_over(
     slices: &mut impl Slices,
 ) -> Option<(ScoredStrategy, usize)> {
     let n = r.n();
-    scratch.begin(r, u, model);
+    let mut incumbent = current_cost(scratch, r, u, model);
+    let lb = scratch.cost_lower_bound(r.strategy(u).len());
+    if incumbent <= lb {
+        return None;
+    }
     let mut current = std::mem::take(&mut scratch.pool_buf);
     let mut trial = std::mem::take(&mut scratch.cand_buf);
     current.clear();
     current.extend_from_slice(r.strategy(u));
-    let mut incumbent = scratch.cost_of(&current);
-    let lb = scratch.cost_lower_bound(current.len());
     let mut best: Option<(ScoredStrategy, usize)> = None;
     while let Some((slice, pairs)) = slices.next() {
         let (mut examined, mut floor) = (0, false);

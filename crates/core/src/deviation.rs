@@ -22,6 +22,13 @@
 //! BFS, nothing else. The `rebuild-counter` feature on `bbncg-graph`
 //! plus `tests/engine_invariants.rs` enforce this.
 //!
+//! Search loops price through [`DeviationScratch::cost_of_pruned`],
+//! which only has to answer "does this candidate strictly beat the
+//! incumbent, and at what cost": a per-candidate lower bound skips the
+//! BFS outright, and every kernel's traversal runs under a
+//! [`PriceBudget`] that abandons it once the candidate provably cannot
+//! win.
+//!
 //! # Session protocol
 //!
 //! ```text
@@ -42,8 +49,8 @@ use crate::cost::{c_inf, cost_from_bfs, CostModel};
 use crate::kernel::CostKernel;
 use crate::realization::Realization;
 use bbncg_graph::{
-    BfsScratch, BitAdjacency, BitBfsScratch, CompactCsr, NodeId, OwnedDigraph, SparseSssp,
-    UNREACHED,
+    BfsScratch, BfsStats, BitAdjacency, BitBfsScratch, CompactCsr, NodeId, OwnedDigraph,
+    PriceBudget, SparseSssp, UNREACHED,
 };
 use bbncg_obs::Counter;
 
@@ -55,7 +62,8 @@ use bbncg_obs::Counter;
 /// [`bbncg_obs::enabled`].
 #[derive(Debug, Default)]
 struct ObsTally {
-    /// Candidates priced through the kernel (one BFS/repair each).
+    /// Candidates priced through the kernel (one BFS/repair each,
+    /// run to the end or aborted).
     priced: u64,
     /// Candidates skipped by the Lemma 2.2 lower bound (no BFS).
     prune_skips: u64,
@@ -70,8 +78,8 @@ struct ObsTally {
     /// Retained-base repair attempts abandoned (stale epoch, journal
     /// overflow, or damage over the threshold) — fell back to a BFS.
     repair_fallbacks: u64,
-    /// Sparse pricings aborted mid-repair by the incumbent bound
-    /// (each also counted in `prune_skips`).
+    /// Pricings aborted part-way by the incumbent bound, under any
+    /// kernel (each also counted in `priced` and `prune_skips`).
     prune_aborts: u64,
     /// Per-target candidate-bound cache hits / misses.
     bound_hits: u64,
@@ -318,13 +326,26 @@ impl DeviationScratch {
         if !bbncg_obs::enabled() {
             return;
         }
-        let (priced, skips) = match self.resolved {
-            CostKernel::Bitset => (Counter::KernelPricedBitset, Counter::KernelPruneSkipBitset),
-            CostKernel::Sparse => (Counter::KernelPricedSparse, Counter::KernelPruneSkipSparse),
-            _ => (Counter::KernelPricedQueue, Counter::KernelPruneSkipQueue),
+        let (priced, skips, aborts) = match self.resolved {
+            CostKernel::Bitset => (
+                Counter::KernelPricedBitset,
+                Counter::KernelPruneSkipBitset,
+                Counter::KernelPruneAbortBitset,
+            ),
+            CostKernel::Sparse => (
+                Counter::KernelPricedSparse,
+                Counter::KernelPruneSkipSparse,
+                Counter::KernelPruneAbortSparse,
+            ),
+            _ => (
+                Counter::KernelPricedQueue,
+                Counter::KernelPruneSkipQueue,
+                Counter::KernelPruneAbortQueue,
+            ),
         };
         bbncg_obs::counter_add(priced, t.priced);
         bbncg_obs::counter_add(skips, t.prune_skips);
+        bbncg_obs::counter_add(aborts, t.prune_aborts);
         bbncg_obs::counter_add(Counter::KernelPruneExact, t.prune_exact);
         bbncg_obs::counter_add(Counter::KernelBaseBfs, t.base_bfs);
         bbncg_obs::counter_add(Counter::KernelSessions, t.sessions);
@@ -333,7 +354,6 @@ impl DeviationScratch {
             bbncg_obs::counter_add(Counter::KernelSsspRepairs, t.priced);
             bbncg_obs::counter_add(Counter::KernelBaseRepaired, t.base_repaired);
             bbncg_obs::counter_add(Counter::KernelRepairFallbacks, t.repair_fallbacks);
-            bbncg_obs::counter_add(Counter::KernelPruneAbortSparse, t.prune_aborts);
             bbncg_obs::counter_add(Counter::KernelBoundCacheHits, t.bound_hits);
             bbncg_obs::counter_add(Counter::KernelBoundCacheMisses, t.bound_misses);
         }
@@ -658,9 +678,10 @@ impl DeviationScratch {
     /// Panics if no session is open.
     pub fn cost_of(&mut self, targets: &[NodeId]) -> u64 {
         let (u, _) = self.active.expect("no deviation session open");
-        // Rules price the player's current strategy and the
-        // improvement gate prices it again; one memo slot kills the
-        // second BFS (session state is fixed, so the cost is too).
+        // Searches and the greedy rule's gate price the player's
+        // current strategy more than once a session; one memo slot
+        // keeps it to one BFS (session state is fixed, so the cost is
+        // too).
         let is_current = targets == self.mirror.out(u);
         if is_current {
             if let Some(c) = self.memo_current {
@@ -675,8 +696,8 @@ impl DeviationScratch {
         cost
     }
 
-    /// Kernel-dispatched pricing with the component count already in
-    /// hand (so the pruned path computes merge stats exactly once).
+    /// Kernel-dispatched exact pricing, no incumbent, with the
+    /// component count already in hand.
     fn cost_with_kappa(&mut self, targets: &[NodeId], kappa: usize) -> u64 {
         let (u, model) = self.active.expect("no deviation session open");
         self.tally.priced += 1;
@@ -697,14 +718,16 @@ impl DeviationScratch {
         )
     }
 
-    /// Price `targets` only if its Lemma 2.2-style lower bound beats
-    /// `incumbent`: returns `None` (no BFS run) when the bound already
-    /// meets or exceeds the incumbent — such a candidate can never
-    /// *strictly* improve on it, so every search loop can skip it
-    /// without changing its result or its tie-breaking. In the MAX
-    /// model a candidate that leaves the graph disconnected is priced
-    /// exactly from the component structure alone (`κ'·n²`), also
-    /// without a BFS.
+    /// Price `targets` only if it can still strictly beat `incumbent`:
+    /// returns `None` when its Lemma 2.2-style lower bound already meets
+    /// or exceeds the incumbent (no BFS run), or when the kernel's
+    /// traversal proves part-way that the final cost will (an incumbent
+    /// abort against a [`PriceBudget`]). Either way the candidate can
+    /// never *strictly* improve on the incumbent, so every search loop
+    /// can skip it without changing its result or its tie-breaking. In
+    /// the MAX model a candidate that leaves the graph disconnected is
+    /// priced exactly from the component structure alone (`κ'·n²`),
+    /// also without a BFS.
     ///
     /// # Panics
     /// Panics if no session is open.
@@ -719,35 +742,32 @@ impl DeviationScratch {
             self.tally.prune_exact += 1;
             return Some(bound);
         }
-        // Sparse tier: price with a mid-repair incumbent abort — a
-        // candidate whose final cost provably meets the incumbent is
-        // abandoned part-way and reported as a prune skip (it can
-        // never be *strictly* better, so tie-breaking is unchanged).
-        if self.resolved == CostKernel::Sparse {
-            // Ball floor first: an earlier overshot abort may have
-            // already certified this single-target candidate at or
-            // over the incumbent — same skip semantics, zero BFS.
-            if let [t] = targets {
-                let ti = t.index();
-                if self.tb_lb_stamp[ti] == self.tb_epoch && self.tb_lb[ti] >= incumbent {
-                    self.tally.prune_skips += 1;
-                    return None;
-                }
+        // Sparse ball floor: an earlier overshot abort may have already
+        // certified this single-target candidate at or over the
+        // incumbent — same skip semantics, zero traversal.
+        if let (CostKernel::Sparse, [t]) = (self.resolved, targets) {
+            let ti = t.index();
+            if self.tb_lb_stamp[ti] == self.tb_epoch && self.tb_lb[ti] >= incumbent {
+                self.tally.prune_skips += 1;
+                return None;
             }
-            return match self.cost_bounded(targets, kappa, reachable, incumbent) {
-                Some(cost) => Some(cost),
-                None => {
-                    self.tally.prune_skips += 1;
-                    self.tally.prune_aborts += 1;
-                    None
-                }
-            };
         }
-        Some(self.cost_with_kappa(targets, kappa))
+        let cost = self.cost_bounded(targets, kappa, reachable, incumbent);
+        if cost.is_none() {
+            self.tally.prune_skips += 1;
+            self.tally.prune_aborts += 1;
+        }
+        cost
     }
 
-    /// Sparse pricing through [`SparseSssp::price_bounded`]: exact
-    /// stats unless the incumbent is provably unbeatable mid-repair.
+    /// Kernel-dispatched pricing with an incumbent abort: the exact
+    /// cost, or `None` once the traversal proves the cost meets
+    /// `incumbent`. The incumbent becomes one [`PriceBudget`] on the
+    /// traversal's own statistics — every kernel aborts on the same
+    /// budget: the queue and bitset BFS at the first completed level
+    /// that proves it, the sparse repair mid-level (with its sharper
+    /// degree-spill and slack bounds). κ and the reachable count come
+    /// from the caller's bound, so the merge stats are computed once.
     fn cost_bounded(
         &mut self,
         targets: &[NodeId],
@@ -762,7 +782,7 @@ impl DeviationScratch {
         let budget = match model {
             // SUM: cost = sum + (n − reachable)·C_inf, so the sum may
             // not reach incumbent − penalty. `max_dist` is never read.
-            CostModel::Sum => bbncg_graph::PriceBudget {
+            CostModel::Sum => PriceBudget {
                 sum: incumbent.saturating_sub((n - reachable) as u64 * cinf),
                 max: u32::MAX,
                 reachable,
@@ -771,7 +791,7 @@ impl DeviationScratch {
             // MAX: disconnected candidates were priced exactly by the
             // bound, so reachable == n and cost = eccentricity +
             // (κ − 1)·C_inf.
-            CostModel::Max => bbncg_graph::PriceBudget {
+            CostModel::Max => PriceBudget {
                 sum: u64::MAX,
                 max: incumbent
                     .saturating_sub((kappa as u64 - 1) * cinf)
@@ -780,51 +800,64 @@ impl DeviationScratch {
                 need_max: true,
             },
         };
-        // Single-target SUM candidates overshoot their abort so the
-        // certified bound clears the incumbent by BALL_OVERSHOOT
-        // levels' worth of sum — every vertex the repair touched
-        // within that radius inherits a total-cost floor at or over
-        // the incumbent and skips its own BFS later this session
-        // (see `tb_lb`).
+        let stats = match (self.resolved, &self.bits) {
+            (CostKernel::Sparse, _) => self.price_sparse_bounded(targets, &budget)?,
+            (_, Some(bits)) => self
+                .bitbfs
+                .run_patched_bounded(bits, u, u, targets, &budget)?,
+            (_, None) => self
+                .bfs
+                .run_patched_bounded(&self.patch, u, u, targets, &budget)?,
+        };
+        Some(cost_from_bfs(
+            model,
+            n,
+            kappa,
+            stats.visited,
+            stats.max_dist,
+            stats.sum_dist,
+        ))
+    }
+
+    /// Sparse pricing through [`SparseSssp::price_bounded_ball`]: exact
+    /// stats unless the budget is provably met mid-repair. Single-target
+    /// SUM candidates overshoot their abort so the certified bound
+    /// clears the budget by [`BALL_OVERSHOOT`] levels' worth of sum —
+    /// every vertex the repair touched within that radius inherits a
+    /// total-cost floor at or over the incumbent and skips its own
+    /// repair later this session (see `tb_lb`).
+    fn price_sparse_bounded(
+        &mut self,
+        targets: &[NodeId],
+        budget: &PriceBudget,
+    ) -> Option<BfsStats> {
+        let (u, model) = self.active.expect("no deviation session open");
         let ball = matches!(model, CostModel::Sum) && targets.len() == 1 && budget.sum < u64::MAX;
         let overshoot = if ball { BALL_OVERSHOOT } else { 0 };
         let mut buf = std::mem::take(&mut self.ball_buf);
         let res =
             self.sssp
-                .price_bounded_ball(&self.patch, u, targets, &budget, overshoot, &mut buf);
-        match res {
-            Ok(stats) => {
-                self.ball_buf = buf;
-                Some(cost_from_bfs(
-                    model,
-                    n,
-                    kappa,
-                    stats.visited,
-                    stats.max_dist,
-                    stats.sum_dist,
-                ))
-            }
-            Err(lb_sum) => {
-                if ball && lb_sum > 0 {
-                    let penalty = (n - reachable) as u64 * cinf;
-                    let floor = lb_sum + penalty;
-                    let reach = reachable as u64;
-                    for &(v, d) in &buf {
-                        let vi = v.index();
-                        let vlb = floor.saturating_sub(reach * (d as u64 - 1));
-                        if self.tb_lb_stamp[vi] == self.tb_epoch {
-                            self.tb_lb[vi] = self.tb_lb[vi].max(vlb);
-                        } else {
-                            self.tb_lb_stamp[vi] = self.tb_epoch;
-                            self.tb_lb[vi] = vlb;
-                        }
+                .price_bounded_ball(&self.patch, u, targets, budget, overshoot, &mut buf);
+        if let Err(lb_sum) = res {
+            if ball && lb_sum > 0 {
+                let n = self.n();
+                let reach = budget.reachable as u64;
+                let floor = lb_sum + (n as u64 - reach) * c_inf(n);
+                for &(v, d) in &buf {
+                    let vi = v.index();
+                    let vlb = floor.saturating_sub(reach * (d as u64 - 1));
+                    if self.tb_lb_stamp[vi] == self.tb_epoch {
+                        self.tb_lb[vi] = self.tb_lb[vi].max(vlb);
+                    } else {
+                        self.tb_lb_stamp[vi] = self.tb_epoch;
+                        self.tb_lb[vi] = vlb;
                     }
-                    buf.clear();
                 }
-                self.ball_buf = buf;
-                None
+                buf.clear();
             }
         }
+        self.ball_buf = buf;
+        res.ok()
     }
 
     /// Lower bound on the cost of the *specific* candidate `targets`

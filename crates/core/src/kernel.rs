@@ -16,7 +16,8 @@
 //!   [`BitAdjacency`](bbncg_graph::BitAdjacency) mirror maintained
 //!   incrementally through patch sessions: `O(n²/64)` word ops per
 //!   query, branch-light and cache-linear. A large constant-factor win
-//!   for the dense, repeated queries of larger instances.
+//!   for the dense, repeated queries of larger instances; an explicit
+//!   choice is refused above [`CostKernel::BITSET_MAX_N`] vertices.
 //! * [`CostKernel::Sparse`] — incremental repair over that CSR: the
 //!   session's base BFS is computed once per activation and every
 //!   candidate is priced by a decrease-only dynamic-SSSP repair
@@ -28,6 +29,15 @@
 //!   The tier that takes dynamics to n ≈ 10⁵–10⁶.
 //! * [`CostKernel::Auto`] — pick by instance size
 //!   ([`CostKernel::AUTO_BITSET_MIN_N`] / [`CostKernel::AUTO_BITSET_MAX_N`]).
+//!
+//! Every tier rejects candidates that cannot win part-way through
+//! their pricing: a search hands the engine its incumbent, the engine
+//! turns it into a [`PriceBudget`](bbncg_graph::PriceBudget), and the
+//! traversal stops as soon as its own partial statistics prove the
+//! final cost meets it — the queue and bitset BFS at the first
+//! completed level that does, the sparse repair mid-level with sharper
+//! bounds. Such a candidate could never strictly beat the incumbent,
+//! so the abort changes no result.
 //!
 //! The kernels are **move-for-move equivalent**: all produce identical
 //! [`BfsStats`](bbncg_graph::BfsStats) for every candidate, hence
@@ -70,6 +80,29 @@ impl CostKernel {
     /// for huge sparse instances the incremental-repair kernel wins on
     /// both memory and time.
     pub const AUTO_BITSET_MAX_N: usize = 8192;
+
+    /// Largest instance an *explicit* [`CostKernel::Bitset`] may run
+    /// on: its bit mirror takes n·⌈n/64⌉·8 bytes per engine — 32 MiB
+    /// here, 1.25 GB at n = 10⁵ — and every serve worker and sharded
+    /// helper builds one. Specs, `?kernel=` and `--kernel` asking for
+    /// bitset above it are refused ([`CostKernel::check_size`]).
+    /// [`CostKernel::Auto`] never picks bitset above
+    /// [`CostKernel::AUTO_BITSET_MAX_N`], so it is unaffected.
+    pub const BITSET_MAX_N: usize = 16_384;
+
+    /// Refuse a kernel that cannot run on `n` vertices: an explicit
+    /// bitset above [`CostKernel::BITSET_MAX_N`]. Every other kernel
+    /// runs at any size.
+    pub fn check_size(self, n: usize) -> Result<(), String> {
+        if self == CostKernel::Bitset && n > Self::BITSET_MAX_N {
+            return Err(format!(
+                "kernel bitset reaches {n} vertices, over its {}-vertex cap \
+                 (its bit matrix is n²/8 bytes per engine; use auto or sparse)",
+                Self::BITSET_MAX_N
+            ));
+        }
+        Ok(())
+    }
 
     /// The concrete kernel used for an `n`-vertex instance
     /// (never returns [`CostKernel::Auto`]).
@@ -156,5 +189,17 @@ mod tests {
         assert_eq!(CostKernel::Queue.resolve(10_000), CostKernel::Queue);
         assert_eq!(CostKernel::Bitset.resolve(2), CostKernel::Bitset);
         assert_eq!(CostKernel::Sparse.resolve(4), CostKernel::Sparse);
+    }
+
+    #[test]
+    fn only_an_explicit_bitset_has_a_size_cap() {
+        let cap = CostKernel::BITSET_MAX_N;
+        assert!(CostKernel::AUTO_BITSET_MAX_N <= cap);
+        assert_eq!(CostKernel::Bitset.check_size(cap), Ok(()));
+        let err = CostKernel::Bitset.check_size(cap + 1).unwrap_err();
+        assert!(err.contains("16384-vertex cap"), "{err}");
+        for k in [CostKernel::Queue, CostKernel::Sparse, CostKernel::Auto] {
+            assert_eq!(k.check_size(usize::MAX), Ok(()));
+        }
     }
 }

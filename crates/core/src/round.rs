@@ -41,15 +41,18 @@
 //!   ([`DeviationScratch::cost_lower_bound`]) has proven the optimum,
 //!   so later slices stop: their candidates could at best tie and lose.
 //!
-//! Pruning only skips candidates that cannot strictly beat an incumbent
-//! found earlier in the enumeration, as in the sequential loop.
+//! Every engine starts its search from the player's current cost, as
+//! the sequential search does, and keeps only strict improvements on
+//! it. Pruning and incumbent aborts only skip candidates that cannot
+//! strictly beat that cost or an incumbent found earlier in the
+//! enumeration, as in the sequential loop.
 //! Enforced by `tests/round_parity.rs` and the CI byte-diff of
 //! `--threads 1` vs `--threads 8` scenario record streams.
 
 use crate::best_response::{
-    assert_enumerable, best_swap_over, best_swap_response_with, current_strategy, exact_best_over,
-    exact_best_response_with, first_improving_response_with, greedy_best_response_with,
-    ScoredStrategy, Slices,
+    assert_enumerable, best_swap_improvement, best_swap_over, current_cost, exact_best_improvement,
+    exact_best_over, first_improving_response_with, greedy_best_response_with, ScoredStrategy,
+    Slices,
 };
 use crate::cost::CostModel;
 use crate::deviation::DeviationScratch;
@@ -79,7 +82,9 @@ pub enum RoundExecutor {
     /// there would oversubscribe the machine quadratically), and the
     /// instance has at least 3 players; sequential otherwise. A sharded
     /// `Auto` run splits only the activations whose candidate work
-    /// clears [`RoundExecutor::SHARD_MIN_WORK`].
+    /// clears [`RoundExecutor::SHARD_MIN_WORK`] and whose player could
+    /// still improve (a current cost at the Lemma 2.2 floor settles the
+    /// activation on one engine without pricing a candidate).
     #[default]
     Auto,
 }
@@ -179,10 +184,17 @@ impl std::fmt::Display for RoundExecutor {
 }
 
 /// The decision one activation of player `u` makes against `state`:
-/// `Some(targets)` iff the player moves (rule dispatch plus the
-/// strict-improvement gate). With `shards`, exact and swap activations
-/// worth splitting price across the helper engines; everything else
-/// prices on `scratch`.
+/// `Some(targets)` iff the player moves. With `shards`, exact and swap
+/// activations worth splitting price across the helper engines;
+/// everything else prices on `scratch`.
+///
+/// The exact and swap searches start from the current strategy's cost
+/// as their incumbent and return only a strict improvement, so every
+/// candidate that cannot beat the current strategy is pruned or
+/// aborted from the first one on; first-improving returns only strict
+/// improvements by definition. Greedy alone can hand back a strategy
+/// no cheaper than the current one, so it alone passes the
+/// strict-improvement gate, priced through the still-open session.
 pub(crate) fn respond(
     scratch: &mut DeviationScratch,
     shards: Option<&mut Shards>,
@@ -193,32 +205,30 @@ pub(crate) fn respond(
     if state.graph().out_degree(u) == 0 {
         return None;
     }
+    let model = cfg.model;
     let split = match (cfg.rule, shards) {
-        (ResponseRule::ExactBest, Some(shards)) => shards.exact_best(scratch, state, u, cfg.model),
-        (ResponseRule::BestSwap, Some(shards)) => shards.best_swap(scratch, state, u, cfg.model),
+        (ResponseRule::ExactBest, Some(shards)) => shards.exact_best(scratch, state, u, model),
+        (ResponseRule::BestSwap, Some(shards)) => shards.best_swap(scratch, state, u, model),
         _ => None,
     };
-    let sharded = split.is_some();
-    let candidate = match split {
-        Some(candidate) => candidate,
-        None => match cfg.rule {
-            ResponseRule::ExactBest => exact_best_response_with(scratch, state, u, cfg.model),
-            ResponseRule::FirstImproving => {
-                first_improving_response_with(scratch, state, u, cfg.model)?
+    let better = match split {
+        Some(better) => {
+            if better.is_some() {
+                bbncg_obs::counter_inc(Counter::RoundsCommits);
             }
-            ResponseRule::Greedy => greedy_best_response_with(scratch, state, u, cfg.model),
-            ResponseRule::BestSwap => best_swap_response_with(scratch, state, u, cfg.model)?,
+            better
+        }
+        None => match cfg.rule {
+            ResponseRule::ExactBest => exact_best_improvement(scratch, state, u, model),
+            ResponseRule::FirstImproving => first_improving_response_with(scratch, state, u, model),
+            ResponseRule::Greedy => {
+                let greedy = greedy_best_response_with(scratch, state, u, model);
+                (greedy.cost < scratch.cost_of(state.strategy(u))).then_some(greedy)
+            }
+            ResponseRule::BestSwap => best_swap_improvement(scratch, state, u, model),
         },
     };
-    // FirstImproving only returns strictly improving strategies; the
-    // other rules may hand back the current cost, so price the
-    // incumbent through the still-open session to compare.
-    let improved = cfg.rule == ResponseRule::FirstImproving
-        || candidate.cost < scratch.cost_of(state.strategy(u));
-    if sharded && improved {
-        bbncg_obs::counter_inc(Counter::RoundsCommits);
-    }
-    improved.then_some(candidate.targets)
+    better.map(|s| s.targets)
 }
 
 /// The helper engines of one sharded dynamics run. They are built once
@@ -231,7 +241,8 @@ pub(crate) struct Shards {
     helpers: Vec<DeviationScratch>,
     /// Explicit [`RoundExecutor::Sharded`]: split every activation with
     /// two or more slices. Otherwise (`Auto`) split only those whose
-    /// work clears [`RoundExecutor::SHARD_MIN_WORK`].
+    /// work clears [`RoundExecutor::SHARD_MIN_WORK`] and whose player
+    /// is not already at the Lemma 2.2 floor.
     always: bool,
 }
 
@@ -255,15 +266,26 @@ impl Shards {
         self.always || candidates.saturating_mul(n as u64) >= RoundExecutor::SHARD_MIN_WORK
     }
 
-    /// Sharded exact best response, or `None` when the activation is
-    /// not worth splitting (the caller prices it on one engine).
+    /// Is there anything to price? A player whose `current` cost sits
+    /// at the Lemma 2.2 floor of its `b`-arc strategies has no strict
+    /// improvement, so every engine would stop at once: not worth a
+    /// split unless the split is explicit.
+    fn worth_pricing(&self, scratch: &DeviationScratch, current: u64, b: usize) -> bool {
+        self.always || current > scratch.cost_lower_bound(b)
+    }
+
+    /// Sharded [`exact_best_improvement`]: `None` when the activation
+    /// is not worth splitting (the caller prices it on one engine),
+    /// otherwise the best strict improvement, if any. The caller's
+    /// engine prices the current strategy once and every engine
+    /// searches below that cost.
     fn exact_best(
         &mut self,
         scratch: &mut DeviationScratch,
         state: &Realization,
         u: NodeId,
         model: CostModel,
-    ) -> Option<ScoredStrategy> {
+    ) -> Option<Option<ScoredStrategy>> {
         let n = state.n();
         let b = state.graph().out_degree(u);
         if !self.worth_splitting(enumeration_count(n - 1, b), n) {
@@ -274,21 +296,25 @@ impl Shards {
         if ranges.len() < 2 {
             return None;
         }
-        let best = self.run(scratch, &ranges, |engine, slices| {
-            exact_best_over(engine, state, u, model, slices)
-        });
-        Some(best.expect("at least one strategy exists"))
+        let current = current_cost(scratch, state, u, model);
+        if !self.worth_pricing(scratch, current, b) {
+            return None;
+        }
+        Some(self.run(scratch, &ranges, |engine, slices| {
+            exact_best_over(engine, state, u, model, current, slices)
+        }))
     }
 
-    /// Sharded best swap, or `None` when the activation is not worth
-    /// splitting.
+    /// Sharded [`best_swap_improvement`]: `None` when the activation is
+    /// not worth splitting, otherwise the best strict improvement, if
+    /// any. Every engine searches below the current cost.
     fn best_swap(
         &mut self,
         scratch: &mut DeviationScratch,
         state: &Realization,
         u: NodeId,
         model: CostModel,
-    ) -> Option<ScoredStrategy> {
+    ) -> Option<Option<ScoredStrategy>> {
         let n = state.n();
         let pairs = state.strategy(u).len() * n;
         if !self.worth_splitting(pairs as u64, n) {
@@ -298,10 +324,13 @@ impl Shards {
         if ranges.len() < 2 {
             return None;
         }
-        let best = self.run(scratch, &ranges, |engine, slices| {
+        let current = current_cost(scratch, state, u, model);
+        if !self.worth_pricing(scratch, current, state.strategy(u).len()) {
+            return None;
+        }
+        Some(self.run(scratch, &ranges, |engine, slices| {
             best_swap_over(engine, state, u, model, slices)
-        });
-        Some(best.unwrap_or_else(|| current_strategy(scratch, state, u)))
+        }))
     }
 
     /// How many slices an activation is cut into.

@@ -19,6 +19,13 @@
 //! queue traversal, so distances (and therefore costs) agree bit for
 //! bit.
 //!
+//! [`BitBfsScratch::run_patched_bounded`] adds the incumbent abort:
+//! the traversal is level-synchronous, so after each level it applies
+//! [`PriceBudget::met_after_level`] to the popcount totals and stops
+//! as soon as the final sum or eccentricity provably meets the budget.
+//! The unbounded entry points run the same loop with
+//! [`PriceBudget::unbounded`].
+//!
 //! The traversal is **direction-optimizing** (Beamer et al.): levels
 //! whose frontier is small expand *top-down* (OR the rows of frontier
 //! members), while levels whose frontier rivals the unvisited
@@ -29,7 +36,7 @@
 //! re-expansion of saturated middle levels, which is where a bitset
 //! BFS on sparse graphs burns most of its word ops.
 
-use crate::bfs::BfsStats;
+use crate::bfs::{BfsStats, PriceBudget};
 use crate::bitadj::BitAdjacency;
 use crate::node::NodeId;
 
@@ -39,7 +46,7 @@ pub struct BitBfsScratch {
     frontier: Vec<u64>,
     next: Vec<u64>,
     visited: Vec<u64>,
-    /// Patch-target mask for [`Self::run_patched`].
+    /// Patch-target mask for [`Self::run_patched_bounded`].
     mask: Vec<u64>,
 }
 
@@ -89,6 +96,32 @@ impl BitBfsScratch {
         patch_owner: NodeId,
         patch_targets: &[NodeId],
     ) -> BfsStats {
+        self.run_patched_bounded(
+            g,
+            src,
+            patch_owner,
+            patch_targets,
+            &PriceBudget::unbounded(),
+        )
+        .expect("unbounded traversal cannot abort")
+    }
+
+    /// [`Self::run_patched`] with an incumbent abort: returns `None` as
+    /// soon as a completed level proves the final stats meet `budget`
+    /// ([`PriceBudget::met_after_level`]), and otherwise exactly the
+    /// stats of the full traversal, with an exact `max_dist` whatever
+    /// `budget.need_max` says.
+    ///
+    /// # Panics
+    /// Panics if `src`, `patch_owner` or any target is out of range.
+    pub fn run_patched_bounded(
+        &mut self,
+        g: &BitAdjacency,
+        src: NodeId,
+        patch_owner: NodeId,
+        patch_targets: &[NodeId],
+        budget: &PriceBudget,
+    ) -> Option<BfsStats> {
         let words = g.words();
         assert!(
             src.index() < g.n(),
@@ -201,13 +234,16 @@ impl BitBfsScratch {
             frontier_count = newly as usize;
             sum_dist += depth as u64 * newly;
             max_dist = depth;
+            if budget.met_after_level(depth, visited_count, sum_dist) {
+                return None;
+            }
             std::mem::swap(frontier, next);
         }
-        BfsStats {
+        Some(BfsStats {
             visited: visited_count,
             max_dist,
             sum_dist,
-        }
+        })
     }
 
     /// Visited bitset of the most recent run (valid until the next
@@ -313,6 +349,52 @@ mod tests {
     fn out_of_range_source_panics() {
         let bits = BitAdjacency::new(0);
         BitBfsScratch::new(0).run(&bits, v(0));
+    }
+
+    #[test]
+    fn bounded_run_stops_after_the_first_proving_level() {
+        // Path 0-…-69 from 0 (two words): the true sum is 2415. After
+        // level ℓ the SUM bound is ℓ(ℓ+1)/2 + (ℓ+1)(69 − ℓ) — 137 at
+        // level 1 — and the MAX bound ℓ + 1 while vertices remain.
+        let n = 70;
+        let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+        let (csr, bits) = both(n, &edges);
+        let want = BfsScratch::new(n).run(&csr, v(0));
+        assert_eq!(want.sum_dist, 2415);
+        let mut b = BitBfsScratch::new(n);
+        let visited = |b: &BitBfsScratch| {
+            b.visited_words()
+                .iter()
+                .map(|w| w.count_ones())
+                .sum::<u32>()
+        };
+        let sum = |sum| PriceBudget {
+            sum,
+            max: u32::MAX,
+            reachable: n,
+            need_max: false,
+        };
+        assert_eq!(
+            b.run_patched_bounded(&bits, v(0), v(0), &[], &sum(137)),
+            None
+        );
+        assert_eq!(visited(&b), 2, "stopped after level 1");
+        assert_eq!(
+            b.run_patched_bounded(&bits, v(0), v(0), &[], &sum(2415)),
+            None
+        );
+        let full = b.run_patched_bounded(&bits, v(0), v(0), &[], &sum(2416));
+        assert_eq!(full, Some(want));
+        let max = |max| PriceBudget {
+            sum: u64::MAX,
+            max,
+            reachable: n,
+            need_max: true,
+        };
+        assert_eq!(b.run_patched_bounded(&bits, v(0), v(0), &[], &max(5)), None);
+        assert_eq!(visited(&b), 5, "stopped after level 4");
+        let full = b.run_patched_bounded(&bits, v(0), v(0), &[], &max(70));
+        assert_eq!(full, Some(want));
     }
 
     #[test]

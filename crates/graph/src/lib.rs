@@ -50,7 +50,7 @@ pub mod node;
 pub mod sssp;
 
 pub use adjacency::Adjacency;
-pub use bfs::{BfsScratch, BfsStats, UNREACHED};
+pub use bfs::{BfsScratch, BfsStats, PriceBudget, UNREACHED};
 pub use bitadj::BitAdjacency;
 pub use bitbfs::BitBfsScratch;
 pub use compact::CompactCsr;
@@ -68,4 +68,4 @@ pub use distance::{
 };
 pub use metrics::GraphMetrics;
 pub use node::{node_ids, NodeId};
-pub use sssp::{PriceBudget, RepairOutcome, SparseSssp};
+pub use sssp::{RepairOutcome, SparseSssp};

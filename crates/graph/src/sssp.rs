@@ -2,8 +2,9 @@
 //! pricing.
 //!
 //! The queue and bitset kernels price every candidate strategy with a
-//! *full* patched BFS — O(n + m) or O(n²/64) per candidate even when
-//! the candidate changes almost nothing. The sparse kernel exploits the
+//! patched BFS from scratch — O(n + m) or O(n²/64) per candidate, cut
+//! short only by the incumbent abort, even when the candidate changes
+//! almost nothing. The sparse kernel exploits the
 //! structure of a best-response session instead: the session graph `G₀`
 //! (the deviator `u` detached) is fixed, and every candidate `T` only
 //! *adds* the star `{u, t}` for `t ∈ T`. Distances from `u` can
@@ -31,42 +32,8 @@
 //! touching the graph.
 
 use crate::adjacency::Adjacency;
-use crate::bfs::{BfsStats, UNREACHED};
+use crate::bfs::{BfsStats, PriceBudget, UNREACHED};
 use crate::node::NodeId;
-
-/// Abort thresholds for [`SparseSssp::price_bounded`]: the repair stops
-/// (and reports `None`) as soon as the final stats provably meet either
-/// budget, because the caller's incumbent can then never be beaten.
-#[derive(Clone, Copy, Debug)]
-pub struct PriceBudget {
-    /// Abort once the final sum of finite distances is provably
-    /// `≥ sum`. `u64::MAX` disables the sum check.
-    pub sum: u64,
-    /// Abort once the final eccentricity is provably `≥ max`.
-    /// `u32::MAX` disables the eccentricity check.
-    pub max: u32,
-    /// Exact number of vertices reachable from the source under this
-    /// candidate (merged component sizes) — every one of them ends at a
-    /// finite distance, which is what makes the mid-BFS sum bound
-    /// sound. Ignored when both checks are disabled.
-    pub reachable: usize,
-    /// Maintain the histogram and return an exact `max_dist`. SUM-model
-    /// callers pass `false` and get `max_dist = 0` back (their cost
-    /// formula never reads it), which skips all histogram bookkeeping.
-    pub need_max: bool,
-}
-
-impl PriceBudget {
-    /// No abort, exact stats — [`SparseSssp::price`] semantics.
-    pub fn unbounded() -> Self {
-        PriceBudget {
-            sum: u64::MAX,
-            max: u32::MAX,
-            reachable: 0,
-            need_max: true,
-        }
-    }
-}
 
 /// Result of a [`SparseSssp::repair_batch`] attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

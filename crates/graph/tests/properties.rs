@@ -16,6 +16,23 @@ fn random_connected(n: usize, extra: usize, seed: u64) -> Csr {
     Csr::from_edges(n, &edges)
 }
 
+/// A graph for the bounded-traversal property: a random realization
+/// (often disconnected), or a deep one — a path, a spider, a perfect
+/// binary tree — where an abort fires many levels in.
+fn bounded_bfs_graph(kind: usize, size: usize, seed: u64) -> CompactCsr {
+    let g = match kind {
+        0 => {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let budgets: Vec<usize> = (0..size).map(|i| (i + seed as usize) % 3).collect();
+            generators::random_realization(&budgets, &mut rng)
+        }
+        1 => generators::path(size),
+        2 => generators::spider(size / 3),
+        _ => generators::perfect_binary_tree(1 + (size % 6) as u32),
+    };
+    CompactCsr::from_digraph(&g)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -445,6 +462,70 @@ proptest! {
                 bbncg_graph::RepairOutcome::TooDamaged => {
                     // Bail-out left the scratch stale; fall back.
                     sssp.rebase(&after, src);
+                }
+            }
+        }
+    }
+
+    /// The level rule of the queue and bitset kernels is a sound and
+    /// tight prune. Against SUM and MAX budgets one under, at and one
+    /// over the true value: a traversal that completes returns exactly
+    /// the unbounded stats, an abort happens only when those stats
+    /// meet the budget, a budget over the true value never aborts, and
+    /// one at or under it aborts by the last level at the latest
+    /// (once the candidate reaches past the source's neighbours).
+    #[test]
+    fn bounded_bfs_aborts_are_sound_and_tight(
+        kind in 0usize..4,
+        size in 3usize..60,
+        seed in 0u64..500,
+    ) {
+        let compact = bounded_bfs_graph(kind, size, seed);
+        let n = compact.n();
+        let bits = BitAdjacency::from_adjacency(&compact);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xB0B);
+        let mut bfs = BfsScratch::new(n);
+        let mut bounded = BfsScratch::new(n);
+        let mut bitbfs = BitBfsScratch::new(n);
+        for _ in 0..4 {
+            let src = NodeId::new(rng.gen_range(0..n));
+            let k = rng.gen_range(0..3usize);
+            let targets: Vec<NodeId> = (0..k).map(|_| NodeId::new(rng.gen_range(0..n))).collect();
+            let want = bfs.run_patched(&compact, src, src, &targets);
+            let mut budgets = Vec::new();
+            for delta in [-1i64, 0, 1] {
+                budgets.push(PriceBudget {
+                    sum: want.sum_dist.saturating_add_signed(delta),
+                    max: u32::MAX,
+                    reachable: want.visited,
+                    need_max: false,
+                });
+                budgets.push(PriceBudget {
+                    sum: u64::MAX,
+                    max: (want.max_dist as i64 + delta).max(0) as u32,
+                    reachable: want.visited,
+                    need_max: true,
+                });
+            }
+            for budget in &budgets {
+                let met = want.sum_dist >= budget.sum || want.max_dist >= budget.max;
+                let must_abort = if budget.sum != u64::MAX {
+                    met && want.max_dist >= 1
+                } else {
+                    met && want.max_dist >= 2
+                };
+                let got = [
+                    bounded.run_patched_bounded(&compact, src, src, &targets, budget),
+                    bitbfs.run_patched_bounded(&bits, src, src, &targets, budget),
+                ];
+                for (kernel, got) in ["queue", "bitset"].into_iter().zip(got) {
+                    match got {
+                        Some(st) => {
+                            prop_assert!(st == want, "{} completed with {:?}, not {:?}", kernel, st, want);
+                            prop_assert!(!must_abort, "{} missed an abort: {:?} vs {:?}", kernel, budget, want);
+                        }
+                        None => prop_assert!(met, "{} aborted unsoundly: {:?} vs {:?}", kernel, budget, want),
+                    }
                 }
             }
         }

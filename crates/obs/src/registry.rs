@@ -76,13 +76,17 @@ pub enum Counter {
     KernelPricedBitset,
     /// Candidates priced by the sparse dynamic-SSSP kernel.
     KernelPricedSparse,
-    /// Candidates skipped by the Lemma 2.2 lower bound (queue kernel).
+    /// Candidates skipped as unable to beat the incumbent (queue
+    /// kernel): the Lemma 2.2 lower bound and in-flight incumbent
+    /// aborts both land here.
     KernelPruneSkipQueue,
-    /// Candidates skipped by the Lemma 2.2 lower bound (bitset kernel).
+    /// Candidates skipped as unable to beat the incumbent (bitset
+    /// kernel): the Lemma 2.2 lower bound and in-flight incumbent
+    /// aborts both land here.
     KernelPruneSkipBitset,
-    /// Candidates skipped without a traversal (sparse kernel): the
-    /// Lemma 2.2 lower bound, in-flight incumbent aborts, and
-    /// overshoot-ball floors all land here.
+    /// Candidates skipped as unable to beat the incumbent (sparse
+    /// kernel): the Lemma 2.2 lower bound, in-flight incumbent aborts,
+    /// and overshoot-ball floors all land here.
     KernelPruneSkipSparse,
     /// Candidates priced exactly from the bound, without a BFS.
     KernelPruneExact,
@@ -95,8 +99,14 @@ pub enum Counter {
     /// epoch mismatch, or diff-journal overflow) — each one costs a
     /// full base BFS.
     KernelRepairFallbacks,
-    /// Sparse pricings aborted mid-repair by the incumbent bound
-    /// (counted inside the prune-skip totals as well).
+    /// Queue-kernel pricings aborted part-way by the incumbent bound
+    /// (counted inside the priced and prune-skip totals as well).
+    KernelPruneAbortQueue,
+    /// Bitset-kernel pricings aborted part-way by the incumbent bound
+    /// (counted inside the priced and prune-skip totals as well).
+    KernelPruneAbortBitset,
+    /// Sparse-kernel pricings aborted mid-repair by the incumbent
+    /// bound (counted inside the priced and prune-skip totals as well).
     KernelPruneAbortSparse,
     /// Per-target candidate-bound cache hits (sparse sessions).
     KernelBoundCacheHits,
@@ -150,7 +160,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters in the catalogue.
-    pub const COUNT: usize = 35;
+    pub const COUNT: usize = 37;
 
     /// Every counter, in export order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -166,6 +176,8 @@ impl Counter {
         Counter::KernelSsspRepairs,
         Counter::KernelBaseRepaired,
         Counter::KernelRepairFallbacks,
+        Counter::KernelPruneAbortQueue,
+        Counter::KernelPruneAbortBitset,
         Counter::KernelPruneAbortSparse,
         Counter::KernelBoundCacheHits,
         Counter::KernelBoundCacheMisses,
@@ -207,7 +219,9 @@ impl Counter {
             Counter::KernelBaseRepaired | Counter::KernelRepairFallbacks => {
                 "bbncg_kernel_base_repairs_total"
             }
-            Counter::KernelPruneAbortSparse => "bbncg_kernel_prune_aborts_total",
+            Counter::KernelPruneAbortQueue
+            | Counter::KernelPruneAbortBitset
+            | Counter::KernelPruneAbortSparse => "bbncg_kernel_prune_aborts_total",
             Counter::KernelBoundCacheHits | Counter::KernelBoundCacheMisses => {
                 "bbncg_kernel_bound_cache_total"
             }
@@ -237,9 +251,15 @@ impl Counter {
     /// Prometheus label set (without braces), empty when unlabelled.
     pub fn labels(self) -> &'static str {
         match self {
-            Counter::KernelPricedQueue | Counter::KernelPruneSkipQueue => "kernel=\"queue\"",
-            Counter::KernelPricedBitset | Counter::KernelPruneSkipBitset => "kernel=\"bitset\"",
-            Counter::KernelPricedSparse | Counter::KernelPruneSkipSparse => "kernel=\"sparse\"",
+            Counter::KernelPricedQueue
+            | Counter::KernelPruneSkipQueue
+            | Counter::KernelPruneAbortQueue => "kernel=\"queue\"",
+            Counter::KernelPricedBitset
+            | Counter::KernelPruneSkipBitset
+            | Counter::KernelPruneAbortBitset => "kernel=\"bitset\"",
+            Counter::KernelPricedSparse
+            | Counter::KernelPruneSkipSparse
+            | Counter::KernelPruneAbortSparse => "kernel=\"sparse\"",
             Counter::KernelBaseRepaired => "outcome=\"repaired\"",
             Counter::KernelRepairFallbacks => "outcome=\"fallback\"",
             Counter::KernelBoundCacheHits => "result=\"hit\"",
@@ -266,15 +286,17 @@ impl Counter {
             Counter::KernelPruneSkipQueue
             | Counter::KernelPruneSkipBitset
             | Counter::KernelPruneSkipSparse => {
-                "Candidates skipped by the Lemma 2.2 lower bound, by cost kernel"
+                "Candidates skipped by the Lemma 2.2 lower bound or an incumbent abort, by cost kernel"
             }
             Counter::KernelPruneExact => "Candidates priced exactly from the bound without a BFS",
             Counter::KernelSsspRepairs => "Decrease-only dynamic-SSSP repairs (sparse kernel)",
             Counter::KernelBaseRepaired | Counter::KernelRepairFallbacks => {
                 "Retained-base repair attempts at session open, by outcome"
             }
-            Counter::KernelPruneAbortSparse => {
-                "Sparse pricings aborted mid-repair by the incumbent bound"
+            Counter::KernelPruneAbortQueue
+            | Counter::KernelPruneAbortBitset
+            | Counter::KernelPruneAbortSparse => {
+                "Pricings aborted part-way by the incumbent bound, by cost kernel"
             }
             Counter::KernelBoundCacheHits | Counter::KernelBoundCacheMisses => {
                 "Per-target candidate-bound cache lookups (sparse sessions)"

@@ -8,6 +8,7 @@
 use crate::toml::{self, SpecError, TomlTable, Value};
 use bbncg_core::{CostKernel, CostModel, DynamicsConfig, PlayerOrder, ResponseRule, RoundExecutor};
 use bbncg_graph::generators::{family_size, MAX_ARCS, MAX_VERTICES};
+use std::collections::HashSet;
 
 /// Most seeds one sweep may run (loadgen's cache leg runs 256). A
 /// sweep keeps every seed's final state, so a larger instance lowers
@@ -167,9 +168,28 @@ impl ScenarioSpec {
     /// caller that overrides `seeds` after parsing (serve's `?seeds=`)
     /// calls this again.
     pub fn check_sweep(&self) -> Result<(), SpecError> {
-        let peak = self.phases.iter().fold(init_size(&self.init), grow);
-        check_sweep(0, self.seeds, peak)
+        check_sweep(0, self.seeds, self.peak())
     }
+
+    /// Check the kernel against the instance it would run on
+    /// ([`CostKernel::check_size`]), as `parse_spec` does; a caller
+    /// that overrides `kernel` after parsing (serve's `?kernel=`, the
+    /// CLI's `--kernel`) calls this again.
+    pub fn check_kernel(&self) -> Result<(), SpecError> {
+        check_kernel(0, self.kernel, self.peak())
+    }
+
+    /// The most `(vertices, arcs)` a run of this spec can hold.
+    fn peak(&self) -> (usize, usize) {
+        self.phases.iter().fold(init_size(&self.init), grow)
+    }
+}
+
+/// Refuse a kernel that cannot run on the peak instance.
+fn check_kernel(line: usize, kernel: CostKernel, (v, _): (usize, usize)) -> Result<(), SpecError> {
+    kernel
+        .check_size(v)
+        .map_err(|e| SpecError::at(line, format!("[dynamics] {e}")))
 }
 
 /// `(vertices, arcs)` of the initial profile.
@@ -392,12 +412,15 @@ fn parse_init(t: &TomlTable) -> Result<InitSpec, SpecError> {
                 }
             };
             let mut arcs = Vec::with_capacity(raw.len());
+            // A hash set keeps the duplicate check linear in the arc
+            // count: serve parses posted specs on its event-loop thread.
+            let mut seen = HashSet::with_capacity(raw.len());
             for item in raw {
                 match item {
                     Value::List(pair) => match pair.as_slice() {
                         [Value::Int(u), Value::Int(v)] if *u >= 0 && *v >= 0 => {
                             let (u, v) = (*u as usize, *v as usize);
-                            if u >= n || v >= n || u == v || arcs.contains(&(u, v)) {
+                            if u >= n || v >= n || u == v || !seen.insert((u, v)) {
                                 return Err(SpecError::at(
                                     t.line,
                                     format!("[init] invalid arc [{u}, {v}]"),
@@ -683,6 +706,7 @@ pub fn parse_spec(text: &str) -> Result<ScenarioSpec, SpecError> {
         check_size(t.line, &format!("[[phase]] {}", phase.kind()), peak)?;
     }
     check_sweep(sc.line, seeds, peak)?;
+    check_kernel(dy.line, kernel, peak)?;
 
     Ok(ScenarioSpec {
         name,

@@ -1,11 +1,14 @@
 //! Instance-size caps: a spec names the instance a run will allocate,
 //! so `parse_spec` bounds the peak vertex count, the peak arc count
 //! (Σ budgets over the initial profile and every arrival and budget
-//! grant) and the sweep width before anything is allocated. Each
-//! refusal is a line-numbered `SpecError`. The caps must still admit
-//! every checked-in spec, loadgen's 256-seed churn sweep and an
-//! n ≈ 10⁶ single run.
+//! grant), the sweep width and an explicit bitset kernel's bit matrix
+//! before anything is allocated. Each refusal is a line-numbered
+//! `SpecError`. The caps must still admit every checked-in spec,
+//! loadgen's 256-seed churn sweep and an n ≈ 10⁶ single run. Inline
+//! arc lists are checked for duplicates in time linear in their
+//! length.
 
+use bbncg_core::CostKernel;
 use bbncg_graph::generators::{MAX_ARCS, MAX_VERTICES};
 use bbncg_scenario::spec::MAX_SEEDS;
 use bbncg_scenario::{parse_spec, run_scenario, MemorySink};
@@ -123,4 +126,86 @@ fn sweep_width_cap_shrinks_with_the_instance() {
     assert!(spec.check_sweep().is_err());
     spec.seeds = MAX_SEEDS;
     spec.check_sweep().unwrap();
+}
+
+#[test]
+fn explicit_bitset_kernel_is_capped_at_the_peak_vertex_count() {
+    let cap = CostKernel::BITSET_MAX_N;
+    let spec = |n: usize, kernel: &str, phases: &str| {
+        format!(
+            "[init]\nfamily = \"uniform\"\nn = {n}\nbudget = 1\n\n\
+             [dynamics]\nkernel = \"{kernel}\"\n\n\
+             [[phase]]\nkind = \"dynamics\"\n{phases}"
+        )
+    };
+    parse_spec(&spec(cap, "bitset", "")).unwrap();
+    let err = parse_spec(&spec(cap + 1, "bitset", "")).unwrap_err();
+    assert_eq!(err.line, 6, "{err}");
+    assert!(
+        err.msg.contains("kernel bitset") && err.msg.contains("cap"),
+        "{err}"
+    );
+    // Arrivals count: the matrix is rebuilt at the grown size.
+    let arrive = "\n[[phase]]\nkind = \"arrive\"\ncount = 1\nbudget = 1\n";
+    let err = parse_spec(&spec(cap, "bitset", arrive)).unwrap_err();
+    assert_eq!(err.line, 6, "{err}");
+    // Every other kernel runs at any size Auto could meet.
+    for kernel in ["auto", "queue", "sparse"] {
+        parse_spec(&spec(cap + 1, kernel, arrive)).unwrap();
+    }
+
+    // An override after parsing (serve's `?kernel=`, `--kernel`)
+    // re-checks.
+    let mut spec = parse_spec(&spec(cap + 1, "auto", "")).unwrap();
+    spec.check_kernel().unwrap();
+    spec.kernel = CostKernel::Bitset;
+    let err = spec.check_kernel().unwrap_err();
+    assert!(err.msg.contains("kernel bitset"), "{err}");
+    spec.kernel = CostKernel::Sparse;
+    spec.check_kernel().unwrap();
+}
+
+fn inline(n: usize, arcs: &[(usize, usize)]) -> String {
+    let list: Vec<String> = arcs.iter().map(|(u, v)| format!("[{u}, {v}]")).collect();
+    format!(
+        "[init]\nfamily = \"inline\"\nn = {n}\narcs = [{}]\n\n[[phase]]\nkind = \"reorient\"\n",
+        list.join(", ")
+    )
+}
+
+#[test]
+fn inline_arc_lists_reject_duplicates_anywhere() {
+    // A duplicate far from its first occurrence, and the first bad arc
+    // of several is the one reported.
+    let mut arcs: Vec<(usize, usize)> = (1..200).map(|v| (0, v)).collect();
+    arcs.push((5, 6));
+    arcs.push((0, 150));
+    arcs.push((7, 7));
+    let err = parse_spec(&inline(200, &arcs)).unwrap_err();
+    assert_eq!(err.line, 1, "{err}");
+    assert_eq!(err.msg, "[init] invalid arc [0, 150]");
+    // The reverse arc is a different arc (a brace), not a duplicate.
+    parse_spec(&inline(3, &[(0, 1), (1, 0)])).unwrap();
+    let err = parse_spec(&inline(3, &[(0, 1), (1, 0), (0, 1)])).unwrap_err();
+    assert_eq!(err.msg, "[init] invalid arc [0, 1]");
+}
+
+#[test]
+fn a_large_distinct_inline_arc_list_parses_in_order() {
+    // 100 000 distinct arcs, a ~1 MB spec.
+    let n = 1000;
+    let arcs: Vec<(usize, usize)> = (0..100_000)
+        .map(|i| (i % n, (i % n + 1 + i / n) % n))
+        .collect();
+    let spec = parse_spec(&inline(n, &arcs)).unwrap();
+    match spec.init {
+        bbncg_scenario::InitSpec::Inline {
+            n: got_n,
+            arcs: got,
+        } => {
+            assert_eq!(got_n, n);
+            assert_eq!(got, arcs);
+        }
+        other => panic!("not inline: {other:?}"),
+    }
 }

@@ -790,6 +790,7 @@ fn build_job_kind(req: &Request, default_executor: RoundExecutor) -> Result<JobK
             }
             if req.query_get("kernel").is_some() {
                 spec.kernel = parse_kernel_param(req)?;
+                spec.check_kernel().map_err(|e| format!("kernel: {e}"))?;
             }
             // `?model=` overrides the spec's *default* model (explicit
             // per-phase model overrides in [[phase]] still win, same
@@ -804,10 +805,14 @@ fn build_job_kind(req: &Request, default_executor: RoundExecutor) -> Result<JobK
         }
         "verify" => {
             let realization = parse_realization(body).map_err(|e| format!("profile: {e}"))?;
+            let kernel = parse_kernel_param(req)?;
+            kernel
+                .check_size(realization.n())
+                .map_err(|e| format!("kernel: {e}"))?;
             Ok(JobKind::Verify {
                 realization: Box::new(realization),
                 model: parse_model_param(req, CostModel::Sum)?,
-                kernel: parse_kernel_param(req)?,
+                kernel,
                 executor: effective_executor(req, RoundExecutor::Auto, default_executor)?,
             })
         }

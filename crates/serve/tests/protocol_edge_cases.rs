@@ -177,7 +177,29 @@ fn oversized_instances_get_400_and_the_server_stays_up() {
     let huge_n = "[init]\nfamily = \"uniform\"\nn = 10000000000\nbudget = 1\n[[phase]]\nkind = \"dynamics\"\n";
     let wide_sweep = TINY_SPEC.replace("seed = 1\n", "seed = 1\nseeds = 1000000000000000\n");
     let tall_tree = "[init]\nfamily = \"btree\"\nparams = [70]\n[[phase]]\nkind = \"dynamics\"\n";
+    // An explicit bitset kernel past its cap would allocate an n²/8-byte
+    // matrix per engine: asked for in the spec, by `?kernel=`, or for a
+    // posted profile's audit.
+    let wide =
+        "[init]\nfamily = \"uniform\"\nn = 20000\nbudget = 1\n[[phase]]\nkind = \"dynamics\"\n";
+    let wide_bitset = wide.replace("[[phase]]", "[dynamics]\nkernel = \"bitset\"\n[[phase]]");
+    let wide_profile = format!("bbncg v1\nn 20000\nbudgets{}\narcs\n", " 0".repeat(20000));
     for (target, body, want) in [
+        (
+            "/jobs",
+            wide_bitset.as_str(),
+            "line 5: [dynamics] kernel bitset reaches 20000 vertices",
+        ),
+        (
+            "/jobs?kernel=bitset",
+            wide,
+            "kernel: [dynamics] kernel bitset reaches 20000 vertices",
+        ),
+        (
+            "/jobs?type=verify&kernel=bitset",
+            wide_profile.as_str(),
+            "kernel: kernel bitset reaches 20000 vertices",
+        ),
         (
             "/jobs",
             huge_n,

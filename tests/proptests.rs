@@ -1,7 +1,10 @@
 //! Property-based tests on the core invariants, spanning crates.
 
+use bbncg::analysis::unit_structure;
+use bbncg::game::dynamics::{run_dynamics_with_kernel, DynamicsConfig};
 use bbncg::game::{
-    exact_best_response, is_best_response, BudgetVector, CostModel, DeviationOracle, Realization,
+    exact_best_response, is_best_response, BudgetVector, CostKernel, CostModel, DeviationOracle,
+    Realization, RoundExecutor,
 };
 use bbncg::graph::{generators, BfsScratch, Csr, DistanceMatrix, NodeId};
 use proptest::prelude::*;
@@ -114,6 +117,50 @@ proptest! {
         prop_assert_eq!(realized.as_slice(), b.as_slice());
         for model in CostModel::ALL {
             prop_assert!(bbncg::game::is_nash_equilibrium(&c.realization, model));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The paper as oracle (Theorems 4.1 and 4.2): every unit-budget
+    /// exact dynamics run that converges ends in a profile of the
+    /// theorem's shape — SUM: connected, one cycle of length ≤ 5,
+    /// every vertex on it or adjacent to it; MAX: cycle ≤ 7, every
+    /// vertex within distance 2 of it. Checked under every concrete
+    /// kernel and both round executors, which must all trace the same
+    /// trajectory.
+    #[test]
+    fn converged_unit_budget_dynamics_has_the_theorem_4_shape(
+        n in 5usize..48,
+        seed in 0u64..100_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let start = Realization::new(generators::random_realization(&vec![1; n], &mut rng));
+        for model in CostModel::ALL {
+            let mut ends = Vec::new();
+            for kernel in [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse] {
+                for executor in [RoundExecutor::Sequential, RoundExecutor::Sharded] {
+                    let cfg = DynamicsConfig::exact(model, 300).with_executor(executor);
+                    let report = run_dynamics_with_kernel(
+                        start.clone(),
+                        cfg,
+                        &mut StdRng::seed_from_u64(seed),
+                        kernel,
+                    );
+                    if report.converged {
+                        let shape = unit_structure(&report.state);
+                        let holds = match model {
+                            CostModel::Sum => shape.satisfies_theorem41(),
+                            CostModel::Max => shape.satisfies_theorem42(),
+                        };
+                        prop_assert!(holds, "{:?} {} {}: {:?}", model, kernel, executor, shape);
+                    }
+                    ends.push((report.state, report.steps, report.converged));
+                }
+            }
+            prop_assert!(ends.windows(2).all(|w| w[0] == w[1]), "{:?}: trajectories differ", model);
         }
     }
 }
