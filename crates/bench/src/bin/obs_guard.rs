@@ -47,9 +47,11 @@ fn initial(n: usize, seed: u64) -> Realization {
 }
 
 /// Best-of-`reps` steps/sec for the guard workload: capped
-/// exact-dynamics through the sequential executor, every candidate
-/// priced on one engine (the kernel tallies are the hot-path
-/// instrumentation).
+/// exact-dynamics through the sequential executor on one engine. Unit
+/// budgets under SUM price in closed form, so the hot-path
+/// instrumentation here is the per-activation closed-form tally and
+/// the session and dynamics counters, not the per-candidate kernel
+/// tallies.
 fn best_steps_per_sec(n: usize, cap: usize, reps: usize) -> (f64, usize) {
     let mut best = 0.0f64;
     let mut steps = 0usize;

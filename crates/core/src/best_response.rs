@@ -17,7 +17,15 @@
 //! Every search keeps an incumbent and prices each candidate through
 //! [`DeviationScratch::cost_of_pruned`], so a candidate that cannot
 //! strictly beat it is skipped by its lower bound or abandoned
-//! part-way by the kernel. Dynamics asks a narrower question — does
+//! part-way by the kernel. Under SUM, a player owning one arc in a
+//! profile where no player owns two (the paper's unit-budget class)
+//! costs no per-candidate pricing at all: the engine prices every
+//! single-arc target in one `O(n)` closed-form pass, and each search
+//! returns from those costs the target its enumeration would have —
+//! the earliest least-cost one strictly below its incumbent — with the
+//! current strategy's cost memoized for the improvement gate. Only the
+//! Nash audit ([`exact_best_response_cost_with`]) always enumerates on
+//! the kernels. Dynamics asks a narrower question — does
 //! the player have a strictly improving move? — so its exact and swap
 //! searches start from the current strategy's cost instead of
 //! `u64::MAX` and return only a strict improvement: the same decision
@@ -78,6 +86,9 @@ pub fn exact_best_response_with(
     u: NodeId,
     model: CostModel,
 ) -> ScoredStrategy {
+    if let Some((costs, _)) = closed_form(scratch, r, u, model) {
+        return cheapest_below(costs, u64::MAX).expect("a target exists");
+    }
     exact_search(scratch, r, u, model, u64::MAX).expect("at least one strategy exists")
 }
 
@@ -100,6 +111,9 @@ pub(crate) fn exact_best_improvement(
     u: NodeId,
     model: CostModel,
 ) -> Option<ScoredStrategy> {
+    if let Some((costs, current)) = closed_form(scratch, r, u, model) {
+        return cheapest_below(costs, current);
+    }
     let current = current_cost(scratch, r, u, model);
     exact_search(scratch, r, u, model, current)
 }
@@ -127,6 +141,38 @@ fn exact_search(
         &mut Whole(Some(0..r.n() - b)),
     )
     .map(|(s, _)| s)
+}
+
+/// Every single-arc candidate's cost, indexed by target, and the
+/// current cost, from the engine's closed form when it settles `u`'s
+/// activation (SUM, `u` owns one arc, no player owns two); `None`
+/// sends the search to the kernels.
+fn closed_form<'a>(
+    scratch: &'a mut DeviationScratch,
+    r: &Realization,
+    u: NodeId,
+    model: CostModel,
+) -> Option<(&'a [u64], u64)> {
+    if model != CostModel::Sum || r.strategy(u).len() != 1 {
+        return None;
+    }
+    scratch.begin(r, u, model);
+    scratch.closed_form_costs()
+}
+
+/// The earliest least-cost single-arc target strictly below `ceiling`
+/// — what the enumeration, which replaces its incumbent only on a
+/// strict improvement, returns over the same costs.
+fn cheapest_below(costs: &[u64], ceiling: u64) -> Option<ScoredStrategy> {
+    let (v, &cost) = costs.iter().enumerate().min_by_key(|&(v, &c)| (c, v))?;
+    (cost < ceiling).then(|| single_arc(v, cost))
+}
+
+fn single_arc(v: usize, cost: u64) -> ScoredStrategy {
+    ScoredStrategy {
+        targets: vec![NodeId::new(v)],
+        cost,
+    }
 }
 
 /// `u`'s current cost, priced through a session opened (or reused) on
@@ -322,6 +368,9 @@ pub fn greedy_best_response_with(
     u: NodeId,
     model: CostModel,
 ) -> ScoredStrategy {
+    if let Some((costs, _)) = closed_form(scratch, r, u, model) {
+        return cheapest_below(costs, u64::MAX).expect("a target exists");
+    }
     let n = r.n();
     let b = r.graph().out_degree(u);
     scratch.begin(r, u, model);
@@ -393,6 +442,13 @@ pub fn first_improving_response_with(
         count <= MAX_EXACT_CANDIDATES,
         "better-response search would enumerate {count} candidates (player {u}, budget {b}, n {n})"
     );
+    if let Some((costs, current)) = closed_form(scratch, r, u, model) {
+        // The first improvement in enumeration (target) order.
+        return costs
+            .iter()
+            .position(|&c| c < current)
+            .map(|v| single_arc(v, costs[v]));
+    }
     scratch.begin(r, u, model);
     let current = scratch.cost_of(r.strategy(u));
     let mut pool = std::mem::take(&mut scratch.pool_buf);
@@ -462,6 +518,11 @@ pub(crate) fn best_swap_improvement(
     u: NodeId,
     model: CostModel,
 ) -> Option<ScoredStrategy> {
+    // One owned arc: the swaps are every target but the current one,
+    // which costs exactly the current cost and so never improves.
+    if let Some((costs, current)) = closed_form(scratch, r, u, model) {
+        return cheapest_below(costs, current);
+    }
     let pairs = r.strategy(u).len() * r.n();
     best_swap_over(scratch, r, u, model, &mut Whole(Some(0..pairs))).map(|(s, _)| s)
 }

@@ -29,6 +29,13 @@
 //! [`PriceBudget`] that abandons it once the candidate provably cannot
 //! win.
 //!
+//! One class needs no per-candidate traversal at all: under SUM, when
+//! the player owns one arc and no player owns two (the paper's
+//! unit-budget games), the searches take every single-arc candidate's
+//! cost from one `O(n)` closed-form pass over the mirror and the
+//! detached CSR (`crate::closed_form`). It is exact, so the kernel
+//! choice does not matter there.
+//!
 //! # Session protocol
 //!
 //! ```text
@@ -45,6 +52,7 @@
 //! successive profiles differ by single moves, which is exactly the
 //! dynamics access pattern.
 
+use crate::closed_form::ClosedForm;
 use crate::cost::{c_inf, cost_from_bfs, CostModel};
 use crate::kernel::CostKernel;
 use crate::realization::Realization;
@@ -84,6 +92,9 @@ struct ObsTally {
     /// Per-target candidate-bound cache hits / misses.
     bound_hits: u64,
     bound_misses: u64,
+    /// Searches the closed form answered (one per activation; no
+    /// kernel traversal).
+    closed_form: u64,
 }
 
 /// Cross-activation retention bookkeeping for the sparse tier: while a
@@ -202,6 +213,13 @@ pub struct DeviationScratch {
     pub(crate) pool_buf: Vec<NodeId>,
     /// Candidate strategy buffer, lent to best-response search loops.
     pub(crate) cand_buf: Vec<NodeId>,
+    /// Players owning two or more arcs in `mirror`; the closed form
+    /// applies only while this is zero.
+    multi_owners: usize,
+    /// The unit-budget SUM pricer (buffers sized on first use).
+    closed_form: ClosedForm,
+    /// `closed_form` holds this session's costs.
+    closed_form_ready: bool,
     /// Hot-path observability tallies (see [`ObsTally`]).
     tally: ObsTally,
 }
@@ -278,6 +296,9 @@ impl DeviationScratch {
             CostKernel::Bitset => Some(BitAdjacency::from_adjacency(&patch)),
             _ => None,
         };
+        let multi_owners = (0..n)
+            .filter(|&v| mirror.out_degree(NodeId::new(v)) > 1)
+            .count();
         DeviationScratch {
             mirror,
             patch,
@@ -312,6 +333,9 @@ impl DeviationScratch {
             dedup_buf: Vec::with_capacity(8),
             pool_buf: Vec::with_capacity(n),
             cand_buf: Vec::with_capacity(8),
+            multi_owners,
+            closed_form: ClosedForm::default(),
+            closed_form_ready: false,
             tally: ObsTally::default(),
         }
     }
@@ -349,6 +373,7 @@ impl DeviationScratch {
         bbncg_obs::counter_add(Counter::KernelPruneExact, t.prune_exact);
         bbncg_obs::counter_add(Counter::KernelBaseBfs, t.base_bfs);
         bbncg_obs::counter_add(Counter::KernelSessions, t.sessions);
+        bbncg_obs::counter_add(Counter::ClosedFormActivations, t.closed_form);
         if self.resolved == CostKernel::Sparse {
             // Sparse pricing is one decrease-only repair per candidate.
             bbncg_obs::counter_add(Counter::KernelSsspRepairs, t.priced);
@@ -422,6 +447,8 @@ impl DeviationScratch {
             let want = r.graph().out(u);
             let have = self.mirror.out(u);
             if have != want {
+                self.multi_owners += usize::from(want.len() > 1);
+                self.multi_owners -= usize::from(have.len() > 1);
                 apply_strategy_patch(
                     &mut self.patch,
                     self.bits.as_mut(),
@@ -467,6 +494,7 @@ impl DeviationScratch {
         );
         self.active = Some((u, model));
         self.memo_current = None;
+        self.closed_form_ready = false;
         self.recompute_components();
         self.recompute_distinct_in(u);
         if self.resolved == CostKernel::Sparse {
@@ -667,6 +695,57 @@ impl DeviationScratch {
             .map(|&l| self.comp_sizes[l as usize])
             .sum();
         (self.comp_count - (self.label_buf.len() - 1), reachable)
+    }
+
+    /// Would `u`'s session on `r` under `model` be in the closed-form
+    /// class? `O(1)`, without opening the session: "no player owns
+    /// two" is read off the profile the engine last synced to. That is
+    /// exact in dynamics, where every move keeps its strategy's size;
+    /// elsewhere a stale answer can only move the activation between
+    /// executors, never change its decision.
+    pub(crate) fn closed_form_expected(
+        &self,
+        r: &Realization,
+        u: NodeId,
+        model: CostModel,
+    ) -> bool {
+        model == CostModel::Sum && r.strategy(u).len() == 1 && self.multi_owners == 0
+    }
+
+    /// Every single-arc candidate's SUM cost for the active player,
+    /// indexed by target (`u64::MAX` at the player itself), with the
+    /// current strategy's cost — from one `O(n)` closed-form pass when
+    /// the session is in its class (SUM, the player owns exactly one
+    /// arc, no player owns two), `None` otherwise. Prices once per
+    /// session, counts one closed-form activation per call (each search
+    /// asks once), and leaves the current cost in the memo
+    /// [`Self::cost_of`] answers the improvement gate from.
+    pub(crate) fn closed_form_costs(&mut self) -> Option<(&[u64], u64)> {
+        let Some((u, CostModel::Sum)) = self.active else {
+            return None;
+        };
+        let &[current] = self.mirror.out(u) else {
+            return None;
+        };
+        if self.multi_owners > 0 {
+            return None;
+        }
+        let current = current.index();
+        if !self.closed_form_ready {
+            self.closed_form.price(
+                &self.mirror,
+                &self.patch,
+                u,
+                &self.comp_label,
+                &self.comp_sizes,
+            );
+            self.closed_form_ready = true;
+        }
+        // One search per activation asks, so this counts activations.
+        self.tally.closed_form += 1;
+        let costs = self.closed_form.costs();
+        self.memo_current = Some(costs[current]);
+        Some((costs, costs[current]))
     }
 
     /// Price the candidate strategy `targets` for the active player —

@@ -1,9 +1,14 @@
 //! Pluggable cost kernels for candidate pricing.
 //!
-//! Every best-response step prices `O(C(n−1, b))` candidate strategies,
-//! each via one single-source BFS, so BFS throughput *is* the
-//! throughput of dynamics, Nash audits and scenario sweeps. The engine
-//! therefore lets callers choose **how** that BFS runs. All three read
+//! A best-response step prices up to `C(n−1, b)` candidate strategies,
+//! each via one single-source BFS or repair, so on most instances BFS
+//! throughput *is* the throughput of dynamics, Nash audits and
+//! scenario sweeps. The exception is the paper's unit-budget class:
+//! under SUM, when the player owns one arc and no player owns two, the
+//! engine prices all `n − 1` candidates in one `O(n)` closed-form pass
+//! and no kernel runs (an explicit sharded executor still splits those
+//! activations onto the kernels). For everything else the engine lets
+//! callers choose **how** the BFS runs. All three read
 //! the same editable undirected store, a slack-free
 //! [`CompactCsr`](bbncg_graph::CompactCsr) kept in step with the
 //! profile one strategy diff at a time:

@@ -19,6 +19,8 @@
 //! * [`kernel`] — pluggable cost kernels (queue vs word-parallel bitset
 //!   BFS) behind the pricing path, plus the per-candidate Lemma 2.2
 //!   lower-bound pruning;
+//! * `closed_form` (internal) — the unit-budget SUM pricer that prices
+//!   every single-arc candidate at once, bypassing the kernels;
 //! * [`best_response`] — exact (NP-hard, Theorem 2.1), greedy, and
 //!   swap-restricted solvers;
 //! * [`equilibrium`] — exact Nash verification, swap equilibria, and the
@@ -37,6 +39,7 @@
 pub mod best_response;
 pub mod budget;
 pub mod cancel;
+mod closed_form;
 pub mod cost;
 pub mod deviation;
 pub mod dynamics;

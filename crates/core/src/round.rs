@@ -22,6 +22,13 @@
 //! out. The first-improving and greedy rules price on the caller's
 //! engine under every executor.
 //!
+//! Unit-budget SUM activations (the player owns one arc, nobody owns
+//! two) have nothing worth splitting: the caller's engine prices all
+//! their candidates in one `O(n)` closed-form pass, so `Auto` never
+//! splits them. An explicit `Sharded` still does, pricing their slices
+//! on the kernels — which makes every explicit-sharded unit-budget run
+//! a kernel-priced cross-check of the closed form.
+//!
 //! # The step-identity invariant
 //!
 //! Sharded rounds are **step-identical** to sequential rounds for every
@@ -84,7 +91,9 @@ pub enum RoundExecutor {
     /// `Auto` run splits only the activations whose candidate work
     /// clears [`RoundExecutor::SHARD_MIN_WORK`] and whose player could
     /// still improve (a current cost at the Lemma 2.2 floor settles the
-    /// activation on one engine without pricing a candidate).
+    /// activation on one engine without pricing a candidate), and never
+    /// a unit-budget SUM activation, which the closed form settles on
+    /// one engine in `O(n)`.
     #[default]
     Auto,
 }
@@ -98,10 +107,10 @@ impl RoundExecutor {
     /// ~400 µs of unpruned pricing, some 15 fork/joins: the margin
     /// covers near-converged activations, whose Lemma 2.2 pruning and
     /// floor stop price far fewer candidates than they enumerate. On
-    /// that host (bitset kernel, median of 5 alternating runs) exact
-    /// unit-budget dynamics lost at n = 320 (1.0·10⁵, 0.85×) and won
-    /// at n = 384 (1.5·10⁵, 1.55×); budget-2 swap dynamics broke even
-    /// at n = 200 (0.8·10⁵) and won at n = 320 (2.0·10⁵, 1.37×).
+    /// that host (bitset kernel, median of 5 alternating runs) budget-2
+    /// swap dynamics broke even at n = 200 (0.8·10⁵) and won at
+    /// n = 320 (2.0·10⁵, 1.37×). Unit-budget SUM activations never
+    /// reach this test: the closed form settles them on one engine.
     pub const SHARD_MIN_WORK: u64 = 1 << 17;
 
     /// The concrete executor used for an `n`-player instance (never
@@ -186,7 +195,8 @@ impl std::fmt::Display for RoundExecutor {
 /// The decision one activation of player `u` makes against `state`:
 /// `Some(targets)` iff the player moves. With `shards`, exact and swap
 /// activations worth splitting price across the helper engines;
-/// everything else prices on `scratch`.
+/// everything else prices on `scratch` — in one closed-form pass for a
+/// unit-budget SUM activation, candidate by candidate otherwise.
 ///
 /// The exact and swap searches start from the current strategy's cost
 /// as their incumbent and return only a strict improvement, so every
@@ -240,7 +250,8 @@ pub(crate) fn respond(
 pub(crate) struct Shards {
     helpers: Vec<DeviationScratch>,
     /// Explicit [`RoundExecutor::Sharded`]: split every activation with
-    /// two or more slices. Otherwise (`Auto`) split only those whose
+    /// two or more slices, unit-budget SUM ones included. Otherwise
+    /// (`Auto`) split only those the closed form does not settle, whose
     /// work clears [`RoundExecutor::SHARD_MIN_WORK`] and whose player
     /// is not already at the Lemma 2.2 floor.
     always: bool,
@@ -266,6 +277,20 @@ impl Shards {
         self.always || candidates.saturating_mul(n as u64) >= RoundExecutor::SHARD_MIN_WORK
     }
 
+    /// Does `Auto` leave this activation to the caller's engine because
+    /// the closed form settles it there in one `O(n)` pass? Decided
+    /// before any session opens, so the caller's engine opens it once.
+    /// An explicit split still prices it on the kernels.
+    fn closed_form_settles(
+        &self,
+        scratch: &DeviationScratch,
+        state: &Realization,
+        u: NodeId,
+        model: CostModel,
+    ) -> bool {
+        !self.always && scratch.closed_form_expected(state, u, model)
+    }
+
     /// Is there anything to price? A player whose `current` cost sits
     /// at the Lemma 2.2 floor of its `b`-arc strategies has no strict
     /// improvement, so every engine would stop at once: not worth a
@@ -275,7 +300,8 @@ impl Shards {
     }
 
     /// Sharded [`exact_best_improvement`]: `None` when the activation
-    /// is not worth splitting (the caller prices it on one engine),
+    /// is not worth splitting or, under `Auto`, the closed form settles
+    /// it (the caller prices it on one engine),
     /// otherwise the best strict improvement, if any. The caller's
     /// engine prices the current strategy once and every engine
     /// searches below that cost.
@@ -288,7 +314,9 @@ impl Shards {
     ) -> Option<Option<ScoredStrategy>> {
         let n = state.n();
         let b = state.graph().out_degree(u);
-        if !self.worth_splitting(enumeration_count(n - 1, b), n) {
+        if self.closed_form_settles(scratch, state, u, model)
+            || !self.worth_splitting(enumeration_count(n - 1, b), n)
+        {
             return None;
         }
         assert_enumerable(n, b, u);
@@ -306,8 +334,9 @@ impl Shards {
     }
 
     /// Sharded [`best_swap_improvement`]: `None` when the activation is
-    /// not worth splitting, otherwise the best strict improvement, if
-    /// any. Every engine searches below the current cost.
+    /// not worth splitting or, under `Auto`, the closed form settles
+    /// it; otherwise the best strict improvement, if any. Every engine
+    /// searches below the current cost.
     fn best_swap(
         &mut self,
         scratch: &mut DeviationScratch,
@@ -317,7 +346,9 @@ impl Shards {
     ) -> Option<Option<ScoredStrategy>> {
         let n = state.n();
         let pairs = state.strategy(u).len() * n;
-        if !self.worth_splitting(pairs as u64, n) {
+        if self.closed_form_settles(scratch, state, u, model)
+            || !self.worth_splitting(pairs as u64, n)
+        {
             return None;
         }
         let ranges = even_ranges(pairs, self.slices());

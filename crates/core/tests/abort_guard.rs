@@ -1,12 +1,17 @@
 //! Counter guard for the incumbent abort of the queue and bitset
 //! kernels.
 //!
-//! No wall clock: the guard runs a fixed-seed n = 128 unit-budget exact
-//! SUM trajectory under each BFS kernel, checks it round for round
-//! against the rebuild-per-candidate reference, and reads the
+//! No wall clock: the guard runs a fixed-seed n = 128 exact SUM
+//! trajectory under each BFS kernel, checks it round for round against
+//! the rebuild-per-candidate reference, and reads the
 //! `bbncg_kernel_prune_aborts_total{kernel}` counters the engine
 //! flushes. A kernel that priced every candidate to its last BFS level
 //! would record no abort and fail here.
+//!
+//! Player 0 has budget 2 and everyone else budget 1. With every budget
+//! at most 1 the searches price SUM candidates in closed form and no
+//! kernel prices any (`tests/round_parity.rs` pins that trajectory);
+//! one two-arc player keeps every activation on the kernels.
 //!
 //! This file holds exactly one `#[test]` on purpose: the obs registry
 //! is process-global and integration-test binaries run their tests in
@@ -26,7 +31,9 @@ fn bfs_kernels_abort_on_an_exact_trajectory_that_matches_the_reference() {
     const MAX_ROUNDS: usize = 50;
     let model = CostModel::Sum;
     let mut rng = StdRng::seed_from_u64(0xAB0);
-    let start = Realization::new(generators::random_realization(&[1; N], &mut rng));
+    let mut budgets = [1; N];
+    budgets[0] = 2;
+    let start = Realization::new(generators::random_realization(&budgets, &mut rng));
 
     // The reference, one round at a time: each player moves at most
     // once a round, so equal profiles after every round mean equal
@@ -84,5 +91,10 @@ fn bfs_kernels_abort_on_an_exact_trajectory_that_matches_the_reference() {
         bbncg_obs::counter_value(Counter::KernelPruneAbortSparse),
         0,
         "no sparse engine ran"
+    );
+    assert_eq!(
+        bbncg_obs::counter_value(Counter::ClosedFormActivations),
+        0,
+        "a two-arc player keeps every activation on the kernels"
     );
 }

@@ -9,22 +9,27 @@
 //! every candidate by rebuilding the profile from scratch. Slice
 //! boundaries and thread count may only move wall-clock, never an
 //! answer.
+//!
+//! With every budget at most 1, SUM activations on one engine take
+//! their candidates' costs from the closed form, while an explicit
+//! split still prices them on the kernels: the unit-budget tests below
+//! hold both paths to the same reference.
 
 use bbncg_core::dynamics::{
-    run_dynamics_traced, run_dynamics_with_kernel, DynamicsConfig, DynamicsReport, PlayerOrder,
-    ResponseRule,
+    run_dynamics_traced, run_dynamics_with_kernel, run_dynamics_with_scratch, DynamicsConfig,
+    DynamicsReport, PlayerOrder, ResponseRule,
 };
 use bbncg_core::naive::run_dynamics_rebuild;
 use bbncg_core::{
-    audit_equilibrium_with_opts, CombinationOdometer, CostKernel, CostModel, Realization,
-    RoundExecutor,
+    audit_equilibrium_with_opts, CombinationOdometer, CostKernel, CostModel, DeviationScratch,
+    Realization, RoundExecutor,
 };
 use bbncg_graph::{generators, NodeId, OwnedDigraph};
 use bbncg_obs::Counter;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, MutexGuard};
 
 /// Random realization whose budget vector includes zeros and twos, so
@@ -57,6 +62,55 @@ fn counting() -> MutexGuard<'static, ()> {
 
 fn sharded_activations() -> u64 {
     bbncg_obs::counter_value(Counter::RoundsEvals)
+}
+
+fn closed_form_activations() -> u64 {
+    bbncg_obs::counter_value(Counter::ClosedFormActivations)
+}
+
+/// Random realization with every budget 0 or 1: about one player in
+/// six owns nothing (a pendant when someone points at it, a tree root
+/// either way), and a player an earlier one points at often points
+/// back (a brace). Most draws start disconnected.
+fn random_unit_instance(n: usize, seed: u64) -> Realization {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+    for x in 0..n {
+        if rng.gen_range(0..6usize) == 0 {
+            continue;
+        }
+        let back = (0..x).find(|&y| out[y] == [NodeId::new(x)]);
+        let t = match back {
+            Some(y) if rng.gen_bool(0.5) => y,
+            _ => {
+                let t = rng.gen_range(0..n - 1);
+                t + usize::from(t >= x)
+            }
+        };
+        out[x].push(NodeId::new(t));
+    }
+    Realization::new(OwnedDigraph::from_out_lists(out))
+}
+
+/// Activations of a SUM run of `report.rounds` rounds over a unit-
+/// budget `initial` that the closed form settles: every activation of
+/// a one-arc player, except the exact and swap ones an explicit
+/// `Sharded` run splits onto the kernels (first-improving and greedy
+/// price on the caller's engine under every executor).
+fn expected_closed_form(
+    initial: &Realization,
+    rule: ResponseRule,
+    executor: RoundExecutor,
+    report: &DynamicsReport,
+) -> u64 {
+    let split = matches!(rule, ResponseRule::ExactBest | ResponseRule::BestSwap);
+    if executor == RoundExecutor::Sharded && split {
+        return 0;
+    }
+    let owners = (0..initial.n())
+        .filter(|&u| initial.graph().out_degree(NodeId::new(u)) == 1)
+        .count();
+    (owners * report.rounds) as u64
 }
 
 /// Activations an explicit-`Sharded` run of `report.rounds` rounds
@@ -261,6 +315,49 @@ proptest! {
         }
     }
 
+    /// Unit budgets (every budget 0 or 1: braces, budget-0 pendants,
+    /// disconnected starts) under SUM: one engine prices in closed form
+    /// and an explicit split prices on the kernels, and both equal the
+    /// rebuild reference for all four rules × both orders × all three
+    /// kernels. The closed-form counter moves by one per sequential
+    /// activation of a one-arc player and stays put on split ones.
+    #[test]
+    fn unit_budget_dynamics_match_the_reference(n in 3usize..16, seed in 0u64..1_000_000) {
+        let _lock = counting();
+        let initial = random_unit_instance(n, seed);
+        for rule in RULES {
+            for order in [PlayerOrder::RoundRobin, PlayerOrder::RandomPermutation] {
+                let cfg = DynamicsConfig {
+                    rule,
+                    order,
+                    ..DynamicsConfig::exact(CostModel::Sum, 80)
+                };
+                let (ref_state, ref_steps, ref_rounds, ref_converged, ref_cycled) =
+                    reference_dynamics(initial.clone(), cfg, &mut StdRng::seed_from_u64(7));
+                for kernel in KERNELS {
+                    for executor in [RoundExecutor::Sequential, RoundExecutor::Sharded] {
+                        let before = closed_form_activations();
+                        let run = run_dynamics_with_kernel(
+                            initial.clone(),
+                            cfg.with_executor(executor),
+                            &mut StdRng::seed_from_u64(7),
+                            kernel,
+                        );
+                        prop_assert_eq!(
+                            closed_form_activations() - before,
+                            expected_closed_form(&initial, rule, executor, &run)
+                        );
+                        prop_assert_eq!(&run.state, &ref_state);
+                        prop_assert_eq!(run.steps, ref_steps);
+                        prop_assert_eq!(run.rounds, ref_rounds);
+                        prop_assert_eq!(run.converged, ref_converged);
+                        prop_assert_eq!(run.cycled, ref_cycled);
+                    }
+                }
+            }
+        }
+    }
+
     /// The player-sharded audit and the serial single-engine audit
     /// return identical per-player numbers (hence identical verdicts,
     /// gaps and violation lists) under both kernels.
@@ -306,6 +403,62 @@ fn sharded_dynamics_match_naive_reference() {
             assert_eq!(sharded.steps, naive_steps);
             assert_eq!(sharded.converged, naive_converged);
         }
+    }
+}
+
+/// The fixed-seed n = 128 unit-budget exact SUM trajectory (seed
+/// `0xAB0`) priced in closed form under every kernel matches the
+/// rebuild-per-candidate reference round for round: each player moves
+/// at most once a round, so equal profiles after every round mean
+/// equal moves.
+#[test]
+fn closed_form_trajectory_matches_the_rebuild_reference() {
+    let _lock = counting();
+    const N: usize = 128;
+    let model = CostModel::Sum;
+    let mut rng = StdRng::seed_from_u64(0xAB0);
+    let start = Realization::new(generators::random_realization(&[1; N], &mut rng));
+    let mut reference = vec![start.clone()];
+    let mut reference_steps = Vec::new();
+    loop {
+        let last = reference.last().expect("starts non-empty").clone();
+        let (next, steps, converged) = run_dynamics_rebuild(last, model, 1);
+        reference.push(next);
+        reference_steps.push(steps);
+        assert!(reference_steps.len() < 50, "reference did not converge");
+        if converged {
+            break;
+        }
+    }
+    assert!(
+        reference_steps.iter().sum::<usize>() > N / 2,
+        "want a trajectory that moves"
+    );
+    let one_round = DynamicsConfig::exact(model, 1).with_executor(RoundExecutor::Sequential);
+    for kernel in KERNELS {
+        let before = closed_form_activations();
+        let mut scratch = DeviationScratch::with_kernel(&start, kernel);
+        let mut state = start.clone();
+        for (round, (want, &want_steps)) in reference[1..].iter().zip(&reference_steps).enumerate()
+        {
+            let report = run_dynamics_with_scratch(
+                state,
+                one_round,
+                &mut StdRng::seed_from_u64(0),
+                &mut scratch,
+            );
+            assert_eq!(report.steps, want_steps, "{kernel} round {round}: steps");
+            assert_eq!(&report.state, want, "{kernel} round {round}: profile");
+            assert_eq!(report.converged, want_steps == 0, "{kernel} round {round}");
+            state = report.state;
+        }
+        // Dropping the engine flushes its last session's tallies.
+        drop(scratch);
+        assert_eq!(
+            closed_form_activations() - before,
+            (N * reference_steps.len()) as u64,
+            "{kernel}: every activation priced in closed form"
+        );
     }
 }
 

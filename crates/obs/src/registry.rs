@@ -58,7 +58,8 @@ pub fn enabled() -> bool {
 
 /// Every monotonic counter in the catalogue.
 ///
-/// Variants are grouped by layer: cost kernels (`Kernel*`), the
+/// Variants are grouped by layer: cost kernels (`Kernel*`) and the
+/// closed-form pricer that bypasses them (`ClosedForm*`), the
 /// sharded round executor (`Rounds*`), dynamics totals
 /// (`Dynamics*`), the scenario engine (`Scenario*`), and the job
 /// server (`Http*` / `Jobs*`). The `usize` discriminant is the
@@ -112,6 +113,9 @@ pub enum Counter {
     KernelBoundCacheHits,
     /// Per-target candidate-bound cache misses (sparse sessions).
     KernelBoundCacheMisses,
+    /// Activations whose single-arc candidates the unit-budget SUM
+    /// closed form priced in one pass, with no kernel traversal.
+    ClosedFormActivations,
     /// Activations the sharded round executor split across engines.
     RoundsEvals,
     /// Moves committed by sharded activations.
@@ -160,7 +164,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters in the catalogue.
-    pub const COUNT: usize = 37;
+    pub const COUNT: usize = 38;
 
     /// Every counter, in export order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -181,6 +185,7 @@ impl Counter {
         Counter::KernelPruneAbortSparse,
         Counter::KernelBoundCacheHits,
         Counter::KernelBoundCacheMisses,
+        Counter::ClosedFormActivations,
         Counter::RoundsEvals,
         Counter::RoundsCommits,
         Counter::RoundsDiscards,
@@ -225,6 +230,7 @@ impl Counter {
             Counter::KernelBoundCacheHits | Counter::KernelBoundCacheMisses => {
                 "bbncg_kernel_bound_cache_total"
             }
+            Counter::ClosedFormActivations => "bbncg_closed_form_activations_total",
             Counter::RoundsEvals => "bbncg_rounds_evals_total",
             Counter::RoundsCommits => "bbncg_rounds_commits_total",
             Counter::RoundsDiscards => "bbncg_rounds_discards_total",
@@ -300,6 +306,9 @@ impl Counter {
             }
             Counter::KernelBoundCacheHits | Counter::KernelBoundCacheMisses => {
                 "Per-target candidate-bound cache lookups (sparse sessions)"
+            }
+            Counter::ClosedFormActivations => {
+                "Activations priced by the unit-budget SUM closed form instead of a kernel"
             }
             Counter::RoundsEvals => "Activations split across sharded pricing engines",
             Counter::RoundsCommits => "Moves committed by sharded activations",

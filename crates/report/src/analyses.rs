@@ -39,6 +39,9 @@ pub struct Fragment {
 pub struct ObsDelta {
     /// Candidates priced by a full traversal (all kernels).
     pub priced: u64,
+    /// Activations whose candidates the unit-budget SUM closed form
+    /// priced in one pass instead (no kernel traversal).
+    pub closed_form: u64,
     /// Candidates skipped by a lower bound (all kernels).
     pub prune_skips: u64,
     /// Candidates priced exactly from the bound, without a BFS.
@@ -71,6 +74,7 @@ impl ObsDelta {
             priced: cv(C::KernelPricedQueue)
                 + cv(C::KernelPricedBitset)
                 + cv(C::KernelPricedSparse),
+            closed_form: cv(C::ClosedFormActivations),
             prune_skips: cv(C::KernelPruneSkipQueue)
                 + cv(C::KernelPruneSkipBitset)
                 + cv(C::KernelPruneSkipSparse),
@@ -90,6 +94,7 @@ impl ObsDelta {
     pub fn since(&self, before: &ObsDelta) -> ObsDelta {
         ObsDelta {
             priced: self.priced - before.priced,
+            closed_form: self.closed_form - before.closed_form,
             prune_skips: self.prune_skips - before.prune_skips,
             prune_exact: self.prune_exact - before.prune_exact,
             rounds_evals: self.rounds_evals - before.rounds_evals,
@@ -531,8 +536,10 @@ pub fn census(
     }
 }
 
-/// Observability digest: kernel prune-hit rate and the sharded
-/// executor's move and discard rates over the report's scenario run.
+/// Observability digest: which path priced the run (kernel candidates,
+/// closed-form activations), the kernels' prune-hit rate, and the
+/// sharded executor's move and discard rates over the report's
+/// scenario run.
 pub fn obs_digest(delta: &ObsDelta) -> Fragment {
     let considered = delta.priced + delta.prune_skips + delta.prune_exact;
     let rate = |num: u64, den: u64| -> f64 {
@@ -548,12 +555,13 @@ pub fn obs_digest(delta: &ObsDelta) -> Fragment {
     let json = json_frag(
         "obs-digest",
         &format!(
-            "\"priced\":{},\"prune_skips\":{},\"prune_exact\":{},\"prune_hit_rate\":{},\
-             \"rounds_evals\":{},\"rounds_commits\":{},\
+            "\"priced\":{},\"closed_form_activations\":{},\"prune_skips\":{},\
+             \"prune_exact\":{},\"prune_hit_rate\":{},\"rounds_evals\":{},\"rounds_commits\":{},\
              \"rounds_discards\":{},\"commit_rate\":{},\"discard_rate\":{},\
              \"dynamics_rounds\":{},\"dynamics_steps\":{},\"scenario_phases\":{},\
              \"scenario_events\":{},\"scenario_seeds\":{}",
             delta.priced,
+            delta.closed_form,
             delta.prune_skips,
             delta.prune_exact,
             fnum(prune_hit),
@@ -580,6 +588,10 @@ pub fn obs_digest(delta: &ObsDelta) -> Fragment {
     let chart = svg::bar_chart(&bars, "rate", "fraction");
     let rows = vec![
         vec!["candidates priced".to_string(), delta.priced.to_string()],
+        vec![
+            "closed-form activations".to_string(),
+            delta.closed_form.to_string(),
+        ],
         vec!["prune skips".to_string(), delta.prune_skips.to_string()],
         vec!["prune exact".to_string(), delta.prune_exact.to_string()],
         vec!["prune-hit rate".to_string(), fnum(prune_hit)],
@@ -742,5 +754,21 @@ mod tests {
         // Zero denominators print as null, not NaN.
         let empty = obs_digest(&ObsDelta::default());
         assert!(empty.json.contains("\"prune_hit_rate\":null"));
+    }
+
+    #[test]
+    fn obs_digest_names_the_closed_form_path() {
+        // A unit-budget SUM run prices no candidate on a kernel: the
+        // digest says the closed form did the work.
+        let delta = ObsDelta {
+            closed_form: 7,
+            dynamics_rounds: 2,
+            ..ObsDelta::default()
+        };
+        let f = obs_digest(&delta);
+        assert!(f
+            .json
+            .contains("\"priced\":0,\"closed_form_activations\":7,"));
+        assert!(f.html.contains("closed-form activations"));
     }
 }
