@@ -104,6 +104,12 @@ impl Args {
     pub fn positional(&self, i: usize) -> Option<&str> {
         self.positional.get(i).map(String::as_str)
     }
+
+    /// Every option given, flags and switches alike, without its `--`.
+    fn option_names(&self) -> impl Iterator<Item = &str> {
+        let switches = self.switches.iter().map(|s| &s[2..]);
+        self.flags.iter().map(|(k, _)| k.as_str()).chain(switches)
+    }
 }
 
 fn parse_budgets(s: &str) -> Result<BudgetVector, String> {
@@ -643,9 +649,6 @@ pub fn cmd_exact_poa(args: &Args) -> Result<String, String> {
 /// * `--cache N` (default 128; 0 disables) — content-addressed result
 ///   cache: an identical re-submission answers with the original
 ///   job's stream instead of recomputing (`?nocache=1` bypasses).
-/// * `--peers HOST:PORT,…` — act as sweep shard coordinator: sweep
-///   jobs split into contiguous seed chunks across this process and
-///   the listed peers, merged back byte-identically.
 ///
 /// Connections are served by one non-blocking readiness loop (epoll
 /// on Linux, `poll(2)` on other Unix hosts); the server needs a Unix
@@ -667,15 +670,6 @@ pub fn cmd_serve(args: &Args) -> Result<String, String> {
         .unwrap_or("128")
         .parse()
         .map_err(|e| format!("--cache: {e}"))?;
-    let peers: Vec<String> = args
-        .get("peers")
-        .map(|p| {
-            p.split(',')
-                .filter(|s| !s.is_empty())
-                .map(str::to_string)
-                .collect()
-        })
-        .unwrap_or_default();
     let handle = bbncg_serve::spawn(bbncg_serve::ServerConfig {
         addr: addr.to_string(),
         workers: 0, // bbncg_par::max_threads(), i.e. --threads / BBNCG_THREADS
@@ -689,7 +683,6 @@ pub fn cmd_serve(args: &Args) -> Result<String, String> {
         // (and lets library users opt in without the CLI).
         obs: args.has("--obs"),
         cache_capacity,
-        peers,
         ..bbncg_serve::ServerConfig::default()
     })
     .map_err(|e| format!("cannot serve on {addr}: {e}"))?;
@@ -956,8 +949,7 @@ COMMANDS:
   report          SPEC [--out FILE] [--from FILE] [--seed S] [--dry-run]
                   | --from FILE [--out FILE]  (default stream report, no spec)
   serve           [--addr HOST:PORT] [--queue N] [--checkpoint-dir DIR] [--rounds MODE]
-                  [--cache N] [--peers HOST:PORT,...]
-                  [--obs]  (GET /metrics serves Prometheus text either way)
+                  [--cache N] [--obs]  (GET /metrics serves Prometheus text either way)
   submit          SPEC --addr HOST:PORT [--type scenario|verify] [--model sum|max]
                   [--kernel K] [--rounds MODE] [--seed S] [--seeds N] [--nocache 1]
                   [--no-stream] [--stats] [--report FILE] [--wait-server SECS]
@@ -997,9 +989,7 @@ identical to the offline `scenario run` for the same spec and seed
 The front end is a non-blocking readiness loop (epoll on Linux,
 poll(2) on other Unix hosts; serve needs a Unix host) with HTTP/1.1
 keep-alive; identical re-submissions answer from a content-addressed
-result cache (--cache, ?nocache=1 bypasses), and --peers makes the
-server a sweep shard coordinator whose merged stream stays
-byte-identical to a single-process run.
+result cache (--cache, ?nocache=1 bypasses).
 `report` renders declarative analysis reports (see README \"Reports\"):
 a TOML-subset spec lists analyses (convergence, recovery, poa-spectrum,
 census, obs-digest); the output is one self-contained HTML file with
@@ -1009,12 +999,46 @@ the same renderer as GET /jobs/{id}/report (fetch it with
 job's streamed JSONL.
 ";
 
-/// Dispatch a full command line (without the program name).
+/// Options every command takes (see [`dispatch`]), without their `--`.
+const GLOBAL_OPTIONS: &str = "threads trace obs help";
+
+/// The options `cmd` reads besides [`GLOBAL_OPTIONS`], without their
+/// `--`; `None` for `help` and for names that are not commands, which
+/// [`dispatch`] answers without reading any option.
+fn command_options(cmd: &str) -> Option<&'static str> {
+    Some(match cmd {
+        "construct" => "budgets spider btree shift",
+        "verify" => "model kernel rounds swap audit",
+        "best-response" => "player model rule",
+        "dynamics" => "budgets model kernel seed rounds rule order emit",
+        "analyze" | "dot" => "",
+        "exact-poa" => "budgets model limit",
+        "scenario" => "seed kernel rounds out checkpoint stop-after",
+        "report" => "from seed out dry-run",
+        "serve" => "addr queue checkpoint-dir cache rounds",
+        "submit" => {
+            "addr wait-server status shutdown abort type model kernel seed seeds rounds \
+             nocache no-stream stats report"
+        }
+        _ => return None,
+    })
+}
+
+/// Dispatch a full command line (without the program name). An option
+/// the command does not read is an error before anything runs, so a
+/// mistyped or retired flag never runs the command without it.
 pub fn dispatch(raw: &[String]) -> Result<String, String> {
     let (cmd, rest) = raw.split_first().ok_or(USAGE.to_string())?;
     let args = Args::parse(rest)?;
     if args.has("--help") {
         return Ok(USAGE.to_string());
+    }
+    if let Some(taken) = command_options(cmd) {
+        let taken = format!("{GLOBAL_OPTIONS} {taken}");
+        let reads = |o: &&str| taken.split_whitespace().any(|t| t == *o);
+        if let Some(o) = args.option_names().find(|o| !reads(o)) {
+            return Err(format!("{cmd} does not take --{o}\n\n{USAGE}"));
+        }
     }
     // Global: `--threads N` pins the worker-thread bound for every
     // parallel primitive in the process (dynamics candidate pricing,

@@ -38,11 +38,23 @@ fn construct_then_verify_through_a_pipe() {
 
 #[test]
 fn unknown_command_exits_nonzero_with_usage() {
-    let out = bbncg().arg("explode").output().unwrap();
-    assert!(!out.status.success());
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("USAGE"));
+    // An option the command does not read fails before anything runs:
+    // serve exits instead of binding and blocking.
+    for (line, named) in [
+        (&["explode"][..], "explode"),
+        (
+            &["dynamics", "--budgets", "1,1,1", "--bogus", "1"][..],
+            "--bogus",
+        ),
+        (&["serve", "--peers", "127.0.0.1:1"][..], "--peers"),
+    ] {
+        let out = bbncg().args(line).output().unwrap();
+        assert!(!out.status.success(), "{line:?}");
+        assert_eq!(out.status.code(), Some(2), "{line:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("USAGE"), "{line:?}: {err}");
+        assert!(err.contains(named), "{line:?}: {err}");
+    }
 }
 
 #[test]

@@ -19,6 +19,7 @@
 
 use crate::realization::Realization;
 use bbncg_graph::OwnedDigraph;
+use std::collections::HashSet;
 use std::fmt;
 
 /// Errors from [`parse_realization`].
@@ -115,6 +116,9 @@ pub fn parse_realization(text: &str) -> Result<Realization, ParseError> {
         return Err(ParseError::BadLine(ln + 1, aline.to_string()));
     }
     let mut arcs: Vec<(usize, usize)> = Vec::new();
+    // A hash set keeps the duplicate check linear in the arc count:
+    // serve parses posted profiles on its event-loop thread.
+    let mut seen = HashSet::new();
     for (ln, line) in lines {
         let line = line.trim();
         if line.is_empty() {
@@ -130,7 +134,7 @@ pub fn parse_realization(text: &str) -> Result<Realization, ParseError> {
             ),
             _ => return Err(ParseError::BadLine(ln + 1, line.to_string())),
         };
-        if u >= n || v >= n || u == v || arcs.contains(&(u, v)) {
+        if u >= n || v >= n || u == v || !seen.insert((u, v)) {
             return Err(ParseError::BadArc(u, v));
         }
         arcs.push((u, v));

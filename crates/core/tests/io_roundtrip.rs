@@ -94,3 +94,25 @@ fn snapshot_errors_reuse_the_same_vocabulary() {
     assert!(matches!(e, ParseError::BadLine(2, _)), "{e}");
     assert!(e.to_string().contains("line 2"), "{e}");
 }
+
+#[test]
+fn large_profiles_round_trip_and_report_the_first_duplicate() {
+    // 400 players owning 250 arcs each: 10⁵ distinct arcs, a body
+    // about the size of the largest one serve accepts. The duplicate
+    // check must stay linear in the arc count.
+    let (n, budget) = (400, 250);
+    let arcs: Vec<(usize, usize)> = (0..n)
+        .flat_map(|u| (1..=budget).map(move |d| (u, (u + d) % n)))
+        .collect();
+    let r = Realization::new(bbncg_graph::OwnedDigraph::from_arcs(n, &arcs));
+    let text = write_realization(&r);
+    let back = parse_realization(&text).unwrap();
+    assert_eq!(back, r);
+    assert_eq!(back.graph().total_arcs(), 100_000);
+
+    // Repeat the first and the second arc at the very end: the copy
+    // that comes first in the input is the arc reported.
+    let (a, b) = (arcs[0], arcs[1]);
+    let dup = format!("{text}{} {}\n{} {}\n", a.0, a.1, b.0, b.1);
+    assert_eq!(parse_realization(&dup), Err(ParseError::BadArc(a.0, a.1)));
+}

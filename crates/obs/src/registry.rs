@@ -158,13 +158,11 @@ pub enum Counter {
     /// HTTP requests served on a reused keep-alive connection (the
     /// second and later requests of each connection).
     HttpKeepaliveReuses,
-    /// Sweep sub-jobs fanned out to shard peers by a coordinator.
-    ServeShardSubjobs,
 }
 
 impl Counter {
     /// Number of counters in the catalogue.
-    pub const COUNT: usize = 38;
+    pub const COUNT: usize = 37;
 
     /// Every counter, in export order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -205,7 +203,6 @@ impl Counter {
         Counter::ServeCacheCoalesced,
         Counter::ServeCacheEvictions,
         Counter::HttpKeepaliveReuses,
-        Counter::ServeShardSubjobs,
     ];
 
     /// Prometheus metric family name (shared across labelled variants).
@@ -250,7 +247,6 @@ impl Counter {
             }
             Counter::ServeCacheEvictions => "bbncg_serve_cache_evictions_total",
             Counter::HttpKeepaliveReuses => "bbncg_http_keepalive_reuses_total",
-            Counter::ServeShardSubjobs => "bbncg_serve_shard_subjobs_total",
         }
     }
 
@@ -331,7 +327,6 @@ impl Counter {
             }
             Counter::ServeCacheEvictions => "Cached serve jobs evicted (LRU or history bound)",
             Counter::HttpKeepaliveReuses => "HTTP requests served on reused keep-alive connections",
-            Counter::ServeShardSubjobs => "Sweep sub-jobs fanned out to shard peers",
         }
     }
 }

@@ -97,11 +97,16 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The workspace's
+/// streams nest one level; the cap keeps a hostile line from
+/// overflowing the stack.
+const MAX_DEPTH: usize = 32;
+
 /// Parse one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing characters after JSON value"));
@@ -131,12 +136,17 @@ fn expect(bytes: &[u8], pos: &mut usize, ch: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parse one value nested inside `depth` arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(err(
+            *pos,
+            format!("arrays and objects nest deeper than {MAX_DEPTH} levels"),
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -154,7 +164,7 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Resul
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -167,7 +177,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -181,7 +191,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -190,7 +200,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -318,6 +328,12 @@ mod tests {
         assert!(parse("{} trailing").is_err());
         assert!(parse("nope").is_err());
         assert!(parse("").is_err());
+        // Nesting past the cap is an error at the first byte too deep,
+        // not a stack overflow.
+        let deep = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        assert_eq!(parse(&"[".repeat(100_000)).unwrap_err().at, MAX_DEPTH);
+        assert_eq!(parse(&"{\"a\":".repeat(100)).unwrap_err().at, 5 * MAX_DEPTH);
     }
 
     #[test]

@@ -63,8 +63,7 @@ pub use engine::{
     Checkpoint, RunOutcome,
 };
 pub use sink::{
-    JsonlSink, MemorySink, MetricRecord, MetricSink, NullSink, Reorderer, StringSink,
-    SCHEMA_VERSION,
+    JsonlSink, MemorySink, MetricRecord, MetricSink, NullSink, StringSink, SCHEMA_VERSION,
 };
 pub use spec::{fnv1a, parse_spec, InitSpec, PhaseSpec, ScenarioSpec, Variant};
 pub use toml::SpecError;

@@ -166,58 +166,6 @@ impl MetricSink for StringSink {
     }
 }
 
-/// Order-restoring buffer for out-of-order producers: items arrive
-/// tagged with a dense 0-based index, park until every earlier index
-/// has been emitted, and flush the moment they become the frontier —
-/// so consumers see a deterministic sequence without waiting for the
-/// whole production to finish.
-///
-/// This is the merge primitive behind parallel sweeps
-/// ([`SeedReorderer`]) and the serve crate's sharded-sweep coordinator
-/// (which reorders streamed JSONL lines from peer processes): both
-/// reduce "parallel but deterministic" to "tag with the sequential
-/// index, reorder at the sink".
-pub struct Reorderer<T> {
-    next: usize,
-    parked: BTreeMap<usize, T>,
-}
-
-impl<T> Default for Reorderer<T> {
-    fn default() -> Self {
-        Reorderer::new()
-    }
-}
-
-impl<T> Reorderer<T> {
-    /// An empty reorderer expecting index 0 first.
-    pub fn new() -> Self {
-        Reorderer {
-            next: 0,
-            parked: BTreeMap::new(),
-        }
-    }
-
-    /// Hand over item `idx`; `emit` is called (in index order) for
-    /// every item this unblocks — possibly none, possibly several.
-    pub fn push(&mut self, idx: usize, item: T, mut emit: impl FnMut(T)) {
-        self.parked.insert(idx, item);
-        while let Some(item) = self.parked.remove(&self.next) {
-            emit(item);
-            self.next += 1;
-        }
-    }
-
-    /// The next index the reorderer is waiting on (= items emitted).
-    pub fn next_index(&self) -> usize {
-        self.next
-    }
-
-    /// Items parked behind a gap (0 when fully drained).
-    pub fn parked_len(&self) -> usize {
-        self.parked.len()
-    }
-}
-
 /// Re-serializer for parallel sweeps: workers finish seeds out of
 /// order, but the stream must be deterministic, so completed batches
 /// park here until every earlier seed has been flushed. Streaming is
@@ -225,7 +173,10 @@ impl<T> Reorderer<T> {
 /// not when the sweep ends.
 pub struct SeedReorderer<'a> {
     sink: &'a mut (dyn MetricSink + Send),
-    inner: Reorderer<Vec<MetricRecord>>,
+    /// The seed index the sink is waiting on (= batches written).
+    next: usize,
+    /// Completed batches parked behind a gap.
+    parked: BTreeMap<usize, Vec<MetricRecord>>,
 }
 
 impl<'a> SeedReorderer<'a> {
@@ -233,19 +184,22 @@ impl<'a> SeedReorderer<'a> {
     pub fn new(sink: &'a mut (dyn MetricSink + Send)) -> Self {
         SeedReorderer {
             sink,
-            inner: Reorderer::new(),
+            next: 0,
+            parked: BTreeMap::new(),
         }
     }
 
-    /// Hand over the records of completed seed-index `idx`.
+    /// Hand over the records of completed seed-index `idx`, and write
+    /// every batch this unblocks — possibly none, possibly several.
     pub fn push(&mut self, idx: usize, records: Vec<MetricRecord>) {
-        let sink = &mut self.sink;
-        self.inner.push(idx, records, |batch| {
+        self.parked.insert(idx, records);
+        while let Some(batch) = self.parked.remove(&self.next) {
             for rec in &batch {
-                sink.record(rec);
+                self.sink.record(rec);
             }
-            sink.flush();
-        });
+            self.sink.flush();
+            self.next += 1;
+        }
     }
 }
 
@@ -293,18 +247,22 @@ mod tests {
 
     #[test]
     fn generic_reorderer_flushes_frontier_immediately() {
-        let mut out = Vec::new();
-        let mut re: Reorderer<&str> = Reorderer::new();
-        re.push(1, "b", |x| out.push(x));
-        assert!(out.is_empty());
-        assert_eq!(re.parked_len(), 1);
-        re.push(0, "a", |x| out.push(x));
+        let mut mem = MemorySink::default();
+        let mut re = SeedReorderer::new(&mut mem);
+        re.push(1, vec![rec(1)]);
+        assert_eq!(re.next, 0);
+        assert_eq!(re.parked.len(), 1);
+        re.push(0, vec![rec(0)]);
         // 0 arriving unblocks both 0 and the parked 1.
-        assert_eq!(out, vec!["a", "b"]);
-        assert_eq!(re.next_index(), 2);
-        re.push(2, "c", |x| out.push(x));
-        assert_eq!(out, vec!["a", "b", "c"]);
-        assert_eq!(re.parked_len(), 0);
+        assert_eq!(re.next, 2);
+        assert!(re.parked.is_empty());
+        // The frontier batch is written the moment it arrives.
+        re.push(2, vec![rec(2)]);
+        assert_eq!(re.next, 3);
+        assert!(re.parked.is_empty());
+        drop(re);
+        let seeds: Vec<u64> = mem.records.iter().map(|r| r.seed).collect();
+        assert_eq!(seeds, vec![0, 1, 2]);
     }
 
     #[test]

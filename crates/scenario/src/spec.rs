@@ -10,9 +10,9 @@ use bbncg_core::{CostKernel, CostModel, DynamicsConfig, PlayerOrder, ResponseRul
 use bbncg_graph::generators::{family_size, MAX_ARCS, MAX_VERTICES};
 use std::collections::HashSet;
 
-/// Most seeds one sweep may run (loadgen's cache leg runs 256). A
-/// sweep keeps every seed's final state, so a larger instance lowers
-/// the cap further: see [`ScenarioSpec::check_sweep`].
+/// Most seeds one sweep may run. A sweep keeps every seed's final
+/// state, so a larger instance lowers the cap further: see
+/// [`ScenarioSpec::check_sweep`].
 pub const MAX_SEEDS: usize = 1 << 12;
 
 /// How the initial realization is produced.

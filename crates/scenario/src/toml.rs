@@ -146,9 +146,15 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-/// Parse one value expression, returning the value and the unconsumed
-/// remainder of the string.
-fn parse_value(s: &str, line: usize) -> Result<(Value, &str), SpecError> {
+/// Deepest array nesting a value may have. The grammar's deepest use
+/// is two levels (inline `arcs = [[0, 1], …]`); the cap keeps a hostile
+/// spec from overflowing the stack of the thread parsing it, which in
+/// serve is the event loop.
+const MAX_NESTING: usize = 32;
+
+/// Parse one value expression nested inside `depth` arrays, returning
+/// the value and the unconsumed remainder of the string.
+fn parse_value(s: &str, line: usize, depth: usize) -> Result<(Value, &str), SpecError> {
     let s = s.trim_start();
     let bad = |what: &str| SpecError::at(line, format!("cannot parse {what}: {s:?}"));
     if let Some(rest) = s.strip_prefix('"') {
@@ -167,6 +173,12 @@ fn parse_value(s: &str, line: usize) -> Result<(Value, &str), SpecError> {
         }
         Err(bad("unterminated string"))
     } else if let Some(mut rest) = s.strip_prefix('[') {
+        if depth == MAX_NESTING {
+            return Err(SpecError::at(
+                line,
+                format!("arrays nest deeper than {MAX_NESTING} levels"),
+            ));
+        }
         let mut items = Vec::new();
         loop {
             rest = rest.trim_start();
@@ -176,7 +188,7 @@ fn parse_value(s: &str, line: usize) -> Result<(Value, &str), SpecError> {
             if rest.is_empty() {
                 return Err(bad("unterminated array"));
             }
-            let (v, after) = parse_value(rest, line)?;
+            let (v, after) = parse_value(rest, line, depth + 1)?;
             items.push(v);
             rest = after.trim_start();
             if let Some(after) = rest.strip_prefix(',') {
@@ -254,7 +266,7 @@ pub fn parse(text: &str) -> Result<TomlDoc, SpecError> {
         if key.is_empty() || !key.chars().all(is_bare_key_char) {
             return Err(SpecError::at(ln, format!("bad key {key:?}")));
         }
-        let (value, leftover) = parse_value(rest, ln)?;
+        let (value, leftover) = parse_value(rest, ln, 0)?;
         if !leftover.trim().is_empty() {
             return Err(SpecError::at(
                 ln,
@@ -335,6 +347,9 @@ arcs = [[0, 1], [1, 2],]
         assert_eq!(parse("x = 1 y").unwrap_err().line, 1);
         let e = parse("x = 99999999999999999999").unwrap_err();
         assert!(e.to_string().contains("line 1"), "{e}");
+        let deep = |levels: usize| format!("\nx = {}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(parse(&deep(MAX_NESTING)).is_ok());
+        assert_eq!(parse(&deep(MAX_NESTING + 1)).unwrap_err().line, 2);
     }
 
     #[test]

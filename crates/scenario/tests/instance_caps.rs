@@ -3,10 +3,9 @@
 //! (Σ budgets over the initial profile and every arrival and budget
 //! grant), the sweep width and an explicit bitset kernel's bit matrix
 //! before anything is allocated. Each refusal is a line-numbered
-//! `SpecError`. The caps must still admit every checked-in spec,
-//! loadgen's 256-seed churn sweep and an n ≈ 10⁶ single run. Inline
-//! arc lists are checked for duplicates in time linear in their
-//! length.
+//! `SpecError`. The caps must still admit every checked-in spec, a
+//! 256-seed churn sweep and an n ≈ 10⁶ single run. Inline arc lists
+//! are checked for duplicates in time linear in their length.
 
 use bbncg_core::CostKernel;
 use bbncg_graph::generators::{MAX_ARCS, MAX_VERTICES};
@@ -62,7 +61,7 @@ fn caps_admit_the_sizes_in_use() {
         }
     }
     assert!(checked >= 10, "found {checked} example specs");
-    // README's n ≈ 10⁶, and loadgen's 256-seed churn sweep.
+    // README's n ≈ 10⁶, and a 256-seed churn sweep.
     parse_spec(&uniform(1_000_000, 1, "")).unwrap();
     let churn = std::fs::read_to_string(format!("{dir}/churn.toml")).unwrap();
     let sweep = parse_spec(&churn.replace("seed = 7", "seed = 7\nseeds = 256")).unwrap();

@@ -264,7 +264,6 @@ mod tests {
             id,
             JobKind::Scenario {
                 spec: Box::new(spec),
-                source: String::new(),
             },
         )
     }

@@ -18,10 +18,6 @@ pub enum JobKind {
         /// The validated spec (validated at submit time, so a bad spec
         /// is a 400 at the door, not a failed job later).
         spec: Box<ScenarioSpec>,
-        /// The raw TOML the spec was parsed from. A shard coordinator
-        /// forwards this text (plus override query params) to its
-        /// peers, so peers re-validate exactly what the client posted.
-        source: String,
     },
     /// Audit a posted `bbncg v1` profile for Nash equilibrium: one
     /// JSON verdict line streams out.
@@ -270,7 +266,6 @@ mod tests {
             id,
             JobKind::Scenario {
                 spec: Box::new(spec),
-                source: String::new(),
             },
         )
     }

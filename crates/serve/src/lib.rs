@@ -12,11 +12,12 @@
 //! `event_loop`), a bounded job queue with a worker pool that reuses
 //! one deviation engine per worker across jobs ([`server`]), a
 //! content-addressed result cache that coalesces duplicate
-//! submissions (`cache`), sweep sharding across peer processes
-//! (`shard`), and chunked JSONL result streaming backed by a
-//! replay-and-follow line buffer ([`stream`]). The server needs a Unix
-//! host (epoll on Linux, `poll(2)` elsewhere); on other hosts
-//! [`spawn`] returns [`std::io::ErrorKind::Unsupported`].
+//! submissions (`cache`), and chunked JSONL result streaming backed
+//! by a replay-and-follow line buffer ([`stream`]). A sweep job runs
+//! its seeds in parallel inside this one process, on the scenario
+//! engine's seed fan-out. The server needs a Unix host (epoll on
+//! Linux, `poll(2)` elsewhere); on other hosts [`spawn`] returns
+//! [`std::io::ErrorKind::Unsupported`].
 //!
 //! The load-bearing invariant: **a served record stream is
 //! byte-identical to the offline run.** Submitting a spec and
@@ -51,7 +52,6 @@ mod event_loop;
 pub mod http;
 pub mod job;
 pub mod server;
-mod shard;
 pub mod stream;
 #[cfg(unix)]
 pub mod sys;

@@ -1,5 +1,5 @@
 //! The job server: connection front end, router, bounded queue,
-//! result cache, worker pool, and shard coordination.
+//! result cache, and worker pool.
 //!
 //! Architecture (all `std`, no dependencies):
 //!
@@ -24,11 +24,9 @@
 //! * a **worker pool** of `workers` threads executes jobs; each worker
 //!   owns one reusable [`DeviationScratch`] slot (the
 //!   `par_map_init` discipline lifted to job granularity), so
-//!   consecutive same-size jobs never rebuild the engine arena;
-//! * with `peers` configured, sweep jobs run as **shard coordinator**
-//!   (the private `shard` module): contiguous seed chunks fan out to
-//!   peer processes over the same HTTP protocol and merge back
-//!   byte-identically;
+//!   consecutive same-size jobs never rebuild the engine arena. A
+//!   sweep job runs its seeds in parallel through
+//!   [`run_sweep_cancellable`], whose stream stays in seed order;
 //! * every job streams its results through a
 //!   [`LineBuffer`](crate::LineBuffer), which any number of
 //!   `GET /jobs/{id}/stream` connections replay-and-follow;
@@ -43,7 +41,7 @@
 //!
 //! | Method | Path                | Answer |
 //! |--------|---------------------|--------|
-//! | GET    | `/healthz`          | server + pool + cache + shard stats |
+//! | GET    | `/healthz`          | server + pool + cache stats |
 //! | POST   | `/jobs`             | submit (body = scenario spec TOML, or `?type=verify` + `bbncg v1` profile) |
 //! | GET    | `/jobs`             | id + state of every job |
 //! | GET    | `/jobs/{id}`        | one job's status document |
@@ -98,8 +96,8 @@ pub struct ServerConfig {
     /// `?rounds=` query override, else a non-auto `[dynamics] rounds`
     /// in the posted spec, else this. Executors are step-identical, so
     /// the choice moves throughput only — streams never change.
-    /// Reported by `/healthz` (with the worker-thread cap) so loadgen
-    /// runs are self-describing.
+    /// Reported by `/healthz` (with the worker-thread cap) so a
+    /// benchmark run can record what it measured.
     pub default_executor: RoundExecutor,
     /// Switch the process-wide `bbncg_obs` metrics registry on at
     /// startup (one-way for the process). `GET /metrics` serves the
@@ -110,10 +108,6 @@ pub struct ServerConfig {
     /// default is 0 (a POST always creates a job — what embedding
     /// tests expect); the `bbncg serve` CLI defaults it on.
     pub cache_capacity: usize,
-    /// Shard peers (`host:port`). Non-empty makes this server a sweep
-    /// coordinator: sweep jobs split into contiguous seed chunks, one
-    /// per process (self + peers), merged back byte-identically.
-    pub peers: Vec<String>,
     /// How long a connection may take to deliver (each of) its
     /// requests before being dropped — the slow-loris bound. Applies
     /// per request, including between keep-alive requests.
@@ -132,7 +126,6 @@ impl Default for ServerConfig {
             default_executor: RoundExecutor::Auto,
             obs: false,
             cache_capacity: 0,
-            peers: Vec::new(),
             read_timeout: Duration::from_secs(30),
         }
     }
@@ -350,13 +343,7 @@ fn execute_job(shared: &Shared, job: &Arc<Job>, scratch: &mut Option<DeviationSc
     }
     job.set_status(JobStatus::Running);
     match &job.kind {
-        JobKind::Scenario { spec, source } => {
-            if spec.seeds > 1 && !shared.cfg.peers.is_empty() {
-                // Shard coordinator: chunk the sweep across self +
-                // peers, merge byte-identically (see crate::shard).
-                crate::shard::run_sharded(&shared.cfg.peers, job, spec, source);
-                return;
-            }
+        JobKind::Scenario { spec } => {
             let mut sink = BufferSink::new(Arc::clone(&job.lines));
             if spec.seeds > 1 {
                 let outcomes = run_sweep_cancellable(spec, &mut sink, &job.cancel);
@@ -503,15 +490,14 @@ pub(crate) fn route_request(shared: &Arc<Shared>, req: &Request) -> (Routed, His
             } else {
                 (cache.hits + cache.coalesced) as f64 / cache_lookups as f64
             };
-            // `rounds` + `threads` make loadgen runs self-describing:
-            // the default round-executor mode jobs will run under and
-            // the worker-thread cap every parallel primitive obeys
-            // (`--threads` / BBNCG_THREADS / auto-detect). `conn`,
-            // the cache block, and the shard block describe the front
-            // end: readiness backend, result-cache pressure, and the
-            // coordinator role.
+            // `rounds` + `threads` let a benchmark run record what it
+            // measured: the default round-executor mode jobs will run
+            // under and the worker-thread cap every parallel primitive
+            // obeys (`--threads` / BBNCG_THREADS / auto-detect). `conn`
+            // and the cache block describe the front end: readiness
+            // backend and result-cache pressure.
             Routed::ok_json(format!(
-                "{{\"status\":\"{}\",\"workers\":{},\"queue_depth\":{},\"queue_capacity\":{},\"running\":{},\"jobs\":{},\"rounds\":\"{}\",\"threads\":{},\"conn\":\"{}\",\"cache_capacity\":{},\"cache_size\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_coalesced\":{},\"cache_evictions\":{},\"cache_hit_rate\":{:.4},\"shard_role\":\"{}\",\"shard_peers\":{}}}",
+                "{{\"status\":\"{}\",\"workers\":{},\"queue_depth\":{},\"queue_capacity\":{},\"running\":{},\"jobs\":{},\"rounds\":\"{}\",\"threads\":{},\"conn\":\"{}\",\"cache_capacity\":{},\"cache_size\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_coalesced\":{},\"cache_evictions\":{},\"cache_hit_rate\":{:.4}}}",
                 if shared.draining.load(Ordering::SeqCst) { "draining" } else { "ok" },
                 shared.workers,
                 queue_depth,
@@ -528,8 +514,6 @@ pub(crate) fn route_request(shared: &Arc<Shared>, req: &Request) -> (Routed, His
                 cache.coalesced,
                 cache.evictions,
                 hit_rate,
-                if shared.cfg.peers.is_empty() { "single" } else { "coordinator" },
-                shared.cfg.peers.len(),
             ))
         }
         ("GET", ["metrics"]) => {
@@ -779,8 +763,8 @@ fn build_job_kind(req: &Request, default_executor: RoundExecutor) -> Result<JobK
             if let Some(s) = req.query_get("seed") {
                 spec.seed = s.parse().map_err(|e| format!("seed: {e}"))?;
             }
-            // `?seeds=` overrides the sweep width — how a shard
-            // coordinator carves its range into peer sub-jobs.
+            // `?seeds=` overrides the sweep width, widening a
+            // single-seed spec into a sweep at submit time.
             if let Some(s) = req.query_get("seeds") {
                 spec.seeds = s.parse().map_err(|e| format!("seeds: {e}"))?;
                 if spec.seeds == 0 {
@@ -800,7 +784,6 @@ fn build_job_kind(req: &Request, default_executor: RoundExecutor) -> Result<JobK
                 effective_executor(req, spec.defaults.executor, default_executor)?;
             Ok(JobKind::Scenario {
                 spec: Box::new(spec),
-                source: body.to_string(),
             })
         }
         "verify" => {

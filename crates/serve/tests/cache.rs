@@ -114,8 +114,6 @@ fn identical_submissions_share_one_job_byte_identically() {
     assert!(json_u64(&h, "cache_hits") >= 2, "{h}");
     assert_eq!(json_u64(&h, "cache_misses"), 1, "{h}");
     assert!(h.contains("\"cache_hit_rate\":"), "{h}");
-    assert!(h.contains("\"shard_role\":\"single\""), "{h}");
-    assert!(h.contains("\"shard_peers\":0"), "{h}");
     server.shutdown(false);
     server.join();
 }

@@ -122,6 +122,10 @@ fn submit_time_seed_and_kernel_overrides_apply() {
     // spec with ?model=max must reproduce the max-spec trajectory.
     let remodelled = offline_lines(&CHURN_SPEC.replace("model = \"sum\"", "model = \"max\""));
     assert_eq!(served_lines(&addr, CHURN_SPEC, "?model=max"), remodelled);
+
+    // ?seeds= widens the single-seed spec into a sweep at submit time.
+    let widened = offline_lines(&CHURN_SPEC.replace("seed = 11", "seed = 11\nseeds = 5"));
+    assert_eq!(served_lines(&addr, CHURN_SPEC, "?seeds=5"), widened);
     let bad = client::request(&addr, "POST", "/jobs?model=warp", CHURN_SPEC.as_bytes()).unwrap();
     assert_eq!(bad.status, 400, "{}", bad.text());
     server.shutdown(false);
@@ -130,9 +134,9 @@ fn submit_time_seed_and_kernel_overrides_apply() {
 
 #[test]
 fn healthz_reports_round_executor_mode_and_thread_cap() {
-    // Loadgen runs are self-describing: /healthz names the round
-    // executor jobs default to and the worker-thread cap every
-    // parallel primitive obeys.
+    // /healthz names the round executor jobs default to and the
+    // worker-thread cap every parallel primitive obeys, so a benchmark
+    // run can record what it measured.
     let server = spawn(ServerConfig {
         default_executor: bbncg_core::RoundExecutor::Sharded,
         ..ServerConfig::default()

@@ -184,6 +184,12 @@ fn oversized_instances_get_400_and_the_server_stays_up() {
         "[init]\nfamily = \"uniform\"\nn = 20000\nbudget = 1\n[[phase]]\nkind = \"dynamics\"\n";
     let wide_bitset = wide.replace("[[phase]]", "[dynamics]\nkernel = \"bitset\"\n[[phase]]");
     let wide_profile = format!("bbncg v1\nn 20000\nbudgets{}\narcs\n", " 0".repeat(20000));
+    // A value nested 10 000 arrays deep would overflow the parser's
+    // stack if it recursed without a bound.
+    let deep = format!(
+        "[init]\nfamily = \"path\"\nparams = {}\n",
+        "[".repeat(10_000)
+    );
     for (target, body, want) in [
         (
             "/jobs",
@@ -219,6 +225,11 @@ fn oversized_instances_get_400_and_the_server_stays_up() {
             "/jobs?seeds=1000000000000000",
             TINY_SPEC,
             "seeds: seeds = 1000000000000000",
+        ),
+        (
+            "/jobs",
+            deep.as_str(),
+            "line 3: arrays nest deeper than 32 levels",
         ),
     ] {
         let resp = client::request(&addr, "POST", target, body.as_bytes()).unwrap();

@@ -86,48 +86,16 @@
 #                                      within a session, hence the
 #                                      dedicated budget-2 leg)
 #
-# Both JSON files carry a schema_version field (bumped on any
-# field add/rename/remove) and are published atomically
+# The JSON file carries a schema_version field (bumped on any
+# field add/rename/remove) and is published atomically
 # (write temp + rename), so concurrent readers never see a torn
 # snapshot. The separate `obs_guard` bin (cargo run -p bbncg-bench
 # --bin obs_guard) enforces the zero-cost-when-off promise:
 # enabled-registry throughput must stay within a few percent of
 # disabled on n=1024 exact dynamics (sequential rounds, one thread).
 #
-# Also emits BENCH_serve.json via the `loadgen` bin: an in-process
-# bbncg-serve instance (epoll front end, 4 workers, bounded queue)
-# hammered by 640 concurrent keep-alive TCP clients (one persistent
-# connection each), every stream verified byte-for-byte against the
-# offline reference, plus a cache leg and a sharded-sweep leg. Fields:
-#   clients / requests_per_client / keep_alive / server_workers /
-#   queue_capacity       — the load shape
-#   requests_total       — completed submit+stream round trips
-#   requests_per_sec     — round trips per wall-clock second
-#   baseline_req_per_sec / req_per_sec_vs_baseline
-#                        — PR 9's thread-per-connection number and the
-#                          keep-alive front end's ratio against it
-#   latency_p50_ms, latency_p99_ms
-#                        — per-request submit→stream-complete latency
-#   retries_429          — backpressure bounces absorbed by retry
-#   dropped_streams, corrupted_streams
-#                        — must both be 0 (the binary asserts)
-#   cache_sweep_seeds / cache_recompute_p50_us / cache_hit_p50_us /
-#   cache_replay_p50_us / cache_speedup
-#                        — churn-sweep recompute (submit -> last byte)
-#                          vs content-addressed cache hit (submit ->
-#                          202 receipt naming the completed job; the
-#                          byte-verified replay is timed separately);
-#                          the binary asserts the speedup is >= 100x
-#   shard_merge_match    — coordinator + two peers merged stream is
-#                          byte-identical to the offline reference
-#                          (the binary asserts)
-#   server_rejected_429, server_p99_us
-#                        — the server's own accounting from /metrics
-#
-# Usage: scripts/bench_snapshot.sh [output.json] [serve-output.json]
+# Usage: scripts/bench_snapshot.sh [output.json]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_dynamics.json}"
-serve_out="${2:-BENCH_serve.json}"
 cargo run --release -q -p bbncg-bench --features naive-ref --bin bench_snapshot -- "$out"
-cargo run --release -q -p bbncg-bench --bin loadgen -- "$serve_out"
