@@ -1,9 +1,8 @@
 //! Plain-text result tables for the experiment harness.
 //!
 //! Every experiment renders its output through [`Table`] so the
-//! `experiments` binary and EXPERIMENTS.md show the same rows the paper
-//! reports (markdown) and machine-readable CSV can be captured with
-//! `--csv`.
+//! `experiments` binary shows the same rows the paper reports
+//! (markdown) and machine-readable CSV can be captured with `--csv`.
 
 use std::fmt::Write as _;
 

@@ -4,9 +4,9 @@
 //! ```text
 //! experiments [--list] [--csv] [--out DIR] [id …]
 //! ```
-//! With no ids, all experiments run in DESIGN.md order. `--csv` prints
-//! CSV to stdout instead of markdown; `--out DIR` additionally writes
-//! one CSV file per table into DIR.
+//! With no ids, all experiments run in the order `--list` prints them.
+//! `--csv` prints CSV to stdout instead of markdown; `--out DIR`
+//! additionally writes one CSV file per table into DIR.
 
 use bbncg_bench::experiments;
 use std::path::PathBuf;

@@ -3,8 +3,8 @@
 //! The observability tentpole promises *zero cost when off*: every
 //! `counter_add` / `observe` call sites a single relaxed load of the
 //! enable flag and nothing else. This binary measures that promise on
-//! the acceptance workload (n=1024 unit-budget exact dynamics,
-//! sequential rounds on one thread, so the ratio measures the
+//! the per-candidate pricing path (n=512 unit-budget MAX exact
+//! dynamics, sequential rounds on one thread, so the ratio measures the
 //! instrumentation rather than scheduling noise) by running the
 //! identical deterministic trajectory twice in one process:
 //!
@@ -24,11 +24,16 @@
 //!                          not enforce (CI smoke on noisy shared
 //!                          runners).
 //!
-//! Exits non-zero (assert) when the enforced bound is violated.
+//! Both modes also check, after the enabled pass, that the workload
+//! priced its candidates on a cost kernel (the `KernelPriced*` counters
+//! moved) and never in closed form, so the guard keeps measuring the
+//! per-candidate kernel tallies. Exits non-zero (assert) when that check
+//! or the enforced bound fails.
 
 use bbncg_core::dynamics::{run_dynamics_with_kernel, DynamicsConfig};
 use bbncg_core::{BudgetVector, CostKernel, CostModel, Realization, RoundExecutor};
 use bbncg_graph::generators;
+use bbncg_obs::Counter;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -46,12 +51,11 @@ fn initial(n: usize, seed: u64) -> Realization {
     Realization::new(generators::random_realization(budgets.as_slice(), &mut rng))
 }
 
-/// Best-of-`reps` steps/sec for the guard workload: capped
-/// exact-dynamics through the sequential executor on one engine. Unit
-/// budgets under SUM price in closed form, so the hot-path
-/// instrumentation here is the per-activation closed-form tally and
-/// the session and dynamics counters, not the per-candidate kernel
-/// tallies.
+/// Best-of-`reps` steps/sec for the guard workload: capped MAX
+/// exact-dynamics through the sequential executor on one engine. MAX
+/// has no closed form, so every activation prices its candidates on the
+/// kernel `Auto` picks, and the hot-path instrumentation here is the
+/// per-candidate kernel tallies plus the session and dynamics counters.
 fn best_steps_per_sec(n: usize, cap: usize, reps: usize) -> (f64, usize) {
     let mut best = 0.0f64;
     let mut steps = 0usize;
@@ -61,7 +65,7 @@ fn best_steps_per_sec(n: usize, cap: usize, reps: usize) -> (f64, usize) {
         let t = Instant::now();
         let rep = run_dynamics_with_kernel(
             init,
-            DynamicsConfig::exact(CostModel::Sum, cap).with_executor(RoundExecutor::Sequential),
+            DynamicsConfig::exact(CostModel::Max, cap).with_executor(RoundExecutor::Sequential),
             &mut rng,
             CostKernel::Auto,
         );
@@ -74,7 +78,7 @@ fn best_steps_per_sec(n: usize, cap: usize, reps: usize) -> (f64, usize) {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (n, cap, reps) = if quick { (256, 3, 2) } else { (1024, 5, REPS) };
+    let (n, cap, reps) = if quick { (256, 3, 2) } else { (512, 5, REPS) };
 
     assert!(
         !bbncg_obs::enabled(),
@@ -94,6 +98,23 @@ fn main() {
     println!("obs_guard: n={n} cap={cap} reps={reps} rounds=sequential quick={quick}");
     println!("obs_guard: disabled {sps_off:.1} steps/sec, enabled {sps_on:.1} steps/sec");
     println!("obs_guard: enabled/disabled ratio {ratio:.4} (floor {MIN_RATIO})");
+    let priced: u64 = [
+        Counter::KernelPricedQueue,
+        Counter::KernelPricedBitset,
+        Counter::KernelPricedSparse,
+    ]
+    .into_iter()
+    .map(bbncg_obs::counter_value)
+    .sum();
+    let closed_form = bbncg_obs::counter_value(Counter::ClosedFormActivations);
+    println!("obs_guard: kernel-priced candidates {priced}, closed-form activations {closed_form}");
+    assert!(
+        priced > 0 && closed_form == 0,
+        "obs_guard: the workload must price its candidates on a cost kernel \
+         (kernel-priced {priced}, closed-form activations {closed_form}); \
+         a closed-form path takes the guard off the per-candidate tallies"
+    );
+
     if quick {
         println!("obs_guard: --quick mode, ratio not enforced");
         return;

@@ -1,8 +1,9 @@
 //! The experiment implementations behind every table and figure of the
 //! paper. Each function returns [`Table`]s; the `experiments` binary
-//! prints them and EXPERIMENTS.md records paper-vs-measured.
+//! prints them.
 //!
-//! Experiment ids match DESIGN.md §4.
+//! [`ALL_IDS`] lists the experiment ids (`experiments --list` prints
+//! them).
 
 use bbncg_analysis::{
     connectivity_dichotomy, expansion_profile, path_decomposition, sample_equilibria, summarize,
@@ -961,7 +962,7 @@ fn generators_random(
     generators::random_realization(budgets.as_slice(), rng)
 }
 
-/// All experiment ids in DESIGN.md order.
+/// All experiment ids, in the order `experiments` runs them.
 pub const ALL_IDS: &[&str] = &[
     "t1-max-tree",
     "t1-sum-tree",

@@ -1,8 +1,7 @@
-//! Benchmark harness and experiment implementations for the `bbncg`
-//! reproduction.
+//! Experiment implementations for the `bbncg` reproduction.
 //!
 //! The [`experiments`] module regenerates every table and figure of the
-//! paper (ids in DESIGN.md §4); run them with
+//! paper (`experiments --list` prints the ids); run them with
 //!
 //! ```text
 //! cargo run -p bbncg-bench --release --bin experiments            # all
@@ -10,9 +9,8 @@
 //! cargo run -p bbncg-bench --release --bin experiments -- --csv … # CSV
 //! ```
 //!
-//! The Criterion benches under `benches/` measure the computational
-//! kernels of each experiment plus the ablations called out in
-//! DESIGN.md (parallel vs serial APSP, exact vs greedy vs swap best
-//! response, patched-BFS oracle vs full recomputation).
+//! The crate's other binary, `obs_guard`, guards the observability
+//! registry's zero-cost-when-off promise. Performance is measured by
+//! the separate `benchmark/` package.
 
 pub mod experiments;

@@ -72,11 +72,11 @@ pub enum CostKernel {
 
 impl CostKernel {
     /// Instance size at which [`CostKernel::Auto`] switches to the
-    /// bitset kernel. The direction-optimized bitset BFS beats the
-    /// queue at every size the `bench_snapshot` crossover probe
-    /// measured (n = 8 was already ~even, n ≥ 16 a clear win); below
-    /// this the difference is noise and the queue avoids the mirror's
-    /// footprint entirely.
+    /// bitset kernel. A single-shot crossover probe of whole dynamics
+    /// runs found the direction-optimized bitset BFS about even with the
+    /// queue at n = 8 and ahead from n = 16 on; it predates both BFS
+    /// kernels' level abort and has not been repeated. Below this the
+    /// queue also avoids the mirror's footprint entirely.
     pub const AUTO_BITSET_MIN_N: usize = 16;
 
     /// Instance size past which [`CostKernel::Auto`] leaves the bitset

@@ -5,8 +5,8 @@
 //! fresh BFS — which is the behaviour the deviation engine
 //! ([`DeviationScratch`](crate::DeviationScratch)) exists to eliminate.
 //! They are compiled only for tests and for the `naive-ref` feature
-//! (the bench snapshot measures the engine against them); production
-//! paths never see them.
+//! (which the crate's integration tests turn on to trace dynamics
+//! against them); production paths never see them.
 //!
 //! Tie-breaking (lexicographic candidate order, strict improvement)
 //! matches the engine-backed solvers exactly, so equivalence tests can

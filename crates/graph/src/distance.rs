@@ -1,10 +1,10 @@
 //! Whole-graph distance aggregates: eccentricities, diameter, sum of
 //! distances, and the full distance matrix.
 //!
-//! All of these are "BFS from every source" computations. The parallel
-//! variants split the source set across workers with **static chunking**
-//! (uniform per-source cost) and give each worker one reusable
-//! `BfsScratch`, so the hot loop allocates nothing.
+//! All of these are "BFS from every source" computations that reuse one
+//! `BfsScratch`, so the hot loop allocates nothing. The matrix splits its
+//! rows across workers with **static chunking** (uniform per-source
+//! cost), one scratch per worker.
 
 use crate::bfs::{BfsScratch, UNREACHED};
 use crate::csr::Csr;
@@ -47,20 +47,6 @@ pub fn eccentricities(csr: &Csr) -> Vec<u32> {
         .collect()
 }
 
-/// Parallel [`eccentricities`]; identical output, sources split across
-/// workers.
-pub fn eccentricities_par(csr: &Csr) -> Vec<u32> {
-    let n = csr.n();
-    let mut out = vec![0u32; n];
-    bbncg_par::par_chunks_mut(&mut out, |start, chunk| {
-        let mut scratch = BfsScratch::new(n);
-        for (off, slot) in chunk.iter_mut().enumerate() {
-            *slot = scratch.run(csr, NodeId::new(start + off)).max_dist;
-        }
-    });
-    out
-}
-
 /// Diameter of the graph. `Disconnected` if any BFS fails to span.
 pub fn diameter(csr: &Csr) -> Diameter {
     let n = csr.n();
@@ -79,32 +65,6 @@ pub fn diameter(csr: &Csr) -> Diameter {
     Diameter::Finite(best)
 }
 
-/// Parallel [`diameter`]. Runs all BFS even when disconnection is found
-/// early (the common case in this workspace is connected graphs, where no
-/// early exit exists anyway).
-pub fn diameter_par(csr: &Csr) -> Diameter {
-    let n = csr.n();
-    if n == 0 {
-        return Diameter::Finite(0);
-    }
-    let mut per_source = vec![(0u32, false); n];
-    bbncg_par::par_chunks_mut(&mut per_source, |start, chunk| {
-        let mut scratch = BfsScratch::new(n);
-        for (off, slot) in chunk.iter_mut().enumerate() {
-            let stats = scratch.run(csr, NodeId::new(start + off));
-            *slot = (stats.max_dist, stats.spanned(n));
-        }
-    });
-    let mut best = 0;
-    for &(ecc, spanned) in &per_source {
-        if !spanned {
-            return Diameter::Disconnected;
-        }
-        best = best.max(ecc);
-    }
-    Diameter::Finite(best)
-}
-
 /// Sum of distances from every vertex to all others *within its
 /// component* plus the count of unreachable vertices, as
 /// `(sum_within, unreachable)` pairs. The game layer turns `unreachable`
@@ -118,20 +78,6 @@ pub fn distance_sums(csr: &Csr) -> Vec<(u64, usize)> {
             (stats.sum_dist, n - stats.visited)
         })
         .collect()
-}
-
-/// Parallel [`distance_sums`].
-pub fn distance_sums_par(csr: &Csr) -> Vec<(u64, usize)> {
-    let n = csr.n();
-    let mut out = vec![(0u64, 0usize); n];
-    bbncg_par::par_chunks_mut(&mut out, |start, chunk| {
-        let mut scratch = BfsScratch::new(n);
-        for (off, slot) in chunk.iter_mut().enumerate() {
-            let stats = scratch.run(csr, NodeId::new(start + off));
-            *slot = (stats.sum_dist, n - stats.visited);
-        }
-    });
-    out
 }
 
 /// Dense all-pairs distance matrix with [`UNREACHED`] for cross-component
@@ -205,10 +151,8 @@ mod tests {
     fn path_diameter_and_ecc() {
         let csr = path_csr(6);
         assert_eq!(diameter(&csr), Diameter::Finite(5));
-        assert_eq!(diameter_par(&csr), Diameter::Finite(5));
         let ecc = eccentricities(&csr);
         assert_eq!(ecc, vec![5, 4, 3, 3, 4, 5]);
-        assert_eq!(eccentricities_par(&csr), ecc);
     }
 
     #[test]
@@ -221,7 +165,6 @@ mod tests {
     fn disconnected_detected() {
         let csr = Csr::from_edges(4, &[(0, 1), (2, 3)]);
         assert_eq!(diameter(&csr), Diameter::Disconnected);
-        assert_eq!(diameter_par(&csr), Diameter::Disconnected);
         assert_eq!(Diameter::Disconnected.finite(), None);
     }
 
@@ -231,7 +174,6 @@ mod tests {
         let sums = distance_sums(&csr);
         assert_eq!(sums[0], (1 + 2 + 3, 0));
         assert_eq!(sums[1], (1 + 1 + 2, 0));
-        assert_eq!(distance_sums_par(&csr), sums);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   candidate in time proportional to its *improved region* (the
 //!   deviation engine's `sparse` cost kernel for n ≫ 10⁴);
 //! * [`distance`] — eccentricities, diameter, distance sums and the
-//!   all-pairs matrix, with parallel variants;
+//!   all-pairs matrix (computed in parallel);
 //! * [`mod@components`], [`cycles`], [`connectivity`] — the structural
 //!   queries behind the paper's Theorems 3.x, 4.x and 7.2;
 //! * [`generators`] — deterministic paper families (spider, perfect
@@ -62,10 +62,7 @@ pub use connectivity::{
 pub use csr::Csr;
 pub use cycles::{distance_to_set, two_core_mask, unique_cycle};
 pub use digraph::OwnedDigraph;
-pub use distance::{
-    diameter, diameter_par, distance_sums, distance_sums_par, eccentricities, eccentricities_par,
-    Diameter, DistanceMatrix,
-};
+pub use distance::{diameter, distance_sums, eccentricities, Diameter, DistanceMatrix};
 pub use metrics::GraphMetrics;
 pub use node::{node_ids, NodeId};
 pub use sssp::{RepairOutcome, SparseSssp};

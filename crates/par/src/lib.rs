@@ -10,7 +10,7 @@
 //!
 //! Two scheduling disciplines are offered:
 //!
-//! * **dynamic** ([`par_map`], [`par_for_each`]): workers claim blocks of
+//! * **dynamic** ([`par_map`], [`par_map_init`]): workers claim blocks of
 //!   indices from a shared atomic counter. Good when per-item cost is
 //!   irregular (e.g. best-response search whose pruning depth varies).
 //! * **static** ([`par_chunks_mut`], [`par_reduce`]): the index space is
@@ -18,8 +18,8 @@
 //!   good when per-item cost is uniform (e.g. BFS from each source).
 //!
 //! All results are deterministic regardless of thread count: `par_map`
-//! writes each slot exactly once at its input index, and `par_reduce`
-//! folds per-chunk partials in chunk order.
+//! puts each result back at its input index, and `par_reduce` folds
+//! per-chunk partials in chunk order. The crate has no `unsafe` code.
 //!
 //! # Thread-cap precedence
 //!
@@ -41,12 +41,8 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
-// Index loops here typically walk several parallel arrays at once;
-// the index form is clearer than zipped iterators in those spots.
-#![allow(clippy::needless_range_loop)]
+#![forbid(unsafe_code)]
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static CACHED_MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -136,145 +132,13 @@ fn grain_for(len: usize, workers: usize) -> usize {
     (len / (workers * 64)).max(1)
 }
 
-/// Shared output buffer for `par_map`. Each index is written exactly once
-/// (workers claim disjoint index blocks), which makes the unsynchronized
-/// writes sound; the `Sync` impl is what lets the scoped threads share it.
-struct SlotBuf<R> {
-    slots: Vec<UnsafeCell<MaybeUninit<R>>>,
-}
-
-// SAFETY: workers write disjoint slots (each index claimed by exactly one
-// worker via the atomic counter) and reads happen only after the scope
-// joins all workers.
-unsafe impl<R: Send> Sync for SlotBuf<R> {}
-
-impl<R> SlotBuf<R> {
-    fn new(len: usize) -> Self {
-        let mut slots = Vec::with_capacity(len);
-        for _ in 0..len {
-            slots.push(UnsafeCell::new(MaybeUninit::uninit()));
-        }
-        SlotBuf { slots }
-    }
-
-    /// SAFETY: caller must guarantee `i` is written at most once and no
-    /// concurrent access to slot `i` occurs.
-    unsafe fn write(&self, i: usize, value: R) {
-        (*self.slots[i].get()).write(value);
-    }
-
-    /// SAFETY: caller must guarantee every slot was written exactly once
-    /// and all writers have been joined.
-    unsafe fn into_vec(self) -> Vec<R> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in self.slots {
-            out.push(slot.into_inner().assume_init());
-        }
-        out
-    }
-}
-
 /// Map `f` over `items` in parallel with dynamic load balancing,
 /// preserving input order in the output.
 ///
 /// `f` receives `(index, &item)`. Falls back to a serial loop for small
 /// inputs or when only one worker is available.
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
-    let len = items.len();
-    let workers = workers_for(len);
-    if workers <= 1 || len < 2 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    let grain = grain_for(len, workers);
-    let buf = SlotBuf::new(len);
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                mark_this_worker();
-                loop {
-                    let start = cursor.fetch_add(grain, Ordering::Relaxed);
-                    if start >= len {
-                        break;
-                    }
-                    let end = (start + grain).min(len);
-                    for i in start..end {
-                        // SAFETY: the atomic fetch_add hands each index
-                        // block to exactly one worker, so slot `i` is
-                        // written once.
-                        unsafe { buf.write(i, f(i, &items[i])) };
-                    }
-                }
-            });
-        }
-    });
-    // SAFETY: the cursor sweep covers 0..len exactly once and the scope
-    // joined every writer above.
-    unsafe { buf.into_vec() }
-}
-
-/// Run `f(index, &item)` for every item in parallel with dynamic load
-/// balancing. Side-effect variant of [`par_map`].
-pub fn par_for_each<T: Sync>(items: &[T], f: impl Fn(usize, &T) + Sync) {
-    let len = items.len();
-    let workers = workers_for(len);
-    if workers <= 1 || len < 2 {
-        for (i, x) in items.iter().enumerate() {
-            f(i, x);
-        }
-        return;
-    }
-    let grain = grain_for(len, workers);
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                mark_this_worker();
-                loop {
-                    let start = cursor.fetch_add(grain, Ordering::Relaxed);
-                    if start >= len {
-                        break;
-                    }
-                    let end = (start + grain).min(len);
-                    for i in start..end {
-                        f(i, &items[i]);
-                    }
-                }
-            });
-        }
-    });
-}
-
-/// Run `f` over the index range `0..len` in parallel (dynamic scheduling).
-/// Index-space variant of [`par_for_each`] for callers that index into
-/// several structures at once.
-pub fn par_for_each_index(len: usize, f: impl Fn(usize) + Sync) {
-    let workers = workers_for(len);
-    if workers <= 1 || len < 2 {
-        for i in 0..len {
-            f(i);
-        }
-        return;
-    }
-    let grain = grain_for(len, workers);
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                mark_this_worker();
-                loop {
-                    let start = cursor.fetch_add(grain, Ordering::Relaxed);
-                    if start >= len {
-                        break;
-                    }
-                    let end = (start + grain).min(len);
-                    for i in start..end {
-                        f(i);
-                    }
-                }
-            });
-        }
-    });
+    par_map_init(items.len(), || (), |(), i| f(i, &items[i]))
 }
 
 /// Map over `0..len` and return results in index order (dynamic
@@ -301,29 +165,44 @@ pub fn par_map_init<S, R: Send>(
         return (0..len).map(|i| f(&mut state, i)).collect();
     }
     let grain = grain_for(len, workers);
-    let buf = SlotBuf::new(len);
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                mark_this_worker();
-                let mut state = init();
-                loop {
-                    let start = cursor.fetch_add(grain, Ordering::Relaxed);
-                    if start >= len {
-                        break;
+    let cursor = &AtomicUsize::new(0);
+    let (init, f) = (&init, &f);
+    // Each worker returns the `(index, value)` pairs it computed; the
+    // cursor hands every index to exactly one worker, so the merge
+    // below fills every slot once.
+    let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(move || {
+                    mark_this_worker();
+                    let mut state = init();
+                    let mut out = Vec::new();
+                    loop {
+                        let start = cursor.fetch_add(grain, Ordering::Relaxed);
+                        if start >= len {
+                            break;
+                        }
+                        for i in start..(start + grain).min(len) {
+                            out.push((i, f(&mut state, i)));
+                        }
                     }
-                    let end = (start + grain).min(len);
-                    for i in start..end {
-                        // SAFETY: each index claimed by exactly one worker.
-                        unsafe { buf.write(i, f(&mut state, i)) };
-                    }
-                }
-            });
-        }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-    // SAFETY: all slots written exactly once, all workers joined.
-    unsafe { buf.into_vec() }
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(len).collect();
+    for (i, value) in parts.into_iter().flatten() {
+        slots[i] = Some(value);
+    }
+    slots
+        .into_iter()
+        .map(|v| v.expect("the cursor hands every index to one worker"))
+        .collect()
 }
 
 /// Process mutable chunks of `items` in parallel with static scheduling.
@@ -405,32 +284,6 @@ mod tests {
         let got = par_map_index(1000, |i| i * i);
         let want: Vec<usize> = (0..1000).map(|i| i * i).collect();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn par_for_each_visits_every_index_once() {
-        let n = 4096;
-        let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let items: Vec<usize> = (0..n).collect();
-        par_for_each(&items, |i, &x| {
-            assert_eq!(i, x);
-            counts[i].fetch_add(1, Ordering::Relaxed);
-        });
-        for c in &counts {
-            assert_eq!(c.load(Ordering::Relaxed), 1);
-        }
-    }
-
-    #[test]
-    fn par_for_each_index_visits_every_index_once() {
-        let n = 4096;
-        let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        par_for_each_index(n, |i| {
-            counts[i].fetch_add(1, Ordering::Relaxed);
-        });
-        for c in &counts {
-            assert_eq!(c.load(Ordering::Relaxed), 1);
-        }
     }
 
     #[test]
