@@ -15,6 +15,7 @@
 //!   dynamics (the empirical Table 1 engine);
 //! * [`table`] — markdown/CSV rendering for the experiments harness.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Index loops here typically walk several parallel arrays at once;
 // the index form is clearer than zipped iterators in those spots.

@@ -13,4 +13,6 @@
 //! registry's zero-cost-when-off promise. Performance is measured by
 //! the separate `benchmark/` package.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;

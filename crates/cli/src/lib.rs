@@ -17,6 +17,8 @@
 //! bbncg dot saved.bbncg
 //! ```
 
+#![forbid(unsafe_code)]
+
 use bbncg_analysis::{connectivity_dichotomy, path_decomposition, unit_structure};
 use bbncg_constructions::{
     binary_tree_equilibrium, shift_equilibrium, spider_equilibrium, theorem23_equilibrium,
@@ -182,14 +184,19 @@ pub fn cmd_construct(args: &Args) -> Result<String, String> {
         theorem23_equilibrium(&budgets).realization
     } else if let Some(k) = args.get("spider") {
         let k: usize = k.parse().map_err(|e| format!("--spider: {e}"))?;
+        // The generator caps, checked before anything is allocated.
+        generators::family_size("spider", &[k]).map_err(|e| format!("--spider: {e}"))?;
         spider_equilibrium(k).realization
     } else if let Some(h) = args.get("btree") {
         let h: u32 = h.parse().map_err(|e| format!("--btree: {e}"))?;
+        generators::family_size("btree", &[h as usize]).map_err(|e| format!("--btree: {e}"))?;
         binary_tree_equilibrium(h).realization
     } else if let Some(k) = args.get("shift") {
         let k: u32 = k.parse().map_err(|e| format!("--shift: {e}"))?;
-        if k > 3 {
-            return Err("--shift k > 3 produces > 500k-line files; refusing".into());
+        // k < 2 fails Lemma 5.2's hypothesis; k = 4 already writes
+        // over 500k lines.
+        if !(2..=3).contains(&k) {
+            return Err(format!("--shift: K must be 2 or 3, got {k}"));
         }
         shift_equilibrium(k).realization
     } else {

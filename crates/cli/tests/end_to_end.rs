@@ -317,6 +317,31 @@ fn threads_flag_rejects_zero_and_garbage() {
 }
 
 #[test]
+fn construct_refuses_bad_sizes_in_one_line() {
+    // Shift words outside Lemma 5.2's range used to panic, and spiders
+    // and trees over the generator caps aborted on a multi-terabyte
+    // allocation or ran past 20 s. Each now fails before anything is
+    // built.
+    for (flag, value, want) in [
+        ("--shift", "0", "--shift: K must be 2 or 3, got 0"),
+        ("--shift", "1", "--shift: K must be 2 or 3, got 1"),
+        ("--spider", "100000000000", "--spider: family \"spider\""),
+        ("--btree", "40", "--btree: family \"btree\" [40]"),
+        ("--btree", "25", "--btree: family \"btree\" [25]"),
+    ] {
+        let out = bbncg().args(["construct", flag, value]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        assert!(out.stdout.is_empty(), "{flag} {value}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(err.lines().count(), 1, "{flag} {value}: {err}");
+        assert!(err.starts_with(want), "{flag} {value}: {err}");
+        if flag != "--shift" {
+            assert!(err.contains("-vertex cap"), "{flag} {value}: {err}");
+        }
+    }
+}
+
+#[test]
 fn oversized_specs_exit_2_with_a_positioned_error() {
     let dir = std::env::temp_dir();
     for (i, (spec, want)) in [

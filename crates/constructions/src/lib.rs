@@ -18,6 +18,7 @@
 //!
 //! [`Realization`]: bbncg_core::Realization
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Index loops here typically walk several parallel arrays at once;
 // the index form is clearer than zipped iterators in those spots.

@@ -14,6 +14,9 @@
 //!   place** as players move (cost ∝ the diff, not `n + m`) — the one
 //!   undirected store every cost kernel reads;
 //! * a [`BfsScratch`] reused by every candidate BFS;
+//! * under the sparse kernel, a [`SparseSssp`]: one base BFS when a
+//!   session opens, then one bounded decrease-only repair per
+//!   candidate. No distance state survives the session;
 //! * reusable component-label and candidate buffers.
 //!
 //! The result: pricing a candidate deviation performs **zero**
@@ -57,8 +60,8 @@ use crate::cost::{c_inf, cost_from_bfs, CostModel};
 use crate::kernel::CostKernel;
 use crate::realization::Realization;
 use bbncg_graph::{
-    BfsScratch, BfsStats, BitAdjacency, BitBfsScratch, CompactCsr, NodeId, OwnedDigraph,
-    PriceBudget, SparseSssp, UNREACHED,
+    BfsScratch, BitAdjacency, BitBfsScratch, CompactCsr, NodeId, OwnedDigraph, PriceBudget,
+    SparseSssp, UNREACHED,
 };
 use bbncg_obs::Counter;
 
@@ -81,54 +84,13 @@ struct ObsTally {
     base_bfs: u64,
     /// Pricing sessions opened.
     sessions: u64,
-    /// Retained base profiles repaired in place (no base BFS).
-    base_repaired: u64,
-    /// Retained-base repair attempts abandoned (stale epoch, journal
-    /// overflow, or damage over the threshold) — fell back to a BFS.
-    repair_fallbacks: u64,
     /// Pricings aborted part-way by the incumbent bound, under any
     /// kernel (each also counted in `priced` and `prune_skips`).
     prune_aborts: u64,
-    /// Per-target candidate-bound cache hits / misses.
-    bound_hits: u64,
-    bound_misses: u64,
     /// Searches the closed form answered (one per activation; no
     /// kernel traversal).
     closed_form: u64,
 }
-
-/// Cross-activation retention bookkeeping for the sparse tier: while a
-/// base profile is retained for some source `s`, every premise edit
-/// (strategy diff by a player other than `s` — `s`'s own arcs are
-/// never part of its premise graph) is journalled as raw arc deltas.
-/// The next `begin(s)` nets the journal into presence transitions and
-/// repairs the base in place instead of rerunning the O(n + m) BFS.
-#[derive(Debug, Default)]
-struct Retention {
-    /// `(owner, target, ±1)` arc deltas since the retained rebase.
-    pending: Vec<(NodeId, NodeId, i32)>,
-    /// Journal gave up (too many edits to be worth netting); the next
-    /// same-source session must rebase.
-    overflow: bool,
-    /// `CompactCsr::edge_epoch()` right after the last journalled edit
-    /// (or rebase). A mismatch at repair time means an edit bypassed
-    /// the journal, so the retained state cannot be trusted.
-    epoch: u64,
-}
-
-/// Journal capacity before retention gives up: past this many raw arc
-/// deltas a full base BFS is competitive with netting + repairing.
-const RETENTION_CAP: usize = 256;
-
-/// Overshoot radius for the abort-ball propagation (sparse tier, SUM
-/// model): an incumbent abort keeps repairing until its certified
-/// bound clears the incumbent by this many levels' worth of sum,
-/// which prunes every later single-target candidate within that
-/// premise-graph radius of the seed at O(1). Each extra level costs
-/// one BFS level (~a frontier's width); each pruned candidate saves a
-/// whole bounded repair — on long-diameter components the trade is
-/// lopsidedly in the ball's favour.
-const BALL_OVERSHOOT: u64 = 64;
 
 /// Reusable engine state for pricing candidate deviations.
 #[derive(Debug)]
@@ -174,39 +136,9 @@ pub struct DeviationScratch {
     /// Active session: `(player, model)`; the player's arcs are
     /// currently lifted out of `patch`.
     active: Option<(NodeId, CostModel)>,
-    /// Cross-activation retention journal (sparse tier; see
-    /// [`Retention`]).
-    retention: Retention,
-    /// Per-target candidate-bound memo for the current base profile
-    /// (sparse tier): `tb_stamp[t] == tb_epoch` makes `tb_gain[t]` (the
-    /// landmark gain cap) and `tb_extra[t]` (target is not an
-    /// in-neighbour) valid. Strategies share targets, so multi-slot
-    /// searches hit this cache once per (target, base profile) instead
-    /// of recomputing per candidate.
-    tb_stamp: Vec<u32>,
-    tb_gain: Vec<u64>,
-    tb_extra: Vec<bool>,
-    tb_epoch: u32,
-    /// Per-target *cost* lower bounds propagated out of overshot
-    /// incumbent aborts (sparse tier, single-target candidates): when
-    /// a pricing of `[t]` aborts with a certified bound well over the
-    /// incumbent, every vertex `v` the repair touched near `t` gets
-    /// `tb_lb[v] = bound − reachable·d(t, v)` — a sound total-cost
-    /// floor for the candidate `[v]` in this session (same component,
-    /// same disconnection penalty). Candidates whose floor meets the
-    /// incumbent skip their BFS entirely. `tb_lb_stamp` shares
-    /// `tb_epoch` with the bound memo above.
-    tb_lb_stamp: Vec<u32>,
-    tb_lb: Vec<u64>,
-    /// Reusable `(vertex, distance)` buffer for the overshoot ball.
-    ball_buf: Vec<(NodeId, u32)>,
     /// Memoized cost of the player's *current* strategy this session
     /// (the improvement gate prices it after the rules already did).
     memo_current: Option<u64>,
-    /// Net-diff scratch for the repair decision.
-    diff_net: Vec<(NodeId, NodeId, i32)>,
-    diff_removed: Vec<(NodeId, NodeId)>,
-    diff_inserted: Vec<(NodeId, NodeId)>,
     label_buf: Vec<u32>,
     dedup_buf: Vec<NodeId>,
     /// Candidate-target pool, lent to best-response search loops.
@@ -229,21 +161,9 @@ pub struct DeviationScratch {
 /// removed arc clears its bit only when the patch (already updated)
 /// lost the last occurrence of the edge — a brace owned from the other
 /// side keeps the bit alive.
-///
-/// This is also the single funnel every premise edit flows through, so
-/// the sparse tier's retention journal is maintained here. It records
-/// only while a sparse base is retained (`retained_source` is `Some`,
-/// which never happens under queue or bitset): edits by players other
-/// than the retained source are recorded as raw arc deltas (the
-/// source's own arcs are excluded from its premise graph, so its edits
-/// — including the detach/attach session protocol — are net zero and
-/// skipped), and the recorded edge epoch is advanced so a bypassing
-/// edit is detectable at repair time.
 fn apply_strategy_patch(
     patch: &mut CompactCsr,
     bits: Option<&mut BitAdjacency>,
-    retention: &mut Retention,
-    retained_source: Option<NodeId>,
     owner: NodeId,
     old: &[NodeId],
     new: &[NodeId],
@@ -258,22 +178,6 @@ fn apply_strategy_patch(
         for &t in new.iter().filter(|t| !old.contains(t)) {
             bits.set_edge(owner, t);
         }
-    }
-    if let Some(s) = retained_source {
-        if owner != s && !retention.overflow {
-            if retention.pending.len() + old.len() + new.len() > RETENTION_CAP {
-                retention.overflow = true;
-                retention.pending.clear();
-            } else {
-                for &t in old {
-                    retention.pending.push((owner, t, -1));
-                }
-                for &t in new {
-                    retention.pending.push((owner, t, 1));
-                }
-            }
-        }
-        retention.epoch = patch.edge_epoch();
     }
 }
 
@@ -317,18 +221,7 @@ impl DeviationScratch {
             comp_sizes: Vec::new(),
             distinct_in: 0,
             active: None,
-            retention: Retention::default(),
-            tb_stamp: Vec::new(),
-            tb_gain: Vec::new(),
-            tb_extra: Vec::new(),
-            tb_epoch: 0,
-            tb_lb_stamp: Vec::new(),
-            tb_lb: Vec::new(),
-            ball_buf: Vec::new(),
             memo_current: None,
-            diff_net: Vec::new(),
-            diff_removed: Vec::new(),
-            diff_inserted: Vec::new(),
             label_buf: Vec::with_capacity(8),
             dedup_buf: Vec::with_capacity(8),
             pool_buf: Vec::with_capacity(n),
@@ -377,10 +270,6 @@ impl DeviationScratch {
         if self.resolved == CostKernel::Sparse {
             // Sparse pricing is one decrease-only repair per candidate.
             bbncg_obs::counter_add(Counter::KernelSsspRepairs, t.priced);
-            bbncg_obs::counter_add(Counter::KernelBaseRepaired, t.base_repaired);
-            bbncg_obs::counter_add(Counter::KernelRepairFallbacks, t.repair_fallbacks);
-            bbncg_obs::counter_add(Counter::KernelBoundCacheHits, t.bound_hits);
-            bbncg_obs::counter_add(Counter::KernelBoundCacheMisses, t.bound_misses);
         }
     }
 
@@ -423,8 +312,6 @@ impl DeviationScratch {
             apply_strategy_patch(
                 &mut self.patch,
                 self.bits.as_mut(),
-                &mut self.retention,
-                self.sssp.source(),
                 u,
                 &[],
                 self.mirror.out(u),
@@ -449,15 +336,7 @@ impl DeviationScratch {
             if have != want {
                 self.multi_owners += usize::from(want.len() > 1);
                 self.multi_owners -= usize::from(have.len() > 1);
-                apply_strategy_patch(
-                    &mut self.patch,
-                    self.bits.as_mut(),
-                    &mut self.retention,
-                    self.sssp.source(),
-                    u,
-                    have,
-                    want,
-                );
+                apply_strategy_patch(&mut self.patch, self.bits.as_mut(), u, have, want);
                 self.mirror.set_out_from_slice(u, want);
             }
         }
@@ -486,8 +365,6 @@ impl DeviationScratch {
         apply_strategy_patch(
             &mut self.patch,
             self.bits.as_mut(),
-            &mut self.retention,
-            self.sssp.source(),
             u,
             self.mirror.out(u),
             &[],
@@ -502,30 +379,13 @@ impl DeviationScratch {
         }
     }
 
-    /// Sparse-kernel session prep: fix the base distance profile every
-    /// candidate repair starts from — by repairing the retained
-    /// profile in place when this player was also the previous
-    /// sparse source and the journalled premise diff is in-bounds,
-    /// otherwise by a full BFS from `u` over the detached graph — and
-    /// fold its histogram into the landmark gain tables that widen the
-    /// per-candidate lower bound.
+    /// Sparse-kernel session prep: one BFS from `u` over the detached
+    /// graph fixes the base distance profile every candidate repair
+    /// starts from, and its histogram is folded into the landmark gain
+    /// tables that widen the per-candidate lower bound.
     fn rebase_sparse_session(&mut self, u: NodeId) {
-        if !self.try_repair_retained(u) {
-            self.tally.base_bfs += 1;
-            self.sssp.rebase(&self.patch, u);
-            self.retention.pending.clear();
-            self.retention.overflow = false;
-            self.retention.epoch = self.patch.edge_epoch();
-        }
-        // Fresh base profile (either way) ⇒ new bound-cache epoch.
-        self.tb_epoch = self.tb_epoch.wrapping_add(1);
-        if self.tb_stamp.len() != self.n() {
-            self.tb_stamp = vec![self.tb_epoch.wrapping_sub(1); self.n()];
-            self.tb_gain = vec![0; self.n()];
-            self.tb_extra = vec![false; self.n()];
-            self.tb_lb_stamp = vec![self.tb_epoch.wrapping_sub(1); self.n()];
-            self.tb_lb = vec![0; self.n()];
-        }
+        self.tally.base_bfs += 1;
+        self.sssp.rebase(&self.patch, u);
         // gain_ub(bt) = Σ_v max(0, improvement cap of a target at base
         // distance bt on a vertex at base distance d), split by branch:
         //   d ≥ bt  → bt − 1          (suffix count × (bt−1))
@@ -546,82 +406,6 @@ impl DeviationScratch {
         }
         for d in (0..dmax).rev() {
             self.lmk_cnt_ge[d] = self.lmk_cnt_ge[d + 1] + hist[d] as u64;
-        }
-    }
-
-    /// Attempt to reuse the retained base profile for a new session of
-    /// the same source: net the journalled arc deltas into presence
-    /// transitions against the current premise graph (the player is
-    /// already detached here, so `patch` *is* the premise) and run the
-    /// bounded dynamic-SSSP repair. Returns `false` — caller must
-    /// rebase — when the source differs, the journal overflowed, the
-    /// edge epoch shows an unjournalled edit, or the deletion damage
-    /// exceeded the n/4 threshold.
-    fn try_repair_retained(&mut self, u: NodeId) -> bool {
-        if self.sssp.source() != Some(u) {
-            return false;
-        }
-        if self.retention.overflow || self.patch.edge_epoch() != self.retention.epoch {
-            self.tally.repair_fallbacks += 1;
-            self.sssp.invalidate();
-            return false;
-        }
-        // Net the raw arc deltas per undirected edge.
-        self.diff_net.clear();
-        for &(a, b, d) in &self.retention.pending {
-            let (a, b) = if a <= b { (a, b) } else { (b, a) };
-            self.diff_net.push((a, b, d));
-        }
-        self.diff_net.sort_unstable_by_key(|&(a, b, _)| (a, b));
-        self.diff_removed.clear();
-        self.diff_inserted.clear();
-        let mut i = 0;
-        while i < self.diff_net.len() {
-            let (a, b, _) = self.diff_net[i];
-            let mut delta = 0i32;
-            while i < self.diff_net.len() && (self.diff_net[i].0, self.diff_net[i].1) == (a, b) {
-                delta += self.diff_net[i].2;
-                i += 1;
-            }
-            if delta == 0 {
-                continue;
-            }
-            // Presence transition: multiplicity now (in the premise —
-            // the source's own arcs are detached and were never
-            // journalled, so the units agree) vs before the journal.
-            let now = self.patch.neighbors(a).iter().filter(|&&x| x == b).count() as i64;
-            let before = now - delta as i64;
-            if before < 0 {
-                // Journal out of step with the graph — never expected;
-                // fail safe into a rebase.
-                self.tally.repair_fallbacks += 1;
-                self.sssp.invalidate();
-                return false;
-            }
-            if before > 0 && now == 0 {
-                self.diff_removed.push((a, b));
-            } else if before == 0 && now > 0 {
-                self.diff_inserted.push((a, b));
-            }
-        }
-        let threshold = (self.n() / 4).max(16);
-        match self.sssp.repair_batch(
-            &self.patch,
-            u,
-            &self.diff_removed,
-            &self.diff_inserted,
-            threshold,
-        ) {
-            bbncg_graph::RepairOutcome::Repaired(touched) => {
-                self.tally.base_repaired += 1;
-                bbncg_obs::observe(bbncg_obs::Histogram::RepairAffected, touched as u64);
-                self.retention.pending.clear();
-                true
-            }
-            bbncg_graph::RepairOutcome::TooDamaged => {
-                self.tally.repair_fallbacks += 1;
-                false
-            }
         }
     }
 
@@ -821,16 +605,6 @@ impl DeviationScratch {
             self.tally.prune_exact += 1;
             return Some(bound);
         }
-        // Sparse ball floor: an earlier overshot abort may have already
-        // certified this single-target candidate at or over the
-        // incumbent — same skip semantics, zero traversal.
-        if let (CostKernel::Sparse, [t]) = (self.resolved, targets) {
-            let ti = t.index();
-            if self.tb_lb_stamp[ti] == self.tb_epoch && self.tb_lb[ti] >= incumbent {
-                self.tally.prune_skips += 1;
-                return None;
-            }
-        }
         let cost = self.cost_bounded(targets, kappa, reachable, incumbent);
         if cost.is_none() {
             self.tally.prune_skips += 1;
@@ -880,7 +654,7 @@ impl DeviationScratch {
             },
         };
         let stats = match (self.resolved, &self.bits) {
-            (CostKernel::Sparse, _) => self.price_sparse_bounded(targets, &budget)?,
+            (CostKernel::Sparse, _) => self.sssp.price_bounded(&self.patch, u, targets, &budget)?,
             (_, Some(bits)) => self
                 .bitbfs
                 .run_patched_bounded(bits, u, u, targets, &budget)?,
@@ -896,47 +670,6 @@ impl DeviationScratch {
             stats.max_dist,
             stats.sum_dist,
         ))
-    }
-
-    /// Sparse pricing through [`SparseSssp::price_bounded_ball`]: exact
-    /// stats unless the budget is provably met mid-repair. Single-target
-    /// SUM candidates overshoot their abort so the certified bound
-    /// clears the budget by [`BALL_OVERSHOOT`] levels' worth of sum —
-    /// every vertex the repair touched within that radius inherits a
-    /// total-cost floor at or over the incumbent and skips its own
-    /// repair later this session (see `tb_lb`).
-    fn price_sparse_bounded(
-        &mut self,
-        targets: &[NodeId],
-        budget: &PriceBudget,
-    ) -> Option<BfsStats> {
-        let (u, model) = self.active.expect("no deviation session open");
-        let ball = matches!(model, CostModel::Sum) && targets.len() == 1 && budget.sum < u64::MAX;
-        let overshoot = if ball { BALL_OVERSHOOT } else { 0 };
-        let mut buf = std::mem::take(&mut self.ball_buf);
-        let res =
-            self.sssp
-                .price_bounded_ball(&self.patch, u, targets, budget, overshoot, &mut buf);
-        if let Err(lb_sum) = res {
-            if ball && lb_sum > 0 {
-                let n = self.n();
-                let reach = budget.reachable as u64;
-                let floor = lb_sum + (n as u64 - reach) * c_inf(n);
-                for &(v, d) in &buf {
-                    let vi = v.index();
-                    let vlb = floor.saturating_sub(reach * (d as u64 - 1));
-                    if self.tb_lb_stamp[vi] == self.tb_epoch {
-                        self.tb_lb[vi] = self.tb_lb[vi].max(vlb);
-                    } else {
-                        self.tb_lb_stamp[vi] = self.tb_epoch;
-                        self.tb_lb[vi] = vlb;
-                    }
-                }
-                buf.clear();
-            }
-        }
-        self.ball_buf = buf;
-        res.ok()
     }
 
     /// Lower bound on the cost of the *specific* candidate `targets`
@@ -970,9 +703,7 @@ impl DeviationScratch {
         // |targets ∪ in-neighbours(u)|: targets are tiny, so dedup by
         // scan; in-neighbour membership via binary search in the sorted
         // distinct-in list `dedup_buf` built at session open. Sparse
-        // sessions fold the landmark accumulators into the same pass,
-        // memoized per (target, base profile) — strategies share
-        // targets, so multi-slot searches pay each target once.
+        // sessions fold the landmark accumulators into the same pass.
         let mut extra = 0usize;
         let mut gain: u64 = 0; // Σ landmark gain caps, in-component targets
         let mut out_targets = 0usize; // distinct targets outside the base component
@@ -981,39 +712,17 @@ impl DeviationScratch {
             if t == u || targets[..i].contains(&t) {
                 continue;
             }
+            if self.dedup_buf.binary_search(&t).is_err() {
+                extra += 1;
+            }
             if sparse {
-                let ti = t.index();
-                let (t_gain, t_extra) = if self.tb_stamp[ti] == self.tb_epoch {
-                    self.tally.bound_hits += 1;
-                    (self.tb_gain[ti], self.tb_extra[ti])
-                } else {
-                    self.tally.bound_misses += 1;
-                    let bd = self.sssp.base_dist(t);
-                    let g = if bd == UNREACHED {
-                        0
-                    } else {
-                        self.landmark_gain_ub(bd as usize)
-                    };
-                    let e = self.dedup_buf.binary_search(&t).is_err();
-                    self.tb_stamp[ti] = self.tb_epoch;
-                    self.tb_gain[ti] = g;
-                    self.tb_extra[ti] = e;
-                    (g, e)
-                };
-                if t_extra {
-                    extra += 1;
-                }
                 let bd = self.sssp.base_dist(t);
                 if bd == UNREACHED {
                     out_targets += 1;
                 } else {
-                    gain += t_gain;
-                    if bd > max_bt {
-                        max_bt = bd;
-                    }
+                    gain += self.landmark_gain_ub(bd as usize);
+                    max_bt = max_bt.max(bd);
                 }
-            } else if self.dedup_buf.binary_search(&t).is_err() {
-                extra += 1;
             }
         }
         let d1 = (self.distinct_in + extra).min(reachable - 1);

@@ -246,8 +246,10 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, ParseError> {
             });
         }
         if let Some(rest) = line.strip_prefix("meta ") {
+            // The key ends at the first whitespace of any kind, so a
+            // parsed key is always one token and prints back as one.
             let (k, v) = rest
-                .split_once(' ')
+                .split_once(char::is_whitespace)
                 .ok_or_else(|| ParseError::BadLine(ln + 1, line.to_string()))?;
             meta.push((k.to_string(), v.trim().to_string()));
             continue;

@@ -23,9 +23,10 @@
 //!   query, branch-light and cache-linear. A large constant-factor win
 //!   for the dense, repeated queries of larger instances; an explicit
 //!   choice is refused above [`CostKernel::BITSET_MAX_N`] vertices.
-//! * [`CostKernel::Sparse`] — incremental repair over that CSR: the
-//!   session's base BFS is computed once per activation and every
-//!   candidate is priced by a decrease-only dynamic-SSSP repair
+//! * [`CostKernel::Sparse`] — incremental repair over that CSR: each
+//!   session opens with one base BFS (nothing carries over to the
+//!   next activation) and every candidate is priced by a decrease-only
+//!   dynamic-SSSP repair
 //!   ([`SparseSssp`](bbncg_graph::SparseSssp)), touching only the
 //!   vertices the candidate actually improves, with landmark lower
 //!   bounds (the base profile doubles as a free landmark) rejecting

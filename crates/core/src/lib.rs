@@ -31,6 +31,7 @@
 //!   inside each activation, step-identical by construction;
 //! * [`poa`] — social cost and price-of-anarchy bookkeeping.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Index loops here typically walk several parallel arrays at once;
 // the index form is clearer than zipped iterators in those spots.

@@ -132,12 +132,12 @@ proptest! {
         }
     }
 
-    /// Cross-activation retention is exact: a persistent sparse scratch
-    /// re-auditing the same player across committed moves (diff-synced
-    /// through the patch journal, base *repaired* rather than rebuilt
-    /// where the damage allows) prices every candidate identically to a
-    /// queue scratch built fresh at each step — across move sequences
-    /// produced by all four rules and both models.
+    /// A persistent sparse scratch stays exact across commits: re-
+    /// auditing the same player after each committed move (the mirror
+    /// diff-synced to the new profile, the base rebuilt by a fresh
+    /// rebase) prices every candidate identically to a queue scratch
+    /// built fresh at each step — across move sequences produced by
+    /// all four rules and both models.
     #[test]
     fn retained_sparse_base_prices_exactly_across_commits(
         n in 4usize..10, moves in 2usize..8, seed in 0u64..300,

@@ -16,6 +16,7 @@
 //! detection) so the `e-directed-baseline` experiment can compare the
 //! two models side by side.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dynamics;

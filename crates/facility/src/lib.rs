@@ -9,6 +9,7 @@
 //! solver and the facility solvers can cross-validate each other
 //! (experiment `e-nphard`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Index loops here typically walk several parallel arrays at once;
 // the index form is clearer than zipped iterators in those spots.

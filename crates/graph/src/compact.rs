@@ -51,8 +51,6 @@ pub struct CompactCsr {
     relocations: u64,
     /// Whole-arena re-packs (the only O(n + m) events).
     compactions: u64,
-    /// Bumped on every structural edit (multiplicity included).
-    edge_epoch: u64,
 }
 
 impl CompactCsr {
@@ -90,7 +88,6 @@ impl CompactCsr {
             live_entries: acc as usize,
             relocations: 0,
             compactions: 0,
-            edge_epoch: 0,
         }
     }
 
@@ -131,12 +128,6 @@ impl CompactCsr {
         self.compactions
     }
 
-    /// Structural-edit counter (every add/remove, multiplicity too).
-    #[inline]
-    pub fn edge_epoch(&self) -> u64 {
-        self.edge_epoch
-    }
-
     /// Is at least one occurrence of the undirected edge `{u, v}` live?
     #[inline]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
@@ -152,7 +143,6 @@ impl CompactCsr {
         self.remove_half(u, v);
         self.remove_half(v, u);
         self.live_entries -= 2;
-        self.edge_epoch += 1;
     }
 
     fn remove_half(&mut self, u: NodeId, v: NodeId) {
@@ -191,7 +181,6 @@ impl CompactCsr {
         self.add_half(u, v);
         self.add_half(v, u);
         self.live_entries += 2;
-        self.edge_epoch += 1;
     }
 
     fn add_half(&mut self, u: NodeId, v: NodeId) {
@@ -430,16 +419,13 @@ mod tests {
         let g = OwnedDigraph::from_arcs(3, &[(0, 1), (1, 0)]);
         let mut c = CompactCsr::from_digraph(&g);
         c.remove_edge(v(0), v(1));
-        assert_eq!(c.edge_epoch(), 1);
         assert!(c.has_edge(v(0), v(1)), "brace half kept presence");
         c.remove_edge(v(0), v(1));
-        assert_eq!(c.edge_epoch(), 2);
         assert!(!c.has_edge(v(0), v(1)), "last occurrence removed");
         // Re-adding restores presence; doubling it back into a brace
-        // is multiplicity only, and still an edit.
+        // is multiplicity only.
         c.add_edge(v(0), v(1));
         c.add_edge(v(1), v(0));
-        assert_eq!(c.edge_epoch(), 4);
         assert!(c.has_edge(v(1), v(0)));
         assert_eq!(c.neighbors(v(0)), &[v(1), v(1)]);
     }

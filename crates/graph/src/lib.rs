@@ -27,6 +27,7 @@
 //! * [`generators`] — deterministic paper families (spider, perfect
 //!   trees, shift graph) and seeded random families.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Index loops here typically walk several parallel arrays at once;
 // the index form is clearer than zipped iterators in those spots.
@@ -65,4 +66,4 @@ pub use digraph::OwnedDigraph;
 pub use distance::{diameter, distance_sums, eccentricities, Diameter, DistanceMatrix};
 pub use metrics::GraphMetrics;
 pub use node::{node_ids, NodeId};
-pub use sssp::{RepairOutcome, SparseSssp};
+pub use sssp::SparseSssp;

@@ -400,73 +400,6 @@ proptest! {
         }
     }
 
-    /// Batched base repair is exact: across chained rounds of random
-    /// presence edits (deletions + insertions, disconnections included),
-    /// `repair_batch` leaves the retained profile identical to a fresh
-    /// rebase on the edited graph — aggregates, every distance, the full
-    /// histogram — and pricing resumes correctly on the repaired base.
-    #[test]
-    fn repair_batch_matches_fresh_rebase(n in 3usize..32, m in 2usize..40, rounds in 1usize..6, seed in 0u64..500) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut edges: Vec<(usize, usize)> = (0..m)
-            .filter_map(|_| {
-                let u = rng.gen_range(0..n);
-                let v = rng.gen_range(0..n);
-                (u != v).then(|| (u.min(v), u.max(v)))
-            })
-            .collect();
-        edges.sort_unstable();
-        edges.dedup();
-        let src = NodeId::new(rng.gen_range(0..n));
-        let mut sssp = SparseSssp::new(n);
-        let mut bfs = BfsScratch::new(n);
-        sssp.rebase(&Csr::from_edges(n, &edges), src);
-        for _ in 0..rounds {
-            // Random presence edits: up to 2 deletions, up to 2 inserts.
-            let mut removed = Vec::new();
-            for _ in 0..rng.gen_range(0..3usize) {
-                if edges.is_empty() {
-                    break;
-                }
-                let i = rng.gen_range(0..edges.len());
-                let (a, b) = edges.swap_remove(i);
-                removed.push((NodeId::new(a), NodeId::new(b)));
-            }
-            let mut inserted = Vec::new();
-            for _ in 0..rng.gen_range(0..3usize) {
-                let u = rng.gen_range(0..n);
-                let v = rng.gen_range(0..n);
-                let e = (u.min(v), u.max(v));
-                if u != v && !edges.contains(&e) {
-                    edges.push(e);
-                    inserted.push((NodeId::new(e.0), NodeId::new(e.1)));
-                }
-            }
-            let after = Csr::from_edges(n, &edges);
-            match sssp.repair_batch(&after, src, &removed, &inserted, n) {
-                bbncg_graph::RepairOutcome::Repaired(_) => {
-                    let mut fresh = SparseSssp::new(n);
-                    let want = fresh.rebase(&after, src);
-                    prop_assert_eq!(sssp.base_stats(), want);
-                    for u in (0..n).map(NodeId::new) {
-                        prop_assert_eq!(sssp.base_dist(u), fresh.base_dist(u));
-                    }
-                    prop_assert_eq!(sssp.hist(), fresh.hist());
-                    // Pricing on the repaired base is exact.
-                    let t = NodeId::new(rng.gen_range(0..n));
-                    prop_assert_eq!(
-                        sssp.price(&after, src, &[t]),
-                        bfs.run_patched(&after, src, src, &[t])
-                    );
-                }
-                bbncg_graph::RepairOutcome::TooDamaged => {
-                    // Bail-out left the scratch stale; fall back.
-                    sssp.rebase(&after, src);
-                }
-            }
-        }
-    }
-
     /// The level rule of the queue and bitset kernels is a sound and
     /// tight prune. Against SUM and MAX budgets one under, at and one
     /// over the true value: a traversal that completes returns exactly
@@ -590,68 +523,6 @@ proptest! {
             }
             // Base survives every bounded rollback.
             prop_assert_eq!(sssp.base_stats(), bfs.run(&compact, src));
-        }
-    }
-
-    /// Overshoot-ball propagation is sound end to end: when a
-    /// single-target pricing crosses its SUM budget, the returned
-    /// bound `lb` and every reported `(v, d)` certify
-    /// `sum([v]) ≥ lb − reachable·(d − 1)` — the exact inequality the
-    /// deviation layer uses to skip candidate `[v]` without a BFS.
-    #[test]
-    fn overshoot_ball_floors_are_sound(n in 3usize..40, seed in 0u64..500) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let budgets: Vec<usize> = (0..n).map(|i| (i + seed as usize) % 3).collect();
-        let g = generators::random_realization(&budgets, &mut rng);
-        let compact = CompactCsr::from_digraph(&g);
-        let mut bfs = BfsScratch::new(n);
-        let mut sssp = SparseSssp::new(n);
-        let src = NodeId::new(rng.gen_range(0..n));
-        sssp.rebase(&compact, src);
-        let mut ball = Vec::new();
-        for _ in 0..4 {
-            let t = NodeId::new(rng.gen_range(0..n));
-            let targets = [t];
-            let want = bfs.run_patched(&compact, src, src, &targets);
-            // Budgets straddling the true sum, with varied overshoot.
-            for (delta, overshoot) in
-                [(-3i64, 1u64), (-1, 2), (0, 3), (0, 0), (2, 4)]
-            {
-                let budget = PriceBudget {
-                    sum: want.sum_dist.saturating_add_signed(delta),
-                    max: u32::MAX,
-                    reachable: want.visited,
-                    need_max: false,
-                };
-                ball.clear();
-                match sssp.price_bounded_ball(
-                    &compact, src, &targets, &budget, overshoot, &mut ball,
-                ) {
-                    Ok(st) => {
-                        prop_assert_eq!(st.sum_dist, want.sum_dist);
-                        prop_assert_eq!(st.visited, want.visited);
-                        prop_assert!(ball.is_empty());
-                    }
-                    Err(lb) => {
-                        // The bound itself is sound for this candidate.
-                        prop_assert!(want.sum_dist >= lb);
-                        prop_assert!(lb >= budget.sum);
-                        for &(v, d) in &ball {
-                            prop_assert!(d >= 1);
-                            // Only in-radius vertices are reported.
-                            let r = (d as u64 - 1) * want.visited as u64;
-                            prop_assert!(r <= lb - budget.sum);
-                            // The propagated floor holds against a
-                            // fresh exact pricing of [v].
-                            let vw = bfs.run_patched(&compact, src, src, &[v]);
-                            prop_assert_eq!(vw.visited, want.visited);
-                            prop_assert!(vw.sum_dist >= lb.saturating_sub(r));
-                        }
-                    }
-                }
-                // Base survives every rollback.
-                prop_assert_eq!(sssp.base_stats(), bfs.run(&compact, src));
-            }
         }
     }
 

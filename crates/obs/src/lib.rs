@@ -39,12 +39,13 @@
 //!
 //! bbncg_obs::enable();
 //! bbncg_obs::counter_add(Counter::DynamicsSteps, 3);
-//! bbncg_obs::observe(Histogram::RepairAffected, 8);
+//! bbncg_obs::observe(Histogram::PhaseMicros, 8);
 //! assert!(bbncg_obs::counter_value(Counter::DynamicsSteps) >= 3);
 //! let page = bbncg_obs::render_prometheus();
 //! bbncg_obs::validate_exposition(&page).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod prom;

@@ -86,19 +86,20 @@ pub enum Counter {
     /// aborts both land here.
     KernelPruneSkipBitset,
     /// Candidates skipped as unable to beat the incumbent (sparse
-    /// kernel): the Lemma 2.2 lower bound, in-flight incumbent aborts,
-    /// and overshoot-ball floors all land here.
+    /// kernel): the Lemma 2.2 lower bound and in-flight incumbent
+    /// aborts both land here.
     KernelPruneSkipSparse,
     /// Candidates priced exactly from the bound, without a BFS.
     KernelPruneExact,
     /// Decrease-only dynamic-SSSP repairs run by the sparse kernel.
     KernelSsspRepairs,
-    /// Retained base profiles repaired in place at session open
-    /// (instead of a full base BFS).
+    /// Retired: nothing increments it. The sparse kernel no longer
+    /// retains a base profile across sessions; every session opens
+    /// with one base BFS ([`Counter::KernelBaseBfs`]). Kept in the
+    /// catalogue because the benchmark package still reads it.
     KernelBaseRepaired,
-    /// Retained-base repair attempts abandoned (damage over threshold,
-    /// epoch mismatch, or diff-journal overflow) — each one costs a
-    /// full base BFS.
+    /// Retired: nothing increments it (see
+    /// [`Counter::KernelBaseRepaired`]).
     KernelRepairFallbacks,
     /// Queue-kernel pricings aborted part-way by the incumbent bound
     /// (counted inside the priced and prune-skip totals as well).
@@ -109,9 +110,13 @@ pub enum Counter {
     /// Sparse-kernel pricings aborted mid-repair by the incumbent
     /// bound (counted inside the priced and prune-skip totals as well).
     KernelPruneAbortSparse,
-    /// Per-target candidate-bound cache hits (sparse sessions).
+    /// Retired: nothing increments it. Sparse sessions compute each
+    /// target's landmark bound directly, with no per-target cache.
+    /// Kept in the catalogue because the benchmark package still reads
+    /// it.
     KernelBoundCacheHits,
-    /// Per-target candidate-bound cache misses (sparse sessions).
+    /// Retired: nothing increments it (see
+    /// [`Counter::KernelBoundCacheHits`]).
     KernelBoundCacheMisses,
     /// Activations whose single-arc candidates the unit-budget SUM
     /// closed form priced in one pass, with no kernel traversal.
@@ -293,7 +298,7 @@ impl Counter {
             Counter::KernelPruneExact => "Candidates priced exactly from the bound without a BFS",
             Counter::KernelSsspRepairs => "Decrease-only dynamic-SSSP repairs (sparse kernel)",
             Counter::KernelBaseRepaired | Counter::KernelRepairFallbacks => {
-                "Retained-base repair attempts at session open, by outcome"
+                "Retired retained-base repairs, by outcome; nothing increments it"
             }
             Counter::KernelPruneAbortQueue
             | Counter::KernelPruneAbortBitset
@@ -301,7 +306,7 @@ impl Counter {
                 "Pricings aborted part-way by the incumbent bound, by cost kernel"
             }
             Counter::KernelBoundCacheHits | Counter::KernelBoundCacheMisses => {
-                "Per-target candidate-bound cache lookups (sparse sessions)"
+                "Retired per-target candidate-bound cache lookups; nothing increments it"
             }
             Counter::ClosedFormActivations => {
                 "Activations priced by the unit-budget SUM closed form instead of a kernel"
@@ -399,14 +404,11 @@ pub enum Histogram {
     HttpShutdownMicros,
     /// Latency of requests matching no route (µs).
     HttpOtherMicros,
-    /// Affected-set size of each retained-base repair (vertices reset
-    /// or improved by the commit-time dynamic-SSSP update).
-    RepairAffected,
 }
 
 impl Histogram {
     /// Number of histograms in the catalogue.
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 13;
 
     /// Every histogram, in export order.
     pub const ALL: [Histogram; Histogram::COUNT] = [
@@ -423,7 +425,6 @@ impl Histogram {
         Histogram::HttpReportMicros,
         Histogram::HttpShutdownMicros,
         Histogram::HttpOtherMicros,
-        Histogram::RepairAffected,
     ];
 
     /// Prometheus metric family name (shared across labelled variants).
@@ -432,7 +433,6 @@ impl Histogram {
             Histogram::PhaseMicros => "bbncg_scenario_phase_duration_us",
             Histogram::EventMicros => "bbncg_scenario_event_duration_us",
             Histogram::SeedMicros => "bbncg_scenario_seed_duration_us",
-            Histogram::RepairAffected => "bbncg_kernel_repair_affected_vertices",
             _ => "bbncg_http_request_duration_us",
         }
     }
@@ -460,7 +460,6 @@ impl Histogram {
             Histogram::PhaseMicros => "Scenario phase wall time in microseconds",
             Histogram::EventMicros => "Perturbation event application time in microseconds",
             Histogram::SeedMicros => "Per-seed scenario run time in microseconds",
-            Histogram::RepairAffected => "Affected-set size per retained-base repair",
             _ => "HTTP request latency in microseconds, by endpoint",
         }
     }
@@ -518,8 +517,8 @@ fn saturating_fetch_add(cell: &AtomicU64, delta: u64) {
     if delta == 0 {
         return;
     }
-    // fetch_add is the fast path; fall into the CAS loop only when the
-    // current value is close enough to the ceiling to wrap.
+    // Every add is a compare-exchange of the saturated sum, so a cell
+    // at or near the ceiling can never wrap.
     let mut cur = cell.load(Ordering::Relaxed);
     loop {
         let next = cur.saturating_add(delta);

@@ -16,6 +16,7 @@
 //! streams are byte-identical to offline JSONL, the two artifacts are
 //! byte-identical too.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analyses;

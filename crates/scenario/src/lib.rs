@@ -50,6 +50,7 @@
 //! assert_eq!(sink.records.len(), 4); // 3 phases + summary
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

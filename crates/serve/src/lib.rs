@@ -44,6 +44,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// Every `unsafe` block (only the FFI shim in `sys.rs` has any) states
+// the invariant it relies on in a `// SAFETY:` comment.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod cache;
 pub mod client;

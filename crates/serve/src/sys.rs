@@ -187,6 +187,8 @@ extern "C" {
 /// with a deeper queue. Calling `listen(2)` again on an already
 /// listening socket just adjusts the backlog.
 pub fn set_backlog(fd: c_int, backlog: c_int) -> io::Result<()> {
+    // SAFETY: `listen(2)` takes no pointers and touches no memory of
+    // ours; a bad or non-socket `fd` fails with errno.
     match unsafe { listen(fd, backlog) } {
         0 => Ok(()),
         _ => Err(io::Error::last_os_error()),

@@ -48,6 +48,8 @@
 //! assert!(is_nash_equilibrium(&eq.realization, CostModel::Max));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use bbncg_analysis as analysis;
 pub use bbncg_constructions as constructions;
 pub use bbncg_core as game;
