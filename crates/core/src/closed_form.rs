@@ -23,6 +23,11 @@
 //!   give it on the cycle, and rerooting across each tree edge
 //!   (`D(x) = D(parent) + |C| − 2·size(x)`) gives it everywhere else.
 //!
+//! Component sizes come from the same peel: a tree component's size is
+//! its root's subtree size, a unicyclic one's the sum of its hanging-
+//! tree sizes around the cycle, and the rerooting pass hands each
+//! vertex its parent's. So the pass needs no component labelling.
+//!
 //! So pricing all `n − 1` candidates costs `O(n)` in total instead of
 //! one BFS each. The buffers are sized on first use and reused across
 //! activations; nothing is allocated per activation once warm.
@@ -42,6 +47,9 @@ pub(crate) struct ClosedForm {
     indeg: Vec<u32>,
     /// Size of each vertex's subtree (its hanging tree, on a cycle).
     size: Vec<u32>,
+    /// Size of each vertex's component, passed from parent to child;
+    /// 0 on `T`, which is priced separately.
+    comp: Vec<u32>,
     /// Distance sum from each vertex over its subtree; then, in place
     /// once nothing reads that sum any more, the SUM cost to the
     /// deviator of targeting the vertex (`u64::MAX` at the deviator).
@@ -67,22 +75,15 @@ impl ClosedForm {
     }
 
     /// Price every single-arc target of `u` under SUM. `mirror` is the
-    /// profile (no player owning two arcs, `u` owning one), `detached`
-    /// its undirected view without `u`'s arc, and `comp_label` /
-    /// `comp_sizes` that view's components.
-    pub(crate) fn price(
-        &mut self,
-        mirror: &OwnedDigraph,
-        detached: &CompactCsr,
-        u: NodeId,
-        comp_label: &[u32],
-        comp_sizes: &[usize],
-    ) {
+    /// profile (no player owning two arcs, `u` owning one) and
+    /// `detached` its undirected view without `u`'s arc.
+    pub(crate) fn price(&mut self, mirror: &OwnedDigraph, detached: &CompactCsr, u: NodeId) {
         let n = mirror.n();
         if self.sums.len() != n {
             self.parent.resize(n, NONE);
             self.indeg.resize(n, 0);
             self.size.resize(n, 0);
+            self.comp.resize(n, 0);
             self.sums.resize(n, 0);
         }
         let ui = u.index();
@@ -103,28 +104,32 @@ impl ClosedForm {
         self.peel(n);
 
         let cinf = c_inf(n);
-        let t_label = comp_label[ui];
-        let t_size = comp_sizes[t_label as usize] as u64;
-        debug_assert_eq!(self.size[ui] as u64, t_size, "u's component is an in-tree");
+        // `u` has no parent any more, so `T` is `u`'s subtree.
+        let t_size = self.size[ui] as u64;
         let s_u = self.sums[ui];
         // Cost of a target in component C, less its distance sum D_C.
-        let base = |c: u64| s_u + c + (n as u64 - t_size - c) * cinf;
+        let base = move |c: u64| s_u + c + (n as u64 - t_size - c) * cinf;
 
         for x in 0..n {
             if self.indeg[x] > 0 {
-                let c = comp_sizes[comp_label[x] as usize] as u64;
-                self.price_cycle(x, base(c));
+                self.price_cycle(x, base);
             }
         }
         // Parents before children: roots and cycles are priced, and
-        // each tree edge reroots the distance sum.
+        // each tree edge reroots the distance sum and hands down the
+        // component size.
         for &x in self.order.iter().rev() {
             let x = x as usize;
-            let label = comp_label[x];
-            if label == t_label {
+            let c = match self.parent[x] {
+                _ if x == ui => 0,
+                NONE => self.size[x],
+                p => self.comp[p as usize],
+            };
+            self.comp[x] = c;
+            if c == 0 {
                 continue;
             }
-            let c = comp_sizes[label as usize] as u64;
+            let c = c as u64;
             self.sums[x] = match self.parent[x] {
                 NONE => base(c) + self.sums[x],
                 p => self.sums[p as usize] + c - 2 * self.size[x] as u64,
@@ -164,8 +169,10 @@ impl ClosedForm {
     /// priced once: `D(cᵢ) = Σ_j sums(c_j) + Σ_j size(c_j)·d(i, j)`
     /// over the hanging trees' distance sums and sizes, with cycle
     /// distance `d(i, j) = min(|i−j|, k−|i−j|)` read off prefix sums
-    /// over the cycle walked twice.
-    fn price_cycle(&mut self, start: usize, base: u64) {
+    /// over the cycle walked twice. The hanging trees' sizes add up to
+    /// the component's size `c`; each cycle vertex costs
+    /// `base(c) + D(cᵢ)`.
+    fn price_cycle(&mut self, start: usize, base: impl Fn(u64) -> u64) {
         self.cycle.clear();
         let mut c = start;
         loop {
@@ -190,6 +197,8 @@ impl ClosedForm {
             weighted += t as u64 * self.size[c] as u64;
             self.ring.push((sizes, weighted));
         }
+        let c = self.ring[k].0;
+        let base = base(c) + tree_sums;
         // From cᵢ, ⌊k/2⌋ vertices lie ahead at distances 1, 2, … and the
         // other k − 1 − ⌊k/2⌋ behind at distances 1, 2, ….
         let (ahead, behind) = (k / 2, k - 1 - k / 2);
@@ -202,7 +211,9 @@ impl ClosedForm {
             let fwd = w - i as u64 * s;
             let (s, w) = span(i + k - behind, i + k);
             let bwd = (i + k) as u64 * s - w;
-            self.sums[self.cycle[i] as usize] = base + tree_sums + fwd + bwd;
+            let ci = self.cycle[i] as usize;
+            self.sums[ci] = base + fwd + bwd;
+            self.comp[ci] = c as u32;
         }
     }
 

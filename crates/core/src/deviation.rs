@@ -14,16 +14,18 @@
 //!   place** as players move (cost ∝ the diff, not `n + m`) — the one
 //!   undirected store every cost kernel reads;
 //! * a [`BfsScratch`] reused by every candidate BFS;
-//! * under the sparse kernel, a [`SparseSssp`]: one base BFS when a
-//!   session opens, then one bounded decrease-only repair per
-//!   candidate. No distance state survives the session;
+//! * under the sparse kernel, a [`SparseSssp`]: one base BFS per
+//!   session that prices on the kernel, then one bounded decrease-only
+//!   repair per candidate. No distance state survives the session;
 //! * reusable component-label and candidate buffers.
 //!
 //! The result: pricing a candidate deviation performs **zero**
 //! [`Csr::from_digraph`](bbncg_graph::Csr::from_digraph) rebuilds and
-//! zero allocations — one patched
-//! BFS, nothing else. The `rebuild-counter` feature on `bbncg-graph`
-//! plus `tests/engine_invariants.rs` enforce this.
+//! zero allocations — one patched BFS, nothing else — and neither does
+//! a dynamics run's applied move, since the engine never reads the
+//! [`Realization`]'s own (lazily built) views. The `rebuild-counter`
+//! feature on `bbncg-graph` plus `tests/engine_invariants.rs` enforce
+//! this.
 //!
 //! Search loops price through [`DeviationScratch::cost_of_pruned`],
 //! which only has to answer "does this candidate strictly beat the
@@ -37,17 +39,25 @@
 //! unit-budget games), the searches take every single-arc candidate's
 //! cost from one `O(n)` closed-form pass over the mirror and the
 //! detached CSR (`crate::closed_form`). It is exact, so the kernel
-//! choice does not matter there.
+//! choice does not matter there, and such a session builds none of
+//! the kernel state below.
 //!
 //! # Session protocol
 //!
 //! ```text
 //! let mut scratch = DeviationScratch::new(&r);
 //! scratch.begin(&r, u, model);      // syncs the mirror, detaches u
-//! let c = scratch.cost_of(&cand);   // any number of candidates
+//! let c = scratch.cost_of(&cand);   // any number of candidates; the
+//!                                   // first builds the kernel state
 //! // ... r.set_strategy(u, best) by the caller; the next begin()
 //! //     re-syncs the mirror by diffing, touching only what moved.
 //! ```
+//!
+//! `begin` costs one strategy diff plus the detach. The state only
+//! kernel pricing reads — the detached graph's component labelling
+//! and, under sparse, the base BFS — is built by the session's first
+//! kernel call (`cost_of` past the current-strategy memo,
+//! `cost_of_pruned` or `candidate_lower_bound`), once per session.
 //!
 //! `begin` may be called for any player of any realization with the
 //! same vertex count; the mirror diffs itself against the passed
@@ -80,7 +90,7 @@ struct ObsTally {
     prune_skips: u64,
     /// Candidates priced exactly from the bound (no BFS).
     prune_exact: u64,
-    /// Base BFS/SSSP computations (sparse session rebases).
+    /// Base BFSs (sparse sessions that priced on the kernel).
     base_bfs: u64,
     /// Pricing sessions opened.
     sessions: u64,
@@ -112,23 +122,25 @@ pub struct DeviationScratch {
     bits: Option<BitAdjacency>,
     bitbfs: BitBfsScratch,
     /// Sparse-kernel session state: base distance profile of the active
-    /// player over the detached graph plus per-candidate repair scratch.
-    /// Kept zero-sized unless the resolved kernel is `Sparse`.
+    /// player over the detached graph plus per-candidate repair scratch
+    /// (valid while `kernel_ready`). Kept zero-sized unless the
+    /// resolved kernel is `Sparse`.
     sssp: SparseSssp,
     /// Landmark gain tables over the base-distance histogram (sparse
-    /// sessions only): suffix counts, prefix counts and distance-
-    /// weighted prefix sums, giving an O(1) upper bound on how much
-    /// total distance a target at base distance `d` can save.
+    /// sessions only, valid while `kernel_ready`): suffix counts,
+    /// prefix counts and distance-weighted prefix sums, giving an O(1)
+    /// upper bound on how much total distance a target at base
+    /// distance `d` can save.
     lmk_cnt_ge: Vec<u64>,
     lmk_p1: Vec<u64>,
     lmk_p2: Vec<u64>,
     /// Component labels of the graph with the active player's arcs
-    /// removed (valid while a session is active).
+    /// removed (valid while `kernel_ready`).
     comp_label: Vec<u32>,
     comp_count: usize,
     /// Size of each component, indexed by label (valid with
-    /// `comp_label`; prices the disconnection terms of the per-
-    /// candidate lower bound without a BFS).
+    /// `comp_label`; prices the disconnection terms of every kernel
+    /// price and of the per-candidate lower bound without a BFS).
     comp_sizes: Vec<usize>,
     /// Distinct in-neighbour count of the active player in the
     /// arcs-removed graph (for the Lemma 2.2 lower bound).
@@ -136,6 +148,10 @@ pub struct DeviationScratch {
     /// Active session: `(player, model)`; the player's arcs are
     /// currently lifted out of `patch`.
     active: Option<(NodeId, CostModel)>,
+    /// This session's kernel state — the component labelling and,
+    /// under sparse, the base BFS — is built (see
+    /// [`Self::kernel_session`]).
+    kernel_ready: bool,
     /// Memoized cost of the player's *current* strategy this session
     /// (the improvement gate prices it after the rules already did).
     memo_current: Option<u64>,
@@ -221,6 +237,7 @@ impl DeviationScratch {
             comp_sizes: Vec::new(),
             distinct_in: 0,
             active: None,
+            kernel_ready: false,
             memo_current: None,
             label_buf: Vec::with_capacity(8),
             dedup_buf: Vec::with_capacity(8),
@@ -340,21 +357,27 @@ impl DeviationScratch {
                 self.mirror.set_out_from_slice(u, want);
             }
         }
-        debug_assert!(self.patch.same_graph_as(r.csr()));
+        // Compared against a view of its own, so the check fills no
+        // cache of `r`'s.
+        debug_assert!(self
+            .patch
+            .same_graph_as(&CompactCsr::from_digraph(r.graph())));
         debug_assert!(self.bits.as_ref().is_none_or(|b| b.mirrors(&self.patch)));
     }
 
     /// Open a pricing session for player `u` of `r` under `model`:
     /// sync the mirror to `r`, lift `u`'s owned arcs out of the patch,
-    /// and recompute the component labelling the disconnection
-    /// penalty needs. The session stays open (and candidate pricing
-    /// valid) until the next `begin` or `sync`.
+    /// and count `u`'s distinct in-neighbours. What only kernel pricing
+    /// reads — the component labelling and, under sparse, the base
+    /// BFS — is built by the session's first kernel call, so a session
+    /// the closed form settles never builds it. The session stays open
+    /// (and candidate pricing valid) until the next `begin` or `sync`.
     ///
     /// Re-entrant: calling `begin` again for the same `(u, model)`
     /// while `r` still matches the mirror is a cheap no-op (one O(n)
     /// strategy-slice comparison), so layered helpers — e.g. a best-
     /// response solver on top of a verification loop that already
-    /// opened the session — pay the detach + component relabel once.
+    /// opened the session — pay the detach and the kernel state once.
     pub fn begin(&mut self, r: &Realization, u: NodeId, model: CostModel) {
         if self.active == Some((u, model)) && !self.mirror_differs(r) {
             return; // session already open for exactly this state
@@ -372,8 +395,21 @@ impl DeviationScratch {
         self.active = Some((u, model));
         self.memo_current = None;
         self.closed_form_ready = false;
-        self.recompute_components();
+        self.kernel_ready = false;
         self.recompute_distinct_in(u);
+    }
+
+    /// Build the session state only kernel pricing reads, once per
+    /// session: the component labelling of the detached graph and,
+    /// under sparse, the base BFS. [`Self::merge_stats`] calls it, and
+    /// every kernel path (`cost_of` past the memo, `cost_of_pruned`,
+    /// `candidate_lower_bound`) starts there.
+    fn kernel_session(&mut self, u: NodeId) {
+        if self.kernel_ready {
+            return;
+        }
+        self.kernel_ready = true;
+        self.recompute_components();
         if self.resolved == CostKernel::Sparse {
             self.rebase_sparse_session(u);
         }
@@ -464,8 +500,10 @@ impl DeviationScratch {
     /// Component structure of the graph if the active player plays
     /// `targets`: the components touched by `{u} ∪ targets` merge.
     /// Returns `(κ after the move, vertices reachable from u)` — both
-    /// exact, computed from the cached labelling without a BFS.
+    /// exact, computed from the session's labelling without a BFS.
+    /// Builds the session's kernel state first, if nothing has yet.
     fn merge_stats(&mut self, u: NodeId, targets: &[NodeId]) -> (usize, usize) {
+        self.kernel_session(u);
         self.label_buf.clear();
         self.label_buf.push(self.comp_label[u.index()]);
         for &t in targets {
@@ -516,13 +554,7 @@ impl DeviationScratch {
         }
         let current = current.index();
         if !self.closed_form_ready {
-            self.closed_form.price(
-                &self.mirror,
-                &self.patch,
-                u,
-                &self.comp_label,
-                &self.comp_sizes,
-            );
+            self.closed_form.price(&self.mirror, &self.patch, u);
             self.closed_form_ready = true;
         }
         // One search per activation asks, so this counts activations.
@@ -1061,6 +1093,86 @@ mod tests {
             assert_eq!(scratch.cost_of(&[v(t)]), want);
         }
         assert_eq!(scratch.rebuilds(), 0);
+    }
+
+    /// Every size-`b` strategy of `u` in `r`, in enumeration order.
+    fn candidates(r: &Realization, u: NodeId) -> Vec<Vec<NodeId>> {
+        let pool: Vec<NodeId> = (0..r.n()).map(v).filter(|&t| t != u).collect();
+        let mut od = crate::oracle::CombinationOdometer::new(pool.len(), r.strategy(u).len());
+        let mut all = Vec::new();
+        loop {
+            all.push(od.indices().iter().map(|&i| pool[i]).collect());
+            if !od.advance() {
+                return all;
+            }
+        }
+    }
+
+    /// Multi-component profiles where the first kernel call of a
+    /// session is, in turn, `cost_of` on a non-current target,
+    /// `cost_of_pruned` and `candidate_lower_bound` — in unit SUM
+    /// sessions also after the closed form. Whichever call builds the
+    /// session's kernel state, every price equals a fresh queue
+    /// engine's; `begin` and the closed form build none of it, and no
+    /// later call builds it again. One engine runs every session of a
+    /// case, so state a session failed to build would be the previous
+    /// player's.
+    #[test]
+    fn the_first_kernel_call_builds_the_session_state() {
+        let profiles = [
+            // Unit budgets: a tree rooted at 2, a brace with a pendant,
+            // an isolated vertex.
+            OwnedDigraph::from_arcs(7, &[(0, 1), (1, 2), (3, 4), (4, 3), (5, 3)]),
+            // Player 0 owns two arcs: no session is in the closed form.
+            OwnedDigraph::from_arcs(7, &[(0, 1), (0, 2), (3, 4), (4, 5), (6, 5)]),
+        ];
+        for r in profiles.map(Realization::new) {
+            for kernel in [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse] {
+                for model in CostModel::ALL {
+                    // `first % 3` picks the first kernel call; `first ≥ 3`
+                    // runs the closed form before it.
+                    for first in 0..6 {
+                        let mut scratch = DeviationScratch::with_kernel(&r, kernel);
+                        for u in (0..r.n()).map(v).filter(|&u| r.graph().out_degree(u) > 0) {
+                            let mut fresh = DeviationScratch::with_kernel(&r, CostKernel::Queue);
+                            fresh.begin(&r, u, model);
+                            let cands = candidates(&r, u);
+                            let other = cands.iter().find(|c| c[..] != *r.strategy(u)).unwrap();
+                            let want = fresh.cost_of(other);
+                            let ctx = format!("{kernel} {model:?} first={first} {u}->{other:?}");
+
+                            scratch.begin(&r, u, model);
+                            assert!(!scratch.kernel_ready, "begin built kernel state: {ctx}");
+                            if first >= 3 {
+                                if scratch.closed_form_costs().is_none() {
+                                    continue; // outside the closed form's class
+                                }
+                                assert!(!scratch.kernel_ready, "closed form built it: {ctx}");
+                            }
+                            assert_eq!(scratch.tally.base_bfs, 0, "{ctx}");
+                            match first % 3 {
+                                0 => assert_eq!(scratch.cost_of(other), want, "{ctx}"),
+                                1 => {
+                                    let got = scratch.cost_of_pruned(other, u64::MAX);
+                                    assert_eq!(got, Some(want), "{ctx}");
+                                }
+                                _ => assert!(scratch.candidate_lower_bound(other) <= want, "{ctx}"),
+                            }
+                            assert!(scratch.kernel_ready, "{ctx}");
+                            let base_bfs = u64::from(kernel == CostKernel::Sparse);
+                            assert_eq!(scratch.tally.base_bfs, base_bfs, "{ctx}");
+                            for cand in &cands {
+                                let want = fresh.cost_of(cand);
+                                assert_eq!(scratch.cost_of(cand), want, "{ctx} {cand:?}");
+                                assert_eq!(scratch.cost_of_pruned(cand, want + 1), Some(want));
+                                assert!(scratch.candidate_lower_bound(cand) <= want);
+                            }
+                            assert_eq!(scratch.tally.base_bfs, base_bfs, "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

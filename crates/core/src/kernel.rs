@@ -6,8 +6,8 @@
 //! scenario sweeps. The exception is the paper's unit-budget class:
 //! under SUM, when the player owns one arc and no player owns two, the
 //! engine prices all `n − 1` candidates in one `O(n)` closed-form pass
-//! and no kernel runs (an explicit sharded executor still splits those
-//! activations onto the kernels). For everything else the engine lets
+//! and no kernel runs, nor builds any session state (an explicit
+//! sharded executor still splits those activations onto the kernels). For everything else the engine lets
 //! callers choose **how** the BFS runs. All three read
 //! the same editable undirected store, a slack-free
 //! [`CompactCsr`](bbncg_graph::CompactCsr) kept in step with the
@@ -23,9 +23,10 @@
 //!   query, branch-light and cache-linear. A large constant-factor win
 //!   for the dense, repeated queries of larger instances; an explicit
 //!   choice is refused above [`CostKernel::BITSET_MAX_N`] vertices.
-//! * [`CostKernel::Sparse`] — incremental repair over that CSR: each
-//!   session opens with one base BFS (nothing carries over to the
-//!   next activation) and every candidate is priced by a decrease-only
+//! * [`CostKernel::Sparse`] — incremental repair over that CSR: a
+//!   session's first kernel call runs one base BFS (nothing carries
+//!   over to the next activation, and a session that never prices on
+//!   the kernel runs none) and every candidate is priced by a decrease-only
 //!   dynamic-SSSP repair
 //!   ([`SparseSssp`](bbncg_graph::SparseSssp)), touching only the
 //!   vertices the candidate actually improves, with landmark lower

@@ -2,28 +2,41 @@
 //!
 //! A strategy profile `(S₁,…,Sₙ)` of `(b₁,…,bₙ)-BG` *is* an ownership
 //! digraph — vertex `i` owns an arc to each member of `Sᵢ`. A
-//! [`Realization`] bundles that digraph with the derived undirected CSR
-//! view and component count, keeping them consistent across deviations.
+//! [`Realization`] bundles that digraph with three views derived from
+//! it — the undirected CSR, its component structure and its diameter.
+//! Each view is built the first time something reads it and dropped
+//! when a strategy changes, so a dynamics run that only ever reads the
+//! digraph (the deviation engine keeps its own incrementally patched
+//! view) builds none of them.
 
 use crate::budget::BudgetVector;
 use crate::cost::{c_inf, CostModel};
-use bbncg_graph::{components, BfsScratch, Components, Csr, NodeId, OwnedDigraph};
+use bbncg_graph::{components, BfsScratch, Components, Csr, Diameter, NodeId, OwnedDigraph};
+use std::sync::OnceLock;
 
-/// A strategy profile of the game, with cached undirected view.
+/// A strategy profile of the game, with lazily built derived views.
 #[derive(Clone, Debug)]
 pub struct Realization {
     g: OwnedDigraph,
-    csr: Csr,
-    comps: Components,
+    /// `U(G)`; built on first read, dropped by [`Realization::set_strategy`].
+    csr: OnceLock<Csr>,
+    /// Components of `csr`; same lifetime.
+    comps: OnceLock<Components>,
+    /// Diameter of `csr` (an all-pairs BFS sweep); same lifetime.
+    diam: OnceLock<Diameter>,
 }
 
 impl Realization {
     /// Wrap an ownership digraph as a realization (of the instance whose
-    /// budget vector is the digraph's out-degree sequence).
+    /// budget vector is the digraph's out-degree sequence). Builds no
+    /// derived view.
     pub fn new(g: OwnedDigraph) -> Self {
-        let csr = Csr::from_digraph(&g);
-        let comps = components(&csr);
-        Realization { g, csr, comps }
+        Realization {
+            g,
+            csr: OnceLock::new(),
+            comps: OnceLock::new(),
+            diam: OnceLock::new(),
+        }
     }
 
     /// Number of players.
@@ -38,22 +51,22 @@ impl Realization {
         &self.g
     }
 
-    /// The undirected underlying graph `U(G)`.
+    /// The undirected underlying graph `U(G)` (built on first read).
     #[inline]
     pub fn csr(&self) -> &Csr {
-        &self.csr
+        self.csr.get_or_init(|| Csr::from_digraph(&self.g))
     }
 
-    /// Connected-component structure of `U(G)`.
+    /// Connected-component structure of `U(G)` (built on first read).
     #[inline]
     pub fn components(&self) -> &Components {
-        &self.comps
+        self.comps.get_or_init(|| components(self.csr()))
     }
 
     /// Number of connected components κ.
     #[inline]
     pub fn kappa(&self) -> usize {
-        self.comps.count
+        self.components().count
     }
 
     /// The instance's budget vector (out-degree sequence).
@@ -67,7 +80,8 @@ impl Realization {
         self.g.out(u)
     }
 
-    /// Replace player `u`'s strategy and refresh the cached views.
+    /// Replace player `u`'s strategy and drop the derived views; the
+    /// next read of each rebuilds it.
     ///
     /// # Panics
     /// Panics if the new strategy has the wrong size for `u`'s budget
@@ -80,13 +94,16 @@ impl Realization {
             "strategy size must equal the budget of {u}"
         );
         self.g.set_out(u, targets);
-        self.csr = Csr::from_digraph(&self.g);
-        self.comps = components(&self.csr);
+        self.csr.take();
+        self.comps.take();
+        self.diam.take();
     }
 
-    /// A copy of this realization with `u` deviating to `targets`.
+    /// A copy of this realization with `u` deviating to `targets` (a
+    /// copy of the digraph only: none of this profile's views hold for
+    /// the new one).
     pub fn with_strategy(&self, u: NodeId, targets: Vec<NodeId>) -> Realization {
-        let mut other = self.clone();
+        let mut other = Realization::new(self.g.clone());
         other.set_strategy(u, targets);
         other
     }
@@ -99,15 +116,21 @@ impl Realization {
     /// The social cost: `diam(U(G))`, or `C_inf = n²` when disconnected
     /// (consistent with the game's distance convention).
     pub fn social_diameter(&self) -> u64 {
-        match bbncg_graph::diameter(&self.csr) {
-            bbncg_graph::Diameter::Finite(d) => d as u64,
-            bbncg_graph::Diameter::Disconnected => c_inf(self.n()),
+        match self.diameter_view() {
+            Diameter::Finite(d) => d as u64,
+            Diameter::Disconnected => c_inf(self.n()),
         }
     }
 
     /// Finite diameter of `U(G)` if connected.
     pub fn diameter(&self) -> Option<u32> {
-        bbncg_graph::diameter(&self.csr).finite()
+        self.diameter_view().finite()
+    }
+
+    /// The diameter view: one all-pairs BFS sweep per profile, however
+    /// many times either diameter method is asked.
+    fn diameter_view(&self) -> Diameter {
+        *self.diam.get_or_init(|| bbncg_graph::diameter(self.csr()))
     }
 
     /// Cost of player `u` under `model` (fresh scratch; see
@@ -119,20 +142,20 @@ impl Realization {
 
     /// Cost of player `u` under `model`, reusing `scratch`.
     pub fn cost_with(&self, u: NodeId, model: CostModel, scratch: &mut BfsScratch) -> u64 {
-        crate::cost::vertex_cost(model, &self.csr, self.kappa(), u, scratch)
+        crate::cost::vertex_cost(model, self.csr(), self.kappa(), u, scratch)
     }
 
     /// Costs of all players (parallel over vertices).
     pub fn costs(&self, model: CostModel) -> Vec<u64> {
         let n = self.n();
-        let kappa = self.kappa();
+        let (csr, kappa) = (self.csr(), self.kappa());
         let mut out = vec![0u64; n];
         bbncg_par::par_chunks_mut(&mut out, |start, chunk| {
             let mut scratch = BfsScratch::new(n);
             for (off, slot) in chunk.iter_mut().enumerate() {
                 *slot = crate::cost::vertex_cost(
                     model,
-                    &self.csr,
+                    csr,
                     kappa,
                     NodeId::new(start + off),
                     &mut scratch,
@@ -177,6 +200,12 @@ mod tests {
         assert_eq!(r.kappa(), 2);
         assert_eq!(r.social_diameter(), 16);
         assert_eq!(r.diameter(), None);
+    }
+
+    #[test]
+    fn views_keep_the_realization_shareable() {
+        fn shareable<T: Clone + Send + Sync>() {}
+        shareable::<Realization>();
     }
 
     #[test]

@@ -134,10 +134,12 @@ proptest! {
 
     /// A persistent sparse scratch stays exact across commits: re-
     /// auditing the same player after each committed move (the mirror
-    /// diff-synced to the new profile, the base rebuilt by a fresh
-    /// rebase) prices every candidate identically to a queue scratch
-    /// built fresh at each step — across move sequences produced by
-    /// all four rules and both models.
+    /// diff-synced to the new profile; no distances kept from the last
+    /// session, whose base the session's first kernel call rebuilds)
+    /// prices every candidate identically to a queue scratch built
+    /// fresh at each step — across move sequences produced by all four
+    /// rules and both models. (The name predates the deletion of the
+    /// sparse kernel's retained base.)
     #[test]
     fn retained_sparse_base_prices_exactly_across_commits(
         n in 4usize..10, moves in 2usize..8, seed in 0u64..300,
@@ -149,7 +151,8 @@ proptest! {
             let mut sparse = DeviationScratch::with_kernel(&r, CostKernel::Sparse);
             let mut mover_scratch = DeviationScratch::with_kernel(&r, CostKernel::Queue);
             for step in 0..moves {
-                // Audit the watcher on the retained base.
+                // Audit the watcher on the long-lived engine; its first
+                // `cost_of` runs this session's base BFS.
                 sparse.begin(&r, watcher, model);
                 let mut fresh = DeviationScratch::with_kernel(&r, CostKernel::Queue);
                 fresh.begin(&r, watcher, model);

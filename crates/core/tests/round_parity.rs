@@ -49,8 +49,8 @@ const RULES: [ResponseRule; 4] = [
 
 const KERNELS: [CostKernel; 3] = [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse];
 
-/// `Counter::RoundsEvals` is process-global, so every test here that
-/// runs sharded (or `Auto`) dynamics holds this lock: a counter delta
+/// The obs counters are process-global, so every test here that runs
+/// dynamics or prices on a kernel holds this lock: a counter delta
 /// read under it belongs to the run that produced it.
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
@@ -66,6 +66,18 @@ fn sharded_activations() -> u64 {
 
 fn closed_form_activations() -> u64 {
     bbncg_obs::counter_value(Counter::ClosedFormActivations)
+}
+
+/// `[base BFS, priced on queue, priced on bitset, priced on sparse]`:
+/// the counters that move only when a session prices on a kernel.
+fn kernel_work() -> [u64; 4] {
+    [
+        Counter::KernelBaseBfs,
+        Counter::KernelPricedQueue,
+        Counter::KernelPricedBitset,
+        Counter::KernelPricedSparse,
+    ]
+    .map(bbncg_obs::counter_value)
 }
 
 /// Random realization with every budget 0 or 1: about one player in
@@ -321,6 +333,9 @@ proptest! {
     /// rebuild reference for all four rules × both orders × all three
     /// kernels. The closed-form counter moves by one per sequential
     /// activation of a one-arc player and stays put on split ones.
+    /// Kernel session state is built only when a kernel prices: a
+    /// sequential run moves no base-BFS or kernel-priced counter under
+    /// any kernel, while a split run on sparse opens base BFSs.
     #[test]
     fn unit_budget_dynamics_match_the_reference(n in 3usize..16, seed in 0u64..1_000_000) {
         let _lock = counting();
@@ -337,16 +352,32 @@ proptest! {
                 for kernel in KERNELS {
                     for executor in [RoundExecutor::Sequential, RoundExecutor::Sharded] {
                         let before = closed_form_activations();
+                        let work_before = kernel_work();
                         let run = run_dynamics_with_kernel(
                             initial.clone(),
                             cfg.with_executor(executor),
                             &mut StdRng::seed_from_u64(7),
                             kernel,
                         );
+                        let work = kernel_work();
                         prop_assert_eq!(
                             closed_form_activations() - before,
                             expected_closed_form(&initial, rule, executor, &run)
                         );
+                        if executor == RoundExecutor::Sequential {
+                            prop_assert!(
+                                work == work_before,
+                                "{} {:?}: {:?} -> {:?}",
+                                kernel,
+                                rule,
+                                work_before,
+                                work
+                            );
+                        } else if kernel == CostKernel::Sparse
+                            && expected_splits(&initial, rule, &run) > 0
+                        {
+                            prop_assert!(work[0] > work_before[0], "{:?}: no base BFS", rule);
+                        }
                         prop_assert_eq!(&run.state, &ref_state);
                         prop_assert_eq!(run.steps, ref_steps);
                         prop_assert_eq!(run.rounds, ref_rounds);
@@ -363,6 +394,9 @@ proptest! {
     /// gaps and violation lists) under both kernels.
     #[test]
     fn audit_is_executor_independent(n in 3usize..10, seed in 0u64..200) {
+        // Audits price on the kernels: hold the lock so the kernel
+        // counters other tests read move only under their own runs.
+        let _lock = counting();
         let r = random_instance(n, seed);
         for model in CostModel::ALL {
             for kernel in [CostKernel::Queue, CostKernel::Bitset] {

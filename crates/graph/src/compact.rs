@@ -1,7 +1,8 @@
 //! The editable undirected CSR behind every cost kernel.
 //!
 //! Best-response search changes exactly one player's arcs at a time,
-//! so re-deriving the undirected view with [`Csr::from_digraph`] per
+//! so re-deriving the undirected view with
+//! [`Csr::from_digraph`](crate::Csr::from_digraph) per
 //! deviation — an `O(n + m)` rebuild plus fresh allocations — would
 //! dominate dynamics. [`CompactCsr`] keeps the neighbour lists in one
 //! arena and edits them in place:
@@ -20,10 +21,9 @@
 //! engine's detach/attach cycle re-adds arcs into the slots it just
 //! freed, so opening a session never relocates a row. BFS and
 //! component labelling run over this structure through
-//! [`Adjacency`] exactly as they do over [`Csr`].
+//! [`Adjacency`] exactly as they do over [`Csr`](crate::Csr).
 
 use crate::adjacency::Adjacency;
-use crate::csr::Csr;
 use crate::digraph::OwnedDigraph;
 use crate::node::NodeId;
 
@@ -262,11 +262,11 @@ impl CompactCsr {
         }
     }
 
-    /// Does this structure describe the same multigraph as `csr`?
+    /// Does this structure describe the same multigraph as `other`?
     /// (Order-insensitive per-vertex comparison; for tests and debug
     /// assertions, allocates two scratch vectors.)
-    pub fn same_graph_as(&self, csr: &Csr) -> bool {
-        if self.n() != csr.n() {
+    pub fn same_graph_as<A: Adjacency>(&self, other: &A) -> bool {
+        if self.n() != other.n() {
             return false;
         }
         let mut a: Vec<NodeId> = Vec::new();
@@ -277,7 +277,7 @@ impl CompactCsr {
             a.extend_from_slice(self.neighbors(u));
             a.sort_unstable();
             b.clear();
-            b.extend_from_slice(Adjacency::neighbors(csr, u));
+            b.extend_from_slice(other.neighbors(u));
             b.sort_unstable();
             if a != b {
                 return false;
@@ -302,6 +302,7 @@ impl Adjacency for CompactCsr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::Csr;
 
     fn v(i: usize) -> NodeId {
         NodeId::new(i)

@@ -4,8 +4,11 @@
 //! Every distance in the game is a distance in `U(G)`, so BFS over this
 //! structure is the hottest loop in the workspace. CSR keeps each
 //! vertex's neighbourhood contiguous (one cache line streams several
-//! neighbours) and is rebuilt in `O(n + m)` after a strategy deviation —
-//! cheap relative to the BFS work that follows.
+//! neighbours) and is built in `O(n + m)` from an ownership digraph.
+//! It is immutable: a profile builds its `Csr` the first time something
+//! reads it and drops it when a strategy changes, while the deviation
+//! engine prices candidates on the in-place-editable
+//! [`CompactCsr`](crate::CompactCsr) instead.
 //!
 //! Multiplicity is preserved: a brace `u ⇄ v` appears twice in each
 //! endpoint's list. BFS is insensitive to this (a vertex is visited

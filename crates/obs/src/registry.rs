@@ -69,7 +69,9 @@ pub fn enabled() -> bool {
 pub enum Counter {
     /// Deviation-scratch pricing sessions begun (`begin()` calls).
     KernelSessions,
-    /// Base BFS/SSSP computations establishing a session's distances.
+    /// Base BFSs establishing a sparse session's distances: one per
+    /// session that prices on the sparse kernel, run by its first
+    /// kernel call (a session the closed form settles runs none).
     KernelBaseBfs,
     /// Candidates priced by the queue BFS kernel.
     KernelPricedQueue,
@@ -94,9 +96,10 @@ pub enum Counter {
     /// Decrease-only dynamic-SSSP repairs run by the sparse kernel.
     KernelSsspRepairs,
     /// Retired: nothing increments it. The sparse kernel no longer
-    /// retains a base profile across sessions; every session opens
-    /// with one base BFS ([`Counter::KernelBaseBfs`]). Kept in the
-    /// catalogue because the benchmark package still reads it.
+    /// retains a base profile across sessions; every session that
+    /// prices on it runs one base BFS ([`Counter::KernelBaseBfs`]).
+    /// Kept in the catalogue because the benchmark package still reads
+    /// it.
     KernelBaseRepaired,
     /// Retired: nothing increments it (see
     /// [`Counter::KernelBaseRepaired`]).
@@ -286,7 +289,9 @@ impl Counter {
     pub fn help(self) -> &'static str {
         match self {
             Counter::KernelSessions => "Deviation pricing sessions begun",
-            Counter::KernelBaseBfs => "Base BFS/SSSP computations per pricing session",
+            Counter::KernelBaseBfs => {
+                "Sparse-kernel base BFSs, one per session that prices on the kernel"
+            }
             Counter::KernelPricedQueue
             | Counter::KernelPricedBitset
             | Counter::KernelPricedSparse => "Candidate deviations priced, by cost kernel",

@@ -7,10 +7,11 @@
 //!
 //! The sparse engine keeps its compact arena alive across profiles and
 //! re-syncs by *diffing* (relocating rows in place when degrees grow),
-//! and every `begin` re-bases the incremental SSSP on the post-event
-//! graph, so an event that rewrites many strategies at once (or
-//! resizes the instance) exercises exactly the multi-edge diff and
-//! full-rebase paths a single dynamics move never does. The oracle is
+//! and no distances survive a session: each session's first kernel
+//! call runs a fresh base BFS on the post-event graph. So an event
+//! that rewrites many strategies at once (or resizes the instance)
+//! exercises exactly the multi-edge diff and engine-rebuild paths a
+//! single dynamics move never does. The oracle is
 //! a fresh queue-kernel engine plus the full-recompute
 //! `Realization::cost`.
 
