@@ -164,8 +164,13 @@ fn closed_form<'a>(
 /// — what the enumeration, which replaces its incumbent only on a
 /// strict improvement, returns over the same costs.
 fn cheapest_below(costs: &[u64], ceiling: u64) -> Option<ScoredStrategy> {
-    let (v, &cost) = costs.iter().enumerate().min_by_key(|&(v, &c)| (c, v))?;
-    (cost < ceiling).then(|| single_arc(v, cost))
+    let (mut best, mut target) = (ceiling, None);
+    for (v, &c) in costs.iter().enumerate() {
+        if c < best {
+            (best, target) = (c, Some(v));
+        }
+    }
+    target.map(|v| single_arc(v, best))
 }
 
 fn single_arc(v: usize, cost: u64) -> ScoredStrategy {

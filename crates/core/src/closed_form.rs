@@ -29,7 +29,12 @@
 //! vertex its parent's. So the pass needs no component labelling.
 //!
 //! So pricing all `n − 1` candidates costs `O(n)` in total instead of
-//! one BFS each. The buffers are sized on first use and reused across
+//! one BFS each. The pass starts from the profile's parent pointers
+//! and in-degrees, which the engine keeps up to date in `O(1)` per
+//! move ([`ClosedForm::moved`]) instead of reading every strategy per
+//! activation; a player taking a second arc drops them, and the next
+//! pricing rebuilds them. The peel's queue has no data-dependent
+//! branch. The buffers are sized on first use and reused across
 //! activations; nothing is allocated per activation once warm.
 
 use crate::cost::c_inf;
@@ -41,6 +46,15 @@ const NONE: u32 = u32::MAX;
 /// Reusable buffers of the closed-form pricer.
 #[derive(Debug, Default)]
 pub(crate) struct ClosedForm {
+    /// Owned-arc target of each vertex in the engine's (attached)
+    /// profile, `NONE` where the player owns nothing; kept across moves
+    /// by [`ClosedForm::moved`] while `kept`.
+    kept_parent: Vec<u32>,
+    /// In-degree of each vertex under `kept_parent`.
+    kept_indeg: Vec<u32>,
+    /// `kept_parent` and `kept_indeg` describe the profile. Cleared
+    /// when a player takes a second arc; the next pricing rebuilds them.
+    kept: bool,
     /// Owned-arc target of each vertex in the detached profile.
     parent: Vec<u32>,
     /// Unpeeled in-degree; nonzero after the peel exactly on cycles.
@@ -68,10 +82,53 @@ pub(crate) struct ClosedForm {
     path: Vec<(u64, u64)>,
 }
 
+/// Fill `parent` with the owned-arc target of each player of `mirror`
+/// (`NONE` where the player owns nothing) and `indeg` with each
+/// vertex's in-degree under it.
+fn read_parents(mirror: &OwnedDigraph, parent: &mut Vec<u32>, indeg: &mut Vec<u32>) {
+    parent.clear();
+    parent.extend((0..mirror.n()).map(|x| match mirror.out(NodeId::new(x)) {
+        [t] => t.index() as u32,
+        targets => {
+            debug_assert!(targets.is_empty(), "player {x} owns two arcs");
+            NONE
+        }
+    }));
+    indeg.clear();
+    indeg.resize(mirror.n(), 0);
+    for &p in parent.iter().filter(|&&p| p != NONE) {
+        indeg[p as usize] += 1;
+    }
+}
+
 impl ClosedForm {
     /// The costs of the last [`ClosedForm::price`], indexed by target.
     pub(crate) fn costs(&self) -> &[u64] {
         &self.sums
+    }
+
+    /// Keep the profile's parent pointers and in-degrees in step with
+    /// player `x` changing strategy from `old` to `new`, in `O(1)`. A
+    /// second arc takes the profile out of the class: the arrays are
+    /// dropped, and the next pricing rebuilds them.
+    pub(crate) fn moved(&mut self, x: NodeId, old: &[NodeId], new: &[NodeId]) {
+        if !self.kept {
+            return;
+        }
+        if new.len() > 1 {
+            self.kept = false;
+            return;
+        }
+        if let [p] = old {
+            self.kept_indeg[p.index()] -= 1;
+        }
+        self.kept_parent[x.index()] = match new {
+            [t] => {
+                self.kept_indeg[t.index()] += 1;
+                t.index() as u32
+            }
+            _ => NONE,
+        };
     }
 
     /// Price every single-arc target of `u` under SUM. `mirror` is the
@@ -80,27 +137,25 @@ impl ClosedForm {
     pub(crate) fn price(&mut self, mirror: &OwnedDigraph, detached: &CompactCsr, u: NodeId) {
         let n = mirror.n();
         if self.sums.len() != n {
-            self.parent.resize(n, NONE);
-            self.indeg.resize(n, 0);
             self.size.resize(n, 0);
             self.comp.resize(n, 0);
             self.sums.resize(n, 0);
         }
-        let ui = u.index();
-        self.indeg.fill(0);
-        for x in 0..n {
-            let p = match mirror.out(NodeId::new(x)) {
-                [t] if x != ui => t.index() as u32,
-                targets => {
-                    debug_assert!(targets.len() <= 1, "player {x} owns two arcs");
-                    NONE
-                }
-            };
-            self.parent[x] = p;
-            if p != NONE {
-                self.indeg[p as usize] += 1;
-            }
+        if !self.kept {
+            read_parents(mirror, &mut self.kept_parent, &mut self.kept_indeg);
+            self.kept = true;
         }
+        debug_assert!({
+            let (mut parent, mut indeg) = (Vec::new(), Vec::new());
+            read_parents(mirror, &mut parent, &mut indeg);
+            parent == self.kept_parent && indeg == self.kept_indeg
+        });
+        // Detach u's one arc.
+        let ui = u.index();
+        self.parent.clone_from(&self.kept_parent);
+        self.indeg.clone_from(&self.kept_indeg);
+        let pu = std::mem::replace(&mut self.parent[ui], NONE);
+        self.indeg[pu as usize] -= 1;
         self.peel(n);
 
         let cinf = c_inf(n);
@@ -117,23 +172,28 @@ impl ClosedForm {
         }
         // Parents before children: roots and cycles are priced, and
         // each tree edge reroots the distance sum and hands down the
-        // component size.
+        // component size (0 on `T`, which is priced below).
+        let (parent, size) = (&self.parent[..n], &self.size[..n]);
+        let (comp, sums) = (&mut self.comp[..n], &mut self.sums[..n]);
         for &x in self.order.iter().rev() {
             let x = x as usize;
-            let c = match self.parent[x] {
-                _ if x == ui => 0,
-                NONE => self.size[x],
-                p => self.comp[p as usize],
-            };
-            self.comp[x] = c;
-            if c == 0 {
-                continue;
+            match parent[x] {
+                NONE => {
+                    let c = if x == ui { 0 } else { size[x] };
+                    comp[x] = c;
+                    if c > 0 {
+                        sums[x] += base(c as u64);
+                    }
+                }
+                p => {
+                    let p = p as usize;
+                    let c = comp[p];
+                    comp[x] = c;
+                    if c > 0 {
+                        sums[x] = sums[p] + c as u64 - 2 * size[x] as u64;
+                    }
+                }
             }
-            let c = c as u64;
-            self.sums[x] = match self.parent[x] {
-                NONE => base(c) + self.sums[x],
-                p => self.sums[p as usize] + c - 2 * self.size[x] as u64,
-            };
         }
         self.price_tree(detached, ui, s_u, (n as u64 - t_size) * cinf);
     }
@@ -142,27 +202,38 @@ impl ClosedForm {
     /// vertices left with in-degree above zero lie on cycles and carry
     /// their hanging trees' totals.
     fn peel(&mut self, n: usize) {
-        self.size.fill(1);
-        self.sums.fill(0);
-        self.order.clear();
-        self.order
-            .extend((0..n as u32).filter(|&x| self.indeg[x as usize] == 0));
+        self.order.resize(n, 0);
+        let (parent, indeg) = (&self.parent[..n], &mut self.indeg[..n]);
+        let (size, sums) = (&mut self.size[..n], &mut self.sums[..n]);
+        let order = &mut self.order[..n];
+        size.fill(1);
+        sums.fill(0);
+        // A queue without a data-dependent branch: each push writes its
+        // slot unconditionally and advances `len` only if the vertex is
+        // ready. A slot is written only for a vertex not yet pushed (a
+        // child of it is still being peeled), so `len < n` there.
+        let mut len = 0;
+        for x in 0..n {
+            order[len] = x as u32;
+            len += usize::from(indeg[x] == 0);
+        }
         let mut head = 0;
-        while let Some(&x) = self.order.get(head) {
+        while head < len {
+            let x = order[head] as usize;
             head += 1;
-            let x = x as usize;
-            let p = self.parent[x];
+            let p = parent[x];
             if p == NONE {
                 continue;
             }
             let p = p as usize;
-            self.size[p] += self.size[x];
-            self.sums[p] += self.sums[x] + self.size[x] as u64;
-            self.indeg[p] -= 1;
-            if self.indeg[p] == 0 {
-                self.order.push(p as u32);
-            }
+            let (size_x, sums_x) = (size[x], sums[x]);
+            size[p] += size_x;
+            sums[p] += sums_x + size_x as u64;
+            indeg[p] -= 1;
+            order[len] = p as u32;
+            len += usize::from(indeg[p] == 0);
         }
+        self.order.truncate(len);
     }
 
     /// Price the cycle through `start`, clearing its in-degrees so it is
@@ -265,6 +336,7 @@ mod tests {
     use bbncg_graph::{NodeId, OwnedDigraph};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
     const KERNELS: [CostKernel; 3] = [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse];
@@ -323,8 +395,133 @@ mod tests {
         Ok(compared)
     }
 
+    /// Does following owned arcs from `x` reach `u`?
+    fn leads_to(r: &Realization, x: NodeId, u: NodeId) -> bool {
+        let mut y = x;
+        for _ in 0..r.n() {
+            match r.strategy(y) {
+                [t] => y = *t,
+                _ => return false,
+            }
+            if y == u {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// A random single-arc move on `r`, `(player, new target)`: one in
+    /// three closes a cycle (the player targets a vertex whose arcs
+    /// lead back to it), one in three is made by a player on a cycle
+    /// (breaking it unless the target lies on the same cycle), the rest
+    /// are uniform. `None` when no player owns exactly one arc.
+    fn random_move(r: &Realization, rng: &mut StdRng) -> Option<(NodeId, NodeId)> {
+        let players = || (0..r.n()).map(NodeId::new);
+        let movers: Vec<NodeId> = players().filter(|&u| r.strategy(u).len() == 1).collect();
+        let fresh = |u: NodeId, t: NodeId| t != u && r.strategy(u) != [t];
+        let pairs: Vec<(NodeId, NodeId)> = match rng.gen_range(0..3usize) {
+            0 => movers
+                .iter()
+                .flat_map(|&u| players().map(move |t| (u, t)))
+                .filter(|&(u, t)| fresh(u, t) && leads_to(r, t, u))
+                .collect(),
+            1 => movers
+                .iter()
+                .filter(|&&u| leads_to(r, u, u))
+                .flat_map(|&u| players().map(move |t| (u, t)))
+                .filter(|&(u, t)| fresh(u, t))
+                .collect(),
+            _ => Vec::new(),
+        };
+        if let Some(&pair) = pairs.choose(rng) {
+            return Some(pair);
+        }
+        let &u = movers.choose(rng)?;
+        let targets: Vec<NodeId> = players().filter(|&t| fresh(u, t)).collect();
+        targets.choose(rng).map(|&t| (u, t))
+    }
+
+    /// `r` with one player owning two arcs, as a new realization: a
+    /// one-arc player takes a second, or the two-arc player gives one
+    /// up. `None` when neither applies.
+    fn regrown(r: &Realization, rng: &mut StdRng) -> Option<Realization> {
+        let mut g = r.graph().clone();
+        let players = || (0..r.n()).map(NodeId::new);
+        if let Some(w) = players().find(|&w| r.strategy(w).len() == 2) {
+            let &t = r.strategy(w).choose(rng)?;
+            g.remove_arc(w, t);
+        } else {
+            let movers: Vec<NodeId> = players().filter(|&u| r.strategy(u).len() == 1).collect();
+            let &w = movers.choose(rng)?;
+            let extra: Vec<NodeId> = players().filter(|&t| t != w && !g.has_arc(w, t)).collect();
+            g.add_arc(w, *extra.choose(rng)?);
+        }
+        Some(Realization::new(g))
+    }
+
+    /// Every one-arc player's closed-form costs and current cost on
+    /// `engine` equal a fresh engine's, or both engines leave the
+    /// session outside the class.
+    fn agrees_with_a_fresh_engine(
+        engine: &mut DeviationScratch,
+        r: &Realization,
+    ) -> Result<(), TestCaseError> {
+        for u in (0..r.n()).map(NodeId::new) {
+            if r.strategy(u).len() != 1 {
+                continue;
+            }
+            let mut fresh = DeviationScratch::new(r);
+            fresh.begin(r, u, CostModel::Sum);
+            let want = fresh.closed_form_costs().map(|(c, cur)| (c.to_vec(), cur));
+            engine.begin(r, u, CostModel::Sum);
+            let got = engine.closed_form_costs().map(|(c, cur)| (c.to_vec(), cur));
+            prop_assert!(got == want, "player {u}: {got:?} vs {want:?}");
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One engine, kept across up to 40 steps on a few diverging
+        /// clones of a random unit profile, prices like a fresh engine
+        /// after every step. A step picks a clone (or clones one), then
+        /// applies zero to two single-arc moves (which close and break
+        /// cycles) or, now and then, gives a player a second arc or
+        /// takes it back. So the engine meets profiles at its own
+        /// version, one move past it, two moves past it, on another
+        /// clone, and after its kept parent and in-degree arrays were
+        /// dropped and rebuilt.
+        #[test]
+        fn a_long_lived_engine_stays_exact_across_moves(
+            n in 3usize..24,
+            seed in 0u64..1_000_000,
+            steps in 1usize..=40,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut clones = vec![unit_profile(n, seed)];
+            let mut engine = DeviationScratch::new(&clones[0]);
+            for _ in 0..steps {
+                let mut i = rng.gen_range(0..clones.len());
+                if clones.len() < 4 && rng.gen_bool(0.25) {
+                    clones.push(clones[i].clone());
+                    i = clones.len() - 1;
+                }
+                let r = &mut clones[i];
+                if rng.gen_range(0..6usize) == 0 {
+                    if let Some(other) = regrown(r, &mut rng) {
+                        *r = other;
+                    }
+                } else {
+                    for _ in 0..rng.gen_range(0..=2usize) {
+                        if let Some((u, t)) = random_move(r, &mut rng) {
+                            r.set_strategy(u, vec![t]);
+                        }
+                    }
+                }
+                agrees_with_a_fresh_engine(&mut engine, &clones[i])?;
+            }
+        }
 
         /// The closed form prices every single-arc candidate exactly:
         /// random unit profiles (braces, budget-0 pendants and roots,

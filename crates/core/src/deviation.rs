@@ -12,7 +12,10 @@
 //!
 //! * a [`CompactCsr`] mirror of the current profile, edited **in
 //!   place** as players move (cost ∝ the diff, not `n + m`) — the one
-//!   undirected store every cost kernel reads;
+//!   undirected store every cost kernel reads. The engine records the
+//!   version of the [`Realization`] its mirror holds, so it finds the diff
+//!   without comparing strategies when the profile is the same or one
+//!   move further on;
 //! * a [`BfsScratch`] reused by every candidate BFS;
 //! * under the sparse kernel, a [`SparseSssp`]: one base BFS per
 //!   session that prices on the kernel, then one bounded decrease-only
@@ -37,7 +40,8 @@
 //! One class needs no per-candidate traversal at all: under SUM, when
 //! the player owns one arc and no player owns two (the paper's
 //! unit-budget games), the searches take every single-arc candidate's
-//! cost from one `O(n)` closed-form pass over the mirror and the
+//! cost from one `O(n)` closed-form pass over parent pointers and
+//! in-degrees the engine keeps up to date as players move, and the
 //! detached CSR (`crate::closed_form`). It is exact, so the kernel
 //! choice does not matter there, and such a session builds none of
 //! the kernel state below.
@@ -50,20 +54,25 @@
 //! let c = scratch.cost_of(&cand);   // any number of candidates; the
 //!                                   // first builds the kernel state
 //! // ... r.set_strategy(u, best) by the caller; the next begin()
-//! //     re-syncs the mirror by diffing, touching only what moved.
+//! //     copies u's new strategy alone: r is one move past the mirror.
 //! ```
 //!
-//! `begin` costs one strategy diff plus the detach. The state only
-//! kernel pricing reads — the detached graph's component labelling
-//! and, under sparse, the base BFS — is built by the session's first
-//! kernel call (`cost_of` past the current-strategy memo,
-//! `cost_of_pruned` or `candidate_lower_bound`), once per session.
+//! `begin` syncs the mirror and detaches the player. The sync reads
+//! the realization's version first: the same version means nothing
+//! to compare, and a realization exactly one move past the mirror
+//! (its `last_move`) means one player to compare. Only
+//! otherwise — a profile two or more moves on, another clone's moves,
+//! an unrelated profile — does it compare every player's strategy.
+//! The state only kernel pricing reads — the detached graph's
+//! component labelling and, under sparse, the base BFS — is built by
+//! the session's first kernel call (`cost_of` past the
+//! current-strategy memo, `cost_of_pruned` or
+//! `candidate_lower_bound`), once per session.
 //!
 //! `begin` may be called for any player of any realization with the
-//! same vertex count; the mirror diffs itself against the passed
-//! profile, so the engine is always safe to reuse — just fastest when
-//! successive profiles differ by single moves, which is exactly the
-//! dynamics access pattern.
+//! same vertex count, so the engine is always safe to reuse — just
+//! fastest when successive profiles differ by single moves, which is
+//! exactly the dynamics access pattern.
 
 use crate::closed_form::ClosedForm;
 use crate::cost::{c_inf, cost_from_bfs, CostModel};
@@ -108,6 +117,12 @@ pub struct DeviationScratch {
     /// The profile the patch currently reflects (minus the detached
     /// player's arcs).
     mirror: OwnedDigraph,
+    /// The version (`Realization::version`) of the profile `mirror`
+    /// equals.
+    synced: u64,
+    /// Players `sync` has compared with the realization, over the
+    /// engine's life.
+    compared: u64,
     /// In-place-editable undirected view of `mirror`.
     patch: CompactCsr,
     bfs: BfsScratch,
@@ -221,6 +236,8 @@ impl DeviationScratch {
             .count();
         DeviationScratch {
             mirror,
+            synced: r.version(),
+            compared: 0,
             patch,
             bfs: BfsScratch::new(n),
             kernel,
@@ -336,8 +353,10 @@ impl DeviationScratch {
         }
     }
 
-    /// Bring the mirror in line with `r` by diffing per-player
-    /// strategies and patching only what changed.
+    /// Bring the mirror in line with `r`, patching only what changed:
+    /// nothing to compare when the mirror holds `r`'s version, the last
+    /// mover alone when `r` is exactly one move past it, and every
+    /// player's strategy otherwise.
     fn sync(&mut self, r: &Realization) {
         if self.mirror.n() != r.n() {
             // Different instance size: start over (not a hot path). The
@@ -346,16 +365,12 @@ impl DeviationScratch {
             return;
         }
         self.close_session();
-        for u in 0..r.n() {
-            let u = NodeId::new(u);
-            let want = r.graph().out(u);
-            let have = self.mirror.out(u);
-            if have != want {
-                self.multi_owners += usize::from(want.len() > 1);
-                self.multi_owners -= usize::from(have.len() > 1);
-                apply_strategy_patch(&mut self.patch, self.bits.as_mut(), u, have, want);
-                self.mirror.set_out_from_slice(u, want);
+        if self.synced != r.version() {
+            match r.last_move() {
+                Some((before, u)) if before == self.synced => self.sync_player(r, u),
+                _ => (0..r.n()).for_each(|u| self.sync_player(r, NodeId::new(u))),
             }
+            self.synced = r.version();
         }
         // Compared against a view of its own, so the check fills no
         // cache of `r`'s.
@@ -363,6 +378,21 @@ impl DeviationScratch {
             .patch
             .same_graph_as(&CompactCsr::from_digraph(r.graph())));
         debug_assert!(self.bits.as_ref().is_none_or(|b| b.mirrors(&self.patch)));
+    }
+
+    /// Copy player `u`'s strategy from `r` into the mirror, the patch,
+    /// the bit mirror and the closed form's arrays, if it changed.
+    fn sync_player(&mut self, r: &Realization, u: NodeId) {
+        self.compared += 1;
+        let want = r.strategy(u);
+        let have = self.mirror.out(u);
+        if have != want {
+            self.multi_owners += usize::from(want.len() > 1);
+            self.multi_owners -= usize::from(have.len() > 1);
+            self.closed_form.moved(u, have, want);
+            apply_strategy_patch(&mut self.patch, self.bits.as_mut(), u, have, want);
+            self.mirror.set_out_from_slice(u, want);
+        }
     }
 
     /// Open a pricing session for player `u` of `r` under `model`:
@@ -374,10 +404,11 @@ impl DeviationScratch {
     /// (and candidate pricing valid) until the next `begin` or `sync`.
     ///
     /// Re-entrant: calling `begin` again for the same `(u, model)`
-    /// while `r` still matches the mirror is a cheap no-op (one O(n)
-    /// strategy-slice comparison), so layered helpers — e.g. a best-
-    /// response solver on top of a verification loop that already
-    /// opened the session — pay the detach and the kernel state once.
+    /// while `r` still matches the mirror is a no-op (a version check;
+    /// a strategy comparison only if `r` is a different realization),
+    /// so layered helpers — e.g. a best-response solver on top of a
+    /// verification loop that already opened the session — pay the
+    /// detach and the kernel state once.
     pub fn begin(&mut self, r: &Realization, u: NodeId, model: CostModel) {
         if self.active == Some((u, model)) && !self.mirror_differs(r) {
             return; // session already open for exactly this state
@@ -468,15 +499,16 @@ impl DeviationScratch {
         t1 + t2
     }
 
-    /// Does any player's strategy in `r` differ from the mirror?
-    /// (The mirror keeps the detached player's arcs, so this is a
-    /// plain profile comparison.)
+    /// Does any player's strategy in `r` differ from the mirror? Not
+    /// when the versions match; otherwise a plain profile comparison
+    /// (the mirror keeps the detached player's arcs).
     fn mirror_differs(&self, r: &Realization) -> bool {
-        self.mirror.n() != r.n()
-            || (0..r.n()).any(|v| {
-                let v = NodeId::new(v);
-                self.mirror.out(v) != r.graph().out(v)
-            })
+        self.synced != r.version()
+            && (self.mirror.n() != r.n()
+                || (0..r.n()).any(|v| {
+                    let v = NodeId::new(v);
+                    self.mirror.out(v) != r.strategy(v)
+                }))
     }
 
     fn recompute_components(&mut self) {
@@ -1170,6 +1202,50 @@ mod tests {
                             assert_eq!(scratch.tally.base_bfs, base_bfs, "{ctx}");
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// Once the engine exists, sequential unit-budget dynamics compares
+    /// only the players that moved: every activation meets the profile
+    /// at the engine's version or one move past it, so `sync` never
+    /// falls back to comparing every strategy.
+    #[test]
+    fn dynamics_compares_only_the_players_that_moved() {
+        use crate::dynamics::{
+            run_dynamics_with_scratch, DynamicsConfig, PlayerOrder, ResponseRule,
+        };
+        use crate::RoundExecutor;
+        use bbncg_graph::generators;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let rules = [
+            ResponseRule::ExactBest,
+            ResponseRule::FirstImproving,
+            ResponseRule::Greedy,
+            ResponseRule::BestSwap,
+        ];
+        let mut rng = StdRng::seed_from_u64(7);
+        let start = Realization::new(generators::random_realization(&[1; 48], &mut rng));
+        for model in CostModel::ALL {
+            for rule in rules {
+                for order in [PlayerOrder::RoundRobin, PlayerOrder::RandomPermutation] {
+                    let cfg = DynamicsConfig {
+                        order,
+                        rule,
+                        ..DynamicsConfig::exact(model, 50)
+                    }
+                    .with_executor(RoundExecutor::Sequential);
+                    let mut scratch = DeviationScratch::new(&start);
+                    let report =
+                        run_dynamics_with_scratch(start.clone(), cfg, &mut rng, &mut scratch);
+                    assert!(report.steps > 0, "{model:?} {rule:?} {order:?}");
+                    assert_eq!(
+                        scratch.compared, report.steps as u64,
+                        "{model:?} {rule:?} {order:?}"
+                    );
                 }
             }
         }

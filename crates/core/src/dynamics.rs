@@ -271,9 +271,10 @@ fn run_dynamics_impl(
         )
     });
     // One deviation engine for the whole run: each activation syncs it
-    // to `state` by diffing (one move at a time ⇒ O(1) edge patches),
-    // so no candidate pricing ever rebuilds the undirected view. The
-    // sharded executor's helper engines sync the same way.
+    // to `state`, at most one move past it, so it compares the last
+    // mover alone and patches O(1) edges; no candidate pricing ever
+    // rebuilds the undirected view. The sharded executor's helper
+    // engines sync on the activations they price (see `Shards`).
     while rounds < cfg.max_rounds {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return (

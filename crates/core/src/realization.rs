@@ -8,16 +8,38 @@
 //! when a strategy changes, so a dynamics run that only ever reads the
 //! digraph (the deviation engine keeps its own incrementally patched
 //! view) builds none of them.
+//!
+//! A realization also carries a content version: a value no other
+//! content ever carried, drawn afresh by [`Realization::new`] and by
+//! every [`Realization::set_strategy`], and shared by clones. Equal
+//! versions mean equal profiles, so the deviation engine skips its
+//! strategy diff when its mirror's version matches, and diffs only
+//! the last mover when it is exactly one move behind (see
+//! `Realization::last_move`).
 
 use crate::budget::BudgetVector;
 use crate::cost::{c_inf, CostModel};
 use bbncg_graph::{components, BfsScratch, Components, Csr, Diameter, NodeId, OwnedDigraph};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
+
+/// A version no profile has carried yet. Relaxed suffices: the counter
+/// publishes no other data, and each `fetch_add` returns a distinct
+/// value whatever the ordering.
+fn fresh_version() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
 
 /// A strategy profile of the game, with lazily built derived views.
 #[derive(Clone, Debug)]
 pub struct Realization {
     g: OwnedDigraph,
+    /// Content version (see the module docs).
+    version: u64,
+    /// The last [`Realization::set_strategy`]: the version before it
+    /// and the player it changed. One entry, never a journal.
+    last_move: Option<(u64, NodeId)>,
     /// `U(G)`; built on first read, dropped by [`Realization::set_strategy`].
     csr: OnceLock<Csr>,
     /// Components of `csr`; same lifetime.
@@ -33,6 +55,8 @@ impl Realization {
     pub fn new(g: OwnedDigraph) -> Self {
         Realization {
             g,
+            version: fresh_version(),
+            last_move: None,
             csr: OnceLock::new(),
             comps: OnceLock::new(),
             diam: OnceLock::new(),
@@ -49,6 +73,22 @@ impl Realization {
     #[inline]
     pub fn graph(&self) -> &OwnedDigraph {
         &self.g
+    }
+
+    /// The content version: two realizations with the same version
+    /// hold the same profile. Clones share it; `new` and every
+    /// `set_strategy` draw a fresh one.
+    #[inline]
+    pub(crate) fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// The last strategy change, `(version before it, player)`: a
+    /// holder of that earlier version catches up by copying this one
+    /// player's strategy. `None` until the first `set_strategy`.
+    #[inline]
+    pub(crate) fn last_move(&self) -> Option<(u64, NodeId)> {
+        self.last_move
     }
 
     /// The undirected underlying graph `U(G)` (built on first read).
@@ -94,6 +134,8 @@ impl Realization {
             "strategy size must equal the budget of {u}"
         );
         self.g.set_out(u, targets);
+        self.last_move = Some((self.version, u));
+        self.version = fresh_version();
         self.csr.take();
         self.comps.take();
         self.diam.take();

@@ -244,9 +244,10 @@ pub(crate) fn respond(
 /// The helper engines of one sharded dynamics run. They are built once
 /// at run start and open the same session as the caller's engine on
 /// every split activation, each on a scoped thread of its own;
-/// [`DeviationScratch::begin`] re-syncs each to the current profile by
-/// diffing, so a helper that sat out a few activations pays exactly the
-/// moves it missed.
+/// [`DeviationScratch::begin`] re-syncs each to the current profile,
+/// so a helper that sat out a few activations patches exactly the
+/// moves it missed (after one strategy comparison per player, unless
+/// it missed at most one).
 pub(crate) struct Shards {
     helpers: Vec<DeviationScratch>,
     /// Explicit [`RoundExecutor::Sharded`]: split every activation with
