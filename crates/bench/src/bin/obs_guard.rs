@@ -3,7 +3,7 @@
 //! The observability tentpole promises *zero cost when off*: every
 //! `counter_add` / `observe` call sites a single relaxed load of the
 //! enable flag and nothing else. This binary measures that promise on
-//! the per-candidate pricing path (n=512 unit-budget MAX exact
+//! the per-candidate pricing path (n=512 budget-2 MAX best-swap
 //! dynamics, sequential rounds on one thread, so the ratio measures the
 //! instrumentation rather than scheduling noise) by running the
 //! identical deterministic trajectory twice in one process:
@@ -47,14 +47,15 @@ const REPS: usize = 5;
 
 fn initial(n: usize, seed: u64) -> Realization {
     let mut rng = StdRng::seed_from_u64(seed);
-    let budgets = BudgetVector::uniform(n, 1);
+    let budgets = BudgetVector::uniform(n, 2);
     Realization::new(generators::random_realization(budgets.as_slice(), &mut rng))
 }
 
-/// Best-of-`reps` steps/sec for the guard workload: capped MAX
-/// exact-dynamics through the sequential executor on one engine. MAX
-/// has no closed form, so every activation prices its candidates on the
-/// kernel `Auto` picks, and the hot-path instrumentation here is the
+/// Best-of-`reps` steps/sec for the guard workload: capped budget-2
+/// MAX best-swap dynamics through the sequential executor on one
+/// engine. Players owning two arcs keep every activation out of the
+/// unit-budget closed form, so each prices its candidates on the kernel
+/// `Auto` picks, and the hot-path instrumentation here is the
 /// per-candidate kernel tallies plus the session and dynamics counters.
 fn best_steps_per_sec(n: usize, cap: usize, reps: usize) -> (f64, usize) {
     let mut best = 0.0f64;
@@ -65,7 +66,7 @@ fn best_steps_per_sec(n: usize, cap: usize, reps: usize) -> (f64, usize) {
         let t = Instant::now();
         let rep = run_dynamics_with_kernel(
             init,
-            DynamicsConfig::exact(CostModel::Max, cap).with_executor(RoundExecutor::Sequential),
+            DynamicsConfig::swap(CostModel::Max, cap).with_executor(RoundExecutor::Sequential),
             &mut rng,
             CostKernel::Auto,
         );

@@ -17,10 +17,10 @@
 //! Every search keeps an incumbent and prices each candidate through
 //! [`DeviationScratch::cost_of_pruned`], so a candidate that cannot
 //! strictly beat it is skipped by its lower bound or abandoned
-//! part-way by the kernel. Under SUM, a player owning one arc in a
-//! profile where no player owns two (the paper's unit-budget class)
-//! costs no per-candidate pricing at all: the engine prices every
-//! single-arc target in one `O(n)` closed-form pass, and each search
+//! part-way by the kernel. A player owning one arc in a profile where
+//! no player owns two (the paper's unit-budget class) costs no
+//! per-candidate pricing at all, under either model: the engine prices
+//! every single-arc target in one closed-form pass, and each search
 //! returns from those costs the target its enumeration would have —
 //! the earliest least-cost one strictly below its incumbent — with the
 //! current strategy's cost memoized for the improvement gate. Only the
@@ -145,15 +145,15 @@ fn exact_search(
 
 /// Every single-arc candidate's cost, indexed by target, and the
 /// current cost, from the engine's closed form when it settles `u`'s
-/// activation (SUM, `u` owns one arc, no player owns two); `None`
-/// sends the search to the kernels.
+/// activation (`u` owns one arc, no player owns two); `None` sends the
+/// search to the kernels.
 fn closed_form<'a>(
     scratch: &'a mut DeviationScratch,
     r: &Realization,
     u: NodeId,
     model: CostModel,
 ) -> Option<(&'a [u64], u64)> {
-    if model != CostModel::Sum || r.strategy(u).len() != 1 {
+    if r.strategy(u).len() != 1 {
         return None;
     }
     scratch.begin(r, u, model);

@@ -37,14 +37,15 @@
 //! [`PriceBudget`] that abandons it once the candidate provably cannot
 //! win.
 //!
-//! One class needs no per-candidate traversal at all: under SUM, when
-//! the player owns one arc and no player owns two (the paper's
-//! unit-budget games), the searches take every single-arc candidate's
-//! cost from one `O(n)` closed-form pass over parent pointers and
-//! in-degrees the engine keeps up to date as players move, and the
-//! detached CSR (`crate::closed_form`). It is exact, so the kernel
-//! choice does not matter there, and such a session builds none of
-//! the kernel state below.
+//! One class needs no per-candidate traversal at all: when the player
+//! owns one arc and no player owns two (the paper's unit-budget games),
+//! the searches take every single-arc candidate's cost, under SUM or
+//! MAX, from one closed-form pass over parent pointers and in-degrees
+//! the engine keeps up to date as players move, and the detached CSR
+//! (`crate::closed_form`): `O(n)`, or `O(n log n)` for a MAX player on
+//! the only cycle of a connected profile. It is exact, so the kernel
+//! choice does not matter there, and such a session builds none of the
+//! kernel state below.
 //!
 //! # Session protocol
 //!
@@ -179,7 +180,7 @@ pub struct DeviationScratch {
     /// Players owning two or more arcs in `mirror`; the closed form
     /// applies only while this is zero.
     multi_owners: usize,
-    /// The unit-budget SUM pricer (buffers sized on first use).
+    /// The unit-budget pricer (buffers sized on first use).
     closed_form: ClosedForm,
     /// `closed_form` holds this session's costs.
     closed_form_ready: bool,
@@ -551,33 +552,26 @@ impl DeviationScratch {
         (self.comp_count - (self.label_buf.len() - 1), reachable)
     }
 
-    /// Would `u`'s session on `r` under `model` be in the closed-form
-    /// class? `O(1)`, without opening the session: "no player owns
-    /// two" is read off the profile the engine last synced to. That is
-    /// exact in dynamics, where every move keeps its strategy's size;
-    /// elsewhere a stale answer can only move the activation between
-    /// executors, never change its decision.
-    pub(crate) fn closed_form_expected(
-        &self,
-        r: &Realization,
-        u: NodeId,
-        model: CostModel,
-    ) -> bool {
-        model == CostModel::Sum && r.strategy(u).len() == 1 && self.multi_owners == 0
+    /// Would `u`'s session on `r` be in the closed-form class, under
+    /// either model? `O(1)`, without opening the session: "no player
+    /// owns two" is read off the profile the engine last synced to.
+    /// That is exact in dynamics, where every move keeps its strategy's
+    /// size; elsewhere a stale answer can only move the activation
+    /// between executors, never change its decision.
+    pub(crate) fn closed_form_expected(&self, r: &Realization, u: NodeId) -> bool {
+        r.strategy(u).len() == 1 && self.multi_owners == 0
     }
 
-    /// Every single-arc candidate's SUM cost for the active player,
-    /// indexed by target (`u64::MAX` at the player itself), with the
-    /// current strategy's cost — from one `O(n)` closed-form pass when
-    /// the session is in its class (SUM, the player owns exactly one
-    /// arc, no player owns two), `None` otherwise. Prices once per
+    /// Every single-arc candidate's cost under the session's model for
+    /// the active player, indexed by target (`u64::MAX` at the player
+    /// itself), with the current strategy's cost — from one closed-form
+    /// pass when the session is in its class (the player owns exactly
+    /// one arc, no player owns two), `None` otherwise. Prices once per
     /// session, counts one closed-form activation per call (each search
     /// asks once), and leaves the current cost in the memo
     /// [`Self::cost_of`] answers the improvement gate from.
     pub(crate) fn closed_form_costs(&mut self) -> Option<(&[u64], u64)> {
-        let Some((u, CostModel::Sum)) = self.active else {
-            return None;
-        };
+        let (u, model) = self.active?;
         let &[current] = self.mirror.out(u) else {
             return None;
         };
@@ -586,7 +580,7 @@ impl DeviationScratch {
         }
         let current = current.index();
         if !self.closed_form_ready {
-            self.closed_form.price(&self.mirror, &self.patch, u);
+            self.closed_form.price(&self.mirror, &self.patch, u, model);
             self.closed_form_ready = true;
         }
         // One search per activation asks, so this counts activations.
@@ -1142,8 +1136,8 @@ mod tests {
 
     /// Multi-component profiles where the first kernel call of a
     /// session is, in turn, `cost_of` on a non-current target,
-    /// `cost_of_pruned` and `candidate_lower_bound` — in unit SUM
-    /// sessions also after the closed form. Whichever call builds the
+    /// `cost_of_pruned` and `candidate_lower_bound` — in unit sessions
+    /// also after the closed form. Whichever call builds the
     /// session's kernel state, every price equals a fresh queue
     /// engine's; `begin` and the closed form build none of it, and no
     /// later call builds it again. One engine runs every session of a

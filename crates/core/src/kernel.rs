@@ -4,11 +4,12 @@
 //! each via one single-source BFS or repair, so on most instances BFS
 //! throughput *is* the throughput of dynamics, Nash audits and
 //! scenario sweeps. The exception is the paper's unit-budget class:
-//! under SUM, when the player owns one arc and no player owns two, the
-//! engine prices all `n − 1` candidates in one `O(n)` closed-form pass
-//! and no kernel runs, nor builds any session state (an explicit
-//! sharded executor still splits those activations onto the kernels). For everything else the engine lets
-//! callers choose **how** the BFS runs. All three read
+//! when the player owns one arc and no player owns two, the engine
+//! prices all `n − 1` candidates in one closed-form pass, under SUM or
+//! MAX, and no kernel runs, nor builds any session state (an explicit
+//! sharded executor still splits those activations onto the kernels,
+//! and the Nash audits always enumerate on them). For everything else
+//! the engine lets callers choose **how** the BFS runs. All three read
 //! the same editable undirected store, a slack-free
 //! [`CompactCsr`](bbncg_graph::CompactCsr) kept in step with the
 //! profile one strategy diff at a time:

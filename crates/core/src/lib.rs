@@ -19,8 +19,9 @@
 //! * [`kernel`] — pluggable cost kernels (queue vs word-parallel bitset
 //!   BFS) behind the pricing path, plus the per-candidate Lemma 2.2
 //!   lower-bound pruning;
-//! * `closed_form` (internal) — the unit-budget SUM pricer that prices
-//!   every single-arc candidate at once, bypassing the kernels;
+//! * `closed_form` (internal) — the unit-budget pricer that prices
+//!   every single-arc candidate at once under SUM or MAX, bypassing the
+//!   kernels, and gives such profiles their diameter in `O(n)`;
 //! * [`best_response`] — exact (NP-hard, Theorem 2.1), greedy, and
 //!   swap-restricted solvers;
 //! * [`equilibrium`] — exact Nash verification, swap equilibria, and the

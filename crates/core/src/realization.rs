@@ -44,7 +44,8 @@ pub struct Realization {
     csr: OnceLock<Csr>,
     /// Components of `csr`; same lifetime.
     comps: OnceLock<Components>,
-    /// Diameter of `csr` (an all-pairs BFS sweep); same lifetime.
+    /// Diameter of `U(G)` (see [`Realization::diameter_view`]); same
+    /// lifetime.
     diam: OnceLock<Diameter>,
 }
 
@@ -169,10 +170,15 @@ impl Realization {
         self.diameter_view().finite()
     }
 
-    /// The diameter view: one all-pairs BFS sweep per profile, however
-    /// many times either diameter method is asked.
+    /// The diameter view, built once per profile however many times
+    /// either diameter method is asked: in `O(n)` from the profile's
+    /// parent pointers when no player owns two arcs (the unit-budget
+    /// class), by an all-pairs BFS sweep otherwise.
     fn diameter_view(&self) -> Diameter {
-        *self.diam.get_or_init(|| bbncg_graph::diameter(self.csr()))
+        *self.diam.get_or_init(|| {
+            crate::closed_form::pseudoforest_diameter(&self.g)
+                .unwrap_or_else(|| bbncg_graph::diameter(self.csr()))
+        })
     }
 
     /// Cost of player `u` under `model` (fresh scratch; see

@@ -22,9 +22,9 @@
 //! out. The first-improving and greedy rules price on the caller's
 //! engine under every executor.
 //!
-//! Unit-budget SUM activations (the player owns one arc, nobody owns
-//! two) have nothing worth splitting: the caller's engine prices all
-//! their candidates in one `O(n)` closed-form pass, so `Auto` never
+//! Unit-budget activations (the player owns one arc, nobody owns two)
+//! have nothing worth splitting, under SUM or MAX: the caller's engine
+//! prices all their candidates in one closed-form pass, so `Auto` never
 //! splits them. An explicit `Sharded` still does, pricing their slices
 //! on the kernels — which makes every explicit-sharded unit-budget run
 //! a kernel-priced cross-check of the closed form.
@@ -92,8 +92,8 @@ pub enum RoundExecutor {
     /// clears [`RoundExecutor::SHARD_MIN_WORK`] and whose player could
     /// still improve (a current cost at the Lemma 2.2 floor settles the
     /// activation on one engine without pricing a candidate), and never
-    /// a unit-budget SUM activation, which the closed form settles on
-    /// one engine in `O(n)`.
+    /// a unit-budget activation, which the closed form settles on one
+    /// engine in one pass.
     #[default]
     Auto,
 }
@@ -109,24 +109,21 @@ impl RoundExecutor {
     /// floor stop price far fewer candidates than they enumerate. On
     /// that host (bitset kernel, median of 5 alternating runs) budget-2
     /// swap dynamics broke even at n = 200 (0.8·10⁵) and won at
-    /// n = 320 (2.0·10⁵, 1.37×). Unit-budget SUM activations never
-    /// reach this test: the closed form settles them on one engine.
+    /// n = 320 (2.0·10⁵, 1.37×). Unit-budget activations never reach
+    /// this test: the closed form settles them on one engine.
     pub const SHARD_MIN_WORK: u64 = 1 << 17;
 
     /// The concrete executor used for an `n`-player instance (never
     /// returns [`RoundExecutor::Auto`]). Auto consults
-    /// [`bbncg_par::max_threads`], the host's
-    /// [`std::thread::available_parallelism`] and the nesting flag at
-    /// call time, so it is resolved once per dynamics run, at run
-    /// start.
+    /// [`bbncg_par::max_threads`], the host's CPU count
+    /// ([`bbncg_par::host_cpus`], read once per process) and the
+    /// nesting flag at call time, so it is resolved once per dynamics
+    /// run, at run start.
     pub fn resolve(self, n: usize) -> RoundExecutor {
-        let host_cpus = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
         self.resolve_with(
             n,
             bbncg_par::max_threads(),
-            host_cpus,
+            bbncg_par::host_cpus(),
             bbncg_par::in_parallel_worker(),
         )
     }
@@ -196,7 +193,7 @@ impl std::fmt::Display for RoundExecutor {
 /// `Some(targets)` iff the player moves. With `shards`, exact and swap
 /// activations worth splitting price across the helper engines;
 /// everything else prices on `scratch` — in one closed-form pass for a
-/// unit-budget SUM activation, candidate by candidate otherwise.
+/// unit-budget activation, candidate by candidate otherwise.
 ///
 /// The exact and swap searches start from the current strategy's cost
 /// as their incumbent and return only a strict improvement, so every
@@ -251,7 +248,7 @@ pub(crate) fn respond(
 pub(crate) struct Shards {
     helpers: Vec<DeviationScratch>,
     /// Explicit [`RoundExecutor::Sharded`]: split every activation with
-    /// two or more slices, unit-budget SUM ones included. Otherwise
+    /// two or more slices, unit-budget ones included. Otherwise
     /// (`Auto`) split only those the closed form does not settle, whose
     /// work clears [`RoundExecutor::SHARD_MIN_WORK`] and whose player
     /// is not already at the Lemma 2.2 floor.
@@ -279,17 +276,16 @@ impl Shards {
     }
 
     /// Does `Auto` leave this activation to the caller's engine because
-    /// the closed form settles it there in one `O(n)` pass? Decided
-    /// before any session opens, so the caller's engine opens it once.
-    /// An explicit split still prices it on the kernels.
+    /// the closed form settles it there in one pass? Decided before any
+    /// session opens, so the caller's engine opens it once. An explicit
+    /// split still prices it on the kernels.
     fn closed_form_settles(
         &self,
         scratch: &DeviationScratch,
         state: &Realization,
         u: NodeId,
-        model: CostModel,
     ) -> bool {
-        !self.always && scratch.closed_form_expected(state, u, model)
+        !self.always && scratch.closed_form_expected(state, u)
     }
 
     /// Is there anything to price? A player whose `current` cost sits
@@ -315,7 +311,7 @@ impl Shards {
     ) -> Option<Option<ScoredStrategy>> {
         let n = state.n();
         let b = state.graph().out_degree(u);
-        if self.closed_form_settles(scratch, state, u, model)
+        if self.closed_form_settles(scratch, state, u)
             || !self.worth_splitting(enumeration_count(n - 1, b), n)
         {
             return None;
@@ -347,9 +343,7 @@ impl Shards {
     ) -> Option<Option<ScoredStrategy>> {
         let n = state.n();
         let pairs = state.strategy(u).len() * n;
-        if self.closed_form_settles(scratch, state, u, model)
-            || !self.worth_splitting(pairs as u64, n)
-        {
+        if self.closed_form_settles(scratch, state, u) || !self.worth_splitting(pairs as u64, n) {
             return None;
         }
         let ranges = even_ranges(pairs, self.slices());

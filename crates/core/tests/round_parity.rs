@@ -10,10 +10,10 @@
 //! boundaries and thread count may only move wall-clock, never an
 //! answer.
 //!
-//! With every budget at most 1, SUM activations on one engine take
-//! their candidates' costs from the closed form, while an explicit
-//! split still prices them on the kernels: the unit-budget tests below
-//! hold both paths to the same reference.
+//! With every budget at most 1, activations on one engine take their
+//! candidates' costs from the closed form under either model, while an
+//! explicit split still prices them on the kernels: the unit-budget
+//! tests below hold both paths to the same reference.
 
 use bbncg_core::dynamics::{
     run_dynamics_traced, run_dynamics_with_kernel, run_dynamics_with_scratch, DynamicsConfig,
@@ -104,11 +104,11 @@ fn random_unit_instance(n: usize, seed: u64) -> Realization {
     Realization::new(OwnedDigraph::from_out_lists(out))
 }
 
-/// Activations of a SUM run of `report.rounds` rounds over a unit-
-/// budget `initial` that the closed form settles: every activation of
-/// a one-arc player, except the exact and swap ones an explicit
-/// `Sharded` run splits onto the kernels (first-improving and greedy
-/// price on the caller's engine under every executor).
+/// Activations of a run of `report.rounds` rounds over a unit-budget
+/// `initial` that the closed form settles, under either model: every
+/// activation of a one-arc player, except the exact and swap ones an
+/// explicit `Sharded` run splits onto the kernels (first-improving and
+/// greedy price on the caller's engine under every executor).
 fn expected_closed_form(
     initial: &Realization,
     rule: ResponseRule,
@@ -328,10 +328,10 @@ proptest! {
     }
 
     /// Unit budgets (every budget 0 or 1: braces, budget-0 pendants,
-    /// disconnected starts) under SUM: one engine prices in closed form
-    /// and an explicit split prices on the kernels, and both equal the
-    /// rebuild reference for all four rules × both orders × all three
-    /// kernels. The closed-form counter moves by one per sequential
+    /// disconnected starts) under SUM and MAX: one engine prices in
+    /// closed form and an explicit split prices on the kernels, and both
+    /// equal the rebuild reference for both models × all four rules ×
+    /// both orders × all three kernels. The closed-form counter moves by one per sequential
     /// activation of a one-arc player and stays put on split ones.
     /// Kernel session state is built only when a kernel prices: a
     /// sequential run moves no base-BFS or kernel-priced counter under
@@ -340,12 +340,12 @@ proptest! {
     fn unit_budget_dynamics_match_the_reference(n in 3usize..16, seed in 0u64..1_000_000) {
         let _lock = counting();
         let initial = random_unit_instance(n, seed);
-        for rule in RULES {
+        for (model, rule) in CostModel::ALL.into_iter().flat_map(|m| RULES.map(|r| (m, r))) {
             for order in [PlayerOrder::RoundRobin, PlayerOrder::RandomPermutation] {
                 let cfg = DynamicsConfig {
                     rule,
                     order,
-                    ..DynamicsConfig::exact(CostModel::Sum, 80)
+                    ..DynamicsConfig::exact(model, 80)
                 };
                 let (ref_state, ref_steps, ref_rounds, ref_converged, ref_cycled) =
                     reference_dynamics(initial.clone(), cfg, &mut StdRng::seed_from_u64(7));
@@ -367,8 +367,9 @@ proptest! {
                         if executor == RoundExecutor::Sequential {
                             prop_assert!(
                                 work == work_before,
-                                "{} {:?}: {:?} -> {:?}",
+                                "{} {:?} {:?}: {:?} -> {:?}",
                                 kernel,
+                                model,
                                 rule,
                                 work_before,
                                 work
@@ -376,7 +377,7 @@ proptest! {
                         } else if kernel == CostKernel::Sparse
                             && expected_splits(&initial, rule, &run) > 0
                         {
-                            prop_assert!(work[0] > work_before[0], "{:?}: no base BFS", rule);
+                            prop_assert!(work[0] > work_before[0], "{:?} {:?}: no base BFS", model, rule);
                         }
                         prop_assert_eq!(&run.state, &ref_state);
                         prop_assert_eq!(run.steps, ref_steps);

@@ -121,8 +121,8 @@ pub enum Counter {
     /// Retired: nothing increments it (see
     /// [`Counter::KernelBoundCacheHits`]).
     KernelBoundCacheMisses,
-    /// Activations whose single-arc candidates the unit-budget SUM
-    /// closed form priced in one pass, with no kernel traversal.
+    /// Activations whose single-arc candidates the unit-budget closed
+    /// form (SUM or MAX) priced in one pass, with no kernel traversal.
     ClosedFormActivations,
     /// Activations the sharded round executor split across engines.
     RoundsEvals,
@@ -314,7 +314,7 @@ impl Counter {
                 "Retired per-target candidate-bound cache lookups; nothing increments it"
             }
             Counter::ClosedFormActivations => {
-                "Activations priced by the unit-budget SUM closed form instead of a kernel"
+                "Activations priced by the unit-budget closed form instead of a kernel"
             }
             Counter::RoundsEvals => "Activations split across sharded pricing engines",
             Counter::RoundsCommits => "Moves committed by sharded activations",

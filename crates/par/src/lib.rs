@@ -46,6 +46,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static CACHED_MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
+static CACHED_HOST_CPUS: AtomicUsize = AtomicUsize::new(0);
 
 std::thread_local! {
     /// Is this thread a parallel worker (spawned by a primitive here,
@@ -98,12 +99,25 @@ pub fn max_threads() -> usize {
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
         .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
+        .unwrap_or_else(host_cpus);
     CACHED_MAX_THREADS.store(n, Ordering::Relaxed);
+    n
+}
+
+/// The host's CPU count ([`std::thread::available_parallelism`], 1 if
+/// unknown), read on first use and cached for the life of the process:
+/// the lookup reads cgroup files on Linux, tens of microseconds, and
+/// the round executor asks on every dynamics run. Unlike
+/// [`max_threads`], no override applies.
+pub fn host_cpus() -> usize {
+    let cached = CACHED_HOST_CPUS.load(Ordering::Relaxed);
+    if cached != 0 {
+        return cached;
+    }
+    let n = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    CACHED_HOST_CPUS.store(n, Ordering::Relaxed);
     n
 }
 

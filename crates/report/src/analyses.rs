@@ -39,8 +39,8 @@ pub struct Fragment {
 pub struct ObsDelta {
     /// Candidates priced by a full traversal (all kernels).
     pub priced: u64,
-    /// Activations whose candidates the unit-budget SUM closed form
-    /// priced in one pass instead (no kernel traversal).
+    /// Activations whose candidates the unit-budget closed form (SUM or
+    /// MAX) priced in one pass instead (no kernel traversal).
     pub closed_form: u64,
     /// Candidates skipped by a lower bound (all kernels).
     pub prune_skips: u64,
@@ -758,7 +758,7 @@ mod tests {
 
     #[test]
     fn obs_digest_names_the_closed_form_path() {
-        // A unit-budget SUM run prices no candidate on a kernel: the
+        // A unit-budget run prices no candidate on a kernel: the
         // digest says the closed form did the work.
         let delta = ObsDelta {
             closed_form: 7,
