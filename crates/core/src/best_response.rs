@@ -207,6 +207,13 @@ pub(crate) fn assert_enumerable(n: usize, b: usize, u: NodeId) {
 /// increasing order, so its incumbent always comes from earlier in the
 /// enumeration than the candidate it prunes against — and a candidate
 /// that merely ties it rightly loses.
+///
+/// Engines splitting one search also share the least cost any of them
+/// has found ([`Slices::shared_best`]). That cost may come from a later
+/// slice, so a candidate that ties it must still be priced (it would
+/// win the merge); an engine prices each candidate against
+/// `min(incumbent, shared_best + 1)`, which drops only candidates
+/// costing strictly more than some engine's find.
 pub(crate) trait Slices {
     /// The next slice to price, `(index, range)`, or `None` when done.
     fn next(&mut self) -> Option<(usize, Range<usize>)>;
@@ -216,6 +223,12 @@ pub(crate) trait Slices {
     /// `slice` is finished: `examined` candidates priced or pruned, and
     /// whether its incumbent reached the floor.
     fn done(&mut self, slice: usize, examined: u64, floor: bool);
+    /// The least cost any engine of this search has found so far
+    /// (`u64::MAX` before the first find, and always for a search no
+    /// other engine shares).
+    fn shared_best(&self) -> u64;
+    /// This engine's incumbent improved to `cost`.
+    fn publish(&mut self, cost: u64);
 }
 
 /// The whole candidate space as one slice, priced alone: the
@@ -232,6 +245,20 @@ impl Slices for Whole {
     }
 
     fn done(&mut self, _: usize, _: u64, _: bool) {}
+
+    fn shared_best(&self) -> u64 {
+        u64::MAX
+    }
+
+    fn publish(&mut self, _: u64) {}
+}
+
+/// The bound a candidate must strictly beat: the engine's own
+/// `incumbent`, or one past the least cost another engine sharing the
+/// search has found — a candidate tying that cost may lie earlier in
+/// the enumeration and win the merge, one costing more cannot.
+fn pricing_bound(incumbent: u64, slices: &impl Slices) -> u64 {
+    incumbent.min(slices.shared_best().saturating_add(1))
 }
 
 /// The exact search over the slices `slices` deals, each a range of
@@ -275,13 +302,15 @@ pub(crate) fn exact_best_over(
             // pruned candidate's true cost is ≥ the incumbent, so neither
             // the optimum nor the lexicographic tie-break can change.
             let incumbent = best.as_ref().map_or(ceiling, |(s, _)| s.cost);
-            if let Some(cost) = scratch.cost_of_pruned(&targets, incumbent) {
-                if cost < incumbent {
+            let bound = pricing_bound(incumbent, slices);
+            if let Some(cost) = scratch.cost_of_pruned(&targets, bound) {
+                if cost < bound {
                     let found = ScoredStrategy {
                         targets: targets.clone(),
                         cost,
                     };
                     best = Some((found, slice));
+                    slices.publish(cost);
                     floor = cost <= lb; // provably optimal
                     if floor {
                         break;
@@ -528,28 +557,30 @@ pub(crate) fn best_swap_improvement(
     if let Some((costs, current)) = closed_form(scratch, r, u, model) {
         return cheapest_below(costs, current);
     }
+    let current = current_cost(scratch, r, u, model);
     let pairs = r.strategy(u).len() * r.n();
-    best_swap_over(scratch, r, u, model, &mut Whole(Some(0..pairs))).map(|(s, _)| s)
+    best_swap_over(scratch, r, u, model, current, &mut Whole(Some(0..pairs))).map(|(s, _)| s)
 }
 
 /// The swap search over the slices `slices` deals, each a range of
 /// (slot, target) pairs: pair `p` replaces owned arc `p / n` by target
 /// `p % n`, and [`best_swap_improvement`] is this search over `0..b·n`
-/// as one slice. Candidates must strictly beat the current
-/// strategy; returns the cheapest one found — the earliest among
-/// equals — and its slice, or `None` when no candidate improves (at
-/// once when the current cost is at the Lemma 2.2 floor).
+/// as one slice. Candidates must cost strictly less than `ceiling`,
+/// the current strategy's cost; returns the cheapest one found — the
+/// earliest among equals — and its slice, or `None` when no candidate
+/// improves (at once when the ceiling is at the Lemma 2.2 floor).
 pub(crate) fn best_swap_over(
     scratch: &mut DeviationScratch,
     r: &Realization,
     u: NodeId,
     model: CostModel,
+    ceiling: u64,
     slices: &mut impl Slices,
 ) -> Option<(ScoredStrategy, usize)> {
     let n = r.n();
-    let mut incumbent = current_cost(scratch, r, u, model);
+    scratch.begin(r, u, model);
     let lb = scratch.cost_lower_bound(r.strategy(u).len());
-    if incumbent <= lb {
+    if ceiling <= lb {
         return None;
     }
     let mut current = std::mem::take(&mut scratch.pool_buf);
@@ -574,12 +605,14 @@ pub(crate) fn best_swap_over(
                 trial.extend_from_slice(&current);
                 trial[i] = new;
                 examined += 1;
-                if let Some(cost) = scratch.cost_of_pruned(&trial, incumbent) {
-                    if cost < incumbent {
-                        incumbent = cost;
+                let incumbent = best.as_ref().map_or(ceiling, |(s, _)| s.cost);
+                let bound = pricing_bound(incumbent, slices);
+                if let Some(cost) = scratch.cost_of_pruned(&trial, bound) {
+                    if cost < bound {
                         let mut targets = trial.clone();
                         targets.sort_unstable();
                         best = Some((ScoredStrategy { targets, cost }, slice));
+                        slices.publish(cost);
                         // At the Lemma 2.2 floor nothing later can
                         // strictly improve.
                         floor = cost <= lb;

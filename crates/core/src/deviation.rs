@@ -340,6 +340,13 @@ impl DeviationScratch {
         self.patch.compactions()
     }
 
+    /// Candidates this session priced on the kernel to the end (not
+    /// aborted by their incumbent bound).
+    #[cfg(test)]
+    pub(crate) fn priced_to_completion(&self) -> u64 {
+        self.tally.priced - self.tally.prune_aborts
+    }
+
     /// Re-attach the detached player's arcs, making `patch` mirror
     /// `mirror` exactly.
     fn close_session(&mut self) {

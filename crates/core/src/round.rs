@@ -19,8 +19,12 @@
 //!
 //! Engines claim slices from a shared cursor (`Dealer`), so each one
 //! prices an increasing run of slices and uneven pricing cost evens
-//! out. The first-improving and greedy rules price on the caller's
-//! engine under every executor.
+//! out. They also share one incumbent bound: the least cost any engine
+//! has found so far. Every BFS aborts at the first level that proves
+//! its candidate cannot beat the bound it was given, so an engine that
+//! priced only against its own incumbent would finish candidates
+//! another engine had already beaten. The first-improving and greedy
+//! rules price on the caller's engine under every executor.
 //!
 //! Unit-budget activations (the player owns one arc, nobody owns two)
 //! have nothing worth splitting, under SUM or MAX: the caller's engine
@@ -52,7 +56,11 @@
 //! the sequential search does, and keeps only strict improvements on
 //! it. Pruning and incumbent aborts only skip candidates that cannot
 //! strictly beat that cost or an incumbent found earlier in the
-//! enumeration, as in the sequential loop.
+//! enumeration, as in the sequential loop, or that cost strictly more
+//! than the shared best: each candidate is priced against
+//! `min(incumbent, shared + 1)`, so a candidate tying another engine's
+//! find is still priced and, if it lies earlier in the enumeration,
+//! still wins the merge.
 //! Enforced by `tests/round_parity.rs` and the CI byte-diff of
 //! `--threads 1` vs `--threads 8` scenario record streams.
 
@@ -70,7 +78,9 @@ use crate::realization::Realization;
 use bbncg_graph::NodeId;
 use bbncg_obs::Counter;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// How activations inside one dynamics round are executed. Executors
 /// are **step-identical**: the choice can never change a trajectory, a
@@ -101,16 +111,22 @@ pub enum RoundExecutor {
 impl RoundExecutor {
     /// Candidate work, in candidates × n, below which an activation of
     /// an `Auto` run stays on one engine. A split pays one fork/join of
-    /// scoped helper threads (27–29 µs on a 2-vCPU x86-64 host) plus a
-    /// session open per helper, and saves at most half the pricing.
-    /// Full-BFS pricing there runs about 3 ns per vertex, so 2¹⁷ is
-    /// ~400 µs of unpruned pricing, some 15 fork/joins: the margin
-    /// covers near-converged activations, whose Lemma 2.2 pruning and
-    /// floor stop price far fewer candidates than they enumerate. On
-    /// that host (bitset kernel, median of 5 alternating runs) budget-2
-    /// swap dynamics broke even at n = 200 (0.8·10⁵) and won at
-    /// n = 320 (2.0·10⁵, 1.37×). Unit-budget activations never reach
-    /// this test: the closed form settles them on one engine.
+    /// scoped helper threads (a bare spawn-and-join takes 43–60 µs on a
+    /// 2-vCPU x86-64 VM, and a split's helper starts pricing 45–50 µs
+    /// after the caller forks it) plus a session open per helper
+    /// (14–18 µs to its first candidate at n = 512), and saves at most
+    /// half the pricing. Full-BFS pricing of a budget-2 candidate there
+    /// runs 6–9 ns per vertex, so 2¹⁷ is about 1 ms of unpruned pricing;
+    /// but the incumbent abort stops most candidates a level or two in
+    /// (about 0.5 µs per priced candidate in budget-2 swap dynamics at
+    /// n = 512), so an activation prices far less than it enumerates.
+    /// On that VM (bitset kernel, 2 threads, median of 10 runs) budget-2
+    /// swap dynamics ran sharded at 0.52× the sequential speed at
+    /// n = 200 (0.8·10⁵), 0.84× at n = 320 (2.0·10⁵) and 1.28× at
+    /// n = 512 (5.2·10⁵): the threshold now lets some losing
+    /// activations split, and waits for a measured matrix of sizes and
+    /// kernels. Unit-budget activations never reach this test: the
+    /// closed form settles them on one engine.
     pub const SHARD_MIN_WORK: u64 = 1 << 17;
 
     /// The concrete executor used for an `n`-player instance (never
@@ -332,8 +348,9 @@ impl Shards {
 
     /// Sharded [`best_swap_improvement`]: `None` when the activation is
     /// not worth splitting or, under `Auto`, the closed form settles
-    /// it; otherwise the best strict improvement, if any. Every engine
-    /// searches below the current cost.
+    /// it; otherwise the best strict improvement, if any. As in
+    /// [`Shards::exact_best`], the caller's engine prices the current
+    /// strategy once and every engine searches below that cost.
     fn best_swap(
         &mut self,
         scratch: &mut DeviationScratch,
@@ -355,7 +372,7 @@ impl Shards {
             return None;
         }
         Some(self.run(scratch, &ranges, |engine, slices| {
-            best_swap_over(engine, state, u, model, slices)
+            best_swap_over(engine, state, u, model, current, slices)
         }))
     }
 
@@ -372,29 +389,41 @@ impl Shards {
         &mut self,
         scratch: &mut DeviationScratch,
         ranges: &[Range<usize>],
-        search: impl Fn(&mut DeviationScratch, &mut &Dealer) -> Option<(ScoredStrategy, usize)> + Sync,
+        search: impl Fn(&mut DeviationScratch, &mut &Dealer) -> Found + Sync,
     ) -> Option<ScoredStrategy> {
         let dealer = Dealer::new(ranges);
         let (search, shared) = (&search, &dealer);
         let helpers = self.helpers.len().min(ranges.len() - 1);
-        let found = std::thread::scope(|s| {
-            let helpers: Vec<_> = self.helpers[..helpers]
-                .iter_mut()
-                .map(|engine| s.spawn(move || search(engine, &mut { shared })))
-                .collect();
-            let mut found = vec![search(scratch, &mut { shared })];
-            for helper in helpers {
-                found.push(
-                    helper
-                        .join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-                );
+        // Each helper leaves its find (or its panic) in a slot of its
+        // own, locked once, rather than in its join handle: the scope
+        // returns as soon as the last search has, where joining would
+        // also wait for each helper thread to exit, about 12 µs per
+        // split on a 2-vCPU x86-64 VM.
+        let slots: Vec<Mutex<Option<std::thread::Result<Found>>>> =
+            (0..helpers).map(|_| Mutex::new(None)).collect();
+        let mut found = std::thread::scope(|s| {
+            for (engine, slot) in self.helpers.iter_mut().zip(&slots) {
+                s.spawn(move || {
+                    let find = catch_unwind(AssertUnwindSafe(|| search(engine, &mut { shared })));
+                    *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(find);
+                });
             }
-            found
+            vec![search(scratch, &mut { shared })]
         });
+        for slot in slots {
+            match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
+                Some(Ok(find)) => found.push(find),
+                Some(Err(panic)) => resume_unwind(panic),
+                None => unreachable!("the scope waits for every helper's search"),
+            }
+        }
         dealer.merge(found)
     }
 }
+
+/// What one engine's share of a split search found: its cheapest
+/// candidate, if any beat the ceiling, and that candidate's slice.
+type Found = Option<(ScoredStrategy, usize)>;
 
 /// Slices per engine an activation is cut into. Engines claim slices
 /// in enumeration order from a shared cursor, so cutting finer than one
@@ -407,9 +436,11 @@ const SLICES_PER_ENGINE: usize = 16;
 /// Deals one activation's slices to its engines in enumeration order
 /// and collects what they report. Every engine receives an increasing
 /// run of slice indices, which is what lets its incumbent prune later
-/// slices (see [`Slices`]). Every atomic here publishes nothing but its
-/// own value — the ranges are shared read-only, and `merge` runs after
-/// the scoped threads joined — so `Relaxed` suffices throughout.
+/// slices (see [`Slices`]), and every engine prunes against the least
+/// cost any of them has found (`best`). Every atomic here publishes
+/// nothing but its own value — the ranges are shared read-only, and
+/// `merge` runs after the scope has waited for every engine's search —
+/// so `Relaxed` suffices throughout.
 struct Dealer<'a> {
     ranges: &'a [Range<usize>],
     cursor: AtomicUsize,
@@ -417,6 +448,11 @@ struct Dealer<'a> {
     /// (`usize::MAX` while none has). It only ever decreases, so a
     /// stale read costs work, never a candidate before the final floor.
     floor: AtomicUsize,
+    /// The least cost any engine has found (`u64::MAX` while none has),
+    /// lowered on every strict improvement of an engine's incumbent.
+    /// Every value it holds is a real candidate's cost and it only ever
+    /// decreases, so a stale read also costs work, never a decision.
+    best: AtomicU64,
     /// Candidates examined per slice.
     examined: Vec<AtomicU64>,
 }
@@ -427,6 +463,7 @@ impl<'a> Dealer<'a> {
             ranges,
             cursor: AtomicUsize::new(0),
             floor: AtomicUsize::new(usize::MAX),
+            best: AtomicU64::new(u64::MAX),
             examined: ranges.iter().map(|_| AtomicU64::new(0)).collect(),
         }
     }
@@ -437,7 +474,7 @@ impl<'a> Dealer<'a> {
     /// examined in slices after the floor slice lay past the proven
     /// optimum — work the sequential search never does — and counts as
     /// discarded.
-    fn merge(&self, found: Vec<Option<(ScoredStrategy, usize)>>) -> Option<ScoredStrategy> {
+    fn merge(&self, found: Vec<Found>) -> Option<ScoredStrategy> {
         let best = found
             .into_iter()
             .flatten()
@@ -472,6 +509,14 @@ impl Slices for &Dealer<'_> {
         if floor {
             self.floor.fetch_min(slice, Ordering::Relaxed);
         }
+    }
+
+    fn shared_best(&self) -> u64 {
+        self.best.load(Ordering::Relaxed)
+    }
+
+    fn publish(&mut self, cost: u64) {
+        self.best.fetch_min(cost, Ordering::Relaxed);
     }
 }
 
@@ -642,6 +687,174 @@ mod tests {
         }
         // b = 1: one subset per lead.
         assert_eq!(lead_ranges(10, 1, 2), vec![0..5, 5..10]);
+    }
+
+    /// Deals a fixed run of `dealer`'s slices to one engine, shares the
+    /// dealer's bound only when `share` is set, and logs every cost the
+    /// engine publishes.
+    struct Scripted<'a> {
+        dealer: &'a Dealer<'a>,
+        deal: Range<usize>,
+        share: bool,
+        published: Vec<u64>,
+    }
+
+    impl<'a> Scripted<'a> {
+        fn new(dealer: &'a Dealer<'a>, deal: Range<usize>, share: bool) -> Self {
+            Scripted {
+                dealer,
+                deal,
+                share,
+                published: Vec::new(),
+            }
+        }
+    }
+
+    impl Slices for Scripted<'_> {
+        fn next(&mut self) -> Option<(usize, Range<usize>)> {
+            let slice = self.deal.next()?;
+            Some((slice, self.dealer.ranges[slice].clone()))
+        }
+
+        fn floor_before(&self, slice: usize) -> bool {
+            self.dealer.floor_before(slice)
+        }
+
+        fn done(&mut self, slice: usize, examined: u64, floor: bool) {
+            let mut dealer = self.dealer;
+            dealer.done(slice, examined, floor);
+        }
+
+        fn shared_best(&self) -> u64 {
+            if self.share {
+                self.dealer.shared_best()
+            } else {
+                u64::MAX
+            }
+        }
+
+        fn publish(&mut self, cost: u64) {
+            self.published.push(cost);
+            if self.share {
+                let mut dealer = self.dealer;
+                dealer.publish(cost);
+            }
+        }
+    }
+
+    /// Player 0 owns arcs to 1 and 2 of a 16-cycle whose vertices each
+    /// own the arc to their successor. Two targets 7, 8 or 9 steps
+    /// apart are 0's SUM optimum, so equal-cost optima lie in every
+    /// slice of both searches.
+    fn chorded_cycle() -> Realization {
+        let mut arcs = vec![(0, 1), (0, 2)];
+        arcs.extend((1..=16).map(|i| (i, i % 16 + 1)));
+        Realization::new(bbncg_graph::OwnedDigraph::from_arcs(17, &arcs))
+    }
+
+    type Search = fn(&mut DeviationScratch, &Realization, u64, &mut Scripted) -> Found;
+
+    fn exact(e: &mut DeviationScratch, r: &Realization, ceiling: u64, s: &mut Scripted) -> Found {
+        exact_best_over(e, r, NodeId::new(0), CostModel::Sum, ceiling, s)
+    }
+
+    fn swap(e: &mut DeviationScratch, r: &Realization, ceiling: u64, s: &mut Scripted) -> Found {
+        best_swap_over(e, r, NodeId::new(0), CostModel::Sum, ceiling, s)
+    }
+
+    /// One two-engine split replayed on one thread: engine B prices
+    /// every slice after the first, then engine A the first slice.
+    struct Replay {
+        merged: Option<ScoredStrategy>,
+        found_b: Found,
+        published_a: Vec<u64>,
+        /// Candidates engine A priced to the end.
+        completed_a: u64,
+    }
+
+    fn replay(kernel: CostKernel, ranges: &[Range<usize>], search: Search, share: bool) -> Replay {
+        let r = chorded_cycle();
+        let u = NodeId::new(0);
+        let current = current_cost(&mut DeviationScratch::new(&r), &r, u, CostModel::Sum);
+        let dealer = Dealer::new(ranges);
+        let mut on_b = Scripted::new(&dealer, 1..ranges.len(), share);
+        let found_b = search(
+            &mut DeviationScratch::with_kernel(&r, kernel),
+            &r,
+            current,
+            &mut on_b,
+        );
+        let mut a = DeviationScratch::with_kernel(&r, kernel);
+        let mut on_a = Scripted::new(&dealer, 0..1, share);
+        let found_a = search(&mut a, &r, current, &mut on_a);
+        Replay {
+            merged: dealer.merge(vec![found_a, found_b.clone()]),
+            found_b,
+            published_a: on_a.published,
+            completed_a: a.priced_to_completion(),
+        }
+    }
+
+    /// The shared bound, replayed deterministically: engine B's find in
+    /// a later slice is published before engine A prices the first.
+    #[test]
+    fn shared_bound_keeps_ties_and_skips_costlier_candidates() {
+        let r = chorded_cycle();
+        let u = NodeId::new(0);
+        for kernel in [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse] {
+            let mut whole = DeviationScratch::with_kernel(&r, kernel);
+            let exact_whole = exact_best_improvement(&mut whole, &r, u, CostModel::Sum);
+            let swap_whole = best_swap_improvement(&mut whole, &r, u, CostModel::Sum);
+            let cases = [
+                ("exact", lead_ranges(16, 2, 2), exact as Search, exact_whole),
+                ("swap", even_ranges(2 * 17, 2), swap, swap_whole),
+            ];
+            for (name, ranges, search, whole) in cases {
+                let ctx = format!("{name} on {kernel:?}");
+                let whole = whole.expect("player 0 can improve");
+                let shared = replay(kernel, &ranges, search, true);
+                let alone = replay(kernel, &ranges, search, false);
+                // B's find is a later optimum; A's earlier one ties the
+                // cost B published and still wins the merge.
+                let (b, slice) = shared.found_b.expect("slice 1 holds an optimum");
+                assert_eq!((b.cost, slice), (whole.cost, 1), "{ctx}");
+                assert_ne!(b.targets, whole.targets, "{ctx}");
+                assert_eq!(shared.merged.as_ref(), Some(&whole), "{ctx}");
+                assert_eq!(alone.merged.as_ref(), Some(&whole), "{ctx}");
+                // Counter guard: sharing, A finishes fewer pricings.
+                assert!(
+                    shared.completed_a < alone.completed_a,
+                    "{ctx}: {} vs {}",
+                    shared.completed_a,
+                    alone.completed_a
+                );
+                // Sharing, A finds nothing costlier than B's published
+                // cost; alone, it first improves through costlier ones.
+                assert_eq!(shared.published_a, [whole.cost], "{ctx}");
+                assert!(alone.published_a[0] > whole.cost, "{ctx}");
+            }
+        }
+    }
+
+    /// A helper's panic reaches the caller with its own payload, after
+    /// the scope has waited for every search.
+    #[test]
+    fn a_helper_panic_propagates_with_its_payload() {
+        let r = chorded_cycle();
+        let mut scratch = DeviationScratch::new(&r);
+        let mut shards = Shards::new(&r, CostKernel::Auto, true);
+        let caller = std::thread::current().id();
+        let ranges = even_ranges(8, 4);
+        let panic = catch_unwind(AssertUnwindSafe(|| {
+            shards.run(&mut scratch, &ranges, |_, slices| {
+                while slices.next().is_some() {}
+                assert_eq!(std::thread::current().id(), caller, "helper gave up");
+                None
+            })
+        }))
+        .expect_err("the helper panicked");
+        let msg = panic.downcast_ref::<String>().map(String::as_str);
+        assert!(msg.is_some_and(|m| m.contains("helper gave up")), "{msg:?}");
     }
 
     #[test]

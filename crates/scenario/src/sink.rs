@@ -7,6 +7,7 @@
 //! `grep`/`jq`-friendly and diffable.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Schema version stamped into every emitted record line. Lines
 /// without the field (pre-versioning streams) parse as version 1;
@@ -48,50 +49,78 @@ pub struct MetricRecord {
 }
 
 impl MetricRecord {
-    /// Encode as one JSON line (no trailing newline).
+    /// Encode as one JSON line (no trailing newline) in one buffer of
+    /// exactly the line's length: the fields are written twice, the
+    /// first time only to count their bytes.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(192);
-        s.push('{');
-        s.push_str(&format!("\"schema_version\":{SCHEMA_VERSION}"));
-        s.push_str(&format!(",\"scenario\":\"{}\"", escape(&self.scenario)));
-        s.push_str(&format!(",\"seed\":{}", self.seed));
-        s.push_str(&format!(",\"phase\":{}", self.phase));
-        s.push_str(&format!(",\"kind\":\"{}\"", self.kind));
-        s.push_str(&format!(",\"n\":{}", self.n));
-        s.push_str(&format!(",\"arcs\":{}", self.arcs));
-        s.push_str(&format!(",\"steps\":{}", self.steps));
-        s.push_str(&format!(",\"rounds\":{}", self.rounds));
-        s.push_str(&format!(",\"social_cost\":{}", self.social_cost));
-        match self.diameter {
-            Some(d) => s.push_str(&format!(",\"diameter\":{d}")),
-            None => s.push_str(",\"diameter\":null"),
-        }
-        match self.converged {
-            Some(b) => s.push_str(&format!(",\"converged\":{b}")),
-            None => s.push_str(",\"converged\":null"),
-        }
-        match self.cycled {
-            Some(b) => s.push_str(&format!(",\"cycled\":{b}")),
-            None => s.push_str(",\"cycled\":null"),
-        }
-        s.push_str(&format!(",\"state_hash\":\"{:016x}\"", self.state_hash));
-        s.push('}');
+        let mut len = ByteCount(0);
+        let _ = self.write_json(&mut len);
+        let mut s = String::with_capacity(len.0);
+        let _ = self.write_json(&mut s);
+        debug_assert_eq!(s.len(), len.0);
         s
+    }
+
+    fn write_json(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        write!(w, "{{\"schema_version\":{SCHEMA_VERSION},\"scenario\":\"")?;
+        escape_into(w, &self.scenario)?;
+        write!(
+            w,
+            "\",\"seed\":{},\"phase\":{},\"kind\":\"{}\",\"n\":{},\"arcs\":{},\"steps\":{},\
+             \"rounds\":{},\"social_cost\":{},\"diameter\":",
+            self.seed,
+            self.phase,
+            self.kind,
+            self.n,
+            self.arcs,
+            self.steps,
+            self.rounds,
+            self.social_cost,
+        )?;
+        match self.diameter {
+            Some(d) => write!(w, "{d}")?,
+            None => w.write_str("null")?,
+        }
+        write!(
+            w,
+            ",\"converged\":{},\"cycled\":{},\"state_hash\":\"{:016x}\"}}",
+            opt_bool(self.converged),
+            opt_bool(self.cycled),
+            self.state_hash
+        )
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
+fn opt_bool(b: Option<bool>) -> &'static str {
+    match b {
+        Some(true) => "true",
+        Some(false) => "false",
+        None => "null",
+    }
+}
+
+/// A writer that only counts the bytes written to it.
+struct ByteCount(usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+/// Write `text` as the body of a JSON string.
+fn escape_into(w: &mut impl fmt::Write, text: &str) -> fmt::Result {
+    for c in text.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+            '"' => w.write_str("\\\"")?,
+            '\\' => w.write_str("\\\\")?,
+            '\n' => w.write_str("\\n")?,
+            c if (c as u32) < 0x20 => write!(w, "\\u{:04x}", c as u32)?,
+            c => w.write_char(c)?,
         }
     }
-    out
+    Ok(())
 }
 
 /// Where metric records go. Implementations must tolerate being called
@@ -234,6 +263,65 @@ mod tests {
         assert!(j.contains("\"diameter\":null"));
         assert!(j.contains("\"converged\":true"));
         assert!(j.contains("\"state_hash\":\"0000000000000abc\""));
+    }
+
+    /// The encoder `to_json` replaced, one `format!` per field: the
+    /// lines must not change by a byte.
+    fn reference_json(r: &MetricRecord) -> String {
+        let mut scenario = String::new();
+        for c in r.scenario.chars() {
+            match c {
+                '"' => scenario.push_str("\\\""),
+                '\\' => scenario.push_str("\\\\"),
+                '\n' => scenario.push_str("\\n"),
+                c if (c as u32) < 0x20 => scenario.push_str(&format!("\\u{:04x}", c as u32)),
+                c => scenario.push(c),
+            }
+        }
+        let opt = |v: Option<String>| v.unwrap_or_else(|| "null".into());
+        format!(
+            "{{\"schema_version\":{SCHEMA_VERSION},\"scenario\":\"{scenario}\",\"seed\":{},\
+             \"phase\":{},\"kind\":\"{}\",\"n\":{},\"arcs\":{},\"steps\":{},\"rounds\":{},\
+             \"social_cost\":{},\"diameter\":{},\"converged\":{},\"cycled\":{},\
+             \"state_hash\":\"{:016x}\"}}",
+            r.seed,
+            r.phase,
+            r.kind,
+            r.n,
+            r.arcs,
+            r.steps,
+            r.rounds,
+            r.social_cost,
+            opt(r.diameter.map(|d| d.to_string())),
+            opt(r.converged.map(|b| b.to_string())),
+            opt(r.cycled.map(|b| b.to_string())),
+            r.state_hash
+        )
+    }
+
+    #[test]
+    fn json_matches_the_per_field_encoder_byte_for_byte() {
+        let names = ["churn", "", "t \"quoted\"", "a\\b\nc\u{1}\u{1f}\t", "ünï ✓"];
+        for (i, name) in names.into_iter().enumerate() {
+            for (j, big) in [0u64, 9, 10, 99_999, u64::MAX].into_iter().enumerate() {
+                let r = MetricRecord {
+                    scenario: name.into(),
+                    seed: big,
+                    phase: i * j,
+                    kind: ["dynamics", "summary", "arrive"][j % 3],
+                    n: big as usize,
+                    arcs: j,
+                    steps: 10usize.pow(j as u32),
+                    rounds: usize::MAX - j,
+                    social_cost: big / 3,
+                    diameter: [None, Some(0), Some(u32::MAX)][(i + j) % 3],
+                    converged: [None, Some(true), Some(false)][j % 3],
+                    cycled: [Some(false), None, Some(true)][i % 3],
+                    state_hash: big ^ 0xabc,
+                };
+                assert_eq!(r.to_json(), reference_json(&r));
+            }
+        }
     }
 
     #[test]

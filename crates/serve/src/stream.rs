@@ -139,12 +139,9 @@ impl BufferSink {
 impl MetricSink for BufferSink {
     fn record(&mut self, rec: &MetricRecord) {
         // The line stays buffered as long as its job stays in the
-        // server's history or result cache; without its growth slack it
-        // takes about half the memory (a ~210-byte record grows to a
-        // 384-byte buffer).
-        let mut line = rec.to_json();
-        line.shrink_to_fit();
-        self.buffer.push(line);
+        // server's history or result cache; `to_json` sizes it exactly,
+        // so it carries no growth slack.
+        self.buffer.push(rec.to_json());
     }
 }
 
