@@ -18,13 +18,14 @@ use crate::cancel::CancelToken;
 use crate::cost::CostModel;
 use crate::deviation::DeviationScratch;
 use crate::realization::Realization;
-use crate::round::{respond, RoundExecutor, Shards};
+use crate::round::{respond, PoolTally, RoundExecutor, Shards};
 use bbncg_graph::NodeId;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Order in which players are activated within a round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -238,6 +239,33 @@ fn snapshot(
     }
 }
 
+/// Why a run stopped.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum End {
+    /// A whole round passed without a move.
+    Converged,
+    /// A round ended on a profile seen at an earlier round's end.
+    Cycled,
+    /// The cancel token fired before a round.
+    Cancelled,
+    /// `max_rounds` rounds ran.
+    RoundCap,
+}
+
+/// The run's profile, read under the guard its lock hands out. Only a
+/// panic while a move is written poisons the lock, and that panic ends
+/// the run.
+fn read(state: &RwLock<Realization>) -> RwLockReadGuard<'_, Realization> {
+    state.read().expect("a poisoned profile ends the run")
+}
+
+fn write(state: &RwLock<Realization>) -> RwLockWriteGuard<'_, Realization> {
+    state.write().expect("a poisoned profile ends the run")
+}
+
+/// The dynamics loop behind every public entry point, plus what the
+/// sharded executor's helper pool did ([`PoolTally`]; all zero when
+/// the run stayed sequential or never split).
 fn run_dynamics_impl(
     initial: Realization,
     cfg: DynamicsConfig,
@@ -245,106 +273,92 @@ fn run_dynamics_impl(
     scratch: &mut DeviationScratch,
     mut trace: Option<&mut Vec<RoundTrace>>,
     cancel: Option<&CancelToken>,
-) -> (DynamicsReport, ()) {
+) -> (DynamicsReport, PoolTally) {
     let n = initial.n();
-    let mut state = initial;
     let mut steps = 0usize;
     let mut rounds = 0usize;
     let mut seen: HashSet<u64> = HashSet::new();
     let track_cycles = cfg.order == PlayerOrder::RoundRobin;
     if track_cycles {
-        seen.insert(profile_hash(&state));
+        seen.insert(profile_hash(&initial));
     }
     if let Some(t) = trace.as_deref_mut() {
-        t.push(snapshot(&state, cfg, 0, 0));
+        t.push(snapshot(&initial, cfg, 0, 0));
     }
     let mut order: Vec<usize> = (0..n).collect();
-    // The executor is resolved once per run; Auto consults the thread
-    // budget here, at run start. Either verdict traces the identical
-    // trajectory (round executors are step-identical by construction —
-    // see `crate::round`), so resolution timing is a perf detail.
-    let mut shards = (cfg.executor.resolve(n) == RoundExecutor::Sharded).then(|| {
-        Shards::new(
-            &state,
-            scratch.kernel(),
-            cfg.executor == RoundExecutor::Sharded,
-        )
-    });
-    // One deviation engine for the whole run: each activation syncs it
-    // to `state`, at most one move past it, so it compares the last
-    // mover alone and patches O(1) edges; no candidate pricing ever
-    // rebuilds the undirected view. The sharded executor's helper
-    // engines sync on the activations they price (see `Shards`).
-    while rounds < cfg.max_rounds {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return (
-                DynamicsReport {
-                    state,
-                    converged: false,
-                    steps,
-                    rounds,
-                    cycled: false,
-                    cancelled: true,
-                },
-                (),
-            );
-        }
-        if cfg.order == PlayerOrder::RandomPermutation {
-            order.shuffle(rng);
-        }
-        let mut round_improvements = 0usize;
-        for &i in &order {
-            let u = NodeId::new(i);
-            if let Some(targets) = respond(scratch, shards.as_mut(), &state, u, &cfg) {
-                state.set_strategy(u, targets);
-                steps += 1;
-                round_improvements += 1;
+    // The profile sits behind a lock for the sharded executor's helper
+    // threads, which read it while they price a split; the caller reads
+    // it for each activation and writes each move in between. The
+    // scope joins the helpers before the run returns.
+    let state = RwLock::new(initial);
+    let (end, tally) = std::thread::scope(|scope| {
+        // The executor is resolved once per run; Auto consults the
+        // thread budget here, at run start. Either verdict traces the
+        // identical trajectory (round executors are step-identical by
+        // construction — see `crate::round`), so resolution timing is a
+        // perf detail. A sharded run starts its helper threads at its
+        // first split and stops them when `shards` drops, at the end of
+        // this closure or while a panic unwinds it.
+        let mut shards = (cfg.executor.resolve(n) == RoundExecutor::Sharded).then(|| {
+            Shards::new(
+                scope,
+                &state,
+                scratch.kernel(),
+                cfg.executor == RoundExecutor::Sharded,
+            )
+        });
+        // One deviation engine for the whole run: each activation syncs
+        // it to `state`, at most one move past it, so it compares the
+        // last mover alone and patches O(1) edges; no candidate pricing
+        // ever rebuilds the undirected view. The helpers' engines sync
+        // on the jobs they price (see `Shards`).
+        let end = loop {
+            if rounds >= cfg.max_rounds {
+                break End::RoundCap;
             }
-        }
-        rounds += 1;
-        bbncg_obs::counter_inc(bbncg_obs::Counter::DynamicsRounds);
-        bbncg_obs::counter_add(bbncg_obs::Counter::DynamicsSteps, round_improvements as u64);
-        if let Some(t) = trace.as_deref_mut() {
-            t.push(snapshot(&state, cfg, rounds, round_improvements));
-        }
-        if round_improvements == 0 {
-            return (
-                DynamicsReport {
-                    state,
-                    converged: true,
-                    steps,
-                    rounds,
-                    cycled: false,
-                    cancelled: false,
-                },
-                (),
-            );
-        }
-        if track_cycles && !seen.insert(profile_hash(&state)) {
-            return (
-                DynamicsReport {
-                    state,
-                    converged: false,
-                    steps,
-                    rounds,
-                    cycled: true,
-                    cancelled: false,
-                },
-                (),
-            );
-        }
-    }
-    (
-        DynamicsReport {
-            state,
-            converged: false,
-            steps,
-            rounds,
-            cycled: false,
-            cancelled: false,
-        },
-        (),
-    )
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                break End::Cancelled;
+            }
+            if cfg.order == PlayerOrder::RandomPermutation {
+                order.shuffle(rng);
+            }
+            let mut round_improvements = 0usize;
+            for &i in &order {
+                let u = NodeId::new(i);
+                let reply = respond(scratch, shards.as_mut(), &read(&state), u, &cfg);
+                if let Some(targets) = reply {
+                    write(&state).set_strategy(u, targets);
+                    steps += 1;
+                    round_improvements += 1;
+                }
+            }
+            rounds += 1;
+            bbncg_obs::counter_inc(bbncg_obs::Counter::DynamicsRounds);
+            bbncg_obs::counter_add(bbncg_obs::Counter::DynamicsSteps, round_improvements as u64);
+            if let Some(t) = trace.as_deref_mut() {
+                t.push(snapshot(&read(&state), cfg, rounds, round_improvements));
+            }
+            if round_improvements == 0 {
+                break End::Converged;
+            }
+            if track_cycles && !seen.insert(profile_hash(&read(&state))) {
+                break End::Cycled;
+            }
+        };
+        let tally = shards
+            .as_ref()
+            .map_or_else(PoolTally::default, Shards::tally);
+        (end, tally)
+    });
+    let report = DynamicsReport {
+        state: state.into_inner().expect("a poisoned profile ends the run"),
+        converged: end == End::Converged,
+        steps,
+        rounds,
+        cycled: end == End::Cycled,
+        cancelled: end == End::Cancelled,
+    };
+    (report, tally)
 }
 
 #[cfg(test)]
@@ -494,6 +508,129 @@ mod tests {
         assert_eq!(plain.steps, tokened.steps);
         assert_eq!(plain.rounds, tokened.rounds);
         assert!(!tokened.cancelled);
+    }
+
+    /// One run through `run_dynamics_impl` with a fresh engine on the
+    /// default kernel, returning what its helper pool did too.
+    fn run_counting_spawns(
+        initial: Realization,
+        cfg: DynamicsConfig,
+        rng: &mut impl Rng,
+    ) -> (DynamicsReport, PoolTally) {
+        let mut scratch = DeviationScratch::new(&initial);
+        run_dynamics_impl(initial, cfg, rng, &mut scratch, None, None)
+    }
+
+    fn random_start(budget: usize, n: usize, seed: u64) -> Realization {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Realization::new(generators::random_realization(&vec![budget; n], &mut rng))
+    }
+
+    /// A run that splits many activations starts its helper pool once,
+    /// at the first split, and keeps it: the same threads serve every
+    /// later split.
+    #[test]
+    fn a_splitting_run_spawns_its_helpers_once() {
+        let helpers = bbncg_par::max_threads().max(2) - 1;
+        for (budget, rule) in [
+            (2, ResponseRule::BestSwap),
+            (2, ResponseRule::ExactBest),
+            (1, ResponseRule::BestSwap),
+        ] {
+            let cfg = DynamicsConfig {
+                rule,
+                ..DynamicsConfig::swap(CostModel::Sum, 50)
+            }
+            .with_executor(RoundExecutor::Sharded);
+            let start = random_start(budget, 16, 11);
+            let (report, tally) = run_counting_spawns(start, cfg, &mut StdRng::seed_from_u64(1));
+            let ctx = format!("budget {budget}, {rule:?}");
+            assert!(report.converged, "{ctx}");
+            assert!(tally.splits >= 2, "{ctx}: {tally:?}");
+            assert_eq!(tally.spawned, helpers, "{ctx}");
+        }
+    }
+
+    /// A run that never splits spawns no helper, though `Auto` may
+    /// resolve to the sharded executor: unit budgets go to the closed
+    /// form, and budget-2 activations at n = 64 stay below
+    /// `SHARD_MIN_WORK` (2·64 swap pairs, or C(63, 2) subsets, times
+    /// 64).
+    #[test]
+    fn a_run_that_never_splits_spawns_nothing() {
+        for (budget, model, rule) in [
+            (1, CostModel::Sum, ResponseRule::ExactBest),
+            (1, CostModel::Sum, ResponseRule::BestSwap),
+            (1, CostModel::Max, ResponseRule::ExactBest),
+            (1, CostModel::Max, ResponseRule::BestSwap),
+            (2, CostModel::Sum, ResponseRule::BestSwap),
+            (2, CostModel::Sum, ResponseRule::ExactBest),
+        ] {
+            let cfg = DynamicsConfig {
+                rule,
+                ..DynamicsConfig::swap(model, 4)
+            };
+            assert_eq!(cfg.executor, RoundExecutor::Auto);
+            let start = random_start(budget, 64, 12);
+            let (report, tally) = run_counting_spawns(start, cfg, &mut StdRng::seed_from_u64(2));
+            assert!(report.steps > 0, "budget {budget}, {model:?}, {rule:?}");
+            assert_eq!(
+                tally,
+                PoolTally::default(),
+                "budget {budget}, {model:?}, {rule:?}"
+            );
+        }
+    }
+
+    /// Draws from `rng` while `left` lasts, then panics: a fault on the
+    /// caller's side at a known point of a run.
+    struct Fuse {
+        rng: StdRng,
+        left: usize,
+    }
+
+    impl rand::RngCore for Fuse {
+        fn next_u64(&mut self) -> u64 {
+            assert!(self.left > 0, "fuse blown");
+            self.left -= 1;
+            self.rng.next_u64()
+        }
+    }
+
+    /// A panic on the caller's side, after the helpers exist, unwinds
+    /// out of the run: the executor stops and wakes its helpers as it
+    /// drops, so the scope joins them instead of waiting forever.
+    #[test]
+    fn a_caller_panic_after_the_helpers_start_propagates() {
+        let n = 16;
+        let start = random_start(2, n, 13);
+        let cfg = DynamicsConfig {
+            order: PlayerOrder::RandomPermutation,
+            ..DynamicsConfig::swap(CostModel::Sum, 50)
+        }
+        .with_executor(RoundExecutor::Sharded);
+        // Round 1 alone: it splits, so the helpers start, and it moves,
+        // so a second round would begin.
+        let (first, tally) = run_counting_spawns(
+            start.clone(),
+            DynamicsConfig {
+                max_rounds: 1,
+                ..cfg
+            },
+            &mut StdRng::seed_from_u64(3),
+        );
+        assert!(first.steps > 0 && tally.splits > 0 && tally.spawned > 0);
+        // The same run with the draws of round 1's shuffle only: the
+        // caller panics at round 2's shuffle, helpers running.
+        let mut fuse = Fuse {
+            rng: StdRng::seed_from_u64(3),
+            left: n - 1,
+        };
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_counting_spawns(start, cfg, &mut fuse)
+        }))
+        .expect_err("the fuse blew");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"fuse blown"));
     }
 
     #[test]

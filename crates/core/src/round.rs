@@ -10,7 +10,7 @@
 //! exists in general). The **sharded** executor cuts that space into
 //! contiguous slices in enumeration order and prices them on several
 //! deviation engines at once — the caller's [`DeviationScratch`] plus
-//! helper engines built once per dynamics run:
+//! one engine on each helper thread of the run's pool (see below):
 //!
 //! * exact best response: the `C(n−1, b)` subsets, cut by leading
 //!   element into ranges of equal count (`lead_ranges`);
@@ -32,6 +32,40 @@
 //! splits them. An explicit `Sharded` still does, pricing their slices
 //! on the kernels — which makes every explicit-sharded unit-budget run
 //! a kernel-priced cross-check of the closed form.
+//!
+//! # The helper pool
+//!
+//! A sharded run starts its helper threads at its first split and keeps
+//! them until the run ends, inside one [`std::thread::scope`] that wraps
+//! the run's round loop; a run that never splits starts none. Each
+//! helper owns its engine, built at its first job, and reads the run's
+//! profile through the `RwLock` the caller writes each move through. A
+//! split is one **job**: owned data (player, model, search, the
+//! `Dealer` over the slices, the ceiling), since no borrow of one
+//! activation can reach a thread that outlives it. The protocol:
+//!
+//! 1. The caller posts the job and wakes the helpers taking part. Each
+//!    takes a read guard and opens its session — sync, detach,
+//!    component labelling and, under sparse, the base BFS — while the
+//!    caller opens its own and prices the player's current strategy.
+//! 2. The caller hands that cost to the helpers as the job's ceiling,
+//!    or withdraws the job when the cost sits at the Lemma 2.2 floor:
+//!    the player cannot improve, so a withdrawn job prices nothing and
+//!    counts as no split.
+//! 3. Every engine searches strictly below the ceiling on the slices it
+//!    draws. Each helper drops its guard and reports its find, or its
+//!    panic; the last report wakes the caller, which merges. The
+//!    caller's next write never waits on a helper of a merged job.
+//!
+//! Every wait — a helper's for its next job or its ceiling, the
+//! caller's for the reports — spins briefly and then parks, but spins
+//! only when every engine has a CPU of its own (`spins`); on an
+//! oversubscribed host a spinning waiter would hold the CPU that the
+//! thread it waits for needs, so waiters there park at once and the
+//! other side unparks them. Dropping the executor — at the run's end,
+//! or while the caller unwinds — stops and wakes every helper, so the
+//! scope always joins them; a helper's panic reaches the caller with
+//! its payload.
 //!
 //! # The step-identity invariant
 //!
@@ -79,8 +113,9 @@ use bbncg_graph::NodeId;
 use bbncg_obs::Counter;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::thread::{Scope, Thread};
 
 /// How activations inside one dynamics round are executed. Executors
 /// are **step-identical**: the choice can never change a trajectory, a
@@ -91,7 +126,9 @@ pub enum RoundExecutor {
     Sequential,
     /// Every exact-best or best-swap activation with at least two
     /// slices of candidates splits them across the caller's engine and
-    /// `max(max_threads(), 2) − 1` helper engines (see the module docs).
+    /// the engines of `max(max_threads(), 2) − 1` helper threads, which
+    /// the run keeps from its first split to its end (see the module
+    /// docs).
     Sharded,
     /// Sharded when more than one worker thread is available, the host
     /// has more than one CPU, the run is not already inside a parallel
@@ -110,23 +147,27 @@ pub enum RoundExecutor {
 
 impl RoundExecutor {
     /// Candidate work, in candidates × n, below which an activation of
-    /// an `Auto` run stays on one engine. A split pays one fork/join of
-    /// scoped helper threads (a bare spawn-and-join takes 43–60 µs on a
-    /// 2-vCPU x86-64 VM, and a split's helper starts pricing 45–50 µs
-    /// after the caller forks it) plus a session open per helper
-    /// (14–18 µs to its first candidate at n = 512), and saves at most
-    /// half the pricing. Full-BFS pricing of a budget-2 candidate there
-    /// runs 6–9 ns per vertex, so 2¹⁷ is about 1 ms of unpruned pricing;
-    /// but the incumbent abort stops most candidates a level or two in
-    /// (about 0.5 µs per priced candidate in budget-2 swap dynamics at
-    /// n = 512), so an activation prices far less than it enumerates.
-    /// On that VM (bitset kernel, 2 threads, median of 10 runs) budget-2
-    /// swap dynamics ran sharded at 0.52× the sequential speed at
-    /// n = 200 (0.8·10⁵), 0.84× at n = 320 (2.0·10⁵) and 1.28× at
-    /// n = 512 (5.2·10⁵): the threshold now lets some losing
-    /// activations split, and waits for a measured matrix of sizes and
-    /// kernels. Unit-budget activations never reach this test: the
-    /// closed form settles them on one engine.
+    /// an `Auto` run stays on one engine. A split posts a job to the
+    /// run's helper threads: on a 2-vCPU x86-64 VM at n = 512 a
+    /// spinning helper picks it up a median 1.1–1.5 µs later and opens
+    /// its session (about 10 µs) while the caller prices the current
+    /// strategy, so the split pays a few µs of handoff and the merge,
+    /// and saves at most half the pricing. Full-BFS pricing of a
+    /// budget-2 candidate there runs 6–9 ns per vertex, so 2¹⁷ is about
+    /// 1 ms of unpruned pricing; but the incumbent abort stops most
+    /// candidates a level or two in (about 0.5 µs per priced candidate
+    /// in budget-2 swap dynamics at n = 512), so an activation prices
+    /// far less than it enumerates. On that VM (bitset kernel, 2
+    /// threads, whole budget-2 swap runs, in-process medians of 21) an
+    /// explicit `Sharded` ran at 0.60–0.68× the sequential speed at
+    /// n = 32 (2.0·10³), 0.89–0.96× at n = 64 (8.2·10³), 1.11× at
+    /// n = 128 (3.3·10⁴) and 1.23–1.29× at n = 200 (8.0·10⁴); `Auto`,
+    /// which splits from n = 256 (1.3·10⁵), ran 1.28× at n = 320 and
+    /// 1.78× at n = 512 (CLI runs, medians of 11). So the threshold
+    /// keeps some winning activations on one engine, and waits for a
+    /// measured matrix of sizes and kernels. Unit-budget activations
+    /// never reach this test: the closed form settles them on one
+    /// engine.
     pub const SHARD_MIN_WORK: u64 = 1 << 17;
 
     /// The concrete executor used for an `n`-player instance (never
@@ -161,8 +202,8 @@ impl RoundExecutor {
                 // serve job worker) the thread budget is already spent
                 // across runs. A thread *budget* above 1 on a
                 // single-CPU host buys nothing either: the shards would
-                // time-slice one core and pay the fork/join for
-                // nothing. With fewer than 3 players no activation has
+                // time-slice one core and pay the handoffs for nothing.
+                // With fewer than 3 players no activation has
                 // two candidates to split. An *explicit* `Sharded`
                 // still honours the ask in every case.
                 if n >= 3 && threads > 1 && host_cpus > 1 && !nested {
@@ -207,9 +248,11 @@ impl std::fmt::Display for RoundExecutor {
 
 /// The decision one activation of player `u` makes against `state`:
 /// `Some(targets)` iff the player moves. With `shards`, exact and swap
-/// activations worth splitting price across the helper engines;
-/// everything else prices on `scratch` — in one closed-form pass for a
-/// unit-budget activation, candidate by candidate otherwise.
+/// activations worth splitting price across the helper engines, and
+/// `state` must then be the profile behind the executor's lock, read
+/// under a guard the caller holds for the whole activation; everything
+/// else prices on `scratch` — in one closed-form pass for a unit-budget
+/// activation, candidate by candidate otherwise.
 ///
 /// The exact and swap searches start from the current strategy's cost
 /// as their incumbent and return only a strict improvement, so every
@@ -220,7 +263,7 @@ impl std::fmt::Display for RoundExecutor {
 /// strict-improvement gate, priced through the still-open session.
 pub(crate) fn respond(
     scratch: &mut DeviationScratch,
-    shards: Option<&mut Shards>,
+    shards: Option<&mut Shards<'_, '_>>,
     state: &Realization,
     u: NodeId,
     cfg: &DynamicsConfig,
@@ -254,37 +297,76 @@ pub(crate) fn respond(
     better.map(|s| s.targets)
 }
 
-/// The helper engines of one sharded dynamics run. They are built once
-/// at run start and open the same session as the caller's engine on
-/// every split activation, each on a scoped thread of its own;
-/// [`DeviationScratch::begin`] re-syncs each to the current profile,
-/// so a helper that sat out a few activations patches exactly the
-/// moves it missed (after one strategy comparison per player, unless
-/// it missed at most one).
-pub(crate) struct Shards {
-    helpers: Vec<DeviationScratch>,
+/// The sharded executor of one dynamics run: which activations split,
+/// and the pool of helper threads that prices their slices beside the
+/// caller's engine (see the module docs). The pool starts at the run's
+/// first split, on the scope that wraps the run's round loop, and stops
+/// when this value drops. A helper's engine re-syncs to the current
+/// profile at every job it takes ([`DeviationScratch::begin`]), so a
+/// helper that sat out a few activations patches exactly the moves it
+/// missed (after one strategy comparison per player, unless it missed
+/// at most one).
+pub(crate) struct Shards<'scope, 'env> {
+    scope: &'scope Scope<'scope, 'env>,
+    /// The run's profile: the caller reads it under a guard for each
+    /// activation and writes each move; a helper reads it for each job.
+    state: &'env RwLock<Realization>,
+    kernel: CostKernel,
     /// Explicit [`RoundExecutor::Sharded`]: split every activation with
     /// two or more slices, unit-budget ones included. Otherwise
     /// (`Auto`) split only those the closed form does not settle, whose
     /// work clears [`RoundExecutor::SHARD_MIN_WORK`] and whose player
     /// is not already at the Lemma 2.2 floor.
     always: bool,
+    /// Helper threads the pool runs: `max_threads() − 1`, and at least
+    /// one under an explicit `Sharded`, so the split-and-merge path
+    /// runs on any host and at any size.
+    helpers: usize,
+    /// The pool's board, from the first split on.
+    board: Option<Arc<Board>>,
+    /// The pool's threads, in helper order.
+    threads: Vec<Thread>,
+    tally: PoolTally,
 }
 
-impl Shards {
-    /// Helpers for a run over `basis` with `kernel`. The caller's engine
-    /// prices slices too, so `max_threads() − 1` helpers — but an
-    /// explicit `Sharded` run always has one, so the split-and-merge
-    /// path runs on any host and at any size.
-    pub(crate) fn new(basis: &Realization, kernel: CostKernel, always: bool) -> Self {
+/// What one run's pool did: helper threads started, and splits merged
+/// (each one `RoundsEvals`). The pool lifecycle tests read it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct PoolTally {
+    /// Helper threads spawned over the run.
+    pub(crate) spawned: usize,
+    /// Jobs merged: splits that priced, withdrawn jobs not counted.
+    pub(crate) splits: u64,
+}
+
+impl<'scope, 'env> Shards<'scope, 'env> {
+    /// The executor of a run whose profile is behind `state`, pricing
+    /// on `kernel`, spawning its helpers on `scope` when it first
+    /// splits. The caller's engine prices slices too, hence
+    /// `max_threads() − 1` helpers.
+    pub(crate) fn new(
+        scope: &'scope Scope<'scope, 'env>,
+        state: &'env RwLock<Realization>,
+        kernel: CostKernel,
+        always: bool,
+    ) -> Self {
         let threads = bbncg_par::max_threads();
         let engines = if always { threads.max(2) } else { threads };
         Shards {
-            helpers: (1..engines)
-                .map(|_| DeviationScratch::with_kernel(basis, kernel))
-                .collect(),
+            scope,
+            state,
+            kernel,
             always,
+            helpers: engines - 1,
+            board: None,
+            threads: Vec::new(),
+            tally: PoolTally::default(),
         }
+    }
+
+    /// What the pool has done so far.
+    pub(crate) fn tally(&self) -> PoolTally {
+        self.tally
     }
 
     fn worth_splitting(&self, candidates: u64, n: usize) -> bool {
@@ -314,10 +396,8 @@ impl Shards {
 
     /// Sharded [`exact_best_improvement`]: `None` when the activation
     /// is not worth splitting or, under `Auto`, the closed form settles
-    /// it (the caller prices it on one engine),
-    /// otherwise the best strict improvement, if any. The caller's
-    /// engine prices the current strategy once and every engine
-    /// searches below that cost.
+    /// it (the caller prices it on one engine), otherwise the best
+    /// strict improvement, if any.
     fn exact_best(
         &mut self,
         scratch: &mut DeviationScratch,
@@ -334,23 +414,12 @@ impl Shards {
         }
         assert_enumerable(n, b, u);
         let ranges = lead_ranges(n - 1, b, self.slices());
-        if ranges.len() < 2 {
-            return None;
-        }
-        let current = current_cost(scratch, state, u, model);
-        if !self.worth_pricing(scratch, current, b) {
-            return None;
-        }
-        Some(self.run(scratch, &ranges, |engine, slices| {
-            exact_best_over(engine, state, u, model, current, slices)
-        }))
+        self.split(scratch, state, u, model, ranges, exact_job)
     }
 
     /// Sharded [`best_swap_improvement`]: `None` when the activation is
     /// not worth splitting or, under `Auto`, the closed form settles
-    /// it; otherwise the best strict improvement, if any. As in
-    /// [`Shards::exact_best`], the caller's engine prices the current
-    /// strategy once and every engine searches below that cost.
+    /// it; otherwise the best strict improvement, if any.
     fn best_swap(
         &mut self,
         scratch: &mut DeviationScratch,
@@ -364,60 +433,290 @@ impl Shards {
             return None;
         }
         let ranges = even_ranges(pairs, self.slices());
-        if ranges.len() < 2 {
-            return None;
-        }
-        let current = current_cost(scratch, state, u, model);
-        if !self.worth_pricing(scratch, current, state.strategy(u).len()) {
-            return None;
-        }
-        Some(self.run(scratch, &ranges, |engine, slices| {
-            best_swap_over(engine, state, u, model, current, slices)
-        }))
+        self.split(scratch, state, u, model, ranges, swap_job)
     }
 
     /// How many slices an activation is cut into.
     fn slices(&self) -> usize {
-        (self.helpers.len() + 1) * SLICES_PER_ENGINE
+        (self.helpers + 1) * SLICES_PER_ENGINE
     }
 
-    /// Run `search` on the caller's engine (on the calling thread) and
-    /// on each helper engine (on a scoped thread of its own), all
-    /// drawing slices of `ranges` from one [`Dealer`], and merge what
-    /// they found.
-    fn run(
+    /// Run `search` over `ranges` on the caller's engine and on the
+    /// helpers, and merge what they found: `None` when there are fewer
+    /// than two slices or the player's current cost is at the Lemma 2.2
+    /// floor (the caller prices the activation on its own engine), the
+    /// best strict improvement on that cost otherwise. The job is
+    /// posted before the caller prices the current strategy, so the
+    /// helpers open their sessions meanwhile.
+    fn split(
         &mut self,
         scratch: &mut DeviationScratch,
-        ranges: &[Range<usize>],
-        search: impl Fn(&mut DeviationScratch, &mut &Dealer) -> Found + Sync,
-    ) -> Option<ScoredStrategy> {
-        let dealer = Dealer::new(ranges);
-        let (search, shared) = (&search, &dealer);
-        let helpers = self.helpers.len().min(ranges.len() - 1);
-        // Each helper leaves its find (or its panic) in a slot of its
-        // own, locked once, rather than in its join handle: the scope
-        // returns as soon as the last search has, where joining would
-        // also wait for each helper thread to exit, about 12 µs per
-        // split on a 2-vCPU x86-64 VM.
-        let slots: Vec<Mutex<Option<std::thread::Result<Found>>>> =
-            (0..helpers).map(|_| Mutex::new(None)).collect();
-        let mut found = std::thread::scope(|s| {
-            for (engine, slot) in self.helpers.iter_mut().zip(&slots) {
-                s.spawn(move || {
-                    let find = catch_unwind(AssertUnwindSafe(|| search(engine, &mut { shared })));
-                    *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(find);
-                });
-            }
-            vec![search(scratch, &mut { shared })]
-        });
-        for slot in slots {
-            match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        state: &Realization,
+        u: NodeId,
+        model: CostModel,
+        ranges: Vec<Range<usize>>,
+        search: Search,
+    ) -> Option<Option<ScoredStrategy>> {
+        if ranges.len() < 2 {
+            return None;
+        }
+        let job = self.post(u, model, search, ranges);
+        let current = current_cost(scratch, state, u, model);
+        if !self.worth_pricing(scratch, current, state.strategy(u).len()) {
+            self.settle(&job, WITHDRAWN);
+            return None;
+        }
+        self.settle(&job, current);
+        let mine = search(scratch, state, &job, current);
+        let board = self.board.as_deref().expect("posting started the pool");
+        board.wait(|| job.reported.load(Ordering::Acquire) == job.reports.len());
+        let mut found = vec![mine];
+        for report in &job.reports {
+            match report.lock().unwrap_or_else(PoisonError::into_inner).take() {
                 Some(Ok(find)) => found.push(find),
                 Some(Err(panic)) => resume_unwind(panic),
-                None => unreachable!("the scope waits for every helper's search"),
+                None => unreachable!("every helper taking part has reported"),
             }
         }
-        dealer.merge(found)
+        self.tally.splits += 1;
+        Some(job.dealer.merge(found))
+    }
+
+    /// Post a job over `ranges` for as many helpers as there are slices
+    /// beyond the caller's first, and wake them; the run's first post
+    /// starts the pool.
+    fn post(
+        &mut self,
+        player: NodeId,
+        model: CostModel,
+        search: Search,
+        ranges: Vec<Range<usize>>,
+    ) -> Arc<Job> {
+        let helpers = self.helpers.min(ranges.len() - 1);
+        let board = self.pool();
+        let job = Arc::new(Job {
+            // Only the caller stores `posted`.
+            epoch: board.posted.load(Ordering::Relaxed) + 1,
+            player,
+            model,
+            search,
+            dealer: Dealer::new(ranges),
+            ceiling: AtomicU64::new(PENDING),
+            reports: (0..helpers).map(|_| Mutex::new(None)).collect(),
+            reported: AtomicUsize::new(0),
+        });
+        *board.job.lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&job));
+        board.posted.store(job.epoch, Ordering::Release);
+        self.wake(&job);
+        job
+    }
+
+    /// The pool's board, spawning the helper threads on the run's scope
+    /// the first time.
+    fn pool(&mut self) -> &Board {
+        if self.board.is_none() {
+            let spin = spins(self.helpers + 1, bbncg_par::host_cpus());
+            let board = Arc::new(Board {
+                job: Mutex::new(None),
+                posted: AtomicU64::new(0),
+                stop: AtomicBool::new(false),
+                caller: std::thread::current(),
+                spin,
+            });
+            // Published before the first spawn, so that dropping `self`
+            // stops whatever did start if a later spawn fails.
+            self.board = Some(Arc::clone(&board));
+            for index in 0..self.helpers {
+                let (board, state, kernel) = (Arc::clone(&board), self.state, self.kernel);
+                let helper = self
+                    .scope
+                    .spawn(move || serve(&board, index, state, kernel));
+                self.threads.push(helper.thread().clone());
+                self.tally.spawned += 1;
+            }
+        }
+        self.board.as_deref().expect("started above")
+    }
+
+    /// Hand `job`'s helpers their ceiling (or `WITHDRAWN`) and wake them.
+    fn settle(&self, job: &Job, ceiling: u64) {
+        job.ceiling.store(ceiling, Ordering::Release);
+        self.wake(job);
+    }
+
+    fn wake(&self, job: &Job) {
+        self.threads[..job.reports.len()]
+            .iter()
+            .for_each(Thread::unpark);
+    }
+}
+
+impl Drop for Shards<'_, '_> {
+    /// Stop and wake every helper, at the run's end or while the caller
+    /// unwinds: the scope around the run joins them, and would wait
+    /// forever on a helper still waiting for a job.
+    fn drop(&mut self) {
+        if let Some(board) = &self.board {
+            board.stop.store(true, Ordering::Release);
+            self.threads.iter().for_each(Thread::unpark);
+        }
+    }
+}
+
+/// Do a pool's waits spin before they park? Only when every engine —
+/// the caller's and each helper's — has a CPU of its own. Otherwise a
+/// spinning waiter would hold a CPU the thread it waits for needs:
+/// waiters park at once, and the other side unparks them.
+fn spins(engines: usize, host_cpus: usize) -> bool {
+    engines <= host_cpus
+}
+
+/// Spins of a spinning wait before it parks, each one `spin_loop` hint
+/// and one atomic load: about 25 ns on a 2-vCPU x86-64 VM, so a wait
+/// spins about 50 µs — longer than a helper's session open or a split's
+/// tail at n = 512, far shorter than the stretches without a split.
+const SPINS: u32 = 1 << 11;
+
+/// A job's ceiling before the caller has priced the current strategy.
+const PENDING: u64 = u64::MAX;
+/// The ceiling of a job the caller withdrew. Neither sentinel is a
+/// player's cost, which stays below `n · c_inf(n)`.
+const WITHDRAWN: u64 = u64::MAX - 1;
+
+/// What a run's caller and its helpers share.
+struct Board {
+    /// The latest job posted.
+    job: Mutex<Option<Arc<Job>>>,
+    /// The latest job's epoch (0 before the first): stored with
+    /// `Release` after `job`, loaded with `Acquire` before it is read.
+    posted: AtomicU64,
+    /// Set once, when the executor drops: helpers leave at their next
+    /// wait.
+    stop: AtomicBool,
+    /// The thread that posts; a job's last report wakes it.
+    caller: Thread,
+    /// Waits spin before they park ([`spins`]).
+    spin: bool,
+}
+
+impl Board {
+    /// Return once `ready` holds: spin first if the pool spins, then
+    /// park until an unpark finds it true (park may also wake
+    /// spuriously, so it rechecks).
+    fn wait(&self, ready: impl Fn() -> bool) {
+        if self.spin {
+            for _ in 0..SPINS {
+                if ready() {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+        }
+        while !ready() {
+            std::thread::park();
+        }
+    }
+
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
+
+    /// The next job after epoch `taken`, or `None` once the pool stops.
+    /// A helper that wakes late takes the latest job and skips any it
+    /// missed: only a withdrawn job can be missed, since the caller
+    /// waits for every report of the jobs it prices.
+    fn next_job(&self, taken: u64) -> Option<Arc<Job>> {
+        self.wait(|| self.posted.load(Ordering::Acquire) != taken || self.stopped());
+        if self.stopped() {
+            return None;
+        }
+        self.job
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    /// `job`'s ceiling once the caller has set it: `None` when the job
+    /// was withdrawn or the pool stopped first.
+    fn ceiling(&self, job: &Job) -> Option<u64> {
+        self.wait(|| job.ceiling.load(Ordering::Acquire) != PENDING || self.stopped());
+        match job.ceiling.load(Ordering::Acquire) {
+            PENDING | WITHDRAWN => None,
+            ceiling => Some(ceiling),
+        }
+    }
+}
+
+/// One split activation, as the helpers receive it: owned data, so a
+/// helper may still hold it after the activation that posted it.
+struct Job {
+    epoch: u64,
+    player: NodeId,
+    model: CostModel,
+    search: Search,
+    dealer: Dealer,
+    /// `PENDING` until the caller has priced the player's current
+    /// strategy, then that cost, which every candidate must strictly
+    /// beat, or `WITHDRAWN`. Stored with `Release`, loaded with
+    /// `Acquire`.
+    ceiling: AtomicU64,
+    /// One slot per helper taking part (the pool's first
+    /// `reports.len()`): its find, or its panic.
+    reports: Vec<Mutex<Option<std::thread::Result<Found>>>>,
+    /// Slots filled so far. Each helper adds with `Release` after its
+    /// search and its report; the caller loads with `Acquire` before it
+    /// reads any slot or merges the dealer's tallies.
+    reported: AtomicUsize,
+}
+
+/// A split's search, which every engine runs below the ceiling on the
+/// slices it draws from the job's dealer: [`exact_job`] or
+/// [`swap_job`].
+type Search = fn(&mut DeviationScratch, &Realization, &Job, u64) -> Found;
+
+fn exact_job(engine: &mut DeviationScratch, r: &Realization, job: &Job, ceiling: u64) -> Found {
+    let slices = &mut &job.dealer;
+    exact_best_over(engine, r, job.player, job.model, ceiling, slices)
+}
+
+fn swap_job(engine: &mut DeviationScratch, r: &Realization, job: &Job, ceiling: u64) -> Found {
+    let slices = &mut &job.dealer;
+    best_swap_over(engine, r, job.player, job.model, ceiling, slices)
+}
+
+/// A helper thread's life: take each job posted for it, open the
+/// session while the caller prices the current strategy, search below
+/// the ceiling, report — until the pool stops. Its engine is built at
+/// its first job, and built again after a panic.
+fn serve(board: &Board, index: usize, state: &RwLock<Realization>, kernel: CostKernel) {
+    let mut engine = None;
+    let mut taken = 0;
+    while let Some(job) = board.next_job(taken) {
+        taken = job.epoch;
+        let Some(report) = job.reports.get(index) else {
+            continue; // a job with fewer slices than the pool has engines
+        };
+        let find = catch_unwind(AssertUnwindSafe(|| {
+            let state = state
+                .read()
+                .expect("only a panic mid-move poisons the profile, and it ends the run");
+            let engine =
+                engine.get_or_insert_with(|| DeviationScratch::with_kernel(&state, kernel));
+            // Open the whole session while the caller prices the current
+            // strategy: the first kernel call builds the component
+            // labelling and, under sparse, runs the base BFS.
+            engine.begin(&state, job.player, job.model);
+            engine.candidate_lower_bound(state.strategy(job.player));
+            let ceiling = board.ceiling(&job)?;
+            (job.search)(engine, &state, &job, ceiling)
+        }));
+        if find.is_err() {
+            engine = None;
+        }
+        *report.lock().unwrap_or_else(PoisonError::into_inner) = Some(find);
+        if job.reported.fetch_add(1, Ordering::Release) + 1 == job.reports.len() {
+            board.caller.unpark();
+        }
     }
 }
 
@@ -438,11 +737,11 @@ const SLICES_PER_ENGINE: usize = 16;
 /// run of slice indices, which is what lets its incumbent prune later
 /// slices (see [`Slices`]), and every engine prunes against the least
 /// cost any of them has found (`best`). Every atomic here publishes
-/// nothing but its own value — the ranges are shared read-only, and
-/// `merge` runs after the scope has waited for every engine's search —
-/// so `Relaxed` suffices throughout.
-struct Dealer<'a> {
-    ranges: &'a [Range<usize>],
+/// nothing but its own value — the ranges are read-only, and `merge`
+/// runs after the caller has acquired every helper's report (see
+/// [`Job::reported`]) — so `Relaxed` suffices throughout.
+struct Dealer {
+    ranges: Vec<Range<usize>>,
     cursor: AtomicUsize,
     /// The lowest slice whose incumbent reached the Lemma 2.2 floor
     /// (`usize::MAX` while none has). It only ever decreases, so a
@@ -457,14 +756,14 @@ struct Dealer<'a> {
     examined: Vec<AtomicU64>,
 }
 
-impl<'a> Dealer<'a> {
-    fn new(ranges: &'a [Range<usize>]) -> Self {
+impl Dealer {
+    fn new(ranges: Vec<Range<usize>>) -> Self {
         Dealer {
-            ranges,
             cursor: AtomicUsize::new(0),
             floor: AtomicUsize::new(usize::MAX),
             best: AtomicU64::new(u64::MAX),
             examined: ranges.iter().map(|_| AtomicU64::new(0)).collect(),
+            ranges,
         }
     }
 
@@ -493,7 +792,7 @@ impl<'a> Dealer<'a> {
     }
 }
 
-impl Slices for &Dealer<'_> {
+impl Slices for &Dealer {
     fn next(&mut self) -> Option<(usize, Range<usize>)> {
         let slice = self.cursor.fetch_add(1, Ordering::Relaxed);
         (slice < self.ranges.len() && !self.floor_before(slice))
@@ -693,14 +992,14 @@ mod tests {
     /// dealer's bound only when `share` is set, and logs every cost the
     /// engine publishes.
     struct Scripted<'a> {
-        dealer: &'a Dealer<'a>,
+        dealer: &'a Dealer,
         deal: Range<usize>,
         share: bool,
         published: Vec<u64>,
     }
 
     impl<'a> Scripted<'a> {
-        fn new(dealer: &'a Dealer<'a>, deal: Range<usize>, share: bool) -> Self {
+        fn new(dealer: &'a Dealer, deal: Range<usize>, share: bool) -> Self {
             Scripted {
                 dealer,
                 deal,
@@ -752,7 +1051,7 @@ mod tests {
         Realization::new(bbncg_graph::OwnedDigraph::from_arcs(17, &arcs))
     }
 
-    type Search = fn(&mut DeviationScratch, &Realization, u64, &mut Scripted) -> Found;
+    type ScriptedSearch = fn(&mut DeviationScratch, &Realization, u64, &mut Scripted) -> Found;
 
     fn exact(e: &mut DeviationScratch, r: &Realization, ceiling: u64, s: &mut Scripted) -> Found {
         exact_best_over(e, r, NodeId::new(0), CostModel::Sum, ceiling, s)
@@ -772,11 +1071,16 @@ mod tests {
         completed_a: u64,
     }
 
-    fn replay(kernel: CostKernel, ranges: &[Range<usize>], search: Search, share: bool) -> Replay {
+    fn replay(
+        kernel: CostKernel,
+        ranges: &[Range<usize>],
+        search: ScriptedSearch,
+        share: bool,
+    ) -> Replay {
         let r = chorded_cycle();
         let u = NodeId::new(0);
         let current = current_cost(&mut DeviationScratch::new(&r), &r, u, CostModel::Sum);
-        let dealer = Dealer::new(ranges);
+        let dealer = Dealer::new(ranges.to_vec());
         let mut on_b = Scripted::new(&dealer, 1..ranges.len(), share);
         let found_b = search(
             &mut DeviationScratch::with_kernel(&r, kernel),
@@ -806,7 +1110,12 @@ mod tests {
             let exact_whole = exact_best_improvement(&mut whole, &r, u, CostModel::Sum);
             let swap_whole = best_swap_improvement(&mut whole, &r, u, CostModel::Sum);
             let cases = [
-                ("exact", lead_ranges(16, 2, 2), exact as Search, exact_whole),
+                (
+                    "exact",
+                    lead_ranges(16, 2, 2),
+                    exact as ScriptedSearch,
+                    exact_whole,
+                ),
                 ("swap", even_ranges(2 * 17, 2), swap, swap_whole),
             ];
             for (name, ranges, search, whole) in cases {
@@ -836,25 +1145,58 @@ mod tests {
         }
     }
 
+    thread_local! {
+        /// Set on the thread a pool test posts from; helpers see `false`.
+        static CALLER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
     /// A helper's panic reaches the caller with its own payload, after
-    /// the scope has waited for every search.
+    /// every helper has reported, and the pool's threads still join.
     #[test]
     fn a_helper_panic_propagates_with_its_payload() {
-        let r = chorded_cycle();
-        let mut scratch = DeviationScratch::new(&r);
-        let mut shards = Shards::new(&r, CostKernel::Auto, true);
-        let caller = std::thread::current().id();
-        let ranges = even_ranges(8, 4);
+        CALLER.set(true);
+        let state = RwLock::new(chorded_cycle());
         let panic = catch_unwind(AssertUnwindSafe(|| {
-            shards.run(&mut scratch, &ranges, |_, slices| {
-                while slices.next().is_some() {}
-                assert_eq!(std::thread::current().id(), caller, "helper gave up");
-                None
+            std::thread::scope(|scope| {
+                let r = state.read().expect("nothing writes");
+                let mut scratch = DeviationScratch::new(&r);
+                let mut shards = Shards::new(scope, &state, CostKernel::Auto, true);
+                let u = NodeId::new(0);
+                shards.split(
+                    &mut scratch,
+                    &r,
+                    u,
+                    CostModel::Sum,
+                    even_ranges(8, 4),
+                    |_, _, job, _| {
+                        let mut slices = &job.dealer;
+                        while slices.next().is_some() {}
+                        if !CALLER.get() {
+                            panic!("helper gave up on player {}", job.player);
+                        }
+                        None
+                    },
+                )
             })
         }))
         .expect_err("the helper panicked");
         let msg = panic.downcast_ref::<String>().map(String::as_str);
         assert!(msg.is_some_and(|m| m.contains("helper gave up")), "{msg:?}");
+    }
+
+    /// The spin-or-park rule, on any host: spin only when every engine
+    /// has a CPU of its own.
+    #[test]
+    fn pools_spin_only_when_every_engine_has_a_cpu() {
+        // Two engines (one helper) on two CPUs: both can spin.
+        assert!(spins(2, 2));
+        assert!(spins(2, 8));
+        assert!(spins(8, 8));
+        // `--threads 8` on a 2-CPU host, or any pool on one CPU: a
+        // spinning waiter would steal the CPU its partner needs.
+        assert!(!spins(8, 2));
+        assert!(!spins(3, 2));
+        assert!(!spins(2, 1));
     }
 
     #[test]
