@@ -607,8 +607,8 @@ fn convergence_instances() -> Vec<(String, BudgetVector)> {
 /// the scenario engine: a single-dynamics-phase sweep whose per-seed
 /// trajectories are, by construction, the exact trajectories
 /// `sample_equilibria` produces (same seed → same random start → same
-/// dynamics draws). The legacy path stays alive as the diff-test
-/// reference (`crates/bench/tests/convergence_parity.rs`).
+/// dynamics draws). `crates/bench/tests/convergence_golden.rs` pins the
+/// resulting table to one generated while both stacks still agreed.
 fn scenario_convergence_stats(
     budgets: &BudgetVector,
     cfg: DynamicsConfig,
@@ -658,9 +658,7 @@ fn scenario_convergence_stats(
     summarize(&samples)
 }
 
-fn convergence_table(
-    stats: impl Fn(&BudgetVector, DynamicsConfig, u64, usize) -> bbncg_analysis::SampleStats,
-) -> Table {
+fn convergence_table() -> Table {
     let mut t = Table::new(
         "E-convergence — §8: best-response dynamics convergence (all-unit and uniform-2 instances)",
         &[
@@ -691,7 +689,7 @@ fn convergence_table(
                         rule,
                         ..DynamicsConfig::exact(model, 400)
                     };
-                    let s = stats(budgets, cfg, 31, 8);
+                    let s = scenario_convergence_stats(budgets, cfg, 31, 8);
                     t.push(vec![
                         label.clone(),
                         model.label().to_string(),
@@ -710,20 +708,13 @@ fn convergence_table(
     t
 }
 
-/// The E-convergence main table through the legacy hand-coded sampler
-/// (`sample_equilibria`) — kept as the reference the scenario-driven
-/// path is diff-tested against.
-pub fn e_convergence_legacy_table() -> Table {
-    convergence_table(|b, cfg, seed, n| summarize(&sample_equilibria(b, cfg, seed, n)))
-}
-
 /// `E-convergence` — the §8 open problem: does best-response dynamics
 /// converge, and how fast? Round-robin and random orders, exact and
-/// swap rules. Since PR 2 the sweeps run through the scenario engine
-/// (`scenario_convergence_stats`); `tests/convergence_parity.rs`
-/// pins the output to [`e_convergence_legacy_table`] row for row.
+/// swap rules. The sweeps run through the scenario engine
+/// (`scenario_convergence_stats`); `tests/convergence_golden.rs` pins
+/// the main table to a golden copy.
 pub fn e_convergence() -> Vec<Table> {
-    let t = convergence_table(scenario_convergence_stats);
+    let t = convergence_table();
 
     // Monotonicity audit: the game has no known potential function; do
     // the social cost and utilitarian welfare decrease monotonically

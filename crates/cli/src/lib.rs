@@ -249,9 +249,11 @@ pub fn cmd_verify(args: &Args) -> Result<String, String> {
             );
         }
     } else {
-        // Default: early-exiting engine passes — players short-circuit
-        // on the first profitable deviation, and the parallel check
-        // stops all workers once any player is refuted.
+        // Default: an early-exiting verdict — each player's check stops
+        // at its first profitable deviation, and the parallel check
+        // stops all workers once any player is refuted. Only then does
+        // `find_violation` search the first violator to its best
+        // response, so the line printed matches `--audit`'s first.
         let ok = is_nash_equilibrium_with_kernel(&r, model, kernel);
         let _ = writeln!(out, "Nash equilibrium ({}) = {}", model.label(), ok);
         if !ok {

@@ -175,6 +175,49 @@ fn malformed_profile_is_rejected_cleanly() {
     assert!(err.contains("header"), "{err}");
 }
 
+/// Run `bbncg` with `stdin` piped in, asserting success; its stdout.
+fn run_with_stdin(args: &[&str], stdin: &str) -> String {
+    let mut child = bbncg()
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(stdin.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "{args:?}");
+    String::from_utf8(out.stdout).unwrap()
+}
+
+#[test]
+fn verify_and_verify_audit_name_the_same_violator() {
+    // The directed path 0 → 1 → … → 8: player 0 improves most by
+    // relinking to the middle, far beyond its first improving move.
+    let mut profile = String::from("bbncg v1\nn 9\nbudgets 1 1 1 1 1 1 1 1 0\narcs\n");
+    for i in 0..8 {
+        profile.push_str(&format!("{i} {}\n", i + 1));
+    }
+    for (model, line) in [
+        ("sum", "violator: player v0 can improve 36 -> 24"),
+        ("max", "violator: player v0 can improve 8 -> 5"),
+    ] {
+        let quick = run_with_stdin(&["verify", "-", "--model", model], &profile);
+        let audit = run_with_stdin(&["verify", "-", "--model", model, "--audit"], &profile);
+        let first_violator = |out: &str| {
+            out.lines()
+                .find(|l| l.starts_with("violator:"))
+                .map(str::to_owned)
+        };
+        assert_eq!(first_violator(&quick).as_deref(), Some(line), "{quick}");
+        assert_eq!(first_violator(&audit).as_deref(), Some(line), "{audit}");
+    }
+}
+
 #[test]
 fn serve_submit_roundtrip_with_threads_bound() {
     use std::io::BufRead as _;

@@ -99,7 +99,13 @@ pub fn is_nash_equilibrium_with_kernel(
 }
 
 /// First player (in id order) with a profitable deviation, with its
-/// current and best costs. Deterministic; `None` means equilibrium.
+/// current and best-response costs: the first entry of
+/// [`NashAudit::violations`]. Deterministic; `None` means equilibrium.
+///
+/// Each player's search runs to its optimum (or the Lemma 2.2 floor)
+/// rather than stopping at its first improvement. A player that cannot
+/// improve searches its whole space either way, so only the one
+/// reported violator pays for the full search.
 pub fn find_violation(r: &Realization, model: CostModel) -> Option<Violation> {
     find_violation_with_kernel(r, model, CostKernel::Auto)
 }
@@ -118,7 +124,7 @@ pub fn find_violation_with_kernel(
         }
         scratch.begin(r, u, model);
         let current = scratch.cost_of(r.strategy(u));
-        let best = exact_best_response_cost_with(&mut scratch, r, u, model, Some(current));
+        let best = exact_best_response_cost_with(&mut scratch, r, u, model, None);
         if best < current {
             return Some(Violation {
                 player: u,
@@ -401,6 +407,31 @@ mod tests {
         // The gap equals the best single player's improvement.
         let viol = find_violation(&path, CostModel::Sum).unwrap();
         assert!(gap >= viol.current_cost - viol.best_cost);
+    }
+
+    #[test]
+    fn a_violation_reports_the_best_response_cost_not_the_first_improvement() {
+        // The directed path 0 → 1 → … → 8, every player but the last
+        // owning its one arc. Player 0 is the first violator; its first
+        // improving candidate (relinking to 2) is far from its best
+        // response (relinking to the middle of the path).
+        let arcs: Vec<(usize, usize)> = (0..8).map(|i| (i, i + 1)).collect();
+        let path = Realization::new(OwnedDigraph::from_arcs(9, &arcs));
+        for (model, current, best) in [(CostModel::Sum, 36, 24), (CostModel::Max, 8, 5)] {
+            let want = Violation {
+                player: v(0),
+                current_cost: current,
+                best_cost: best,
+            };
+            for kernel in [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse] {
+                let found = find_violation_with_kernel(&path, model, kernel);
+                assert_eq!(found.as_ref(), Some(&want), "{model:?} on {kernel:?}");
+            }
+            assert_eq!(
+                audit_equilibrium(&path, model).violations().first(),
+                Some(&want)
+            );
+        }
     }
 
     #[test]

@@ -9,6 +9,16 @@ use crate::registry::{
 };
 use std::fmt::Write as _;
 
+/// Write a family's `# HELP`/`# TYPE` header when `name` differs from
+/// the previous sample's family (`last`).
+fn header(out: &mut String, last: &mut &'static str, name: &'static str, help: &str, kind: &str) {
+    if name != *last {
+        *last = name;
+        let _ = writeln!(out, "# HELP {name} {help}");
+        let _ = writeln!(out, "# TYPE {name} {kind}");
+    }
+}
+
 fn sample(out: &mut String, name: &str, labels: &str, value: u64) {
     if labels.is_empty() {
         let _ = writeln!(out, "{name} {value}");
@@ -28,29 +38,19 @@ fn sample(out: &mut String, name: &str, labels: &str, value: u64) {
 pub fn render_prometheus() -> String {
     let mut out = String::with_capacity(8192);
 
-    let mut last_family = "";
+    let mut last = "";
     for c in Counter::ALL {
-        if c.name() != last_family {
-            last_family = c.name();
-            let _ = writeln!(out, "# HELP {} {}", c.name(), c.help());
-            let _ = writeln!(out, "# TYPE {} counter", c.name());
-        }
+        header(&mut out, &mut last, c.name(), c.help(), "counter");
         sample(&mut out, c.name(), c.labels(), counter_value(c));
     }
 
     for g in Gauge::ALL {
-        let _ = writeln!(out, "# HELP {} {}", g.name(), g.help());
-        let _ = writeln!(out, "# TYPE {} gauge", g.name());
-        sample(&mut out, g.name(), "", gauge_value(g));
+        header(&mut out, &mut last, g.name(), g.help(), "gauge");
+        sample(&mut out, g.name(), g.labels(), gauge_value(g));
     }
 
-    let mut last_family = "";
     for h in Histogram::ALL {
-        if h.name() != last_family {
-            last_family = h.name();
-            let _ = writeln!(out, "# HELP {} {}", h.name(), h.help());
-            let _ = writeln!(out, "# TYPE {} histogram", h.name());
-        }
+        header(&mut out, &mut last, h.name(), h.help(), "histogram");
         let snap = histogram_snapshot(h);
         let mut cumulative = 0u64;
         for (i, &count) in snap.buckets().iter().enumerate() {

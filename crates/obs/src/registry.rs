@@ -18,6 +18,18 @@
 //!    exported name set is stable by construction (the schema the
 //!    byte-diff CI and the README catalogue rely on).
 //!
+//! # One table
+//!
+//! [`Counter`], [`Gauge`] and [`Histogram`] are each stated once, in a
+//! `catalogue!` table grouped by Prometheus family, from which the
+//! macro derives the enum, `COUNT`, `ALL`, `name()`, `labels()` and
+//! `help()`. Three tests hold the table to what the program does:
+//! `tests/exposition_golden.rs` pins the cold `/metrics` page byte for
+//! byte, `tests/metric_catalogue.rs` checks that README names every
+//! family, and the workspace's `tests/metric_liveness.rs` drives every
+//! instrumented layer with the registry on and fails on any entry that
+//! never moved, apart from an exempt list that gives each reason.
+//!
 //! Counters are **monotonic and saturating**: they never wrap, even
 //! at `u64::MAX` (pinned by `tests/concurrency.rs`).
 
@@ -56,416 +68,293 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Every monotonic counter in the catalogue.
-///
-/// Variants are grouped by layer: cost kernels (`Kernel*`) and the
-/// closed-form pricer that bypasses them (`ClosedForm*`), the
-/// sharded round executor (`Rounds*`), dynamics totals
-/// (`Dynamics*`), the scenario engine (`Scenario*`), and the job
-/// server (`Http*` / `Jobs*`). The `usize` discriminant is the
-/// registry array index; [`Counter::ALL`] iterates in export order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
-    /// Deviation-scratch pricing sessions begun (`begin()` calls).
-    KernelSessions,
-    /// Base BFSs establishing a sparse session's distances: one per
-    /// session that prices on the sparse kernel, run by its first
-    /// kernel call (a session the closed form settles runs none).
-    KernelBaseBfs,
-    /// Candidates priced by the queue BFS kernel.
-    KernelPricedQueue,
-    /// Candidates priced by the word-parallel bitset BFS kernel.
-    KernelPricedBitset,
-    /// Candidates priced by the sparse dynamic-SSSP kernel.
-    KernelPricedSparse,
-    /// Candidates skipped as unable to beat the incumbent (queue
-    /// kernel): the Lemma 2.2 lower bound and in-flight incumbent
-    /// aborts both land here.
-    KernelPruneSkipQueue,
-    /// Candidates skipped as unable to beat the incumbent (bitset
-    /// kernel): the Lemma 2.2 lower bound and in-flight incumbent
-    /// aborts both land here.
-    KernelPruneSkipBitset,
-    /// Candidates skipped as unable to beat the incumbent (sparse
-    /// kernel): the Lemma 2.2 lower bound and in-flight incumbent
-    /// aborts both land here.
-    KernelPruneSkipSparse,
-    /// Candidates priced exactly from the bound, without a BFS.
-    KernelPruneExact,
-    /// Decrease-only dynamic-SSSP repairs run by the sparse kernel.
-    KernelSsspRepairs,
-    /// Retired: nothing increments it. The sparse kernel no longer
-    /// retains a base profile across sessions; every session that
-    /// prices on it runs one base BFS ([`Counter::KernelBaseBfs`]).
-    /// Kept in the catalogue because the benchmark package still reads
-    /// it.
-    KernelBaseRepaired,
-    /// Retired: nothing increments it (see
-    /// [`Counter::KernelBaseRepaired`]).
-    KernelRepairFallbacks,
-    /// Queue-kernel pricings aborted part-way by the incumbent bound
-    /// (counted inside the priced and prune-skip totals as well).
-    KernelPruneAbortQueue,
-    /// Bitset-kernel pricings aborted part-way by the incumbent bound
-    /// (counted inside the priced and prune-skip totals as well).
-    KernelPruneAbortBitset,
-    /// Sparse-kernel pricings aborted mid-repair by the incumbent
-    /// bound (counted inside the priced and prune-skip totals as well).
-    KernelPruneAbortSparse,
-    /// Retired: nothing increments it. Sparse sessions compute each
-    /// target's landmark bound directly, with no per-target cache.
-    /// Kept in the catalogue because the benchmark package still reads
-    /// it.
-    KernelBoundCacheHits,
-    /// Retired: nothing increments it (see
-    /// [`Counter::KernelBoundCacheHits`]).
-    KernelBoundCacheMisses,
-    /// Activations whose single-arc candidates the unit-budget closed
-    /// form (SUM or MAX) priced in one pass, with no kernel traversal.
-    ClosedFormActivations,
-    /// Activations the sharded round executor split across engines.
-    RoundsEvals,
-    /// Moves committed by sharded activations.
-    RoundsCommits,
-    /// Candidates sharded activations examined past an earlier slice's
-    /// proof of the optimum (work the sequential search never does).
-    RoundsDiscards,
-    /// Dynamics rounds executed (all executors).
-    DynamicsRounds,
-    /// Improving moves committed by dynamics (all executors).
-    DynamicsSteps,
-    /// Scenario phases entered.
-    ScenarioPhases,
-    /// Perturbation events applied by the scenario engine.
-    ScenarioEvents,
-    /// Scenario seeds completed (sweep legs).
-    ScenarioSeeds,
-    /// HTTP requests routed (all endpoints, including rejections).
-    HttpRequests,
-    /// HTTP requests rejected with `429` by queue backpressure.
-    HttpRejected429,
-    /// Jobs accepted into the serve queue.
-    JobsSubmitted,
-    /// Jobs that ran to completion.
-    JobsCompleted,
-    /// Jobs that ended in failure.
-    JobsFailed,
-    /// Jobs cancelled before or during execution.
-    JobsCancelled,
-    /// Result-cache lookups answered from a terminal cached job.
-    ServeCacheHits,
-    /// Result-cache lookups that admitted a fresh job.
-    ServeCacheMisses,
-    /// Result-cache lookups coalesced onto a still-running job (the
-    /// duplicate submission attaches to the same stream instead of
-    /// recomputing).
-    ServeCacheCoalesced,
-    /// Cached jobs evicted by the LRU bound or history retention.
-    ServeCacheEvictions,
-    /// HTTP requests served on a reused keep-alive connection (the
-    /// second and later requests of each connection).
-    HttpKeepaliveReuses,
+/// Declares one metric kind from a table grouped by Prometheus family:
+/// the `#[repr(usize)]` enum (each variant keeps its doc comment), its
+/// `COUNT` and `ALL`, and `name()`, `labels()` and `help()`. A family
+/// reads `bbncg_name_total: "HELP text" { Variant { key = "value" }, … }`;
+/// an unlabelled variant omits the braces. Variants are numbered, and
+/// exported, in table order.
+macro_rules! catalogue {
+    (
+        $(#[$meta:meta])*
+        pub enum $kind:ident {
+            $(
+                $family:ident: $help:literal {
+                    $(
+                        $(#[$doc:meta])*
+                        $variant:ident $({ $key:ident = $value:literal })?,
+                    )+
+                }
+            )+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum $kind {
+            $($(
+                $(#[$doc])*
+                $variant,
+            )+)+
+        }
+
+        impl $kind {
+            /// Number of entries in the catalogue.
+            pub const COUNT: usize = [$($(stringify!($variant)),+),+].len();
+
+            /// Every entry, in export order.
+            pub const ALL: [$kind; $kind::COUNT] = [$($($kind::$variant),+),+];
+
+            /// Prometheus metric family name (shared across labelled
+            /// variants).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($($kind::$variant)|+ => stringify!($family),)+
+                }
+            }
+
+            /// Prometheus label set (without braces), empty when
+            /// unlabelled.
+            pub fn labels(self) -> &'static str {
+                match self {
+                    $($(
+                        $kind::$variant => concat!("" $(, stringify!($key), "=\"", $value, "\"")?),
+                    )+)+
+                }
+            }
+
+            /// One-line `# HELP` text for the metric family.
+            pub fn help(self) -> &'static str {
+                match self {
+                    $($($kind::$variant)|+ => $help,)+
+                }
+            }
+        }
+    };
 }
 
-impl Counter {
-    /// Number of counters in the catalogue.
-    pub const COUNT: usize = 37;
-
-    /// Every counter, in export order.
-    pub const ALL: [Counter; Counter::COUNT] = [
-        Counter::KernelSessions,
-        Counter::KernelBaseBfs,
-        Counter::KernelPricedQueue,
-        Counter::KernelPricedBitset,
-        Counter::KernelPricedSparse,
-        Counter::KernelPruneSkipQueue,
-        Counter::KernelPruneSkipBitset,
-        Counter::KernelPruneSkipSparse,
-        Counter::KernelPruneExact,
-        Counter::KernelSsspRepairs,
-        Counter::KernelBaseRepaired,
-        Counter::KernelRepairFallbacks,
-        Counter::KernelPruneAbortQueue,
-        Counter::KernelPruneAbortBitset,
-        Counter::KernelPruneAbortSparse,
-        Counter::KernelBoundCacheHits,
-        Counter::KernelBoundCacheMisses,
-        Counter::ClosedFormActivations,
-        Counter::RoundsEvals,
-        Counter::RoundsCommits,
-        Counter::RoundsDiscards,
-        Counter::DynamicsRounds,
-        Counter::DynamicsSteps,
-        Counter::ScenarioPhases,
-        Counter::ScenarioEvents,
-        Counter::ScenarioSeeds,
-        Counter::HttpRequests,
-        Counter::HttpRejected429,
-        Counter::JobsSubmitted,
-        Counter::JobsCompleted,
-        Counter::JobsFailed,
-        Counter::JobsCancelled,
-        Counter::ServeCacheHits,
-        Counter::ServeCacheMisses,
-        Counter::ServeCacheCoalesced,
-        Counter::ServeCacheEvictions,
-        Counter::HttpKeepaliveReuses,
-    ];
-
-    /// Prometheus metric family name (shared across labelled variants).
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::KernelSessions => "bbncg_kernel_sessions_total",
-            Counter::KernelBaseBfs => "bbncg_kernel_base_bfs_total",
-            Counter::KernelPricedQueue
-            | Counter::KernelPricedBitset
-            | Counter::KernelPricedSparse => "bbncg_kernel_candidates_priced_total",
-            Counter::KernelPruneSkipQueue
-            | Counter::KernelPruneSkipBitset
-            | Counter::KernelPruneSkipSparse => "bbncg_kernel_prune_skips_total",
-            Counter::KernelPruneExact => "bbncg_kernel_prune_exact_total",
-            Counter::KernelSsspRepairs => "bbncg_kernel_sssp_repairs_total",
-            Counter::KernelBaseRepaired | Counter::KernelRepairFallbacks => {
-                "bbncg_kernel_base_repairs_total"
-            }
-            Counter::KernelPruneAbortQueue
-            | Counter::KernelPruneAbortBitset
-            | Counter::KernelPruneAbortSparse => "bbncg_kernel_prune_aborts_total",
-            Counter::KernelBoundCacheHits | Counter::KernelBoundCacheMisses => {
-                "bbncg_kernel_bound_cache_total"
-            }
-            Counter::ClosedFormActivations => "bbncg_closed_form_activations_total",
-            Counter::RoundsEvals => "bbncg_rounds_evals_total",
-            Counter::RoundsCommits => "bbncg_rounds_commits_total",
-            Counter::RoundsDiscards => "bbncg_rounds_discards_total",
-            Counter::DynamicsRounds => "bbncg_dynamics_rounds_total",
-            Counter::DynamicsSteps => "bbncg_dynamics_steps_total",
-            Counter::ScenarioPhases => "bbncg_scenario_phases_total",
-            Counter::ScenarioEvents => "bbncg_scenario_events_total",
-            Counter::ScenarioSeeds => "bbncg_scenario_seeds_total",
-            Counter::HttpRequests => "bbncg_http_requests_total",
-            Counter::HttpRejected429 => "bbncg_http_rejected_total",
-            Counter::JobsSubmitted
-            | Counter::JobsCompleted
-            | Counter::JobsFailed
-            | Counter::JobsCancelled => "bbncg_jobs_total",
-            Counter::ServeCacheHits | Counter::ServeCacheMisses | Counter::ServeCacheCoalesced => {
-                "bbncg_serve_cache_total"
-            }
-            Counter::ServeCacheEvictions => "bbncg_serve_cache_evictions_total",
-            Counter::HttpKeepaliveReuses => "bbncg_http_keepalive_reuses_total",
+catalogue! {
+    /// Every monotonic counter in the catalogue.
+    ///
+    /// Variants are grouped by layer: cost kernels (`Kernel*`) and the
+    /// closed-form pricer that bypasses them (`ClosedForm*`), the
+    /// sharded round executor (`Rounds*`), dynamics totals
+    /// (`Dynamics*`), the scenario engine (`Scenario*`), and the job
+    /// server (`Http*` / `Jobs*`). The `usize` discriminant is the
+    /// registry array index; [`Counter::ALL`] iterates in export order.
+    pub enum Counter {
+        bbncg_kernel_sessions_total: "Deviation pricing sessions begun" {
+            /// Deviation-scratch pricing sessions begun (`begin()` calls).
+            KernelSessions,
         }
-    }
-
-    /// Prometheus label set (without braces), empty when unlabelled.
-    pub fn labels(self) -> &'static str {
-        match self {
-            Counter::KernelPricedQueue
-            | Counter::KernelPruneSkipQueue
-            | Counter::KernelPruneAbortQueue => "kernel=\"queue\"",
-            Counter::KernelPricedBitset
-            | Counter::KernelPruneSkipBitset
-            | Counter::KernelPruneAbortBitset => "kernel=\"bitset\"",
-            Counter::KernelPricedSparse
-            | Counter::KernelPruneSkipSparse
-            | Counter::KernelPruneAbortSparse => "kernel=\"sparse\"",
-            Counter::KernelBaseRepaired => "outcome=\"repaired\"",
-            Counter::KernelRepairFallbacks => "outcome=\"fallback\"",
-            Counter::KernelBoundCacheHits => "result=\"hit\"",
-            Counter::KernelBoundCacheMisses => "result=\"miss\"",
-            Counter::JobsSubmitted => "state=\"submitted\"",
-            Counter::JobsCompleted => "state=\"completed\"",
-            Counter::JobsFailed => "state=\"failed\"",
-            Counter::JobsCancelled => "state=\"cancelled\"",
-            Counter::ServeCacheHits => "result=\"hit\"",
-            Counter::ServeCacheMisses => "result=\"miss\"",
-            Counter::ServeCacheCoalesced => "result=\"coalesced\"",
-            _ => "",
+        bbncg_kernel_base_bfs_total:
+            "Sparse-kernel base BFSs, one per session that prices on the kernel" {
+            /// Base BFSs establishing a sparse session's distances: one per
+            /// session that prices on the sparse kernel, run by its first
+            /// kernel call (a session the closed form settles runs none).
+            KernelBaseBfs,
         }
-    }
-
-    /// One-line `# HELP` text for the metric family.
-    pub fn help(self) -> &'static str {
-        match self {
-            Counter::KernelSessions => "Deviation pricing sessions begun",
-            Counter::KernelBaseBfs => {
-                "Sparse-kernel base BFSs, one per session that prices on the kernel"
-            }
-            Counter::KernelPricedQueue
-            | Counter::KernelPricedBitset
-            | Counter::KernelPricedSparse => "Candidate deviations priced, by cost kernel",
-            Counter::KernelPruneSkipQueue
-            | Counter::KernelPruneSkipBitset
-            | Counter::KernelPruneSkipSparse => {
-                "Candidates skipped by the Lemma 2.2 lower bound or an incumbent abort, by cost kernel"
-            }
-            Counter::KernelPruneExact => "Candidates priced exactly from the bound without a BFS",
-            Counter::KernelSsspRepairs => "Decrease-only dynamic-SSSP repairs (sparse kernel)",
-            Counter::KernelBaseRepaired | Counter::KernelRepairFallbacks => {
-                "Retired retained-base repairs, by outcome; nothing increments it"
-            }
-            Counter::KernelPruneAbortQueue
-            | Counter::KernelPruneAbortBitset
-            | Counter::KernelPruneAbortSparse => {
-                "Pricings aborted part-way by the incumbent bound, by cost kernel"
-            }
-            Counter::KernelBoundCacheHits | Counter::KernelBoundCacheMisses => {
-                "Retired per-target candidate-bound cache lookups; nothing increments it"
-            }
-            Counter::ClosedFormActivations => {
-                "Activations priced by the unit-budget closed form instead of a kernel"
-            }
-            Counter::RoundsEvals => "Activations split across sharded pricing engines",
-            Counter::RoundsCommits => "Moves committed by sharded activations",
-            Counter::RoundsDiscards => {
-                "Candidates examined past an earlier shard's proof of the optimum"
-            }
-            Counter::DynamicsRounds => "Dynamics rounds executed",
-            Counter::DynamicsSteps => "Improving moves committed by dynamics",
-            Counter::ScenarioPhases => "Scenario phases entered",
-            Counter::ScenarioEvents => "Perturbation events applied",
-            Counter::ScenarioSeeds => "Scenario seeds completed",
-            Counter::HttpRequests => "HTTP requests routed",
-            Counter::HttpRejected429 => "HTTP requests rejected with 429 (queue backpressure)",
-            Counter::JobsSubmitted
-            | Counter::JobsCompleted
-            | Counter::JobsFailed
-            | Counter::JobsCancelled => "Serve jobs by terminal state",
-            Counter::ServeCacheHits | Counter::ServeCacheMisses | Counter::ServeCacheCoalesced => {
-                "Serve result-cache lookups, by outcome"
-            }
-            Counter::ServeCacheEvictions => "Cached serve jobs evicted (LRU or history bound)",
-            Counter::HttpKeepaliveReuses => "HTTP requests served on reused keep-alive connections",
+        bbncg_kernel_candidates_priced_total: "Candidate deviations priced, by cost kernel" {
+            /// Candidates priced by the queue BFS kernel.
+            KernelPricedQueue { kernel = "queue" },
+            /// Candidates priced by the word-parallel bitset BFS kernel.
+            KernelPricedBitset { kernel = "bitset" },
+            /// Candidates priced by the sparse dynamic-SSSP kernel.
+            KernelPricedSparse { kernel = "sparse" },
+        }
+        bbncg_kernel_prune_skips_total:
+            "Candidates skipped by the Lemma 2.2 lower bound or an incumbent abort, by cost kernel" {
+            /// Candidates skipped as unable to beat the incumbent (queue
+            /// kernel): the Lemma 2.2 lower bound and in-flight incumbent
+            /// aborts both land here.
+            KernelPruneSkipQueue { kernel = "queue" },
+            /// Candidates skipped as unable to beat the incumbent (bitset
+            /// kernel): the Lemma 2.2 lower bound and in-flight incumbent
+            /// aborts both land here.
+            KernelPruneSkipBitset { kernel = "bitset" },
+            /// Candidates skipped as unable to beat the incumbent (sparse
+            /// kernel): the Lemma 2.2 lower bound and in-flight incumbent
+            /// aborts both land here.
+            KernelPruneSkipSparse { kernel = "sparse" },
+        }
+        bbncg_kernel_prune_exact_total: "Candidates priced exactly from the bound without a BFS" {
+            /// Candidates priced exactly from the bound, without a BFS.
+            KernelPruneExact,
+        }
+        bbncg_kernel_sssp_repairs_total: "Decrease-only dynamic-SSSP repairs (sparse kernel)" {
+            /// Decrease-only dynamic-SSSP repairs run by the sparse kernel.
+            KernelSsspRepairs,
+        }
+        bbncg_kernel_base_repairs_total:
+            "Retired retained-base repairs, by outcome; nothing increments it" {
+            /// Retired: nothing increments it. The sparse kernel no longer
+            /// retains a base profile across sessions; every session that
+            /// prices on it runs one base BFS ([`Counter::KernelBaseBfs`]).
+            /// Kept in the catalogue because the benchmark package still reads
+            /// it.
+            KernelBaseRepaired { outcome = "repaired" },
+            /// Retired: nothing increments it (see
+            /// [`Counter::KernelBaseRepaired`]).
+            KernelRepairFallbacks { outcome = "fallback" },
+        }
+        bbncg_kernel_prune_aborts_total:
+            "Pricings aborted part-way by the incumbent bound, by cost kernel" {
+            /// Queue-kernel pricings aborted part-way by the incumbent bound
+            /// (counted inside the priced and prune-skip totals as well).
+            KernelPruneAbortQueue { kernel = "queue" },
+            /// Bitset-kernel pricings aborted part-way by the incumbent bound
+            /// (counted inside the priced and prune-skip totals as well).
+            KernelPruneAbortBitset { kernel = "bitset" },
+            /// Sparse-kernel pricings aborted mid-repair by the incumbent
+            /// bound (counted inside the priced and prune-skip totals as well).
+            KernelPruneAbortSparse { kernel = "sparse" },
+        }
+        bbncg_kernel_bound_cache_total:
+            "Retired per-target candidate-bound cache lookups; nothing increments it" {
+            /// Retired: nothing increments it. Sparse sessions compute each
+            /// target's landmark bound directly, with no per-target cache.
+            /// Kept in the catalogue because the benchmark package still reads
+            /// it.
+            KernelBoundCacheHits { result = "hit" },
+            /// Retired: nothing increments it (see
+            /// [`Counter::KernelBoundCacheHits`]).
+            KernelBoundCacheMisses { result = "miss" },
+        }
+        bbncg_closed_form_activations_total:
+            "Activations priced by the unit-budget closed form instead of a kernel" {
+            /// Activations whose single-arc candidates the unit-budget closed
+            /// form (SUM or MAX) priced in one pass, with no kernel traversal.
+            ClosedFormActivations,
+        }
+        bbncg_rounds_evals_total: "Activations split across sharded pricing engines" {
+            /// Activations the sharded round executor split across engines.
+            RoundsEvals,
+        }
+        bbncg_rounds_commits_total: "Moves committed by sharded activations" {
+            /// Moves committed by sharded activations.
+            RoundsCommits,
+        }
+        bbncg_rounds_discards_total:
+            "Candidates examined past an earlier shard's proof of the optimum" {
+            /// Candidates sharded activations examined past an earlier slice's
+            /// proof of the optimum (work the sequential search never does).
+            RoundsDiscards,
+        }
+        bbncg_dynamics_rounds_total: "Dynamics rounds executed" {
+            /// Dynamics rounds executed (all executors).
+            DynamicsRounds,
+        }
+        bbncg_dynamics_steps_total: "Improving moves committed by dynamics" {
+            /// Improving moves committed by dynamics (all executors).
+            DynamicsSteps,
+        }
+        bbncg_scenario_phases_total: "Scenario phases entered" {
+            /// Scenario phases entered.
+            ScenarioPhases,
+        }
+        bbncg_scenario_events_total: "Perturbation events applied" {
+            /// Perturbation events applied by the scenario engine.
+            ScenarioEvents,
+        }
+        bbncg_scenario_seeds_total: "Scenario seeds completed" {
+            /// Scenario seeds completed (sweep legs).
+            ScenarioSeeds,
+        }
+        bbncg_http_requests_total: "HTTP requests routed" {
+            /// HTTP requests routed (all endpoints, including rejections).
+            HttpRequests,
+        }
+        bbncg_http_rejected_total: "HTTP requests rejected with 429 (queue backpressure)" {
+            /// HTTP requests rejected with `429` by queue backpressure.
+            HttpRejected429,
+        }
+        bbncg_jobs_total: "Serve jobs by terminal state" {
+            /// Jobs accepted into the serve queue.
+            JobsSubmitted { state = "submitted" },
+            /// Jobs that ran to completion.
+            JobsCompleted { state = "completed" },
+            /// Jobs that ended in failure.
+            JobsFailed { state = "failed" },
+            /// Jobs cancelled before or during execution.
+            JobsCancelled { state = "cancelled" },
+        }
+        bbncg_serve_cache_total: "Serve result-cache lookups, by outcome" {
+            /// Result-cache lookups answered from a terminal cached job.
+            ServeCacheHits { result = "hit" },
+            /// Result-cache lookups that admitted a fresh job.
+            ServeCacheMisses { result = "miss" },
+            /// Result-cache lookups coalesced onto a still-running job (the
+            /// duplicate submission attaches to the same stream instead of
+            /// recomputing).
+            ServeCacheCoalesced { result = "coalesced" },
+        }
+        bbncg_serve_cache_evictions_total: "Cached serve jobs evicted (LRU or history bound)" {
+            /// Cached jobs evicted by the LRU bound or history retention.
+            ServeCacheEvictions,
+        }
+        bbncg_http_keepalive_reuses_total:
+            "HTTP requests served on reused keep-alive connections" {
+            /// HTTP requests served on a reused keep-alive connection (the
+            /// second and later requests of each connection).
+            HttpKeepaliveReuses,
         }
     }
 }
 
-/// Every gauge in the catalogue (instantaneous values, set not added).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Gauge {
-    /// Jobs waiting in the serve queue right now.
-    QueueDepth,
-    /// Jobs currently executing on serve workers.
-    InFlightJobs,
-}
-
-impl Gauge {
-    /// Number of gauges in the catalogue.
-    pub const COUNT: usize = 2;
-
-    /// Every gauge, in export order.
-    pub const ALL: [Gauge; Gauge::COUNT] = [Gauge::QueueDepth, Gauge::InFlightJobs];
-
-    /// Prometheus metric name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Gauge::QueueDepth => "bbncg_serve_queue_depth",
-            Gauge::InFlightJobs => "bbncg_serve_inflight_jobs",
+catalogue! {
+    /// Every gauge in the catalogue (instantaneous values, set not added).
+    pub enum Gauge {
+        bbncg_serve_queue_depth: "Jobs waiting in the serve queue" {
+            /// Jobs waiting in the serve queue right now.
+            QueueDepth,
         }
-    }
-
-    /// One-line `# HELP` text.
-    pub fn help(self) -> &'static str {
-        match self {
-            Gauge::QueueDepth => "Jobs waiting in the serve queue",
-            Gauge::InFlightJobs => "Jobs currently executing on serve workers",
+        bbncg_serve_inflight_jobs: "Jobs currently executing on serve workers" {
+            /// Jobs currently executing on serve workers.
+            InFlightJobs,
         }
     }
 }
 
-/// Every histogram in the catalogue (power-of-two buckets, see
-/// [`NBUCKETS`]). Durations are recorded in **microseconds**.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Histogram {
-    /// Scenario phase wall time (µs).
-    PhaseMicros,
-    /// Perturbation event application time (µs).
-    EventMicros,
-    /// Per-seed scenario run time within a sweep (µs) — the sweep
-    /// worker-utilization signal.
-    SeedMicros,
-    /// `GET /healthz` request latency (µs).
-    HttpHealthzMicros,
-    /// `GET /metrics` request latency (µs).
-    HttpMetricsMicros,
-    /// `POST /jobs` request latency (µs).
-    HttpSubmitMicros,
-    /// `GET /jobs` request latency (µs).
-    HttpJobsMicros,
-    /// `GET /jobs/{id}` request latency (µs).
-    HttpJobStatusMicros,
-    /// `POST /jobs/{id}/cancel` request latency (µs).
-    HttpCancelMicros,
-    /// `GET /jobs/{id}/stream` request latency (µs; includes the full
-    /// stream, so long-poll follows dominate the top buckets).
-    HttpStreamMicros,
-    /// `GET /jobs/{id}/report` request latency (µs; includes waiting
-    /// for the job to finish plus the render).
-    HttpReportMicros,
-    /// `POST /shutdown` request latency (µs).
-    HttpShutdownMicros,
-    /// Latency of requests matching no route (µs).
-    HttpOtherMicros,
-}
-
-impl Histogram {
-    /// Number of histograms in the catalogue.
-    pub const COUNT: usize = 13;
-
-    /// Every histogram, in export order.
-    pub const ALL: [Histogram; Histogram::COUNT] = [
-        Histogram::PhaseMicros,
-        Histogram::EventMicros,
-        Histogram::SeedMicros,
-        Histogram::HttpHealthzMicros,
-        Histogram::HttpMetricsMicros,
-        Histogram::HttpSubmitMicros,
-        Histogram::HttpJobsMicros,
-        Histogram::HttpJobStatusMicros,
-        Histogram::HttpCancelMicros,
-        Histogram::HttpStreamMicros,
-        Histogram::HttpReportMicros,
-        Histogram::HttpShutdownMicros,
-        Histogram::HttpOtherMicros,
-    ];
-
-    /// Prometheus metric family name (shared across labelled variants).
-    pub fn name(self) -> &'static str {
-        match self {
-            Histogram::PhaseMicros => "bbncg_scenario_phase_duration_us",
-            Histogram::EventMicros => "bbncg_scenario_event_duration_us",
-            Histogram::SeedMicros => "bbncg_scenario_seed_duration_us",
-            _ => "bbncg_http_request_duration_us",
+catalogue! {
+    /// Every histogram in the catalogue (power-of-two buckets, see
+    /// [`NBUCKETS`]). Durations are recorded in **microseconds**.
+    pub enum Histogram {
+        bbncg_scenario_phase_duration_us: "Scenario phase wall time in microseconds" {
+            /// Scenario phase wall time (µs).
+            PhaseMicros,
         }
-    }
-
-    /// Prometheus label set (without braces), empty when unlabelled.
-    pub fn labels(self) -> &'static str {
-        match self {
-            Histogram::HttpHealthzMicros => "endpoint=\"healthz\"",
-            Histogram::HttpMetricsMicros => "endpoint=\"metrics\"",
-            Histogram::HttpSubmitMicros => "endpoint=\"submit\"",
-            Histogram::HttpJobsMicros => "endpoint=\"jobs\"",
-            Histogram::HttpJobStatusMicros => "endpoint=\"job_status\"",
-            Histogram::HttpCancelMicros => "endpoint=\"cancel\"",
-            Histogram::HttpStreamMicros => "endpoint=\"stream\"",
-            Histogram::HttpReportMicros => "endpoint=\"report\"",
-            Histogram::HttpShutdownMicros => "endpoint=\"shutdown\"",
-            Histogram::HttpOtherMicros => "endpoint=\"other\"",
-            _ => "",
+        bbncg_scenario_event_duration_us: "Perturbation event application time in microseconds" {
+            /// Perturbation event application time (µs).
+            EventMicros,
         }
-    }
-
-    /// One-line `# HELP` text for the metric family.
-    pub fn help(self) -> &'static str {
-        match self {
-            Histogram::PhaseMicros => "Scenario phase wall time in microseconds",
-            Histogram::EventMicros => "Perturbation event application time in microseconds",
-            Histogram::SeedMicros => "Per-seed scenario run time in microseconds",
-            _ => "HTTP request latency in microseconds, by endpoint",
+        bbncg_scenario_seed_duration_us: "Per-seed scenario run time in microseconds" {
+            /// Per-seed scenario run time within a sweep (µs) — the sweep
+            /// worker-utilization signal.
+            SeedMicros,
+        }
+        bbncg_http_request_duration_us: "HTTP request latency in microseconds, by endpoint" {
+            /// `GET /healthz` request latency (µs).
+            HttpHealthzMicros { endpoint = "healthz" },
+            /// `GET /metrics` request latency (µs).
+            HttpMetricsMicros { endpoint = "metrics" },
+            /// `POST /jobs` request latency (µs).
+            HttpSubmitMicros { endpoint = "submit" },
+            /// `GET /jobs` request latency (µs).
+            HttpJobsMicros { endpoint = "jobs" },
+            /// `GET /jobs/{id}` request latency (µs).
+            HttpJobStatusMicros { endpoint = "job_status" },
+            /// `POST /jobs/{id}/cancel` request latency (µs).
+            HttpCancelMicros { endpoint = "cancel" },
+            /// `GET /jobs/{id}/stream` request latency (µs; includes the full
+            /// stream, so long-poll follows dominate the top buckets).
+            HttpStreamMicros { endpoint = "stream" },
+            /// `GET /jobs/{id}/report` request latency (µs; includes waiting
+            /// for the job to finish plus the render).
+            HttpReportMicros { endpoint = "report" },
+            /// `POST /shutdown` request latency (µs).
+            HttpShutdownMicros { endpoint = "shutdown" },
+            /// Latency of requests matching no route (µs).
+            HttpOtherMicros { endpoint = "other" },
         }
     }
 }

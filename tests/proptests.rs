@@ -3,8 +3,8 @@
 use bbncg::analysis::unit_structure;
 use bbncg::game::dynamics::{run_dynamics_with_kernel, DynamicsConfig};
 use bbncg::game::{
-    exact_best_response, is_best_response, BudgetVector, CostKernel, CostModel, DeviationOracle,
-    Realization, RoundExecutor,
+    audit_equilibrium, exact_best_response, find_violation, is_best_response, BudgetVector,
+    CostKernel, CostModel, DeviationOracle, Realization, RoundExecutor,
 };
 use bbncg::graph::{generators, BfsScratch, Csr, DistanceMatrix, NodeId};
 use proptest::prelude::*;
@@ -64,6 +64,19 @@ proptest! {
             let after = r.with_strategy(u, br.targets.clone());
             prop_assert_eq!(after.cost(u, model), br.cost);
             prop_assert!(is_best_response(&after, u, model));
+        }
+    }
+
+    /// `find_violation` names the audit's first violator with the same
+    /// costs: its best-response cost, not the first improvement its
+    /// search happened to meet.
+    #[test]
+    fn find_violation_is_the_audits_first_violation(b in budget_vector(), seed in 0u64..1000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let r = Realization::new(generators::random_realization(b.as_slice(), &mut rng));
+        for model in CostModel::ALL {
+            let first = audit_equilibrium(&r, model).violations().into_iter().next();
+            prop_assert_eq!(find_violation(&r, model), first);
         }
     }
 
