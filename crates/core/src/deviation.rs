@@ -74,9 +74,22 @@
 //! same vertex count, so the engine is always safe to reuse — just
 //! fastest when successive profiles differ by single moves, which is
 //! exactly the dynamics access pattern.
+//!
+//! # The quiet memo
+//!
+//! The cheapest activation is one that never opens a session. The
+//! engine also carries the dynamics loop's per-player memo of "no
+//! move" verdicts, keyed by the profile version and the run's
+//! `(model, rule)` (see `crate::dynamics`): a player that found no
+//! move on exactly the current profile is skipped before `begin`. The
+//! memo is sized by the engine's first dynamics verdict, not by
+//! [`DeviationScratch::new`], survives across dynamics runs that share
+//! the engine, and is cleared when the engine is rebuilt for another
+//! instance size. Nothing else in the engine reads it.
 
 use crate::closed_form::ClosedForm;
 use crate::cost::{c_inf, cost_from_bfs, CostModel};
+use crate::dynamics::QuietMemo;
 use crate::kernel::CostKernel;
 use crate::realization::Realization;
 use bbncg_graph::{
@@ -186,6 +199,9 @@ pub struct DeviationScratch {
     closed_form_ready: bool,
     /// Hot-path observability tallies (see [`ObsTally`]).
     tally: ObsTally,
+    /// The players' last "no move" dynamics verdicts, by profile
+    /// version (see `crate::dynamics`); empty until the first one.
+    pub(crate) quiet: QuietMemo,
 }
 
 /// Apply one player's strategy change to the editable CSR **and** its
@@ -265,6 +281,7 @@ impl DeviationScratch {
             closed_form: ClosedForm::default(),
             closed_form_ready: false,
             tally: ObsTally::default(),
+            quiet: QuietMemo::default(),
         }
     }
 

@@ -13,17 +13,41 @@
 //! a complete round passes with no player able to strictly improve —
 //! which is exactly the Nash condition for the `Best`/`FirstImproving`
 //! rules and the swap-equilibrium condition for `BestSwap`.
+//!
+//! # The quiet memo
+//!
+//! An activation's decision is a function of the profile, the player,
+//! the model and the rule alone: kernels are move-for-move equivalent,
+//! executors are step-identical, and no rule draws from the rng. So a
+//! player whose last activation found no move, on the very profile it
+//! faces now, would find none again. The caller's [`DeviationScratch`]
+//! keeps, per player, the profile version (`Realization::version`) and
+//! the `(model, rule)` of its last "no move" verdict (`QuietMemo`);
+//! an activation that matches it is skipped — no session opens, no
+//! split is posted, nothing is priced — and still counts toward its
+//! round. A version names one content history (`new` and every
+//! `set_strategy` draw a fresh one, clones share it), so a skip is
+//! exact: trajectories, reports, checkpoints and record streams are
+//! unchanged. In a converging round-robin run, the final quiet round
+//! activates only the players up to the previous round's last mover;
+//! the memo lives as long as the engine, so a run split into one-round
+//! calls on one engine skips the same activations.
+//!
+//! A round-robin run reports `cycled` when a round ends on a profile an
+//! earlier round ended on. [`ProfileHistory`] keeps those profiles and
+//! confirms every hash hit against the stored profile, so a 64-bit
+//! hash collision cannot pass for a cycle.
 
 use crate::cancel::CancelToken;
 use crate::cost::CostModel;
 use crate::deviation::DeviationScratch;
 use crate::realization::Realization;
 use crate::round::{respond, PoolTally, RoundExecutor, Shards};
-use bbncg_graph::NodeId;
+use bbncg_graph::{NodeId, OwnedDigraph};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -120,10 +144,116 @@ pub struct DynamicsReport {
     pub cancelled: bool,
 }
 
-fn profile_hash(r: &Realization) -> u64 {
+fn profile_hash(g: &OwnedDigraph) -> u64 {
     let mut h = DefaultHasher::new();
-    r.graph().hash(&mut h);
+    g.hash(&mut h);
     h.finish()
+}
+
+/// The round-end profiles of one run, for cycle detection. A profile
+/// is reported as seen only after it compares equal to a stored one
+/// with the same hash, so a hash collision never passes for a revisit.
+/// Every profile of a run has the same out-degree sequence (a move
+/// never changes a budget), so each is stored as one flat list of
+/// targets in player order: `O(rounds × arcs)` memory.
+pub struct ProfileHistory {
+    hash: fn(&OwnedDigraph) -> u64,
+    /// The out-degree sequence of every stored profile.
+    budgets: Vec<usize>,
+    /// The flat target lists of the stored profiles, by hash.
+    seen: HashMap<u64, Vec<Vec<NodeId>>>,
+}
+
+impl Default for ProfileHistory {
+    fn default() -> Self {
+        ProfileHistory::with_hash(profile_hash)
+    }
+}
+
+impl ProfileHistory {
+    /// An empty history that buckets profiles by `hash` (the default
+    /// is a 64-bit `DefaultHasher` of the digraph). Any function is
+    /// correct, a constant one included: it only decides which stored
+    /// profiles a new one is compared with.
+    pub fn with_hash(hash: fn(&OwnedDigraph) -> u64) -> Self {
+        ProfileHistory {
+            hash,
+            budgets: Vec::new(),
+            seen: HashMap::new(),
+        }
+    }
+
+    /// Store `g`'s profile; `false` when an equal profile was stored
+    /// before.
+    ///
+    /// # Panics
+    /// Panics if `g`'s out-degree sequence differs from that of the
+    /// first profile stored: a history holds the profiles of one
+    /// instance.
+    pub fn insert(&mut self, g: &OwnedDigraph) -> bool {
+        let budgets = g.out_degrees();
+        assert!(
+            self.seen.is_empty() || budgets == self.budgets,
+            "a profile history holds the profiles of one instance"
+        );
+        self.budgets = budgets;
+        let flat: Vec<NodeId> = (0..g.n())
+            .flat_map(|u| g.out(NodeId::new(u)).iter().copied())
+            .collect();
+        let bucket = self.seen.entry((self.hash)(g)).or_default();
+        if bucket.contains(&flat) {
+            return false;
+        }
+        bucket.push(flat);
+        true
+    }
+}
+
+/// One player's last "no move" verdict: the profile version it was
+/// reached on, and the model and rule that reached it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Quiet {
+    version: u64,
+    model: CostModel,
+    rule: ResponseRule,
+}
+
+impl Quiet {
+    fn of(r: &Realization, cfg: &DynamicsConfig) -> Self {
+        Quiet {
+            version: r.version(),
+            model: cfg.model,
+            rule: cfg.rule,
+        }
+    }
+}
+
+/// Per-player memo of the last "no move" verdict of a dynamics
+/// activation (see the module docs). It lives in the caller's
+/// [`DeviationScratch`], empty until the engine's first dynamics
+/// verdict sizes it, and a rebuild of the engine for another instance
+/// size clears it. A mover's entry is left as it was: it names an
+/// older version, which no later profile carries.
+#[derive(Debug, Default)]
+pub(crate) struct QuietMemo {
+    verdicts: Vec<Option<Quiet>>,
+}
+
+impl QuietMemo {
+    /// Did `u`'s last activation under `cfg`'s model and rule find no
+    /// move on exactly this profile?
+    fn holds(&self, r: &Realization, u: NodeId, cfg: &DynamicsConfig) -> bool {
+        self.verdicts.get(u.index()) == Some(&Some(Quiet::of(r, cfg)))
+    }
+
+    /// Record that `u` found no move on `r` under `cfg`.
+    fn record(&mut self, r: &Realization, u: NodeId, cfg: &DynamicsConfig) {
+        if self.verdicts.len() != r.n() {
+            self.verdicts.clear();
+            self.verdicts.resize(r.n(), None);
+        }
+        self.verdicts[u.index()] = Some(Quiet::of(r, cfg));
+    }
 }
 
 /// One row of a dynamics trace: the state of the world after a round.
@@ -162,7 +292,16 @@ pub fn run_dynamics(
     rng: &mut impl Rng,
 ) -> DynamicsReport {
     let mut scratch = DeviationScratch::new(&initial);
-    run_dynamics_impl(initial, cfg, rng, &mut scratch, None, None).0
+    run_dynamics_impl(
+        initial,
+        cfg,
+        rng,
+        &mut scratch,
+        None,
+        None,
+        ProfileHistory::default(),
+    )
+    .0
 }
 
 /// [`run_dynamics`] with an explicit [`CostKernel`](crate::CostKernel)
@@ -176,7 +315,16 @@ pub fn run_dynamics_with_kernel(
     kernel: crate::CostKernel,
 ) -> DynamicsReport {
     let mut scratch = DeviationScratch::with_kernel(&initial, kernel);
-    run_dynamics_impl(initial, cfg, rng, &mut scratch, None, None).0
+    run_dynamics_impl(
+        initial,
+        cfg,
+        rng,
+        &mut scratch,
+        None,
+        None,
+        ProfileHistory::default(),
+    )
+    .0
 }
 
 /// [`run_dynamics`] that also records a per-round [`RoundTrace`]
@@ -188,7 +336,16 @@ pub fn run_dynamics_traced(
 ) -> (DynamicsReport, Vec<RoundTrace>) {
     let mut trace = Vec::new();
     let mut scratch = DeviationScratch::new(&initial);
-    let report = run_dynamics_impl(initial, cfg, rng, &mut scratch, Some(&mut trace), None).0;
+    let report = run_dynamics_impl(
+        initial,
+        cfg,
+        rng,
+        &mut scratch,
+        Some(&mut trace),
+        None,
+        ProfileHistory::default(),
+    )
+    .0;
     (report, trace)
 }
 
@@ -205,7 +362,16 @@ pub fn run_dynamics_with_scratch(
     rng: &mut impl Rng,
     scratch: &mut DeviationScratch,
 ) -> DynamicsReport {
-    run_dynamics_impl(initial, cfg, rng, scratch, None, None).0
+    run_dynamics_impl(
+        initial,
+        cfg,
+        rng,
+        scratch,
+        None,
+        None,
+        ProfileHistory::default(),
+    )
+    .0
 }
 
 /// [`run_dynamics_with_scratch`] that additionally polls a
@@ -222,7 +388,16 @@ pub fn run_dynamics_with_scratch_cancellable(
     scratch: &mut DeviationScratch,
     cancel: &CancelToken,
 ) -> DynamicsReport {
-    run_dynamics_impl(initial, cfg, rng, scratch, None, Some(cancel)).0
+    run_dynamics_impl(
+        initial,
+        cfg,
+        rng,
+        scratch,
+        None,
+        Some(cancel),
+        ProfileHistory::default(),
+    )
+    .0
 }
 
 fn snapshot(
@@ -265,7 +440,8 @@ fn write(state: &RwLock<Realization>) -> RwLockWriteGuard<'_, Realization> {
 
 /// The dynamics loop behind every public entry point, plus what the
 /// sharded executor's helper pool did ([`PoolTally`]; all zero when
-/// the run stayed sequential or never split).
+/// the run stayed sequential or never split). A round-robin run
+/// records its round-end profiles in `history`.
 fn run_dynamics_impl(
     initial: Realization,
     cfg: DynamicsConfig,
@@ -273,14 +449,14 @@ fn run_dynamics_impl(
     scratch: &mut DeviationScratch,
     mut trace: Option<&mut Vec<RoundTrace>>,
     cancel: Option<&CancelToken>,
+    mut history: ProfileHistory,
 ) -> (DynamicsReport, PoolTally) {
     let n = initial.n();
     let mut steps = 0usize;
     let mut rounds = 0usize;
-    let mut seen: HashSet<u64> = HashSet::new();
     let track_cycles = cfg.order == PlayerOrder::RoundRobin;
     if track_cycles {
-        seen.insert(profile_hash(&initial));
+        history.insert(initial.graph());
     }
     if let Some(t) = trace.as_deref_mut() {
         t.push(snapshot(&initial, cfg, 0, 0));
@@ -322,18 +498,29 @@ fn run_dynamics_impl(
             if cfg.order == PlayerOrder::RandomPermutation {
                 order.shuffle(rng);
             }
-            let mut round_improvements = 0usize;
+            let (mut round_improvements, mut skips) = (0usize, 0u64);
             for &i in &order {
                 let u = NodeId::new(i);
-                let reply = respond(scratch, shards.as_mut(), &read(&state), u, &cfg);
-                if let Some(targets) = reply {
-                    write(&state).set_strategy(u, targets);
-                    steps += 1;
-                    round_improvements += 1;
+                let now = read(&state);
+                // A player quiet on exactly this profile under this
+                // model and rule stays quiet: skip it (module docs).
+                if scratch.quiet.holds(&now, u, &cfg) {
+                    skips += 1;
+                    continue;
+                }
+                match respond(scratch, shards.as_mut(), &now, u, &cfg) {
+                    None => scratch.quiet.record(&now, u, &cfg),
+                    Some(targets) => {
+                        drop(now);
+                        write(&state).set_strategy(u, targets);
+                        steps += 1;
+                        round_improvements += 1;
+                    }
                 }
             }
             rounds += 1;
             bbncg_obs::counter_inc(bbncg_obs::Counter::DynamicsRounds);
+            bbncg_obs::counter_add(bbncg_obs::Counter::DynamicsSkips, skips);
             bbncg_obs::counter_add(bbncg_obs::Counter::DynamicsSteps, round_improvements as u64);
             if let Some(t) = trace.as_deref_mut() {
                 t.push(snapshot(&read(&state), cfg, rounds, round_improvements));
@@ -341,7 +528,7 @@ fn run_dynamics_impl(
             if round_improvements == 0 {
                 break End::Converged;
             }
-            if track_cycles && !seen.insert(profile_hash(&read(&state))) {
+            if track_cycles && !history.insert(read(&state).graph()) {
                 break End::Cycled;
             }
         };
@@ -518,7 +705,8 @@ mod tests {
         rng: &mut impl Rng,
     ) -> (DynamicsReport, PoolTally) {
         let mut scratch = DeviationScratch::new(&initial);
-        run_dynamics_impl(initial, cfg, rng, &mut scratch, None, None)
+        let history = ProfileHistory::default();
+        run_dynamics_impl(initial, cfg, rng, &mut scratch, None, None, history)
     }
 
     fn random_start(budget: usize, n: usize, seed: u64) -> Realization {
@@ -631,6 +819,68 @@ mod tests {
         }))
         .expect_err("the fuse blew");
         assert_eq!(panic.downcast_ref::<&str>(), Some(&"fuse blown"));
+    }
+
+    /// A constant hash puts every profile in one bucket: only the
+    /// stored profiles tell them apart.
+    #[test]
+    fn a_history_compares_profiles_behind_a_hash_hit() {
+        let mut history = ProfileHistory::with_hash(|_| 7);
+        let cycle = |step: usize| {
+            let arcs: Vec<(usize, usize)> = (0..7).map(|v| (v, (v + step) % 7)).collect();
+            OwnedDigraph::from_arcs(7, &arcs)
+        };
+        let profiles = [cycle(1), cycle(2), cycle(3)];
+        for p in &profiles {
+            assert!(history.insert(p), "a new profile is new");
+        }
+        for p in &profiles {
+            assert!(!history.insert(p), "a stored profile is seen");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "profiles of one instance")]
+    fn a_history_refuses_another_instance() {
+        let mut history = ProfileHistory::default();
+        history.insert(&generators::path(5));
+        history.insert(&generators::star(5));
+    }
+
+    /// Every round-end profile hashing alike must not pass for a cycle:
+    /// a converging run keeps its verdicts and its trajectory.
+    #[test]
+    fn colliding_round_end_hashes_do_not_make_a_cycle() {
+        for (budget, seed) in [(1, 22), (1, 24), (2, 20)] {
+            let start = random_start(budget, 24, seed);
+            let cfg = DynamicsConfig::exact(CostModel::Sum, 100);
+            let run = |history| {
+                let mut scratch = DeviationScratch::new(&start);
+                let mut rng = StdRng::seed_from_u64(0);
+                run_dynamics_impl(
+                    start.clone(),
+                    cfg,
+                    &mut rng,
+                    &mut scratch,
+                    None,
+                    None,
+                    history,
+                )
+                .0
+            };
+            let plain = run(ProfileHistory::default());
+            let colliding = run(ProfileHistory::with_hash(|_| 0));
+            let ctx = format!("budget {budget}, seed {seed}");
+            assert!(plain.converged && plain.rounds >= 3, "{ctx}: {plain:?}");
+            assert!(!colliding.cycled, "{ctx}: a collision passed for a cycle");
+            assert!(colliding.converged, "{ctx}");
+            assert_eq!(colliding.state, plain.state, "{ctx}");
+            assert_eq!(
+                (colliding.steps, colliding.rounds),
+                (plain.steps, plain.rounds),
+                "{ctx}"
+            );
+        }
     }
 
     #[test]

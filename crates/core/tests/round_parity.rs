@@ -14,6 +14,10 @@
 //! candidates' costs from the closed form under either model, while an
 //! explicit split still prices them on the kernels: the unit-budget
 //! tests below hold both paths to the same reference.
+//!
+//! The counter checks are exact: each expected count is the activations
+//! of a run minus those the engine's quiet memo skips, which follow
+//! from the reference trajectory's move positions ([`skipped`]).
 
 use bbncg_core::dynamics::{
     run_dynamics_traced, run_dynamics_with_kernel, run_dynamics_with_scratch, DynamicsConfig,
@@ -30,6 +34,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
 
 /// Random realization whose budget vector includes zeros and twos, so
@@ -62,6 +67,10 @@ fn counting() -> MutexGuard<'static, ()> {
 
 fn sharded_activations() -> u64 {
     bbncg_obs::counter_value(Counter::RoundsEvals)
+}
+
+fn skips() -> u64 {
+    bbncg_obs::counter_value(Counter::DynamicsSkips)
 }
 
 fn closed_form_activations() -> u64 {
@@ -104,42 +113,79 @@ fn random_unit_instance(n: usize, seed: u64) -> Realization {
     Realization::new(OwnedDigraph::from_out_lists(out))
 }
 
-/// Activations of a run of `report.rounds` rounds over a unit-budget
-/// `initial` that the closed form settles, under either model: every
-/// activation of a one-arc player, except the exact and swap ones an
+/// The activations a fresh engine's quiet memo skips in a run whose
+/// activations, in order, were `log` (each player with whether it
+/// moved), among the players `counted` picks: an activation is skipped
+/// when the player's last activation found no move and nobody has
+/// moved since. Moves so far stand in for the profile's version.
+fn skipped(log: &[(NodeId, bool)], counted: impl Fn(NodeId) -> bool) -> u64 {
+    let mut moves = 0u64;
+    let mut quiet = HashMap::new();
+    let mut skips = 0;
+    for &(u, moved) in log {
+        if moved {
+            moves += 1;
+        } else if quiet.insert(u, moves) == Some(moves) && counted(u) {
+            skips += 1;
+        }
+    }
+    skips
+}
+
+/// The activation log of round-robin rounds from consecutive round-end
+/// profiles: a player moves at most once a round, and a move changes
+/// its strategy.
+fn round_robin_log(profiles: &[Realization]) -> Vec<(NodeId, bool)> {
+    profiles
+        .windows(2)
+        .flat_map(|w| {
+            (0..w[0].n()).map(move |u| {
+                let u = NodeId::new(u);
+                (u, w[0].strategy(u) != w[1].strategy(u))
+            })
+        })
+        .collect()
+}
+
+/// Activations of a run over a unit-budget `initial` that the closed
+/// form settles, under either model: every activation of a one-arc
+/// player in the reference's rounds, except the exact and swap ones an
 /// explicit `Sharded` run splits onto the kernels (first-improving and
-/// greedy price on the caller's engine under every executor).
+/// greedy price on the caller's engine under every executor), minus
+/// the ones the quiet memo skips.
 fn expected_closed_form(
     initial: &Realization,
     rule: ResponseRule,
     executor: RoundExecutor,
-    report: &DynamicsReport,
+    reference: &Reference,
 ) -> u64 {
     let split = matches!(rule, ResponseRule::ExactBest | ResponseRule::BestSwap);
     if executor == RoundExecutor::Sharded && split {
         return 0;
     }
+    let one_arc = |u: NodeId| initial.graph().out_degree(u) == 1;
     let owners = (0..initial.n())
-        .filter(|&u| initial.graph().out_degree(NodeId::new(u)) == 1)
+        .filter(|&u| one_arc(NodeId::new(u)))
         .count();
-    (owners * report.rounds) as u64
+    (owners * reference.rounds) as u64 - skipped(&reference.log, one_arc)
 }
 
-/// Activations an explicit-`Sharded` run of `report.rounds` rounds
-/// splits: every exact or swap activation with two or more candidate
-/// slices (exact: at least two leading elements, `n − b ≥ 2`; swap:
-/// `b·n ≥ 2` pairs always split).
-fn expected_splits(initial: &Realization, rule: ResponseRule, report: &DynamicsReport) -> u64 {
+/// Activations an explicit-`Sharded` run splits: every exact or swap
+/// activation with two or more candidate slices (exact: at least two
+/// leading elements, `n − b ≥ 2`; swap: `b·n ≥ 2` pairs always split)
+/// in the reference's rounds, minus the ones the quiet memo skips.
+fn expected_splits(initial: &Realization, rule: ResponseRule, reference: &Reference) -> u64 {
     let n = initial.n();
-    let per_round = (0..n)
-        .map(|u| initial.graph().out_degree(NodeId::new(u)))
-        .filter(|&b| match rule {
+    let splits = |u: NodeId| {
+        let b = initial.graph().out_degree(u);
+        match rule {
             ResponseRule::ExactBest => b >= 1 && n - b >= 2,
             ResponseRule::BestSwap => b >= 1,
             _ => false,
-        })
-        .count();
-    (per_round * report.rounds) as u64
+        }
+    };
+    let per_round = (0..n).filter(|&u| splits(NodeId::new(u))).count();
+    (per_round * reference.rounds) as u64 - skipped(&reference.log, splits)
 }
 
 /// Cost to `u` of playing `targets` (any length — the greedy rule
@@ -227,27 +273,52 @@ fn reference_response(
     }
 }
 
-/// `(state, steps, rounds, converged, cycled)` of the reference
-/// dynamics: the engine's round structure, activation order (the same
-/// RNG stream shuffles random permutations) and stopping rules.
-fn reference_dynamics(
-    initial: Realization,
-    cfg: DynamicsConfig,
-    rng: &mut StdRng,
-) -> (Realization, usize, usize, bool, bool) {
+/// A run of the reference dynamics.
+struct Reference {
+    state: Realization,
+    steps: usize,
+    rounds: usize,
+    converged: bool,
+    cycled: bool,
+    /// Every activation in order: the player, and whether it moved.
+    log: Vec<(NodeId, bool)>,
+}
+
+impl Reference {
+    /// Does `run` end as the reference does?
+    fn matches(&self, run: &DynamicsReport) -> Result<(), TestCaseError> {
+        prop_assert_eq!(&run.state, &self.state);
+        prop_assert_eq!(run.steps, self.steps);
+        prop_assert_eq!(run.rounds, self.rounds);
+        prop_assert_eq!(run.converged, self.converged);
+        prop_assert_eq!(run.cycled, self.cycled);
+        Ok(())
+    }
+}
+
+/// The reference dynamics: the engine's round structure, activation
+/// order (the same RNG stream shuffles random permutations) and
+/// stopping rules, every activation priced from scratch.
+fn reference_dynamics(initial: Realization, cfg: DynamicsConfig, rng: &mut StdRng) -> Reference {
     let n = initial.n();
     let mut state = initial;
     let mut seen = vec![state.graph().clone()];
     let mut order: Vec<usize> = (0..n).collect();
     let (mut steps, mut rounds) = (0, 0);
-    while rounds < cfg.max_rounds {
+    let mut log = Vec::new();
+    let (converged, cycled) = loop {
+        if rounds >= cfg.max_rounds {
+            break (false, false);
+        }
         if cfg.order == PlayerOrder::RandomPermutation {
             order.shuffle(rng);
         }
         let mut moves = 0;
         for &i in &order {
             let u = NodeId::new(i);
-            if let Some(targets) = reference_response(&state, u, cfg.rule, cfg.model) {
+            let reply = reference_response(&state, u, cfg.rule, cfg.model);
+            log.push((u, reply.is_some()));
+            if let Some(targets) = reply {
                 state.set_strategy(u, targets);
                 moves += 1;
             }
@@ -255,16 +326,23 @@ fn reference_dynamics(
         rounds += 1;
         steps += moves;
         if moves == 0 {
-            return (state, steps, rounds, true, false);
+            break (true, false);
         }
         if cfg.order == PlayerOrder::RoundRobin {
             if seen.contains(state.graph()) {
-                return (state, steps, rounds, false, true);
+                break (false, true);
             }
             seen.push(state.graph().clone());
         }
+    };
+    Reference {
+        state,
+        steps,
+        rounds,
+        converged,
+        cycled,
+        log,
     }
-    (state, steps, rounds, false, false)
 }
 
 proptest! {
@@ -290,7 +368,7 @@ proptest! {
                         order,
                         ..DynamicsConfig::exact(model, 80)
                     };
-                    let (ref_state, ref_steps, ref_rounds, ref_converged, ref_cycled) =
+                    let reference =
                         reference_dynamics(initial.clone(), cfg, &mut StdRng::seed_from_u64(7));
                     for kernel in KERNELS {
                         let seq = run_dynamics_with_kernel(
@@ -299,7 +377,7 @@ proptest! {
                             &mut StdRng::seed_from_u64(7),
                             kernel,
                         );
-                        let before = sharded_activations();
+                        let (before, skips_before) = (sharded_activations(), skips());
                         let sharded = run_dynamics_with_kernel(
                             initial.clone(),
                             cfg.with_executor(RoundExecutor::Sharded),
@@ -308,13 +386,10 @@ proptest! {
                         );
                         prop_assert_eq!(
                             sharded_activations() - before,
-                            expected_splits(&initial, rule, &sharded)
+                            expected_splits(&initial, rule, &reference)
                         );
-                        prop_assert_eq!(&seq.state, &ref_state);
-                        prop_assert_eq!(seq.steps, ref_steps);
-                        prop_assert_eq!(seq.rounds, ref_rounds);
-                        prop_assert_eq!(seq.converged, ref_converged);
-                        prop_assert_eq!(seq.cycled, ref_cycled);
+                        prop_assert_eq!(skips() - skips_before, skipped(&reference.log, |_| true));
+                        reference.matches(&seq)?;
                         prop_assert_eq!(&seq.state, &sharded.state);
                         prop_assert_eq!(seq.steps, sharded.steps);
                         prop_assert_eq!(seq.rounds, sharded.rounds);
@@ -347,7 +422,7 @@ proptest! {
                     order,
                     ..DynamicsConfig::exact(model, 80)
                 };
-                let (ref_state, ref_steps, ref_rounds, ref_converged, ref_cycled) =
+                let reference =
                     reference_dynamics(initial.clone(), cfg, &mut StdRng::seed_from_u64(7));
                 for kernel in KERNELS {
                     for executor in [RoundExecutor::Sequential, RoundExecutor::Sharded] {
@@ -362,7 +437,7 @@ proptest! {
                         let work = kernel_work();
                         prop_assert_eq!(
                             closed_form_activations() - before,
-                            expected_closed_form(&initial, rule, executor, &run)
+                            expected_closed_form(&initial, rule, executor, &reference)
                         );
                         if executor == RoundExecutor::Sequential {
                             prop_assert!(
@@ -375,15 +450,11 @@ proptest! {
                                 work
                             );
                         } else if kernel == CostKernel::Sparse
-                            && expected_splits(&initial, rule, &run) > 0
+                            && expected_splits(&initial, rule, &reference) > 0
                         {
                             prop_assert!(work[0] > work_before[0], "{:?} {:?}: no base BFS", model, rule);
                         }
-                        prop_assert_eq!(&run.state, &ref_state);
-                        prop_assert_eq!(run.steps, ref_steps);
-                        prop_assert_eq!(run.rounds, ref_rounds);
-                        prop_assert_eq!(run.converged, ref_converged);
-                        prop_assert_eq!(run.cycled, ref_cycled);
+                        reference.matches(&run)?;
                     }
                 }
             }
@@ -445,7 +516,8 @@ fn sharded_dynamics_match_naive_reference() {
 /// `0xAB0`) priced in closed form under every kernel matches the
 /// rebuild-per-candidate reference round for round: each player moves
 /// at most once a round, so equal profiles after every round mean
-/// equal moves.
+/// equal moves. The rounds run one per call on one engine, whose quiet
+/// memo skips exactly what it would skip within one run.
 #[test]
 fn closed_form_trajectory_matches_the_rebuild_reference() {
     let _lock = counting();
@@ -469,9 +541,13 @@ fn closed_form_trajectory_matches_the_rebuild_reference() {
         reference_steps.iter().sum::<usize>() > N / 2,
         "want a trajectory that moves"
     );
+    // One engine runs every round, so its quiet memo carries from call
+    // to call, as within one run.
+    let memo_skips = skipped(&round_robin_log(&reference), |_| true);
+    assert!(memo_skips > 0, "want a trajectory the memo shortens");
     let one_round = DynamicsConfig::exact(model, 1).with_executor(RoundExecutor::Sequential);
     for kernel in KERNELS {
-        let before = closed_form_activations();
+        let (before, skips_before) = (closed_form_activations(), skips());
         let mut scratch = DeviationScratch::with_kernel(&start, kernel);
         let mut state = start.clone();
         for (round, (want, &want_steps)) in reference[1..].iter().zip(&reference_steps).enumerate()
@@ -491,9 +567,10 @@ fn closed_form_trajectory_matches_the_rebuild_reference() {
         drop(scratch);
         assert_eq!(
             closed_form_activations() - before,
-            (N * reference_steps.len()) as u64,
-            "{kernel}: every activation priced in closed form"
+            (N * reference_steps.len()) as u64 - memo_skips,
+            "{kernel}: every activation the memo left priced in closed form"
         );
+        assert_eq!(skips() - skips_before, memo_skips, "{kernel}: skips");
     }
 }
 
@@ -555,15 +632,21 @@ fn auto_shards_only_activations_worth_splitting() {
             &mut StdRng::seed_from_u64(0),
             CostKernel::Auto,
         );
-        let before = sharded_activations();
+        let (before, skips_before) = (sharded_activations(), skips());
         let auto = run_dynamics_with_kernel(
             initial.clone(),
             cfg.with_executor(RoundExecutor::Auto),
             &mut StdRng::seed_from_u64(0),
             CostKernel::Auto,
         );
+        // The run's one round on a fresh engine has no quiet verdict to
+        // repeat: the memo skips nothing.
+        let log = round_robin_log(&[initial.clone(), seq.state.clone()]);
+        let budget_2 = |u: NodeId| initial.graph().out_degree(u) == 2;
+        let skipped_splits = skipped(&log, budget_2);
+        assert_eq!(skips() - skips_before, skipped(&log, |_| true), "n {n}");
         let sharded = RoundExecutor::Auto.resolve(n) == RoundExecutor::Sharded;
-        let want = if sharded { splits } else { 0 };
+        let want = if sharded { splits - skipped_splits } else { 0 };
         assert_eq!(sharded_activations() - before, want, "n {n}");
         assert_eq!(seq.state, auto.state);
         assert_eq!(seq.steps, auto.steps);

@@ -10,10 +10,8 @@
 //! §8 contrasts.
 
 use crate::game::{directed_best_response, DirectedRealization};
+use bbncg_core::dynamics::ProfileHistory;
 use bbncg_graph::NodeId;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
 
 /// Outcome of a directed dynamics run.
 #[derive(Clone, Debug)]
@@ -31,23 +29,27 @@ pub struct DirectedDynamicsReport {
     pub rounds: usize,
 }
 
-fn profile_hash(r: &DirectedRealization) -> u64 {
-    let mut h = DefaultHasher::new();
-    r.graph().hash(&mut h);
-    h.finish()
-}
-
-/// Round-robin exact best-response dynamics with cycle detection.
+/// Round-robin exact best-response dynamics with cycle detection: a
+/// cycle is reported only when a round ends on a profile equal to an
+/// earlier round's end, never on a mere hash match.
 pub fn run_directed_dynamics(
     initial: DirectedRealization,
     max_rounds: usize,
+) -> DirectedDynamicsReport {
+    run_with_history(initial, max_rounds, ProfileHistory::default())
+}
+
+/// [`run_directed_dynamics`], recording round-end profiles in `seen`.
+fn run_with_history(
+    initial: DirectedRealization,
+    max_rounds: usize,
+    mut seen: ProfileHistory,
 ) -> DirectedDynamicsReport {
     let n = initial.n();
     let mut state = initial;
     let mut steps = 0;
     let mut rounds = 0;
-    let mut seen: HashSet<u64> = HashSet::new();
-    seen.insert(profile_hash(&state));
+    seen.insert(state.graph());
     while rounds < max_rounds {
         let mut improved = false;
         for i in 0..n {
@@ -73,7 +75,7 @@ pub fn run_directed_dynamics(
                 rounds,
             };
         }
-        if !seen.insert(profile_hash(&state)) {
+        if !seen.insert(state.graph()) {
             return DirectedDynamicsReport {
                 state,
                 converged: false,
@@ -144,6 +146,34 @@ mod tests {
         let rep = run_directed_dynamics(DirectedRealization::new(generators::cycle(6)), 50);
         assert!(rep.converged);
         assert_eq!(rep.steps, 0);
+    }
+
+    /// Every round-end profile hashing alike changes no verdict: runs
+    /// that converge and runs that cycle (about one start in seven at
+    /// n = 6, budget 2) report the same.
+    #[test]
+    fn colliding_hashes_change_no_verdict() {
+        let mut cycled = 0;
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = generators::random_realization(&[2; 6], &mut rng);
+            let start = DirectedRealization::new(g);
+            let plain = run_directed_dynamics(start.clone(), 40);
+            let colliding = run_with_history(start, 40, ProfileHistory::with_hash(|_| 0));
+            assert_eq!(colliding.state.graph(), plain.state.graph(), "seed {seed}");
+            assert_eq!(
+                (colliding.converged, colliding.cycled),
+                (plain.converged, plain.cycled),
+                "seed {seed}"
+            );
+            assert_eq!(
+                (colliding.steps, colliding.rounds),
+                (plain.steps, plain.rounds),
+                "seed {seed}"
+            );
+            cycled += usize::from(plain.cycled);
+        }
+        assert!(cycled > 0, "want real cycles among the starts");
     }
 
     #[test]

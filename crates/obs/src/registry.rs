@@ -244,6 +244,13 @@ catalogue! {
             /// Dynamics rounds executed (all executors).
             DynamicsRounds,
         }
+        bbncg_dynamics_skips_total:
+            "Dynamics activations skipped on a profile the player was already found quiet on" {
+            /// Dynamics activations skipped because the player's last
+            /// activation, under the same model and rule, found no move on
+            /// exactly the current profile (added once per round).
+            DynamicsSkips,
+        }
         bbncg_dynamics_steps_total: "Improving moves committed by dynamics" {
             /// Improving moves committed by dynamics (all executors).
             DynamicsSteps,

@@ -26,7 +26,9 @@
 //!   `par_map_init` discipline lifted to job granularity), so
 //!   consecutive same-size jobs never rebuild the engine arena. A
 //!   sweep job runs its seeds in parallel through
-//!   [`run_sweep_cancellable`], whose stream stays in seed order;
+//!   [`run_sweep_cancellable`], whose stream stays in seed order. A
+//!   job that panics, single-seed or sweep, ends `failed` with the
+//!   panic's message; its worker drops its engine and keeps serving;
 //! * every job streams its results through a
 //!   [`LineBuffer`](crate::LineBuffer), which any number of
 //!   `GET /jobs/{id}/stream` connections replay-and-follow;
@@ -60,8 +62,10 @@ use bbncg_core::{
 };
 use bbncg_obs::{Counter, Gauge, Histogram};
 use bbncg_scenario::{parse_spec, run_scenario_with_engine, run_sweep_cancellable, Checkpoint};
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -319,10 +323,31 @@ fn worker_loop(shared: Arc<Shared>) {
         };
         let Some(job) = job else { return };
         shared.running.fetch_add(1, Ordering::SeqCst);
-        execute_job(&shared, &job, &mut scratch);
+        // A panicking job fails alone: its stream ends, the worker's
+        // engine (perhaps mid-session) is dropped, and the worker takes
+        // the next job.
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            execute_job(&shared, &job, &mut scratch);
+        }));
+        if let Err(panic) = run {
+            scratch = None;
+            job.set_status(JobStatus::Failed(format!(
+                "job panicked: {}",
+                panic_message(panic.as_ref())
+            )));
+        }
         shared.running.fetch_sub(1, Ordering::SeqCst);
         uncache_if_dead(&shared, &job);
     }
+}
+
+/// The text a panic was raised with, when it carries one.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("no message")
 }
 
 /// Drop a job's cache entry if it retired without a replayable result

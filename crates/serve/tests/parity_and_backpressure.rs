@@ -196,6 +196,68 @@ fn verify_jobs_answer_with_a_verdict_line() {
     server.join();
 }
 
+/// An inline n = 40 profile in which player 0 owns 20 arcs, under the
+/// exact rule: its best response would enumerate C(39, 20) ≈ 6.9·10¹⁰
+/// candidates, which the engine refuses with a panic.
+fn unenumerable_spec() -> String {
+    let mut arcs: Vec<String> = (1..=20).map(|v| format!("[0, {v}]")).collect();
+    arcs.extend((1..40).map(|v| format!("[{v}, {}]", (v + 1) % 40)));
+    format!(
+        "[scenario]\nname = \"unenumerable\"\nseed = 1\n\n[init]\nfamily = \"inline\"\n\
+         n = 40\narcs = [{}]\n\n[dynamics]\nrule = \"exact\"\n\n[[phase]]\nkind = \"dynamics\"\n",
+        arcs.join(", ")
+    )
+}
+
+/// Poll `GET path` until its body satisfies `done`, for up to a minute.
+fn poll_body(addr: &str, path: &str, done: impl Fn(&str) -> bool) -> String {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let body = client::request(addr, "GET", path, b"").unwrap().text();
+        if done(&body) {
+            return body;
+        }
+        assert!(Instant::now() < deadline, "timed out on {path}: {body}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// A job that panics fails alone: it ends `failed` with the panic's
+/// message, its stream closes, and the server's only worker goes on to
+/// serve the next job byte-identically to the offline run.
+#[test]
+fn a_panicking_job_fails_and_its_worker_keeps_serving() {
+    let server = spawn(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr().to_string();
+    client::wait_ready(&addr, Duration::from_secs(10)).unwrap();
+
+    let receipt = client::request(&addr, "POST", "/jobs", unenumerable_spec().as_bytes()).unwrap();
+    assert_eq!(receipt.status, 202, "{}", receipt.text());
+    let id = client::job_id(&receipt.text()).unwrap();
+    let status = poll_body(&addr, &format!("/jobs/{id}"), |b| {
+        !b.contains("\"state\":\"queued\"") && !b.contains("\"state\":\"running\"")
+    });
+    assert!(status.contains("\"state\":\"failed\""), "{status}");
+    assert!(status.contains("would enumerate"), "{status}");
+    let mut records = 0;
+    client::stream_lines(&addr, &format!("/jobs/{id}/stream"), |_| {
+        records += 1;
+        true
+    })
+    .unwrap();
+    assert_eq!(records, 0, "the job failed before its first phase ended");
+
+    let churn = include_str!("../../../examples/scenarios/churn.toml");
+    assert_eq!(served_lines(&addr, churn, ""), offline_lines(churn));
+    poll_body(&addr, "/healthz", |b| b.contains("\"running\":0"));
+    server.shutdown(false);
+    server.join();
+}
+
 /// A spec with many cheap phases — long enough to hold a worker while
 /// the test queues behind it, cancellable at every phase boundary.
 fn long_spec(pairs: usize) -> String {

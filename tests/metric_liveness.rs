@@ -76,7 +76,9 @@ fn drive_pricing() {
         let sharded = DynamicsConfig::swap(CostModel::Sum, 3).with_executor(RoundExecutor::Sharded);
         dynamics(24, 2, sharded, kernel);
     }
-    // Unit budgets on one engine: the closed form prices every move.
+    // Unit budgets on one engine: the closed form prices every move,
+    // and the run converges, so its last round skips the players the
+    // quiet memo already found quiet on the final profile.
     let unit = DynamicsConfig::exact(CostModel::Sum, 5).with_executor(RoundExecutor::Sequential);
     dynamics(24, 1, unit, CostKernel::Auto);
     // The centre of a star that owns every arc has every vertex at
