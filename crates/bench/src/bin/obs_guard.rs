@@ -3,9 +3,10 @@
 //! The observability tentpole promises *zero cost when off*: every
 //! `counter_add` / `observe` call sites a single relaxed load of the
 //! enable flag and nothing else. This binary measures that promise on
-//! the per-candidate pricing path (n=512 budget-2 MAX best-swap
-//! dynamics, sequential rounds on one thread, so the ratio measures the
-//! instrumentation rather than scheduling noise) by timing the
+//! the per-candidate pricing path (n=136 budget-2 MAX exact
+//! best-response dynamics, sequential rounds on one thread, so the ratio
+//! measures the instrumentation rather than scheduling noise) by timing
+//! the
 //! identical deterministic trajectory with the registry **disabled**
 //! (the shipping default) and **enabled**.
 //!
@@ -59,20 +60,23 @@ fn initial(n: usize, seed: u64) -> Realization {
     Realization::new(generators::random_realization(budgets.as_slice(), &mut rng))
 }
 
-/// One timed pass of the guard workload: capped budget-2 MAX
-/// best-swap dynamics through the sequential executor on one engine.
-/// Players owning two arcs keep every activation out of the unit-budget
-/// closed form, so each prices its candidates on the kernel `Auto`
-/// picks, and the hot-path instrumentation here is the per-candidate
-/// kernel tallies plus the session and dynamics counters. Returns the
-/// steps taken and steps/sec.
+/// One timed pass of the guard workload: capped budget-2 MAX exact
+/// best-response dynamics through the sequential executor on one
+/// engine. Players owning two arcs keep every activation out of the
+/// unit-budget closed form, and the exact rule prices its `C(n−1, 2)`
+/// candidates one by one on the kernel `Auto` picks (the swap rule
+/// would sweep them instead), so the hot-path instrumentation here is
+/// the per-candidate kernel tallies plus the session and dynamics
+/// counters. At n = 136 a pass takes about as long as the guard's
+/// earlier n = 512 swap pass did. Returns the steps taken and
+/// steps/sec.
 fn pass(n: usize, cap: usize) -> (usize, f64) {
     let init = initial(n, 0);
     let mut rng = StdRng::seed_from_u64(0);
     let t = Instant::now();
     let rep = run_dynamics_with_kernel(
         init,
-        DynamicsConfig::swap(CostModel::Max, cap).with_executor(RoundExecutor::Sequential),
+        DynamicsConfig::exact(CostModel::Max, cap).with_executor(RoundExecutor::Sequential),
         &mut rng,
         CostKernel::Auto,
     );
@@ -141,7 +145,7 @@ fn parse_pass(out: &str) -> Option<(usize, f64, u64)> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let (n, cap, pairs) = if quick { (256, 3, 2) } else { (512, 5, PAIRS) };
+    let (n, cap, pairs) = if quick { (96, 5, 2) } else { (136, 5, PAIRS) };
 
     if args.first().map(String::as_str) == Some(PASS_ARG) {
         let enabled = match args.get(1).map(String::as_str) {

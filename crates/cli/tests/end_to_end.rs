@@ -384,6 +384,41 @@ fn construct_refuses_bad_sizes_in_one_line() {
     }
 }
 
+/// `scenario validate` refuses a spec whose exact search cannot run,
+/// naming the player and the candidate count, instead of letting
+/// `scenario run` panic on it.
+#[test]
+fn unenumerable_specs_exit_2_naming_the_player() {
+    // Player 0 owns the arcs to 1..=20 of a 40-ring, under the exact
+    // rule: C(39, 20) candidates.
+    let mut arcs: Vec<String> = (1..=20).map(|v| format!("[0, {v}]")).collect();
+    arcs.extend((1..40).map(|v| format!("[{v}, {}]", (v + 1) % 40)));
+    let spec = format!(
+        "[init]\nfamily = \"inline\"\nn = 40\narcs = [{}]\n[dynamics]\nrule = \"exact\"\n\
+         [[phase]]\nkind = \"dynamics\"\n",
+        arcs.join(", ")
+    );
+    let path = std::env::temp_dir().join(format!("bbncg_e2e_enum_{}.toml", std::process::id()));
+    std::fs::write(&path, spec).unwrap();
+    for action in ["validate", "run"] {
+        let out = bbncg()
+            .args(["scenario", action])
+            .arg(&path)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{action}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains(
+                "line 1: [init] player 0 owns 20 arcs among 40 vertices: \
+                 the exact search would enumerate 68923264410 candidates"
+            ),
+            "{action}: {err}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn oversized_specs_exit_2_with_a_positioned_error() {
     let dir = std::env::temp_dir();

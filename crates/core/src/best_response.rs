@@ -14,28 +14,39 @@
 //!   of Alon et al.'s basic network creation games), polynomial; swap
 //!   dynamics with this rule is the scalable dynamics used at large `n`.
 //!
-//! Every search keeps an incumbent and prices each candidate through
-//! [`DeviationScratch::cost_of_pruned`], so a candidate that cannot
-//! strictly beat it is skipped by its lower bound or abandoned
-//! part-way by the kernel. A player owning one arc in a profile where
-//! no player owns two (the paper's unit-budget class) costs no
-//! per-candidate pricing at all, under either model: the engine prices
-//! every single-arc target in one closed-form pass, and each search
-//! returns from those costs the target its enumeration would have —
-//! the earliest least-cost one strictly below its incumbent — with the
-//! current strategy's cost memoized for the improvement gate. Only the
-//! Nash audit ([`exact_best_response_cost_with`]) always enumerates on
-//! the kernels. Dynamics asks a narrower question — does
-//! the player have a strictly improving move? — so its exact and swap
-//! searches start from the current strategy's cost instead of
-//! `u64::MAX` and return only a strict improvement: the same decision
-//! as the full search followed by a strict-improvement check, with
-//! every candidate abortable from the first one on.
+//! The exact, greedy and better searches keep an incumbent and price
+//! each candidate through [`DeviationScratch::cost_of_pruned`], so a
+//! candidate that cannot strictly beat it is skipped by its lower bound
+//! or abandoned part-way by the kernel. The swap search prices no
+//! candidate on its own: one swap sweep (`crate::sweep`) derives every
+//! (slot, target) cost from `b` base BFSs and one bounded BFS per
+//! vertex, and the search takes the earliest least-cost swap in the
+//! per-pair order. The per-pair search survives as the independent
+//! oracle of [`crate::is_swap_equilibrium`].
+//!
+//! A player owning one arc in a profile where no player owns two (the
+//! paper's unit-budget class) costs no per-candidate pricing at all,
+//! under either model: the engine prices every single-arc target in one
+//! closed-form pass, and each search returns from those costs the
+//! target its enumeration would have — the earliest least-cost one
+//! strictly below its incumbent — with the current strategy's cost
+//! memoized for the improvement gate. Only the Nash audit
+//! ([`exact_best_response_cost_with`]) always enumerates on the
+//! kernels.
+//!
+//! Dynamics asks a narrower question — does the player have a strictly
+//! improving move? — so its exact and swap searches start from the
+//! current strategy's cost instead of `u64::MAX` and return only a
+//! strict improvement: the same decision as the full search followed by
+//! a strict-improvement check. The exact search can then abort every
+//! candidate from the first one on, and neither search prices anything
+//! when the current cost sits at the Lemma 2.2 floor.
 
 use crate::cost::CostModel;
 use crate::deviation::DeviationScratch;
 use crate::oracle::{enumeration_count, CombinationOdometer};
 use crate::realization::Realization;
+use crate::sweep::SweepPart;
 use bbncg_graph::NodeId;
 use std::ops::Range;
 
@@ -545,7 +556,9 @@ pub fn best_swap_response_with(
 /// The best strictly improving single-arc swap for `u` — the earliest
 /// least-cost swap cheaper than the current strategy — or `None` when
 /// no swap improves (or `u` owns no arcs): the dynamics decision of the
-/// swap rule.
+/// swap rule. A current cost at the Lemma 2.2 floor settles it at once;
+/// otherwise one swap sweep (`crate::sweep`) prices every (slot,
+/// target) pair on this engine.
 pub(crate) fn best_swap_improvement(
     scratch: &mut DeviationScratch,
     r: &Realization,
@@ -557,78 +570,79 @@ pub(crate) fn best_swap_improvement(
     if let Some((costs, current)) = closed_form(scratch, r, u, model) {
         return cheapest_below(costs, current);
     }
-    let current = current_cost(scratch, r, u, model);
-    let pairs = r.strategy(u).len() * r.n();
-    best_swap_over(scratch, r, u, model, current, &mut Whole(Some(0..pairs))).map(|(s, _)| s)
+    scratch.begin(r, u, model);
+    let current = scratch.sweep_current_cost();
+    if current <= scratch.cost_lower_bound(r.strategy(u).len()) {
+        return None;
+    }
+    scratch.sweep_open();
+    scratch.sweep_run(0..r.n());
+    let own = scratch.sweep_part();
+    swept_swap(scratch, r, u, [own], current)
 }
 
-/// The swap search over the slices `slices` deals, each a range of
-/// (slot, target) pairs: pair `p` replaces owned arc `p / n` by target
-/// `p % n`, and [`best_swap_improvement`] is this search over `0..b·n`
-/// as one slice. Candidates must cost strictly less than `ceiling`,
-/// the current strategy's cost; returns the cheapest one found — the
-/// earliest among equals — and its slice, or `None` when no candidate
-/// improves (at once when the ceiling is at the Lemma 2.2 floor).
-pub(crate) fn best_swap_over(
+/// The sweep's decision over the merged `parts` of `u`'s activation —
+/// the caller's engine's own first — as a strategy: the earliest
+/// least-cost swap strictly below `ceiling`.
+pub(crate) fn swept_swap(
+    scratch: &mut DeviationScratch,
+    r: &Realization,
+    u: NodeId,
+    parts: impl IntoIterator<Item = SweepPart>,
+    ceiling: u64,
+) -> Option<ScoredStrategy> {
+    let (slot, target, cost) = scratch.sweep_best(parts, ceiling)?;
+    let mut targets = r.strategy(u).to_vec();
+    targets[slot] = target;
+    targets.sort_unstable();
+    Some(ScoredStrategy { targets, cost })
+}
+
+/// The per-pair swap search, the independent oracle behind
+/// [`crate::is_swap_equilibrium`]: every owned arc `u → old` and every
+/// `new` outside the strategy, slot by slot and target by target, each
+/// candidate priced on the kernel against the incumbent (starting from
+/// the current cost); the earliest least-cost swap strictly below the
+/// current cost, or `None`. Unit-budget activations take the closed
+/// form, as every search does.
+pub(crate) fn best_swap_per_pair(
     scratch: &mut DeviationScratch,
     r: &Realization,
     u: NodeId,
     model: CostModel,
-    ceiling: u64,
-    slices: &mut impl Slices,
-) -> Option<(ScoredStrategy, usize)> {
-    let n = r.n();
-    scratch.begin(r, u, model);
-    let lb = scratch.cost_lower_bound(r.strategy(u).len());
-    if ceiling <= lb {
+) -> Option<ScoredStrategy> {
+    if r.strategy(u).is_empty() {
         return None;
     }
-    let mut current = std::mem::take(&mut scratch.pool_buf);
+    if let Some((costs, current)) = closed_form(scratch, r, u, model) {
+        return cheapest_below(costs, current);
+    }
+    let n = r.n();
+    let current = current_cost(scratch, r, u, model);
+    let lb = scratch.cost_lower_bound(r.strategy(u).len());
     let mut trial = std::mem::take(&mut scratch.cand_buf);
-    current.clear();
-    current.extend_from_slice(r.strategy(u));
-    let mut best: Option<(ScoredStrategy, usize)> = None;
-    while let Some((slice, pairs)) = slices.next() {
-        let (mut examined, mut floor) = (0, false);
-        'pairs: for i in 0..current.len() {
-            let row = i * n;
-            let lo = pairs.start.clamp(row, row + n) - row;
-            let hi = pairs.end.clamp(row, row + n) - row;
-            for new in (lo..hi).map(NodeId::new) {
-                if new == u || current.contains(&new) {
-                    continue;
-                }
-                if slices.floor_before(slice) {
-                    break 'pairs;
-                }
-                trial.clear();
-                trial.extend_from_slice(&current);
-                trial[i] = new;
-                examined += 1;
-                let incumbent = best.as_ref().map_or(ceiling, |(s, _)| s.cost);
-                let bound = pricing_bound(incumbent, slices);
-                if let Some(cost) = scratch.cost_of_pruned(&trial, bound) {
-                    if cost < bound {
-                        let mut targets = trial.clone();
-                        targets.sort_unstable();
-                        best = Some((ScoredStrategy { targets, cost }, slice));
-                        slices.publish(cost);
-                        // At the Lemma 2.2 floor nothing later can
-                        // strictly improve.
-                        floor = cost <= lb;
-                        if floor {
-                            break 'pairs;
-                        }
-                    }
+    let mut best: Option<ScoredStrategy> = None;
+    'pairs: for i in 0..r.strategy(u).len() {
+        for new in (0..n).map(NodeId::new) {
+            if new == u || r.strategy(u).contains(&new) {
+                continue;
+            }
+            let incumbent = best.as_ref().map_or(current, |s| s.cost);
+            if incumbent <= lb {
+                break 'pairs; // at the Lemma 2.2 floor nothing improves
+            }
+            trial.clear();
+            trial.extend_from_slice(r.strategy(u));
+            trial[i] = new;
+            if let Some(cost) = scratch.cost_of_pruned(&trial, incumbent) {
+                if cost < incumbent {
+                    let mut targets = trial.clone();
+                    targets.sort_unstable();
+                    best = Some(ScoredStrategy { targets, cost });
                 }
             }
         }
-        slices.done(slice, examined, floor);
-        if floor {
-            break;
-        }
     }
-    scratch.pool_buf = current;
     scratch.cand_buf = trial;
     best
 }

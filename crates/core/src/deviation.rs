@@ -37,6 +37,12 @@
 //! [`PriceBudget`] that abandons it once the candidate provably cannot
 //! win.
 //!
+//! The swap rule prices its candidates without a per-candidate BFS:
+//! `DeviationScratch::sweep_open` and its companions run the swap
+//! sweep (`crate::sweep`) over the session's detached graph — on the bit
+//! mirror's rows where the engine keeps them, on the patch otherwise —
+//! with its buffers sized on first use.
+//!
 //! One class needs no per-candidate traversal at all: when the player
 //! owns one arc and no player owns two (the paper's unit-budget games),
 //! the searches take every single-arc candidate's cost, under SUM or
@@ -92,6 +98,7 @@ use crate::cost::{c_inf, cost_from_bfs, CostModel};
 use crate::dynamics::QuietMemo;
 use crate::kernel::CostKernel;
 use crate::realization::Realization;
+use crate::sweep::{Components, Sweep, SweepPart};
 use bbncg_graph::{
     BfsScratch, BitAdjacency, BitBfsScratch, CompactCsr, NodeId, OwnedDigraph, PriceBudget,
     SparseSssp, UNREACHED,
@@ -123,6 +130,9 @@ struct ObsTally {
     /// Searches the closed form answered (one per activation; no
     /// kernel traversal).
     closed_form: u64,
+    /// Swap searches the sweep decided (one per activation; its BFSs
+    /// are not candidate pricings).
+    sweeps: u64,
 }
 
 /// Reusable engine state for pricing candidate deviations.
@@ -197,6 +207,8 @@ pub struct DeviationScratch {
     closed_form: ClosedForm,
     /// `closed_form` holds this session's costs.
     closed_form_ready: bool,
+    /// The swap sweep (buffers sized on first use).
+    sweep: Sweep,
     /// Hot-path observability tallies (see [`ObsTally`]).
     tally: ObsTally,
     /// The players' last "no move" dynamics verdicts, by profile
@@ -280,6 +292,7 @@ impl DeviationScratch {
             multi_owners,
             closed_form: ClosedForm::default(),
             closed_form_ready: false,
+            sweep: Sweep::default(),
             tally: ObsTally::default(),
             quiet: QuietMemo::default(),
         }
@@ -319,6 +332,7 @@ impl DeviationScratch {
         bbncg_obs::counter_add(Counter::KernelBaseBfs, t.base_bfs);
         bbncg_obs::counter_add(Counter::KernelSessions, t.sessions);
         bbncg_obs::counter_add(Counter::ClosedFormActivations, t.closed_form);
+        bbncg_obs::counter_add(Counter::SwapSweeps, t.sweeps);
         if self.resolved == CostKernel::Sparse {
             // Sparse pricing is one decrease-only repair per candidate.
             bbncg_obs::counter_add(Counter::KernelSsspRepairs, t.priced);
@@ -612,6 +626,99 @@ impl DeviationScratch {
         let costs = self.closed_form.costs();
         self.memo_current = Some(costs[current]);
         Some((costs, costs[current]))
+    }
+
+    /// Open the swap sweep of the active session (`crate::sweep`): one
+    /// base BFS per owned arc, with `u` blocked, and zeroed
+    /// accumulators. The bit-row form runs where the bit mirror exists,
+    /// the CSR form elsewhere.
+    ///
+    /// # Panics
+    /// Panics if no session is open.
+    pub(crate) fn sweep_open(&mut self) {
+        let (u, model) = self.active.expect("no deviation session open");
+        let slots = self.mirror.out(u);
+        let bits = self.bits.as_ref();
+        self.sweep
+            .open(&self.patch, bits, u, slots, &self.dedup_buf, model);
+    }
+
+    /// Sweep the sources `sources` into this engine's accumulators.
+    pub(crate) fn sweep_run(&mut self, sources: std::ops::Range<usize>) {
+        self.sweep.run(&self.patch, self.bits.as_ref(), sources);
+    }
+
+    /// This engine's accumulations since [`Self::sweep_open`].
+    pub(crate) fn sweep_part(&mut self) -> SweepPart {
+        self.sweep.take_part()
+    }
+
+    /// The active player's current cost, priced as [`Self::cost_of`]
+    /// prices it, except that a SUM price on the queue or bitset kernel
+    /// — which needs neither `κ` nor a sparse base — builds none of the
+    /// session's kernel state: the sweep reads the component labelling
+    /// only when some base misses a vertex (see [`Self::sweep_best`]).
+    pub(crate) fn sweep_current_cost(&mut self) -> u64 {
+        let (u, model) = self.active.expect("no deviation session open");
+        let mut current = std::mem::take(&mut self.cand_buf);
+        current.clear();
+        current.extend_from_slice(self.mirror.out(u));
+        let cost = match (self.memo_current, model, self.resolved) {
+            (Some(cost), _, _) => cost,
+            (None, CostModel::Sum, CostKernel::Queue | CostKernel::Bitset) => {
+                let cost = self.cost_with_kappa(&current, 1);
+                self.memo_current = Some(cost);
+                cost
+            }
+            _ => self.cost_of(&current),
+        };
+        self.cand_buf = current;
+        cost
+    }
+
+    /// Merge `parts` — this engine's own first — and return the sweep's
+    /// decision: the earliest least-cost swap strictly below `ceiling`,
+    /// as `(slot, target, cost)`. Counts one sweep.
+    pub(crate) fn sweep_best(
+        &mut self,
+        parts: impl IntoIterator<Item = SweepPart>,
+        ceiling: u64,
+    ) -> Option<(usize, NodeId, u64)> {
+        self.tally.sweeps += 1;
+        let labelled = self.label_for_sweep();
+        let comps = labelled.then_some(Components {
+            label: &self.comp_label,
+            sizes: &self.comp_sizes,
+            count: self.comp_count,
+        });
+        self.sweep.best(parts, comps, ceiling)
+    }
+
+    /// Label the detached graph's components when the open sweep needs
+    /// them (some base misses a vertex, so a swap can leave a component
+    /// unreached or merge one); whether it does.
+    fn label_for_sweep(&mut self) -> bool {
+        let (u, _) = self.active.expect("no deviation session open");
+        let needed = self.sweep.needs_components();
+        if needed {
+            self.kernel_session(u);
+        }
+        needed
+    }
+
+    /// Every swap's cost after merging `parts` (see [`Self::sweep_best`]).
+    #[cfg(test)]
+    pub(crate) fn sweep_costs(
+        &mut self,
+        parts: impl IntoIterator<Item = SweepPart>,
+    ) -> Vec<(usize, NodeId, u64)> {
+        let labelled = self.label_for_sweep();
+        let comps = labelled.then_some(Components {
+            label: &self.comp_label,
+            sizes: &self.comp_sizes,
+            count: self.comp_count,
+        });
+        self.sweep.costs(parts, comps)
     }
 
     /// Price the candidate strategy `targets` for the active player —

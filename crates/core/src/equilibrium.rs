@@ -11,7 +11,7 @@
 //! both versions) and the swap-equilibrium relaxation
 //! ([`is_swap_equilibrium`]) matching Alon et al.'s move set.
 
-use crate::best_response::{best_swap_response_with, exact_best_response_cost_with};
+use crate::best_response::{best_swap_per_pair, exact_best_response_cost_with};
 use crate::cost::CostModel;
 use crate::deviation::DeviationScratch;
 use crate::kernel::CostKernel;
@@ -160,13 +160,7 @@ pub fn is_swap_equilibrium_with_kernel(
                 return true;
             }
             let u = NodeId::new(i);
-            let ok = match best_swap_response_with(scratch, r, u, model) {
-                None => true,
-                Some(best) => {
-                    scratch.begin(r, u, model);
-                    best.cost >= scratch.cost_of(r.strategy(u))
-                }
-            };
+            let ok = best_swap_per_pair(scratch, r, u, model).is_none();
             if !ok {
                 refuted.store(true, Ordering::Relaxed);
             }

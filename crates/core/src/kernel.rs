@@ -38,6 +38,14 @@
 //! * [`CostKernel::Auto`] — pick by instance size
 //!   ([`CostKernel::AUTO_BITSET_MIN_N`] / [`CostKernel::AUTO_BITSET_MAX_N`]).
 //!
+//! The swap rule prices no candidate through a kernel: its sweep
+//! (`crate::sweep`) derives every single-arc swap's cost from one
+//! bounded BFS per vertex, and the kernel only picks the sweep's form —
+//! the bit mirror's rows under [`CostKernel::Bitset`], the
+//! `CompactCsr` under the others. Per-candidate kernel pricing serves
+//! the exact, greedy and better rules, the per-pair swap oracle
+//! (`is_swap_equilibrium`) and the Nash audits.
+//!
 //! Every tier rejects candidates that cannot win part-way through
 //! their pricing: a search hands the engine its incumbent, the engine
 //! turns it into a [`PriceBudget`](bbncg_graph::PriceBudget), and the

@@ -55,6 +55,7 @@ pub mod oracle;
 pub mod poa;
 pub mod realization;
 pub mod round;
+mod sweep;
 pub mod weighted;
 
 pub use best_response::{

@@ -7,19 +7,24 @@
 //! parallelism that is both sound and dense lies *inside* one
 //! activation: finding a best response searches a candidate space of
 //! up to `C(n−1, b)` strategies (Theorem 2.1 says nothing cheaper
-//! exists in general). The **sharded** executor cuts that space into
-//! contiguous slices in enumeration order and prices them on several
-//! deviation engines at once — the caller's [`DeviationScratch`] plus
-//! one engine on each helper thread of the run's pool (see below):
+//! exists in general). The **sharded** executor cuts that work into
+//! contiguous slices and runs them on several deviation engines at
+//! once — the caller's [`DeviationScratch`] plus one engine on each
+//! helper thread of the run's pool (see below):
 //!
 //! * exact best response: the `C(n−1, b)` subsets, cut by leading
-//!   element into ranges of equal count (`lead_ranges`);
-//! * best swap: the `b·n` (slot, target) pairs, cut into contiguous
-//!   ranges (`even_ranges`).
+//!   element into ranges of equal count (`lead_ranges`), each engine
+//!   searching the candidates of the slices it draws;
+//! * best swap: the swap sweep's sources `0..n`, cut into contiguous
+//!   ranges (`even_ranges`). Each engine opens the sweep (its `b` base
+//!   BFSs), runs the bounded BFSs of the sources it draws into its own
+//!   counters and masks, and hands them over; the caller adds the
+//!   counters, ANDs the masks and decides, so the merge is
+//!   order-independent (`crate::sweep`).
 //!
 //! Engines claim slices from a shared cursor (`Dealer`), so each one
-//! prices an increasing run of slices and uneven pricing cost evens
-//! out. They also share one incumbent bound: the least cost any engine
+//! takes an increasing run of slices and uneven cost evens out. Exact
+//! searches also share one incumbent bound: the least cost any engine
 //! has found so far. Every BFS aborts at the first level that proves
 //! its candidate cannot beat the bound it was given, so an engine that
 //! priced only against its own incumbent would finish candidates
@@ -30,8 +35,9 @@
 //! have nothing worth splitting, under SUM or MAX: the caller's engine
 //! prices all their candidates in one closed-form pass, so `Auto` never
 //! splits them. An explicit `Sharded` still does, pricing their slices
-//! on the kernels — which makes every explicit-sharded unit-budget run
-//! a kernel-priced cross-check of the closed form.
+//! on the kernels (or sweeping their sources) — which makes every
+//! explicit-sharded unit-budget run a kernel-priced cross-check of the
+//! closed form.
 //!
 //! # The helper pool
 //!
@@ -44,28 +50,26 @@
 //! `Dealer` over the slices, the ceiling), since no borrow of one
 //! activation can reach a thread that outlives it. The protocol:
 //!
-//! 1. The caller posts the job and wakes the helpers taking part. Each
-//!    takes a read guard and opens its session — sync, detach,
-//!    component labelling and, under sparse, the base BFS — while the
-//!    caller opens its own and prices the player's current strategy.
-//! 2. The caller hands that cost to the helpers as the job's ceiling,
-//!    or withdraws the job when the cost sits at the Lemma 2.2 floor:
-//!    the player cannot improve, so a withdrawn job prices nothing and
-//!    counts as no split.
-//! 3. Every engine searches strictly below the ceiling on the slices it
-//!    draws. Each helper drops its guard and reports its find, or its
-//!    panic; the last report wakes the caller, which merges. The
-//!    caller's next write never waits on a helper of a merged job.
+//! 1. The caller prices the player's current strategy. A cost at the
+//!    Lemma 2.2 floor has no strict improvement: the caller settles the
+//!    activation on its own engine, and no job is posted, so no helper
+//!    opens a session for it.
+//! 2. Otherwise the caller posts the job, with that cost as its
+//!    ceiling, and wakes the helpers taking part. Each takes a read
+//!    guard, opens its session and works through the slices it draws
+//!    while the caller does the same; each helper drops its guard and
+//!    reports its share, or its panic, and the last report wakes the
+//!    caller, which merges. The caller's next write never waits on a
+//!    helper of a merged job.
 //!
-//! Every wait — a helper's for its next job or its ceiling, the
-//! caller's for the reports — spins briefly and then parks, but spins
-//! only when every engine has a CPU of its own (`spins`); on an
-//! oversubscribed host a spinning waiter would hold the CPU that the
-//! thread it waits for needs, so waiters there park at once and the
-//! other side unparks them. Dropping the executor — at the run's end,
-//! or while the caller unwinds — stops and wakes every helper, so the
-//! scope always joins them; a helper's panic reaches the caller with
-//! its payload.
+//! Every wait — a helper's for its next job, the caller's for the
+//! reports — spins briefly and then parks, but spins only when every
+//! engine has a CPU of its own (`spins`); on an oversubscribed host a
+//! spinning waiter would hold the CPU that the thread it waits for
+//! needs, so waiters there park at once and the other side unparks
+//! them. Dropping the executor — at the run's end, or while the caller
+//! unwinds — stops and wakes every helper, so the scope always joins
+//! them; a helper's panic reaches the caller with its payload.
 //!
 //! # The step-identity invariant
 //!
@@ -73,7 +77,10 @@
 //! rule/order/kernel combination: same moves in the same order, same
 //! step and round counts, same [`DynamicsReport`](crate::DynamicsReport),
 //! bit-identical checkpoints and scenario record streams at any thread
-//! count. The merge returns exactly the sequential decision:
+//! count. A swap split merges the sweep's exact counters and masks,
+//! which any split of the sources sums to the same values, and decides
+//! from them as the caller's engine alone would. An exact split returns
+//! exactly the sequential decision too:
 //!
 //! * the sequential search returns the *first* candidate in enumeration
 //!   order that attains the least cost (it replaces its incumbent only
@@ -86,9 +93,9 @@
 //!   ([`DeviationScratch::cost_lower_bound`]) has proven the optimum,
 //!   so later slices stop: their candidates could at best tie and lose.
 //!
-//! Every engine starts its search from the player's current cost, as
-//! the sequential search does, and keeps only strict improvements on
-//! it. Pruning and incumbent aborts only skip candidates that cannot
+//! Every engine starts its exact search from the player's current
+//! cost, as the sequential search does, and keeps only strict
+//! improvements on it. Pruning and incumbent aborts only skip candidates that cannot
 //! strictly beat that cost or an incumbent found earlier in the
 //! enumeration, as in the sequential loop, or that cost strictly more
 //! than the shared best: each candidate is priced against
@@ -99,9 +106,9 @@
 //! `--threads 1` vs `--threads 8` scenario record streams.
 
 use crate::best_response::{
-    assert_enumerable, best_swap_improvement, best_swap_over, current_cost, exact_best_improvement,
-    exact_best_over, first_improving_response_with, greedy_best_response_with, ScoredStrategy,
-    Slices,
+    assert_enumerable, best_swap_improvement, current_cost, exact_best_improvement,
+    exact_best_over, first_improving_response_with, greedy_best_response_with, swept_swap,
+    ScoredStrategy, Slices,
 };
 use crate::cost::CostModel;
 use crate::deviation::DeviationScratch;
@@ -109,6 +116,7 @@ use crate::dynamics::{DynamicsConfig, ResponseRule};
 use crate::kernel::CostKernel;
 use crate::oracle::enumeration_count;
 use crate::realization::Realization;
+use crate::sweep::SweepPart;
 use bbncg_graph::NodeId;
 use bbncg_obs::Counter;
 use std::ops::Range;
@@ -125,10 +133,10 @@ pub enum RoundExecutor {
     /// Every activation prices its whole candidate space on one engine.
     Sequential,
     /// Every exact-best or best-swap activation with at least two
-    /// slices of candidates splits them across the caller's engine and
-    /// the engines of `max(max_threads(), 2) − 1` helper threads, which
-    /// the run keeps from its first split to its end (see the module
-    /// docs).
+    /// slices of work, whose player sits above the Lemma 2.2 floor,
+    /// splits them across the caller's engine and the engines of
+    /// `max(max_threads(), 2) − 1` helper threads, which the run keeps
+    /// from its first split to its end (see the module docs).
     Sharded,
     /// Sharded when more than one worker thread is available, the host
     /// has more than one CPU, the run is not already inside a parallel
@@ -150,24 +158,26 @@ impl RoundExecutor {
     /// an `Auto` run stays on one engine. A split posts a job to the
     /// run's helper threads: on a 2-vCPU x86-64 VM at n = 512 a
     /// spinning helper picks it up a median 1.1–1.5 µs later and opens
-    /// its session (about 10 µs) while the caller prices the current
-    /// strategy, so the split pays a few µs of handoff and the merge,
-    /// and saves at most half the pricing. Full-BFS pricing of a
-    /// budget-2 candidate there runs 6–9 ns per vertex, so 2¹⁷ is about
-    /// 1 ms of unpruned pricing; but the incumbent abort stops most
-    /// candidates a level or two in (about 0.5 µs per priced candidate
-    /// in budget-2 swap dynamics at n = 512), so an activation prices
-    /// far less than it enumerates. On that VM (bitset kernel, 2
-    /// threads, whole budget-2 swap runs, in-process medians of 21) an
-    /// explicit `Sharded` ran at 0.60–0.68× the sequential speed at
-    /// n = 32 (2.0·10³), 0.89–0.96× at n = 64 (8.2·10³), 1.11× at
-    /// n = 128 (3.3·10⁴) and 1.23–1.29× at n = 200 (8.0·10⁴); `Auto`,
-    /// which splits from n = 256 (1.3·10⁵), ran 1.28× at n = 320 and
-    /// 1.78× at n = 512 (CLI runs, medians of 11). So the threshold
-    /// keeps some winning activations on one engine, and waits for a
-    /// measured matrix of sizes and kernels. Unit-budget activations
-    /// never reach this test: the closed form settles them on one
-    /// engine.
+    /// its session (about 10 µs), so the split pays a few µs of
+    /// handoff and the merge, and saves at most half the pricing.
+    /// Full-BFS pricing of a budget-2 candidate there runs 6–9 ns per
+    /// vertex, so 2¹⁷ is about 1 ms of unpruned pricing; but the
+    /// incumbent abort stops most candidates a level or two in (about
+    /// 0.5 µs per priced candidate in budget-2 swap dynamics at
+    /// n = 512, per pair), so an activation prices far less than it
+    /// enumerates. On that VM (bitset kernel, 2 threads, whole budget-2
+    /// swap runs, in-process medians of 21) an explicit `Sharded` ran
+    /// at 0.60–0.68× the sequential speed at n = 32 (2.0·10³),
+    /// 0.89–0.96× at n = 64 (8.2·10³), 1.11× at n = 128 (3.3·10⁴) and
+    /// 1.23–1.29× at n = 200 (8.0·10⁴); `Auto`, which splits from
+    /// n = 256 (1.3·10⁵), ran 1.28× at n = 320 and 1.78× at n = 512
+    /// (CLI runs, medians of 11). So the threshold keeps some winning
+    /// activations on one engine, and waits for a measured matrix of
+    /// sizes and kernels. These figures predate the swap sweep, which
+    /// prices a budget-2 swap activation at n = 512 about 1.3–1.6×
+    /// faster than per-pair pricing did, so swap splits now clear the
+    /// threshold with less work to share. Unit-budget activations never
+    /// reach this test: the closed form settles them on one engine.
     pub const SHARD_MIN_WORK: u64 = 1 << 17;
 
     /// The concrete executor used for an `n`-player instance (never
@@ -314,9 +324,9 @@ pub(crate) struct Shards<'scope, 'env> {
     kernel: CostKernel,
     /// Explicit [`RoundExecutor::Sharded`]: split every activation with
     /// two or more slices, unit-budget ones included. Otherwise
-    /// (`Auto`) split only those the closed form does not settle, whose
-    /// work clears [`RoundExecutor::SHARD_MIN_WORK`] and whose player
-    /// is not already at the Lemma 2.2 floor.
+    /// (`Auto`) split only those the closed form does not settle and
+    /// whose work clears [`RoundExecutor::SHARD_MIN_WORK`]. Either way,
+    /// a player already at the Lemma 2.2 floor is settled unsplit.
     always: bool,
     /// Helper threads the pool runs: `max_threads() − 1`, and at least
     /// one under an explicit `Sharded`, so the split-and-merge path
@@ -386,14 +396,6 @@ impl<'scope, 'env> Shards<'scope, 'env> {
         !self.always && scratch.closed_form_expected(state, u)
     }
 
-    /// Is there anything to price? A player whose `current` cost sits
-    /// at the Lemma 2.2 floor of its `b`-arc strategies has no strict
-    /// improvement, so every engine would stop at once: not worth a
-    /// split unless the split is explicit.
-    fn worth_pricing(&self, scratch: &DeviationScratch, current: u64, b: usize) -> bool {
-        self.always || current > scratch.cost_lower_bound(b)
-    }
-
     /// Sharded [`exact_best_improvement`]: `None` when the activation
     /// is not worth splitting or, under `Auto`, the closed form settles
     /// it (the caller prices it on one engine), otherwise the best
@@ -414,12 +416,17 @@ impl<'scope, 'env> Shards<'scope, 'env> {
         }
         assert_enumerable(n, b, u);
         let ranges = lead_ranges(n - 1, b, self.slices());
-        self.split(scratch, state, u, model, ranges, exact_job)
+        if ranges.len() < 2 {
+            return None;
+        }
+        let current = current_cost(scratch, state, u, model);
+        self.split(scratch, state, (u, model), ranges, exact_job, current)
     }
 
     /// Sharded [`best_swap_improvement`]: `None` when the activation is
     /// not worth splitting or, under `Auto`, the closed form settles
-    /// it; otherwise the best strict improvement, if any.
+    /// it; otherwise the best strict improvement, if any. The engines
+    /// split the sweep's sources, `0..n`.
     fn best_swap(
         &mut self,
         scratch: &mut DeviationScratch,
@@ -432,8 +439,13 @@ impl<'scope, 'env> Shards<'scope, 'env> {
         if self.closed_form_settles(scratch, state, u) || !self.worth_splitting(pairs as u64, n) {
             return None;
         }
-        let ranges = even_ranges(pairs, self.slices());
-        self.split(scratch, state, u, model, ranges, swap_job)
+        let ranges = even_ranges(n, self.slices());
+        if ranges.len() < 2 {
+            return None;
+        }
+        scratch.begin(state, u, model);
+        let current = scratch.sweep_current_cost();
+        self.split(scratch, state, (u, model), ranges, sweep_job, current)
     }
 
     /// How many slices an activation is cut into.
@@ -441,56 +453,61 @@ impl<'scope, 'env> Shards<'scope, 'env> {
         (self.helpers + 1) * SLICES_PER_ENGINE
     }
 
-    /// Run `search` over `ranges` on the caller's engine and on the
-    /// helpers, and merge what they found: `None` when there are fewer
-    /// than two slices or the player's current cost is at the Lemma 2.2
-    /// floor (the caller prices the activation on its own engine), the
-    /// best strict improvement on that cost otherwise. The job is
-    /// posted before the caller prices the current strategy, so the
-    /// helpers open their sessions meanwhile.
+    /// Run `search` over `ranges` (at least two) on the caller's engine
+    /// and on the helpers, and merge what they found: `None` when the
+    /// player's `current` cost, which the caller's engine has priced, is
+    /// at the Lemma 2.2 floor (the caller settles the activation on its
+    /// own engine, and no helper hears of it), the best strict
+    /// improvement on that cost otherwise.
     fn split(
         &mut self,
         scratch: &mut DeviationScratch,
         state: &Realization,
-        u: NodeId,
-        model: CostModel,
+        (u, model): (NodeId, CostModel),
         ranges: Vec<Range<usize>>,
         search: Search,
+        current: u64,
     ) -> Option<Option<ScoredStrategy>> {
-        if ranges.len() < 2 {
+        if current <= scratch.cost_lower_bound(state.strategy(u).len()) {
             return None;
         }
-        let job = self.post(u, model, search, ranges);
-        let current = current_cost(scratch, state, u, model);
-        if !self.worth_pricing(scratch, current, state.strategy(u).len()) {
-            self.settle(&job, WITHDRAWN);
-            return None;
-        }
-        self.settle(&job, current);
-        let mine = search(scratch, state, &job, current);
+        let job = self.post(u, model, search, ranges, current);
+        let mine = search(scratch, state, &job);
         let board = self.board.as_deref().expect("posting started the pool");
         board.wait(|| job.reported.load(Ordering::Acquire) == job.reports.len());
-        let mut found = vec![mine];
-        for report in &job.reports {
+        let (mut finds, mut parts) = (Vec::new(), Vec::new());
+        let reports = job.reports.iter().map(|report| {
             match report.lock().unwrap_or_else(PoisonError::into_inner).take() {
-                Some(Ok(find)) => found.push(find),
+                Some(Ok(share)) => share,
                 Some(Err(panic)) => resume_unwind(panic),
                 None => unreachable!("every helper taking part has reported"),
             }
+        });
+        for share in std::iter::once(mine).chain(reports) {
+            match share {
+                Share::Exact(find) => finds.push(find),
+                Share::Sweep(part) => parts.push(part),
+            }
         }
         self.tally.splits += 1;
-        Some(job.dealer.merge(found))
+        bbncg_obs::counter_inc(Counter::RoundsEvals);
+        Some(if parts.is_empty() {
+            job.dealer.merge(finds)
+        } else {
+            swept_swap(scratch, state, u, parts, current)
+        })
     }
 
-    /// Post a job over `ranges` for as many helpers as there are slices
-    /// beyond the caller's first, and wake them; the run's first post
-    /// starts the pool.
+    /// Post a job over `ranges` with its `ceiling` for as many helpers as
+    /// there are slices beyond the caller's first, and wake them; the
+    /// run's first post starts the pool.
     fn post(
         &mut self,
         player: NodeId,
         model: CostModel,
         search: Search,
         ranges: Vec<Range<usize>>,
+        ceiling: u64,
     ) -> Arc<Job> {
         let helpers = self.helpers.min(ranges.len() - 1);
         let board = self.pool();
@@ -501,13 +518,15 @@ impl<'scope, 'env> Shards<'scope, 'env> {
             model,
             search,
             dealer: Dealer::new(ranges),
-            ceiling: AtomicU64::new(PENDING),
+            ceiling,
             reports: (0..helpers).map(|_| Mutex::new(None)).collect(),
             reported: AtomicUsize::new(0),
         });
         *board.job.lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&job));
         board.posted.store(job.epoch, Ordering::Release);
-        self.wake(&job);
+        self.threads[..job.reports.len()]
+            .iter()
+            .for_each(Thread::unpark);
         job
     }
 
@@ -537,18 +556,6 @@ impl<'scope, 'env> Shards<'scope, 'env> {
         }
         self.board.as_deref().expect("started above")
     }
-
-    /// Hand `job`'s helpers their ceiling (or `WITHDRAWN`) and wake them.
-    fn settle(&self, job: &Job, ceiling: u64) {
-        job.ceiling.store(ceiling, Ordering::Release);
-        self.wake(job);
-    }
-
-    fn wake(&self, job: &Job) {
-        self.threads[..job.reports.len()]
-            .iter()
-            .for_each(Thread::unpark);
-    }
 }
 
 impl Drop for Shards<'_, '_> {
@@ -576,12 +583,6 @@ fn spins(engines: usize, host_cpus: usize) -> bool {
 /// spins about 50 µs — longer than a helper's session open or a split's
 /// tail at n = 512, far shorter than the stretches without a split.
 const SPINS: u32 = 1 << 11;
-
-/// A job's ceiling before the caller has priced the current strategy.
-const PENDING: u64 = u64::MAX;
-/// The ceiling of a job the caller withdrew. Neither sentinel is a
-/// player's cost, which stays below `n · c_inf(n)`.
-const WITHDRAWN: u64 = u64::MAX - 1;
 
 /// What a run's caller and its helpers share.
 struct Board {
@@ -635,16 +636,6 @@ impl Board {
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
     }
-
-    /// `job`'s ceiling once the caller has set it: `None` when the job
-    /// was withdrawn or the pool stopped first.
-    fn ceiling(&self, job: &Job) -> Option<u64> {
-        self.wait(|| job.ceiling.load(Ordering::Acquire) != PENDING || self.stopped());
-        match job.ceiling.load(Ordering::Acquire) {
-            PENDING | WITHDRAWN => None,
-            ceiling => Some(ceiling),
-        }
-    }
 }
 
 /// One split activation, as the helpers receive it: owned data, so a
@@ -655,39 +646,58 @@ struct Job {
     model: CostModel,
     search: Search,
     dealer: Dealer,
-    /// `PENDING` until the caller has priced the player's current
-    /// strategy, then that cost, which every candidate must strictly
-    /// beat, or `WITHDRAWN`. Stored with `Release`, loaded with
-    /// `Acquire`.
-    ceiling: AtomicU64,
+    /// The player's current cost, which every candidate must strictly
+    /// beat.
+    ceiling: u64,
     /// One slot per helper taking part (the pool's first
-    /// `reports.len()`): its find, or its panic.
-    reports: Vec<Mutex<Option<std::thread::Result<Found>>>>,
+    /// `reports.len()`): its share, or its panic.
+    reports: Vec<Mutex<Option<std::thread::Result<Share>>>>,
     /// Slots filled so far. Each helper adds with `Release` after its
     /// search and its report; the caller loads with `Acquire` before it
     /// reads any slot or merges the dealer's tallies.
     reported: AtomicUsize,
 }
 
-/// A split's search, which every engine runs below the ceiling on the
-/// slices it draws from the job's dealer: [`exact_job`] or
-/// [`swap_job`].
-type Search = fn(&mut DeviationScratch, &Realization, &Job, u64) -> Found;
+/// A split's search, which every engine runs on the slices it draws
+/// from the job's dealer: [`exact_job`] or [`sweep_job`].
+type Search = fn(&mut DeviationScratch, &Realization, &Job) -> Share;
 
-fn exact_job(engine: &mut DeviationScratch, r: &Realization, job: &Job, ceiling: u64) -> Found {
-    let slices = &mut &job.dealer;
-    exact_best_over(engine, r, job.player, job.model, ceiling, slices)
+/// What one engine's share of a split produced.
+enum Share {
+    /// The exact search's find below the ceiling in the slices the
+    /// engine drew.
+    Exact(Found),
+    /// The sweep's accumulations over the sources the engine drew.
+    Sweep(SweepPart),
 }
 
-fn swap_job(engine: &mut DeviationScratch, r: &Realization, job: &Job, ceiling: u64) -> Found {
+fn exact_job(engine: &mut DeviationScratch, r: &Realization, job: &Job) -> Share {
     let slices = &mut &job.dealer;
-    best_swap_over(engine, r, job.player, job.model, ceiling, slices)
+    Share::Exact(exact_best_over(
+        engine,
+        r,
+        job.player,
+        job.model,
+        job.ceiling,
+        slices,
+    ))
 }
 
-/// A helper thread's life: take each job posted for it, open the
-/// session while the caller prices the current strategy, search below
-/// the ceiling, report — until the pool stops. Its engine is built at
-/// its first job, and built again after a panic.
+/// The swap sweep over the sources the engine draws; the caller merges
+/// every engine's part and decides.
+fn sweep_job(engine: &mut DeviationScratch, r: &Realization, job: &Job) -> Share {
+    engine.begin(r, job.player, job.model);
+    engine.sweep_open();
+    let mut slices = &job.dealer;
+    while let Some((_, sources)) = slices.next() {
+        engine.sweep_run(sources);
+    }
+    Share::Sweep(engine.sweep_part())
+}
+
+/// A helper thread's life: take each job posted for it, run the job's
+/// search on its own engine, report — until the pool stops. Its engine
+/// is built at its first job, and built again after a panic.
 fn serve(board: &Board, index: usize, state: &RwLock<Realization>, kernel: CostKernel) {
     let mut engine = None;
     let mut taken = 0;
@@ -696,24 +706,18 @@ fn serve(board: &Board, index: usize, state: &RwLock<Realization>, kernel: CostK
         let Some(report) = job.reports.get(index) else {
             continue; // a job with fewer slices than the pool has engines
         };
-        let find = catch_unwind(AssertUnwindSafe(|| {
+        let share = catch_unwind(AssertUnwindSafe(|| {
             let state = state
                 .read()
                 .expect("only a panic mid-move poisons the profile, and it ends the run");
             let engine =
                 engine.get_or_insert_with(|| DeviationScratch::with_kernel(&state, kernel));
-            // Open the whole session while the caller prices the current
-            // strategy: the first kernel call builds the component
-            // labelling and, under sparse, runs the base BFS.
-            engine.begin(&state, job.player, job.model);
-            engine.candidate_lower_bound(state.strategy(job.player));
-            let ceiling = board.ceiling(&job)?;
-            (job.search)(engine, &state, &job, ceiling)
+            (job.search)(engine, &state, &job)
         }));
-        if find.is_err() {
+        if share.is_err() {
             engine = None;
         }
-        *report.lock().unwrap_or_else(PoisonError::into_inner) = Some(find);
+        *report.lock().unwrap_or_else(PoisonError::into_inner) = Some(share);
         if job.reported.fetch_add(1, Ordering::Release) + 1 == job.reports.len() {
             board.caller.unpark();
         }
@@ -767,12 +771,12 @@ impl Dealer {
         }
     }
 
-    /// Fold the engines' finds: the least cost wins and ties go to the
-    /// earlier slice — the first least-cost candidate in enumeration
-    /// order, exactly what the sequential search returns. Everything
-    /// examined in slices after the floor slice lay past the proven
-    /// optimum — work the sequential search never does — and counts as
-    /// discarded.
+    /// Fold the exact search's finds: the least cost wins and ties go
+    /// to the earlier slice — the first least-cost candidate in
+    /// enumeration order, exactly what the sequential search returns.
+    /// Everything examined in slices after the floor slice lay past the
+    /// proven optimum — work the sequential search never does — and
+    /// counts as discarded.
     fn merge(&self, found: Vec<Found>) -> Option<ScoredStrategy> {
         let best = found
             .into_iter()
@@ -786,7 +790,6 @@ impl Dealer {
             .skip(floor.saturating_add(1))
             .map(|e| e.load(Ordering::Relaxed))
             .sum();
-        bbncg_obs::counter_inc(Counter::RoundsEvals);
         bbncg_obs::counter_add(Counter::RoundsDiscards, discarded);
         best
     }
@@ -1044,7 +1047,7 @@ mod tests {
     /// Player 0 owns arcs to 1 and 2 of a 16-cycle whose vertices each
     /// own the arc to their successor. Two targets 7, 8 or 9 steps
     /// apart are 0's SUM optimum, so equal-cost optima lie in every
-    /// slice of both searches.
+    /// slice of the exact search, cut in two or in three.
     fn chorded_cycle() -> Realization {
         let mut arcs = vec![(0, 1), (0, 2)];
         arcs.extend((1..=16).map(|i| (i, i % 16 + 1)));
@@ -1055,10 +1058,6 @@ mod tests {
 
     fn exact(e: &mut DeviationScratch, r: &Realization, ceiling: u64, s: &mut Scripted) -> Found {
         exact_best_over(e, r, NodeId::new(0), CostModel::Sum, ceiling, s)
-    }
-
-    fn swap(e: &mut DeviationScratch, r: &Realization, ceiling: u64, s: &mut Scripted) -> Found {
-        best_swap_over(e, r, NodeId::new(0), CostModel::Sum, ceiling, s)
     }
 
     /// One two-engine split replayed on one thread: engine B prices
@@ -1107,20 +1106,17 @@ mod tests {
         let u = NodeId::new(0);
         for kernel in [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse] {
             let mut whole = DeviationScratch::with_kernel(&r, kernel);
-            let exact_whole = exact_best_improvement(&mut whole, &r, u, CostModel::Sum);
-            let swap_whole = best_swap_improvement(&mut whole, &r, u, CostModel::Sum);
+            let whole = exact_best_improvement(&mut whole, &r, u, CostModel::Sum);
+            // Two slices, and three, where engine B prices two slices in
+            // turn and finds its optimum in the first of them.
             let cases = [
-                (
-                    "exact",
-                    lead_ranges(16, 2, 2),
-                    exact as ScriptedSearch,
-                    exact_whole,
-                ),
-                ("swap", even_ranges(2 * 17, 2), swap, swap_whole),
+                ("two slices", lead_ranges(16, 2, 2)),
+                ("three slices", lead_ranges(16, 2, 3)),
             ];
-            for (name, ranges, search, whole) in cases {
+            for (name, ranges) in cases {
+                let search = exact as ScriptedSearch;
                 let ctx = format!("{name} on {kernel:?}");
-                let whole = whole.expect("player 0 can improve");
+                let whole = whole.clone().expect("player 0 can improve");
                 let shared = replay(kernel, &ranges, search, true);
                 let alone = replay(kernel, &ranges, search, false);
                 // B's find is a later optimum; A's earlier one ties the
@@ -1162,20 +1158,21 @@ mod tests {
                 let mut scratch = DeviationScratch::new(&r);
                 let mut shards = Shards::new(scope, &state, CostKernel::Auto, true);
                 let u = NodeId::new(0);
+                let current = current_cost(&mut scratch, &r, u, CostModel::Sum);
                 shards.split(
                     &mut scratch,
                     &r,
-                    u,
-                    CostModel::Sum,
+                    (u, CostModel::Sum),
                     even_ranges(8, 4),
-                    |_, _, job, _| {
+                    |_, _, job| {
                         let mut slices = &job.dealer;
                         while slices.next().is_some() {}
                         if !CALLER.get() {
                             panic!("helper gave up on player {}", job.player);
                         }
-                        None
+                        Share::Exact(None)
                     },
+                    current,
                 )
             })
         }))

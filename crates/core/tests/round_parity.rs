@@ -17,7 +17,9 @@
 //!
 //! The counter checks are exact: each expected count is the activations
 //! of a run minus those the engine's quiet memo skips, which follow
-//! from the reference trajectory's move positions ([`skipped`]).
+//! from the reference trajectory's move positions ([`skipped`],
+//! [`performed`]); a split also needs its player above the Lemma 2.2
+//! floor, which the reference reads off each profile it meets.
 
 use bbncg_core::dynamics::{
     run_dynamics_traced, run_dynamics_with_kernel, run_dynamics_with_scratch, DynamicsConfig,
@@ -147,12 +149,32 @@ fn round_robin_log(profiles: &[Realization]) -> Vec<(NodeId, bool)> {
         .collect()
 }
 
+/// Which activations of `reference` a fresh engine's quiet memo leaves
+/// to price: the player's last activation found a move, or somebody
+/// moved since.
+fn performed(reference: &Reference) -> impl Iterator<Item = (NodeId, bool)> + '_ {
+    let mut moves = 0u64;
+    let mut quiet = HashMap::new();
+    reference
+        .log
+        .iter()
+        .zip(&reference.floor)
+        .filter_map(move |(&(u, moved), &floor)| {
+            if moved {
+                moves += 1;
+                return Some((u, floor));
+            }
+            (quiet.insert(u, moves) != Some(moves)).then_some((u, floor))
+        })
+}
+
 /// Activations of a run over a unit-budget `initial` that the closed
 /// form settles, under either model: every activation of a one-arc
-/// player in the reference's rounds, except the exact and swap ones an
-/// explicit `Sharded` run splits onto the kernels (first-improving and
-/// greedy price on the caller's engine under every executor), minus
-/// the ones the quiet memo skips.
+/// player the quiet memo leaves to price, except the exact and swap ones
+/// an explicit `Sharded` run splits onto the kernels (first-improving
+/// and greedy price on the caller's engine under every executor). A
+/// split activation whose player sits at the Lemma 2.2 floor posts no
+/// job: the caller's engine settles it, in closed form.
 fn expected_closed_form(
     initial: &Realization,
     rule: ResponseRule,
@@ -160,20 +182,18 @@ fn expected_closed_form(
     reference: &Reference,
 ) -> u64 {
     let split = matches!(rule, ResponseRule::ExactBest | ResponseRule::BestSwap);
-    if executor == RoundExecutor::Sharded && split {
-        return 0;
-    }
     let one_arc = |u: NodeId| initial.graph().out_degree(u) == 1;
-    let owners = (0..initial.n())
-        .filter(|&u| one_arc(NodeId::new(u)))
-        .count();
-    (owners * reference.rounds) as u64 - skipped(&reference.log, one_arc)
+    let sharded = executor == RoundExecutor::Sharded && split;
+    performed(reference)
+        .filter(|&(u, floor)| one_arc(u) && (floor || !sharded))
+        .count() as u64
 }
 
 /// Activations an explicit-`Sharded` run splits: every exact or swap
-/// activation with two or more candidate slices (exact: at least two
-/// leading elements, `n − b ≥ 2`; swap: `b·n ≥ 2` pairs always split)
-/// in the reference's rounds, minus the ones the quiet memo skips.
+/// activation with two or more slices (exact: at least two leading
+/// elements, `n − b ≥ 2`; swap: `b·n ≥ 2` pairs always split) that the
+/// quiet memo leaves to price and whose player is above the Lemma 2.2
+/// floor (a player at the floor is settled before any job is posted).
 fn expected_splits(initial: &Realization, rule: ResponseRule, reference: &Reference) -> u64 {
     let n = initial.n();
     let splits = |u: NodeId| {
@@ -184,8 +204,27 @@ fn expected_splits(initial: &Realization, rule: ResponseRule, reference: &Refere
             _ => false,
         }
     };
-    let per_round = (0..n).filter(|&u| splits(NodeId::new(u))).count();
-    (per_round * reference.rounds) as u64 - skipped(&reference.log, splits)
+    performed(reference)
+        .filter(|&(u, floor)| splits(u) && !floor)
+        .count() as u64
+}
+
+/// Is `u`'s current cost at the Lemma 2.2 floor of its strategies: at
+/// most `b + distinct in-neighbours` vertices at distance 1, every other
+/// one at distance 2 or more?
+fn at_floor(r: &Realization, u: NodeId, model: CostModel) -> bool {
+    let n = r.n();
+    let b = r.strategy(u).len();
+    let distinct_in = (0..n)
+        .filter(|&v| r.strategy(NodeId::new(v)).contains(&u))
+        .count();
+    let near = (b + distinct_in).min(n - 1);
+    let floor = match model {
+        CostModel::Sum => (near + 2 * (n - 1 - near)) as u64,
+        CostModel::Max if near == n - 1 => 1,
+        CostModel::Max => 2,
+    };
+    rebuilt_cost(r, u, r.strategy(u), model) <= floor
 }
 
 /// Cost to `u` of playing `targets` (any length — the greedy rule
@@ -282,6 +321,9 @@ struct Reference {
     cycled: bool,
     /// Every activation in order: the player, and whether it moved.
     log: Vec<(NodeId, bool)>,
+    /// Per activation: the player's current cost sat at the Lemma 2.2
+    /// floor.
+    floor: Vec<bool>,
 }
 
 impl Reference {
@@ -305,7 +347,7 @@ fn reference_dynamics(initial: Realization, cfg: DynamicsConfig, rng: &mut StdRn
     let mut seen = vec![state.graph().clone()];
     let mut order: Vec<usize> = (0..n).collect();
     let (mut steps, mut rounds) = (0, 0);
-    let mut log = Vec::new();
+    let (mut log, mut floor) = (Vec::new(), Vec::new());
     let (converged, cycled) = loop {
         if rounds >= cfg.max_rounds {
             break (false, false);
@@ -316,6 +358,7 @@ fn reference_dynamics(initial: Realization, cfg: DynamicsConfig, rng: &mut StdRn
         let mut moves = 0;
         for &i in &order {
             let u = NodeId::new(i);
+            floor.push(!state.strategy(u).is_empty() && at_floor(&state, u, cfg.model));
             let reply = reference_response(&state, u, cfg.rule, cfg.model);
             log.push((u, reply.is_some()));
             if let Some(targets) = reply {
@@ -342,6 +385,7 @@ fn reference_dynamics(initial: Realization, cfg: DynamicsConfig, rng: &mut StdRn
         converged,
         cycled,
         log,
+        floor,
     }
 }
 
@@ -571,6 +615,48 @@ fn closed_form_trajectory_matches_the_rebuild_reference() {
             "{kernel}: every activation the memo left priced in closed form"
         );
         assert_eq!(skips() - skips_before, memo_skips, "{kernel}: skips");
+    }
+}
+
+/// A player whose current cost sits at the Lemma 2.2 floor posts no
+/// split: on a profile where everyone does — the complete graph on nine
+/// vertices, each player owning the arcs to the next four — an
+/// explicit-`Sharded` round opens exactly one session per player, the
+/// caller's, and no helper opens any.
+#[test]
+fn players_at_the_floor_post_no_split() {
+    let _lock = counting();
+    let n = 9;
+    let arcs: Vec<(usize, usize)> = (0..n)
+        .flat_map(|u| (1..=4).map(move |k| (u, (u + k) % n)))
+        .collect();
+    let initial = Realization::new(OwnedDigraph::from_arcs(n, &arcs));
+    for model in CostModel::ALL {
+        for rule in [ResponseRule::ExactBest, ResponseRule::BestSwap] {
+            let cfg = DynamicsConfig {
+                rule,
+                ..DynamicsConfig::exact(model, 1)
+            }
+            .with_executor(RoundExecutor::Sharded);
+            for kernel in KERNELS {
+                let sessions = bbncg_obs::counter_value(Counter::KernelSessions);
+                let splits = sharded_activations();
+                let run = run_dynamics_with_kernel(
+                    initial.clone(),
+                    cfg,
+                    &mut StdRng::seed_from_u64(0),
+                    kernel,
+                );
+                let ctx = format!("{model:?} {rule:?} {kernel}");
+                assert!(run.converged && run.steps == 0, "{ctx}");
+                assert_eq!(sharded_activations() - splits, 0, "{ctx}");
+                assert_eq!(
+                    bbncg_obs::counter_value(Counter::KernelSessions) - sessions,
+                    n as u64,
+                    "{ctx}: sessions"
+                );
+            }
+        }
     }
 }
 

@@ -226,6 +226,13 @@ catalogue! {
             /// form (SUM or MAX) priced in one pass, with no kernel traversal.
             ClosedFormActivations,
         }
+        bbncg_swap_sweeps_total:
+            "Swap searches priced by one sweep instead of per-candidate pricing" {
+            /// Best-swap activations whose (slot, target) costs the swap
+            /// sweep derived from one bounded BFS per vertex, with no
+            /// per-candidate kernel traversal.
+            SwapSweeps,
+        }
         bbncg_rounds_evals_total: "Activations split across sharded pricing engines" {
             /// Activations the sharded round executor split across engines.
             RoundsEvals,

@@ -6,7 +6,11 @@
 //! for the grammar and `examples/scenarios/` for working files.
 
 use crate::toml::{self, SpecError, TomlTable, Value};
-use bbncg_core::{CostKernel, CostModel, DynamicsConfig, PlayerOrder, ResponseRule, RoundExecutor};
+use bbncg_core::oracle::enumeration_count;
+use bbncg_core::{
+    CostKernel, CostModel, DynamicsConfig, PlayerOrder, ResponseRule, RoundExecutor,
+    MAX_EXACT_CANDIDATES,
+};
 use bbncg_graph::generators::{family_size, MAX_ARCS, MAX_VERTICES};
 use std::collections::HashSet;
 
@@ -229,6 +233,86 @@ fn grow((v, a): (usize, usize), phase: &PhaseSpec) -> (usize, usize) {
         }
         _ => (v, a),
     }
+}
+
+/// Refuse a run whose exact search cannot start. Under the exact and
+/// better rules (and in the directed variant, which always searches
+/// exactly) a player owning `b` arcs among `n` vertices faces
+/// `C(n − 1, b)` candidate strategies, and the search refuses more than
+/// [`MAX_EXACT_CANDIDATES`]. Checked: the initial profile's players
+/// (inline arc lists and random budget vectors; the other families
+/// give each player at most a few arcs) and each arrival's budget,
+/// whenever a later dynamics phase searches exactly. A `reorient` or
+/// budget-shock phase can still hand one player many arcs mid-run; such
+/// a run stops with the search's panic, and a served job ends `failed`.
+fn check_exact_searches(
+    init: &InitSpec,
+    init_line: usize,
+    phases: &[PhaseSpec],
+    tables: &[&TomlTable],
+    defaults: &DynamicsConfig,
+    variant: Variant,
+) -> Result<(), SpecError> {
+    // The exact search runs in some dynamics phase at index ≥ p.
+    let exact_at = |p: usize| {
+        phases[p..].iter().any(|phase| match phase {
+            PhaseSpec::Dynamics { rule, .. } => {
+                variant == Variant::Directed
+                    || matches!(
+                        rule.unwrap_or(defaults.rule),
+                        ResponseRule::ExactBest | ResponseRule::FirstImproving
+                    )
+            }
+            _ => false,
+        })
+    };
+    let refuse = |line: usize, who: String, n: usize, b: usize| {
+        let count = enumeration_count(n.saturating_sub(1), b);
+        if count <= MAX_EXACT_CANDIDATES {
+            return Ok(());
+        }
+        Err(SpecError::at(
+            line,
+            format!(
+                "{who} owns {b} arcs among {n} vertices: the exact search would enumerate \
+                 {count} candidates, over the cap of {MAX_EXACT_CANDIDATES} \
+                 (use rule = \"swap\" or \"greedy\")"
+            ),
+        ))
+    };
+    if exact_at(0) {
+        match init {
+            InitSpec::Inline { n, arcs } => {
+                let mut owned = vec![0usize; *n];
+                arcs.iter().for_each(|&(u, _)| owned[u] += 1);
+                for (u, &b) in owned.iter().enumerate() {
+                    refuse(init_line, format!("[init] player {u}"), *n, b)?;
+                }
+            }
+            InitSpec::Family { family, params } if family == "random" => {
+                for (u, &b) in params.iter().enumerate() {
+                    refuse(init_line, format!("[init] player {u}"), params.len(), b)?;
+                }
+            }
+            InitSpec::Family { .. } => {}
+        }
+    }
+    let mut vertices = init_size(init).0;
+    for (p, (phase, table)) in phases.iter().zip(tables).enumerate() {
+        if let PhaseSpec::Arrive { count, budget } = phase {
+            vertices = vertices.saturating_add(*count);
+            if exact_at(p + 1) {
+                let b = (*budget).min(vertices.saturating_sub(1));
+                refuse(
+                    table.line,
+                    "[[phase]] arrive: each arrival".into(),
+                    vertices,
+                    b,
+                )?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Refuse a run whose peak size is over the vertex or arc cap.
@@ -707,6 +791,14 @@ pub fn parse_spec(text: &str) -> Result<ScenarioSpec, SpecError> {
     }
     check_sweep(sc.line, seeds, peak)?;
     check_kernel(dy.line, kernel, peak)?;
+    check_exact_searches(
+        &init,
+        init_table.line,
+        &phases,
+        &phase_tables,
+        &defaults,
+        variant,
+    )?;
 
     Ok(ScenarioSpec {
         name,
@@ -753,6 +845,73 @@ budget = 1
 kind = "dynamics"
 rounds = 50
 "#;
+
+    /// An inline n = 40 ring in which player 0 also owns the arcs to
+    /// `1..=b`, under `rule`, with `extra` phases after the dynamics.
+    fn hub_spec(b: usize, rule: &str, extra: &str) -> String {
+        let mut arcs: Vec<String> = (1..=b).map(|v| format!("[0, {v}]")).collect();
+        arcs.extend((1..40).map(|v| format!("[{v}, {}]", (v + 1) % 40)));
+        format!(
+            "[init]\nfamily = \"inline\"\nn = 40\narcs = [{}]\n[dynamics]\nrule = \"{rule}\"\n\
+             [[phase]]\nkind = \"dynamics\"\n{extra}",
+            arcs.join(", ")
+        )
+    }
+
+    #[test]
+    fn refuses_players_the_exact_search_cannot_price() {
+        // C(39, 20) ≈ 6.9·10¹⁰ candidates, under either enumerating rule.
+        for rule in ["exact", "better"] {
+            let e = parse_spec(&hub_spec(20, rule, "")).unwrap_err();
+            assert_eq!(e.line, 1, "{e}");
+            assert!(
+                e.msg.contains("player 0 owns 20 arcs among 40 vertices"),
+                "{e}"
+            );
+            assert!(e.msg.contains("68923264410 candidates"), "{e}");
+        }
+        // C(39, 7) ≈ 1.5·10⁷ is under the cap; the swap and greedy
+        // rules never enumerate.
+        parse_spec(&hub_spec(7, "exact", "")).unwrap();
+        parse_spec(&hub_spec(20, "swap", "")).unwrap();
+        parse_spec(&hub_spec(20, "greedy", "")).unwrap();
+        // A later phase that searches exactly is enough; so is the
+        // directed variant, which always does.
+        let later = "[[phase]]\nkind = \"dynamics\"\nrule = \"exact\"\n";
+        assert!(parse_spec(&hub_spec(20, "swap", later)).is_err());
+        let directed = hub_spec(20, "swap", "")
+            .replace("[dynamics]\n", "[dynamics]\nvariant = \"directed\"\n");
+        assert!(parse_spec(&directed).is_err());
+        // A random budget vector names its player too.
+        let mut budgets = vec!["1"; 40];
+        budgets[3] = "25";
+        let random = format!(
+            "[init]\nfamily = \"random\"\nbudgets = [{}]\n[[phase]]\nkind = \"dynamics\"\n",
+            budgets.join(", ")
+        );
+        let e = parse_spec(&random).unwrap_err();
+        assert!(e.msg.contains("player 3 owns 25 arcs"), "{e}");
+    }
+
+    #[test]
+    fn refuses_arrivals_the_exact_search_cannot_price() {
+        let arrive = |budget: usize, after: &str| {
+            format!(
+                "[init]\nfamily = \"uniform\"\nn = 30\nbudget = 1\n[dynamics]\nrule = \"swap\"\n\
+                 [[phase]]\nkind = \"arrive\"\ncount = 10\nbudget = {budget}\n\
+                 [[phase]]\nkind = \"dynamics\"\nrule = \"{after}\"\n"
+            )
+        };
+        let e = parse_spec(&arrive(20, "exact")).unwrap_err();
+        assert_eq!(e.line, 7, "{e}");
+        assert!(
+            e.msg
+                .contains("each arrival owns 20 arcs among 40 vertices"),
+            "{e}"
+        );
+        parse_spec(&arrive(20, "swap")).unwrap();
+        parse_spec(&arrive(3, "exact")).unwrap();
+    }
 
     #[test]
     fn parses_a_full_spec() {

@@ -74,9 +74,20 @@ fn vertex_and_arc_caps_are_exact() {
     parse_spec(&uniform(MAX_VERTICES, 1, "")).unwrap();
     let err = parse_spec(&uniform(MAX_VERTICES + 1, 1, "")).unwrap_err();
     assert!(err.msg.contains("vertex cap"), "{err}");
-    parse_spec(&uniform(MAX_ARCS / 8, 8, "")).unwrap();
-    let err = parse_spec(&uniform(MAX_ARCS / 8 + 1, 8, "")).unwrap_err();
+    // Eight arcs per player: under the default exact rule such a player
+    // faces C(n − 1, 8) candidates, which `parse_spec` refuses on its
+    // own, so the arc cap is probed under the swap rule.
+    let swap = |n: usize| {
+        uniform(n, 8, "").replace("[[phase]]", "[dynamics]\nrule = \"swap\"\n\n[[phase]]")
+    };
+    parse_spec(&swap(MAX_ARCS / 8)).unwrap();
+    let err = parse_spec(&swap(MAX_ARCS / 8 + 1)).unwrap_err();
     assert!(err.msg.contains("arc cap"), "{err}");
+    let err = parse_spec(&uniform(MAX_ARCS / 8, 8, "")).unwrap_err();
+    assert!(
+        err.msg.contains("the exact search would enumerate"),
+        "{err}"
+    );
 }
 
 #[test]
