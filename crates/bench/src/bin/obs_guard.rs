@@ -91,14 +91,8 @@ fn child(enabled: bool, n: usize, cap: usize) {
         bbncg_obs::enable();
     }
     let (steps, sps) = pass(n, cap);
-    let priced: u64 = [
-        Counter::KernelPricedQueue,
-        Counter::KernelPricedBitset,
-        Counter::KernelPricedSparse,
-    ]
-    .into_iter()
-    .map(bbncg_obs::counter_value)
-    .sum();
+    let priced = bbncg_obs::counter_value(Counter::KernelPricedBitset)
+        + bbncg_obs::counter_value(Counter::KernelPricedSparse);
     if enabled {
         let closed_form = bbncg_obs::counter_value(Counter::ClosedFormActivations);
         assert!(

@@ -138,9 +138,9 @@ fn parse_model(args: &Args) -> Result<CostModel, String> {
     }
 }
 
-/// `--kernel queue|bitset|sparse|auto` (default auto). Kernels are
-/// move-for-move equivalent, so this never changes a report — only how
-/// fast it is produced.
+/// `--kernel bitset|sparse|auto` (default auto; the retired `queue`
+/// reads as auto). Kernels are move-for-move equivalent, so this never
+/// changes a report — only how fast it is produced.
 fn parse_kernel(args: &Args) -> Result<CostKernel, String> {
     match args.get("kernel") {
         None => Ok(CostKernel::Auto),
@@ -942,19 +942,19 @@ USAGE: bbncg <COMMAND> [ARGS]
 
 COMMANDS:
   construct       --budgets 1,1,2,0 | --spider K | --btree H | --shift K
-  verify          FILE [--model sum|max] [--swap|--audit] [--kernel queue|bitset|sparse|auto]
+  verify          FILE [--model sum|max] [--swap|--audit] [--kernel bitset|sparse|auto]
                   [--rounds sequential|sharded|auto]
   best-response   FILE --player I [--model sum|max] [--rule exact|greedy|swap]
   dynamics        [FILE] --budgets LIST [--model sum|max] [--seed S]
                   [--rule exact|better|greedy|swap] [--order rr|random]
                   [--rounds N] [--rounds sequential|sharded|auto]
-                  [--emit profile] [--kernel queue|bitset|sparse|auto]
+                  [--emit profile] [--kernel bitset|sparse|auto]
   analyze         FILE
   exact-poa       --budgets LIST [--model sum|max] [--limit N]
   scenario        run SPEC [--seed S] [--out FILE] [--checkpoint FILE] [--stop-after K]
                   | resume SPEC --checkpoint FILE [--out FILE]
                   | validate SPEC...
-                  (all: [--kernel queue|bitset|sparse|auto] [--rounds MODE], overriding the spec)
+                  (all: [--kernel bitset|sparse|auto] [--rounds MODE], overriding the spec)
   report          SPEC [--out FILE] [--from FILE] [--seed S] [--dry-run]
                   | --from FILE [--out FILE]  (default stream report, no spec)
   serve           [--addr HOST:PORT] [--queue N] [--checkpoint-dir DIR] [--rounds MODE]
@@ -968,9 +968,11 @@ COMMANDS:
 Profiles use the plain-text `bbncg v1` format; FILE may be `-` (stdin).
 Dynamics and scenarios are seed-deterministic: identical seeds (and
 specs) produce identical reports, metric records and final profiles.
---kernel picks the BFS machinery pricing candidate deviations (word-
-parallel bitset vs queue; auto picks by instance size). Kernels are
-move-for-move equivalent: they never change a result, only throughput.
+--kernel picks the machinery pricing candidate deviations (word-
+parallel bitset BFS vs incremental sparse SSSP repair; auto picks
+bitset up to 6144 vertices, sparse above; the retired name queue
+means auto). Kernels are move-for-move equivalent: they never change
+a result, only throughput.
 --rounds (mode form) picks the round executor: sharded rounds split
 each activation's candidate space (exact subsets, swap pairs) across
 worker engines and merge the slice optima; they are step-identical to
@@ -1153,17 +1155,18 @@ mod tests {
     fn kernel_flag_is_report_invariant() {
         // The same dynamics command under each kernel: identical
         // reports and identical emitted profiles (kernels are
-        // move-for-move equivalent). "auto" and a bad value parse/fail
-        // as expected, on verify too.
+        // move-for-move equivalent; the retired "queue" reads as auto).
+        // "auto" and a bad value parse/fail as expected, on verify too.
         let base = ["dynamics", "--budgets", "1,1,1,1,1,1", "--seed", "11"];
         let mut outs = Vec::new();
-        for kernel in ["queue", "bitset", "auto"] {
+        for kernel in ["sparse", "bitset", "auto", "queue"] {
             let mut line: Vec<&str> = base.to_vec();
             line.extend(["--kernel", kernel, "--emit", "profile"]);
             outs.push(run(&line).unwrap());
         }
-        assert_eq!(outs[0], outs[1], "queue vs bitset");
-        assert_eq!(outs[0], outs[2], "queue vs auto");
+        assert_eq!(outs[0], outs[1], "sparse vs bitset");
+        assert_eq!(outs[0], outs[2], "sparse vs auto");
+        assert_eq!(outs[3], outs[2], "queue vs auto");
         assert!(run(&["dynamics", "--budgets", "1,1", "--kernel", "warp"])
             .unwrap_err()
             .contains("unknown kernel"));
@@ -1171,10 +1174,10 @@ mod tests {
         let profile = run(&["construct", "--budgets", "1,1,2,0"]).unwrap();
         let path = std::env::temp_dir().join("bbncg_cli_test_kernel.bbncg");
         std::fs::write(&path, &profile).unwrap();
-        let q = run(&["verify", path.to_str().unwrap(), "--kernel", "queue"]).unwrap();
+        let s = run(&["verify", path.to_str().unwrap(), "--kernel", "sparse"]).unwrap();
         let b = run(&["verify", path.to_str().unwrap(), "--kernel", "bitset"]).unwrap();
-        assert_eq!(q, b);
-        assert!(q.contains("Nash equilibrium (SUM) = true"), "{q}");
+        assert_eq!(s, b);
+        assert!(s.contains("Nash equilibrium (SUM) = true"), "{s}");
         std::fs::remove_file(&path).ok();
     }
 

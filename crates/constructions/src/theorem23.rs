@@ -354,7 +354,7 @@ mod tests {
             c.realization.social_diameter(),
             c.diameter_bound
         );
-        for kernel in [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse] {
+        for kernel in [CostKernel::Bitset, CostKernel::Sparse] {
             for model in CostModel::ALL {
                 assert!(
                     is_nash_equilibrium_with_kernel(&c.realization, model, kernel),

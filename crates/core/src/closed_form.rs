@@ -708,7 +708,7 @@ mod tests {
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
-    const KERNELS: [CostKernel; 3] = [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse];
+    const KERNELS: [CostKernel; 2] = [CostKernel::Bitset, CostKernel::Sparse];
 
     /// A random profile with every budget 0 or 1: about one player in
     /// six owns nothing (roots of tree components, pendants when some
@@ -777,7 +777,7 @@ mod tests {
     }
 
     /// `start` after round-robin exact dynamics under `model` (at most
-    /// 200 rounds), priced on the queue kernel.
+    /// 200 rounds), priced on the bitset kernel.
     fn converge(start: &Realization, model: CostModel) -> Realization {
         let cfg = DynamicsConfig {
             order: PlayerOrder::RoundRobin,
@@ -786,7 +786,7 @@ mod tests {
         }
         .with_executor(RoundExecutor::Sequential);
         let mut rng = StdRng::seed_from_u64(0);
-        run_dynamics_with_kernel(start.clone(), cfg, &mut rng, CostKernel::Queue).state
+        run_dynamics_with_kernel(start.clone(), cfg, &mut rng, CostKernel::Bitset).state
     }
 
     /// A random pseudoforest on `n ≥ 1` vertices with `parts` components

@@ -16,7 +16,11 @@
 //!   version of the [`Realization`] its mirror holds, so it finds the diff
 //!   without comparing strategies when the profile is the same or one
 //!   move further on;
-//! * a [`BfsScratch`] reused by every candidate BFS;
+//! * a [`BfsScratch`] for the component labelling of the detached
+//!   graph;
+//! * under the bitset kernel, a [`BitAdjacency`] mirror of the CSR,
+//!   patched through the same diffs, and the [`BitBfsScratch`] that
+//!   prices every candidate on it;
 //! * under the sparse kernel, a [`SparseSssp`]: one base BFS per
 //!   session that prices on the kernel, then one bounded decrease-only
 //!   repair per candidate. No distance state survives the session;
@@ -149,12 +153,14 @@ pub struct DeviationScratch {
     compared: u64,
     /// In-place-editable undirected view of `mirror`.
     patch: CompactCsr,
+    /// Labels the detached graph's components.
     bfs: BfsScratch,
     /// The kernel the caller asked for (`Auto` re-resolves when the
     /// engine is rebuilt for a different instance size).
     kernel: CostKernel,
-    /// The concrete kernel `kernel` resolved to for this `n`; `Sparse`
-    /// gates the rebase, bounded pricing and landmark bounds.
+    /// The concrete kernel `kernel` resolved to for this `n`, bitset or
+    /// sparse; `Sparse` gates the rebase, bounded pricing and landmark
+    /// bounds.
     resolved: CostKernel,
     /// Word-parallel presence mirror of `patch`, maintained through the
     /// same strategy diffs; `Some` iff the resolved kernel is `Bitset`.
@@ -308,21 +314,17 @@ impl DeviationScratch {
         if !bbncg_obs::enabled() {
             return;
         }
+        // `resolved` is never `Auto`: bitset unless sparse.
         let (priced, skips, aborts) = match self.resolved {
-            CostKernel::Bitset => (
-                Counter::KernelPricedBitset,
-                Counter::KernelPruneSkipBitset,
-                Counter::KernelPruneAbortBitset,
-            ),
             CostKernel::Sparse => (
                 Counter::KernelPricedSparse,
                 Counter::KernelPruneSkipSparse,
                 Counter::KernelPruneAbortSparse,
             ),
             _ => (
-                Counter::KernelPricedQueue,
-                Counter::KernelPruneSkipQueue,
-                Counter::KernelPruneAbortQueue,
+                Counter::KernelPricedBitset,
+                Counter::KernelPruneSkipBitset,
+                Counter::KernelPruneAbortBitset,
             ),
         };
         bbncg_obs::counter_add(priced, t.priced);
@@ -654,8 +656,8 @@ impl DeviationScratch {
     }
 
     /// The active player's current cost, priced as [`Self::cost_of`]
-    /// prices it, except that a SUM price on the queue or bitset kernel
-    /// — which needs neither `κ` nor a sparse base — builds none of the
+    /// prices it, except that a SUM price on the bitset kernel — which
+    /// needs neither `κ` nor a sparse base — builds none of the
     /// session's kernel state: the sweep reads the component labelling
     /// only when some base misses a vertex (see [`Self::sweep_best`]).
     pub(crate) fn sweep_current_cost(&mut self) -> u64 {
@@ -665,7 +667,7 @@ impl DeviationScratch {
         current.extend_from_slice(self.mirror.out(u));
         let cost = match (self.memo_current, model, self.resolved) {
             (Some(cost), _, _) => cost,
-            (None, CostModel::Sum, CostKernel::Queue | CostKernel::Bitset) => {
+            (None, CostModel::Sum, CostKernel::Bitset) => {
                 let cost = self.cost_with_kappa(&current, 1);
                 self.memo_current = Some(cost);
                 cost
@@ -753,12 +755,12 @@ impl DeviationScratch {
     fn cost_with_kappa(&mut self, targets: &[NodeId], kappa: usize) -> u64 {
         let (u, model) = self.active.expect("no deviation session open");
         self.tally.priced += 1;
-        let stats = match (self.resolved, &self.bits) {
+        // The bit mirror exists exactly when the kernel is bitset.
+        let stats = match &self.bits {
+            Some(bits) => self.bitbfs.run_patched(bits, u, u, targets),
             // Sparse: decrease-only repair of the session's base
             // profile — cost ∝ improved region, not n.
-            (CostKernel::Sparse, _) => self.sssp.price(&self.patch, u, targets),
-            (_, Some(bits)) => self.bitbfs.run_patched(bits, u, u, targets),
-            (_, None) => self.bfs.run_patched(&self.patch, u, u, targets),
+            None => self.sssp.price(&self.patch, u, targets),
         };
         cost_from_bfs(
             model,
@@ -805,11 +807,11 @@ impl DeviationScratch {
     /// Kernel-dispatched pricing with an incumbent abort: the exact
     /// cost, or `None` once the traversal proves the cost meets
     /// `incumbent`. The incumbent becomes one [`PriceBudget`] on the
-    /// traversal's own statistics — every kernel aborts on the same
-    /// budget: the queue and bitset BFS at the first completed level
-    /// that proves it, the sparse repair mid-level (with its sharper
-    /// degree-spill and slack bounds). κ and the reachable count come
-    /// from the caller's bound, so the merge stats are computed once.
+    /// traversal's own statistics — both kernels abort on the same
+    /// budget: the bitset BFS at the first completed level that proves
+    /// it, the sparse repair mid-level (with its sharper degree-spill
+    /// and slack bounds). κ and the reachable count come from the
+    /// caller's bound, so the merge stats are computed once.
     fn cost_bounded(
         &mut self,
         targets: &[NodeId],
@@ -842,14 +844,11 @@ impl DeviationScratch {
                 need_max: true,
             },
         };
-        let stats = match (self.resolved, &self.bits) {
-            (CostKernel::Sparse, _) => self.sssp.price_bounded(&self.patch, u, targets, &budget)?,
-            (_, Some(bits)) => self
+        let stats = match &self.bits {
+            Some(bits) => self
                 .bitbfs
                 .run_patched_bounded(bits, u, u, targets, &budget)?,
-            (_, None) => self
-                .bfs
-                .run_patched_bounded(&self.patch, u, u, targets, &budget)?,
+            None => self.sssp.price_bounded(&self.patch, u, targets, &budget)?,
         };
         Some(cost_from_bfs(
             model,
@@ -1117,27 +1116,27 @@ mod tests {
 
     #[test]
     fn bitset_kernel_prices_identically() {
-        // Forced bitset kernel on a small instance (Auto would pick
-        // queue here): every candidate's cost matches the queue kernel
-        // and the full recompute, including across components.
+        // Bitset on a small instance, where Auto picks it too: every
+        // candidate's cost matches the sparse kernel and the full
+        // recompute, including across components.
         let g = OwnedDigraph::from_arcs(5, &[(0, 1), (1, 2), (3, 4)]);
         let r = Realization::new(g);
-        let mut queue = DeviationScratch::with_kernel(&r, CostKernel::Queue);
-        let mut bitset = DeviationScratch::with_kernel(&r, CostKernel::Bitset);
-        assert_eq!(queue.resolved_kernel(), CostKernel::Queue);
+        let mut bitset = DeviationScratch::new(&r);
+        let mut sparse = DeviationScratch::with_kernel(&r, CostKernel::Sparse);
         assert_eq!(bitset.resolved_kernel(), CostKernel::Bitset);
+        assert_eq!(sparse.resolved_kernel(), CostKernel::Sparse);
         for model in CostModel::ALL {
             for u in 0..5 {
                 let u = v(u);
                 if r.graph().out_degree(u) != 1 {
                     continue;
                 }
-                queue.begin(&r, u, model);
                 bitset.begin(&r, u, model);
+                sparse.begin(&r, u, model);
                 for t in (0..5).filter(|&t| t != u.index()) {
                     let want = r.with_strategy(u, vec![v(t)]).cost(u, model);
-                    assert_eq!(queue.cost_of(&[v(t)]), want, "queue {u}->{t} {model:?}");
                     assert_eq!(bitset.cost_of(&[v(t)]), want, "bitset {u}->{t} {model:?}");
+                    assert_eq!(sparse.cost_of(&[v(t)]), want, "sparse {u}->{t} {model:?}");
                 }
             }
         }
@@ -1178,7 +1177,7 @@ mod tests {
         // below every candidate's true cost.
         let g = OwnedDigraph::from_arcs(6, &[(0, 1), (1, 2), (3, 4)]);
         let r = Realization::new(g);
-        for kernel in [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse] {
+        for kernel in [CostKernel::Bitset, CostKernel::Sparse] {
             let mut scratch = DeviationScratch::with_kernel(&r, kernel);
             for model in CostModel::ALL {
                 for u in 0..6 {
@@ -1221,7 +1220,7 @@ mod tests {
     #[test]
     fn sparse_kernel_prices_identically() {
         // Forced sparse kernel on a small instance (Auto would pick
-        // queue here): every candidate's cost matches the full
+        // bitset here): every candidate's cost matches the full
         // recompute across components, moves and both models, with the
         // incremental base surviving diff-synced moves.
         let g = OwnedDigraph::from_arcs(6, &[(0, 1), (1, 2), (2, 3), (4, 5)]);
@@ -1269,9 +1268,9 @@ mod tests {
     /// session is, in turn, `cost_of` on a non-current target,
     /// `cost_of_pruned` and `candidate_lower_bound` — in unit sessions
     /// also after the closed form. Whichever call builds the
-    /// session's kernel state, every price equals a fresh queue
-    /// engine's; `begin` and the closed form build none of it, and no
-    /// later call builds it again. One engine runs every session of a
+    /// session's kernel state, every price equals the full recompute;
+    /// `begin` and the closed form build none of it, and no later call
+    /// builds it again. One engine runs every session of a
     /// case, so state a session failed to build would be the previous
     /// player's.
     #[test]
@@ -1284,18 +1283,19 @@ mod tests {
             OwnedDigraph::from_arcs(7, &[(0, 1), (0, 2), (3, 4), (4, 5), (6, 5)]),
         ];
         for r in profiles.map(Realization::new) {
-            for kernel in [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse] {
+            for kernel in [CostKernel::Bitset, CostKernel::Sparse] {
                 for model in CostModel::ALL {
                     // `first % 3` picks the first kernel call; `first ≥ 3`
                     // runs the closed form before it.
                     for first in 0..6 {
                         let mut scratch = DeviationScratch::with_kernel(&r, kernel);
                         for u in (0..r.n()).map(v).filter(|&u| r.graph().out_degree(u) > 0) {
-                            let mut fresh = DeviationScratch::with_kernel(&r, CostKernel::Queue);
-                            fresh.begin(&r, u, model);
+                            let recompute = |cand: &Vec<NodeId>| {
+                                r.with_strategy(u, cand.clone()).cost(u, model)
+                            };
                             let cands = candidates(&r, u);
                             let other = cands.iter().find(|c| c[..] != *r.strategy(u)).unwrap();
-                            let want = fresh.cost_of(other);
+                            let want = recompute(other);
                             let ctx = format!("{kernel} {model:?} first={first} {u}->{other:?}");
 
                             scratch.begin(&r, u, model);
@@ -1319,7 +1319,7 @@ mod tests {
                             let base_bfs = u64::from(kernel == CostKernel::Sparse);
                             assert_eq!(scratch.tally.base_bfs, base_bfs, "{ctx}");
                             for cand in &cands {
-                                let want = fresh.cost_of(cand);
+                                let want = recompute(cand);
                                 assert_eq!(scratch.cost_of(cand), want, "{ctx} {cand:?}");
                                 assert_eq!(scratch.cost_of_pruned(cand, want + 1), Some(want));
                                 assert!(scratch.candidate_lower_bound(cand) <= want);
@@ -1389,12 +1389,13 @@ mod tests {
         // Duplicate and self targets agree with the deduplicated cost.
         let g = OwnedDigraph::from_arcs(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let r = Realization::new(g);
-        let mut queue = DeviationScratch::with_kernel(&r, CostKernel::Queue);
+        let mut bitset = DeviationScratch::with_kernel(&r, CostKernel::Bitset);
         let mut sparse = DeviationScratch::with_kernel(&r, CostKernel::Sparse);
         for model in CostModel::ALL {
-            queue.begin(&r, v(0), model);
+            bitset.begin(&r, v(0), model);
             sparse.begin(&r, v(0), model);
-            let want = queue.cost_of(&[v(3)]);
+            let want = r.with_strategy(v(0), vec![v(3)]).cost(v(0), model);
+            assert_eq!(bitset.cost_of(&[v(3)]), want, "{model:?}");
             assert_eq!(sparse.cost_of(&[v(3)]), want, "{model:?}");
             assert_eq!(sparse.cost_of(&[v(3), v(3), v(0)]), want, "messy {model:?}");
         }

@@ -417,7 +417,7 @@ mod tests {
                 current_cost: current,
                 best_cost: best,
             };
-            for kernel in [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse] {
+            for kernel in [CostKernel::Bitset, CostKernel::Sparse] {
                 let found = find_violation_with_kernel(&path, model, kernel);
                 assert_eq!(found.as_ref(), Some(&want), "{model:?} on {kernel:?}");
             }

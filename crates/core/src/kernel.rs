@@ -9,21 +9,18 @@
 //! MAX, and no kernel runs, nor builds any session state (an explicit
 //! sharded executor still splits those activations onto the kernels,
 //! and the Nash audits always enumerate on them). For everything else
-//! the engine lets callers choose **how** the BFS runs. All three read
-//! the same editable undirected store, a slack-free
+//! the engine lets callers choose **how** the BFS runs. Both kernels
+//! read the same editable undirected store, a slack-free
 //! [`CompactCsr`](bbncg_graph::CompactCsr) kept in step with the
 //! profile one strategy diff at a time:
 //!
-//! * [`CostKernel::Queue`] — the classic stamped queue BFS
-//!   ([`BfsScratch`](bbncg_graph::BfsScratch)): `O(n + m)` per query,
-//!   branchy but with no per-level overhead. Best for small instances.
 //! * [`CostKernel::Bitset`] — the word-parallel frontier-bitset BFS
 //!   ([`BitBfsScratch`](bbncg_graph::BitBfsScratch)) over a
 //!   [`BitAdjacency`](bbncg_graph::BitAdjacency) mirror maintained
 //!   incrementally through patch sessions: `O(n²/64)` word ops per
-//!   query, branch-light and cache-linear. A large constant-factor win
-//!   for the dense, repeated queries of larger instances; an explicit
-//!   choice is refused above [`CostKernel::BITSET_MAX_N`] vertices.
+//!   query, branch-light and cache-linear. The fastest tier up to a few
+//!   thousand vertices; an explicit choice is refused above
+//!   [`CostKernel::BITSET_MAX_N`] vertices.
 //! * [`CostKernel::Sparse`] — incremental repair over that CSR: a
 //!   session's first kernel call runs one base BFS (nothing carries
 //!   over to the next activation, and a session that never prices on
@@ -35,27 +32,27 @@
 //!   most candidates without touching the graph at all. No bitset
 //!   mirror: `O(n + m)` memory, per-candidate time ∝ improved region.
 //!   The tier that takes dynamics to n ≈ 10⁵–10⁶.
-//! * [`CostKernel::Auto`] — pick by instance size
-//!   ([`CostKernel::AUTO_BITSET_MIN_N`] / [`CostKernel::AUTO_BITSET_MAX_N`]).
+//! * [`CostKernel::Auto`] — bitset up to
+//!   [`CostKernel::AUTO_BITSET_MAX_N`] vertices, sparse above.
 //!
 //! The swap rule prices no candidate through a kernel: its sweep
 //! (`crate::sweep`) derives every single-arc swap's cost from one
 //! bounded BFS per vertex, and the kernel only picks the sweep's form —
 //! the bit mirror's rows under [`CostKernel::Bitset`], the
-//! `CompactCsr` under the others. Per-candidate kernel pricing serves
-//! the exact, greedy and better rules, the per-pair swap oracle
-//! (`is_swap_equilibrium`) and the Nash audits.
+//! `CompactCsr` under [`CostKernel::Sparse`]. Per-candidate kernel
+//! pricing serves the exact, greedy and better rules, the per-pair swap
+//! oracle (`is_swap_equilibrium`) and the Nash audits.
 //!
 //! Every tier rejects candidates that cannot win part-way through
 //! their pricing: a search hands the engine its incumbent, the engine
 //! turns it into a [`PriceBudget`](bbncg_graph::PriceBudget), and the
 //! traversal stops as soon as its own partial statistics prove the
-//! final cost meets it — the queue and bitset BFS at the first
-//! completed level that does, the sparse repair mid-level with sharper
-//! bounds. Such a candidate could never strictly beat the incumbent,
-//! so the abort changes no result.
+//! final cost meets it — the bitset BFS at the first completed level
+//! that does, the sparse repair mid-level with sharper bounds. Such a
+//! candidate could never strictly beat the incumbent, so the abort
+//! changes no result.
 //!
-//! The kernels are **move-for-move equivalent**: all produce identical
+//! The kernels are **move-for-move equivalent**: both produce identical
 //! [`BfsStats`](bbncg_graph::BfsStats) for every candidate, hence
 //! identical costs, identical tie-breaking, and bit-identical dynamics
 //! trajectories, checkpoints and resumes (enforced by the parity
@@ -66,36 +63,31 @@
 /// Which BFS machinery prices candidate deviations.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum CostKernel {
-    /// Stamped queue BFS over the compact CSR (`O(n + m)` per query).
-    Queue,
     /// Word-parallel frontier-bitset BFS over a bit-matrix mirror
     /// (`O(n²/64)` word ops per query).
     Bitset,
     /// Decrease-only dynamic-SSSP repair over the compact CSR
     /// (per-candidate time ∝ improved region, `O(n + m)` memory).
     Sparse,
-    /// Resolve by instance size: queue below
-    /// [`CostKernel::AUTO_BITSET_MIN_N`], bitset up to
+    /// Resolve by instance size: bitset up to
     /// [`CostKernel::AUTO_BITSET_MAX_N`], sparse above.
     #[default]
     Auto,
 }
 
 impl CostKernel {
-    /// Instance size at which [`CostKernel::Auto`] switches to the
-    /// bitset kernel. A single-shot crossover probe of whole dynamics
-    /// runs found the direction-optimized bitset BFS about even with the
-    /// queue at n = 8 and ahead from n = 16 on; it predates both BFS
-    /// kernels' level abort and has not been repeated. Below this the
-    /// queue also avoids the mirror's footprint entirely.
-    pub const AUTO_BITSET_MIN_N: usize = 16;
-
-    /// Instance size past which [`CostKernel::Auto`] leaves the bitset
-    /// tier: the bit mirror costs Θ(n²/8) bytes *per engine* (one per
-    /// parallel worker) and a bitset level scan is Θ(n²/64) words, so
-    /// for huge sparse instances the incremental-repair kernel wins on
-    /// both memory and time.
-    pub const AUTO_BITSET_MAX_N: usize = 8192;
+    /// Largest instance on which [`CostKernel::Auto`] picks the bitset
+    /// kernel; above it, sparse. The bit mirror costs Θ(n²/8) bytes
+    /// *per engine* (one per parallel worker) and a bitset level scan is
+    /// Θ(n²/64) words, so the repair kernel overtakes it as n grows.
+    /// 6144 is the largest measured size where bitset wins every cell
+    /// (release, shared 2-vCPU x86-64 VM): one budget-2 best swap by the
+    /// sweep, seed-5 start, took 147.1 / 151.9 ms per player (SUM / MAX)
+    /// on bitset against 155.8 / 170.8 on sparse, and priced per pair
+    /// 585 ms against 851 (SUM, seed-1 start). At n = 8192 bitset loses
+    /// every cell: 429.3 / 356.9 ms against 276.9 / 263.7 for the sweep,
+    /// and about 3× per pair (3047–3132 ms against 935–975).
+    pub const AUTO_BITSET_MAX_N: usize = 6144;
 
     /// Largest instance an *explicit* [`CostKernel::Bitset`] may run
     /// on: its bit mirror takes n·⌈n/64⌉·8 bytes per engine — 32 MiB
@@ -124,39 +116,31 @@ impl CostKernel {
     /// (never returns [`CostKernel::Auto`]).
     pub fn resolve(self, n: usize) -> CostKernel {
         match self {
-            CostKernel::Auto => {
-                if n < Self::AUTO_BITSET_MIN_N {
-                    CostKernel::Queue
-                } else if n <= Self::AUTO_BITSET_MAX_N {
-                    CostKernel::Bitset
-                } else {
-                    CostKernel::Sparse
-                }
-            }
+            CostKernel::Auto if n <= Self::AUTO_BITSET_MAX_N => CostKernel::Bitset,
+            CostKernel::Auto => CostKernel::Sparse,
             k => k,
         }
     }
 
-    /// Spec/CLI label (`"queue"`, `"bitset"`, `"sparse"`, `"auto"`).
+    /// Spec/CLI label (`"bitset"`, `"sparse"`, `"auto"`).
     pub fn label(self) -> &'static str {
         match self {
-            CostKernel::Queue => "queue",
             CostKernel::Bitset => "bitset",
             CostKernel::Sparse => "sparse",
             CostKernel::Auto => "auto",
         }
     }
 
-    /// Parse a spec/CLI label.
+    /// Parse a spec/CLI label. The retired `"queue"` kernel's label
+    /// parses as [`CostKernel::Auto`], so specs, `?kernel=` overrides
+    /// and checkpoints written while it existed still run, with the
+    /// same trajectory (every kernel makes the same moves).
     pub fn parse(s: &str) -> Result<CostKernel, String> {
         match s {
-            "queue" => Ok(CostKernel::Queue),
             "bitset" => Ok(CostKernel::Bitset),
             "sparse" => Ok(CostKernel::Sparse),
-            "auto" => Ok(CostKernel::Auto),
-            other => Err(format!(
-                "unknown kernel {other:?} (queue|bitset|sparse|auto)"
-            )),
+            "auto" | "queue" => Ok(CostKernel::Auto),
+            other => Err(format!("unknown kernel {other:?} (bitset|sparse|auto)")),
         }
     }
 }
@@ -173,12 +157,7 @@ mod tests {
 
     #[test]
     fn labels_roundtrip() {
-        for k in [
-            CostKernel::Queue,
-            CostKernel::Bitset,
-            CostKernel::Sparse,
-            CostKernel::Auto,
-        ] {
+        for k in [CostKernel::Bitset, CostKernel::Sparse, CostKernel::Auto] {
             assert_eq!(CostKernel::parse(k.label()), Ok(k));
             assert_eq!(format!("{k}"), k.label());
         }
@@ -186,12 +165,17 @@ mod tests {
     }
 
     #[test]
+    fn the_retired_queue_label_parses_as_auto() {
+        assert_eq!(CostKernel::parse("queue"), Ok(CostKernel::Auto));
+        assert_eq!(CostKernel::parse("queue").unwrap().label(), "auto");
+        let err = CostKernel::parse("Queue").unwrap_err();
+        assert!(err.contains("(bitset|sparse|auto)"), "{err}");
+    }
+
+    #[test]
     fn auto_resolves_by_size() {
-        assert_eq!(CostKernel::Auto.resolve(8), CostKernel::Queue);
-        assert_eq!(
-            CostKernel::Auto.resolve(CostKernel::AUTO_BITSET_MIN_N),
-            CostKernel::Bitset
-        );
+        assert_eq!(CostKernel::Auto.resolve(2), CostKernel::Bitset);
+        assert_eq!(CostKernel::Auto.resolve(8), CostKernel::Bitset);
         assert_eq!(
             CostKernel::Auto.resolve(CostKernel::AUTO_BITSET_MAX_N),
             CostKernel::Bitset
@@ -200,9 +184,9 @@ mod tests {
             CostKernel::Auto.resolve(CostKernel::AUTO_BITSET_MAX_N + 1),
             CostKernel::Sparse
         );
+        assert_eq!(CostKernel::Auto.resolve(8192), CostKernel::Sparse);
         assert_eq!(CostKernel::Auto.resolve(1_000_000), CostKernel::Sparse);
         // Explicit choices are size-independent.
-        assert_eq!(CostKernel::Queue.resolve(10_000), CostKernel::Queue);
         assert_eq!(CostKernel::Bitset.resolve(2), CostKernel::Bitset);
         assert_eq!(CostKernel::Sparse.resolve(4), CostKernel::Sparse);
     }
@@ -214,7 +198,7 @@ mod tests {
         assert_eq!(CostKernel::Bitset.check_size(cap), Ok(()));
         let err = CostKernel::Bitset.check_size(cap + 1).unwrap_err();
         assert!(err.contains("16384-vertex cap"), "{err}");
-        for k in [CostKernel::Queue, CostKernel::Sparse, CostKernel::Auto] {
+        for k in [CostKernel::Sparse, CostKernel::Auto] {
             assert_eq!(k.check_size(usize::MAX), Ok(()));
         }
     }

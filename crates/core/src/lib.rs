@@ -14,11 +14,14 @@
 //!   cached undirected views;
 //! * [`cancel`] — cooperative cancellation tokens for long-running
 //!   dynamics and the orchestrators/services built on them;
-//! * [`oracle`] — O(n+m), allocation-free pricing of candidate
-//!   deviations (the engine under everything else);
-//! * [`kernel`] — pluggable cost kernels (queue vs word-parallel bitset
-//!   BFS) behind the pricing path, plus the per-candidate Lemma 2.2
-//!   lower-bound pruning;
+//! * [`deviation`] — allocation-free pricing of candidate deviations,
+//!   kept in step with the profile move by move (the engine under
+//!   everything else), plus the per-candidate Lemma 2.2 lower-bound
+//!   pruning;
+//! * [`oracle`] — sizing and lexicographic enumeration of a player's
+//!   candidate strategies for the exact searches;
+//! * [`kernel`] — the pluggable cost kernels behind the pricing path:
+//!   word-parallel bitset BFS vs incremental sparse SSSP repair;
 //! * `closed_form` (internal) — the unit-budget pricer that prices
 //!   every single-arc candidate at once under SUM or MAX, bypassing the
 //!   kernels, and gives such profiles their diameter in `O(n)`;
@@ -87,7 +90,7 @@ pub use io::{
     parse_realization, parse_snapshot, write_realization, write_snapshot, ParseError, Snapshot,
 };
 pub use kernel::CostKernel;
-pub use oracle::{enumeration_count, CombinationOdometer, DeviationOracle};
+pub use oracle::{enumeration_count, CombinationOdometer};
 pub use poa::{opt_diameter_lower_bound, social_cost, PoAEstimate};
 pub use realization::Realization;
 pub use round::RoundExecutor;

@@ -1,68 +1,14 @@
-//! The deviation oracle: evaluating candidate strategies cheaply.
+//! Enumeration helpers for the exact searches over strategy space.
 //!
-//! To decide whether player `u` is playing a best response we must price
-//! every alternative strategy `S` (there are `C(n−1, bᵤ)` of them —
-//! Theorem 2.1 says this problem is NP-hard, and exhaustive search over
-//! this space is exactly what the exact solver does). The oracle makes
-//! each evaluation O(n + m) with **zero allocation**:
-//!
-//! 1. build, once per player, the CSR of the graph with `u`'s owned arcs
-//!    removed, plus its connected components;
-//! 2. price a candidate `S` with one *patched* BFS (the removed-arc CSR
-//!    plus virtual edges `{u, s}` for `s ∈ S`);
-//! 3. recover the component count after the deviation from the
-//!    precomputed labels: the components touched by `{u} ∪ S` merge into
-//!    one.
-
-use crate::cost::CostModel;
-use crate::deviation::DeviationScratch;
-use crate::realization::Realization;
-use bbncg_graph::NodeId;
-
-/// Prices candidate strategies for one fixed player.
-///
-/// This is a single-session convenience wrapper over
-/// [`DeviationScratch`]: construction opens one pricing session and
-/// every evaluation runs through the engine's in-place-patched graph.
-/// Code that prices deviations for *many* players (dynamics, Nash
-/// verification) should hold a [`DeviationScratch`] directly and call
-/// [`DeviationScratch::begin`] per player, amortizing the engine
-/// across activations.
-#[derive(Debug)]
-pub struct DeviationOracle {
-    u: NodeId,
-    scratch: DeviationScratch,
-}
-
-impl DeviationOracle {
-    /// Build the oracle for player `u` of `r` under `model`.
-    pub fn new(r: &Realization, u: NodeId, model: CostModel) -> Self {
-        let mut scratch = DeviationScratch::new(r);
-        scratch.begin(r, u, model);
-        DeviationOracle { u, scratch }
-    }
-
-    /// The player this oracle prices deviations for.
-    pub fn player(&self) -> NodeId {
-        self.u
-    }
-
-    /// Cost to `u` of playing the strategy `targets` (everything else
-    /// fixed). `targets` need not have full budget size — the oracle is
-    /// also used mid-construction by the greedy heuristic.
-    pub fn cost_of(&mut self, targets: &[NodeId]) -> u64 {
-        self.scratch.cost_of(targets)
-    }
-
-    /// A lower bound on the cost of *any* strategy of size `b` for this
-    /// player, used for early exit: once a candidate attains it, no
-    /// better one exists. Derived from the Lemma 2.2 argument — a player
-    /// has distance 1 to at most (budget + distinct in-neighbours)
-    /// vertices and at least 2 to the rest.
-    pub fn cost_lower_bound(&self, b: usize) -> u64 {
-        self.scratch.cost_lower_bound(b)
-    }
-}
+//! A player with budget `b` has `C(n−1, b)` candidate strategies —
+//! Theorem 2.1 says finding the best one is NP-hard, and exhaustive
+//! search over them is exactly what the exact solver does.
+//! [`enumeration_count`] sizes that search (saturating, so callers can
+//! refuse it before it starts), and [`CombinationOdometer`] walks it in
+//! lexicographic order without allocating per step, resumable from any
+//! leading element so a range of leads is a contiguous slice of the
+//! enumeration. Pricing each candidate is the deviation engine's job
+//! ([`DeviationScratch`](crate::DeviationScratch)).
 
 /// Number of `b`-subsets of an `m`-element pool, saturating at
 /// `u64::MAX`. Used to guard exact enumeration.
@@ -153,75 +99,6 @@ impl CombinationOdometer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bbncg_graph::OwnedDigraph;
-
-    fn v(i: usize) -> NodeId {
-        NodeId::new(i)
-    }
-
-    #[test]
-    fn oracle_matches_full_recomputation() {
-        // Path 0->1->2->3; player 1 deviates to {3}.
-        let g = OwnedDigraph::from_arcs(4, &[(0, 1), (1, 2), (2, 3)]);
-        let r = Realization::new(g);
-        for model in CostModel::ALL {
-            let mut oracle = DeviationOracle::new(&r, v(1), model);
-            // Current strategy must price identically to the realization.
-            assert_eq!(oracle.cost_of(&[v(2)]), r.cost(v(1), model));
-            // Deviation {3}: graph edges 0-1, 2-3, 1-3.
-            let deviated = r.with_strategy(v(1), vec![v(3)]);
-            assert_eq!(oracle.cost_of(&[v(3)]), deviated.cost(v(1), model));
-            // Deviation {0}: creates brace {0,1}, disconnects 2-3 from it.
-            let deviated = r.with_strategy(v(1), vec![v(0)]);
-            assert_eq!(oracle.cost_of(&[v(0)]), deviated.cost(v(1), model));
-        }
-    }
-
-    #[test]
-    fn oracle_kappa_accounting_across_components() {
-        // Three components: {0,1}, {2}, {3,4}. Player 0 owns one arc.
-        let g = OwnedDigraph::from_arcs(5, &[(0, 1), (3, 4)]);
-        let r = Realization::new(g);
-        for model in CostModel::ALL {
-            let mut oracle = DeviationOracle::new(&r, v(0), model);
-            for target in [1usize, 2, 3] {
-                let deviated = r.with_strategy(v(0), vec![v(target)]);
-                assert_eq!(
-                    oracle.cost_of(&[v(target)]),
-                    deviated.cost(v(0), model),
-                    "target {target} model {model:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lower_bound_is_sound_on_small_graphs() {
-        let g = OwnedDigraph::from_arcs(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let r = Realization::new(g);
-        for model in CostModel::ALL {
-            for u in 0..5 {
-                let u = v(u);
-                let b = r.graph().out_degree(u);
-                let mut oracle = DeviationOracle::new(&r, u, model);
-                let lb = oracle.cost_lower_bound(b);
-                // Enumerate all strategies of size b and check the bound.
-                if b == 0 {
-                    assert!(oracle.cost_of(&[]) >= lb);
-                    continue;
-                }
-                let pool: Vec<NodeId> = (0..5).map(v).filter(|&t| t != u).collect();
-                let mut od = CombinationOdometer::new(pool.len(), b);
-                loop {
-                    let targets: Vec<NodeId> = od.indices().iter().map(|&i| pool[i]).collect();
-                    assert!(oracle.cost_of(&targets) >= lb);
-                    if !od.advance() {
-                        break;
-                    }
-                }
-            }
-        }
-    }
 
     #[test]
     fn enumeration_count_small_values() {

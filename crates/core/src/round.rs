@@ -345,7 +345,7 @@ pub(crate) struct Shards<'scope, 'env> {
 pub(crate) struct PoolTally {
     /// Helper threads spawned over the run.
     pub(crate) spawned: usize,
-    /// Jobs merged: splits that priced, withdrawn jobs not counted.
+    /// Jobs merged: one per split, since every job posted prices.
     pub(crate) splits: u64,
 }
 
@@ -624,8 +624,9 @@ impl Board {
 
     /// The next job after epoch `taken`, or `None` once the pool stops.
     /// A helper that wakes late takes the latest job and skips any it
-    /// missed: only a withdrawn job can be missed, since the caller
-    /// waits for every report of the jobs it prices.
+    /// missed: it can miss only a job it takes no part in (one with
+    /// fewer slices than the pool has engines), since the caller waits
+    /// for every report of the helpers a job names.
     fn next_job(&self, taken: u64) -> Option<Arc<Job>> {
         self.wait(|| self.posted.load(Ordering::Acquire) != taken || self.stopped());
         if self.stopped() {
@@ -1104,7 +1105,7 @@ mod tests {
     fn shared_bound_keeps_ties_and_skips_costlier_candidates() {
         let r = chorded_cycle();
         let u = NodeId::new(0);
-        for kernel in [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse] {
+        for kernel in [CostKernel::Bitset, CostKernel::Sparse] {
             let mut whole = DeviationScratch::with_kernel(&r, kernel);
             let whole = exact_best_improvement(&mut whole, &r, u, CostModel::Sum);
             // Two slices, and three, where engine B prices two slices in

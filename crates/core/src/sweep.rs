@@ -55,9 +55,9 @@
 //!
 //! # Two forms, one set of accumulators
 //!
-//! Engines with the bit mirror walk its rows (frontier bitsets, balls
-//! as bitsets); the others walk the [`CompactCsr`] patch with a
-//! stamped queue. Both fill the same [`SweepPart`]: per-target gains
+//! Engines with the bit mirror (bitset) walk its rows (frontier
+//! bitsets, balls as bitsets); sparse engines walk the [`CompactCsr`]
+//! patch with a stamped queue. Both fill the same [`SweepPart`]: per-target gains
 //! (SUM), per-level masks (MAX) and the unreached vertices' component
 //! figures. The sources split freely: a sharded activation deals source
 //! ranges of `0..n` to several engines, each accumulates its own part,
@@ -784,7 +784,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    const KERNELS: [CostKernel; 3] = [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse];
+    const KERNELS: [CostKernel; 2] = [CostKernel::Bitset, CostKernel::Sparse];
 
     /// A random profile on `n` vertices: budgets 0–3, distinct random
     /// targets, so braces, kept arcs that are also in-neighbours,

@@ -1,12 +1,11 @@
-//! Counter guard for the incumbent abort of the queue and bitset
-//! kernels.
+//! Counter guard for the incumbent abort of the bitset kernel's BFS.
 //!
 //! No wall clock: the guard runs a fixed-seed n = 128 exact SUM
-//! trajectory under each BFS kernel, checks it round for round against
-//! the rebuild-per-candidate reference, and reads the
-//! `bbncg_kernel_prune_aborts_total{kernel}` counters the engine
-//! flushes. A kernel that priced every candidate to its last BFS level
-//! would record no abort and fail here.
+//! trajectory under the bitset kernel, checks it round for round
+//! against the rebuild-per-candidate reference, and reads the
+//! `bbncg_kernel_prune_aborts_total{kernel="bitset"}` counter the
+//! engine flushes. A kernel that priced every candidate to its last
+//! BFS level would record no abort and fail here.
 //!
 //! Player 0 has budget 2 and everyone else budget 1. With every budget
 //! at most 1 the searches price SUM candidates in closed form and no
@@ -60,33 +59,28 @@ fn bfs_kernels_abort_on_an_exact_trajectory_that_matches_the_reference() {
 
     bbncg_obs::enable();
     bbncg_obs::reset();
-    for (kernel, aborts) in [
-        (CostKernel::Queue, Counter::KernelPruneAbortQueue),
-        (CostKernel::Bitset, Counter::KernelPruneAbortBitset),
-    ] {
-        let before = bbncg_obs::counter_value(aborts);
-        let mut scratch = DeviationScratch::with_kernel(&start, kernel);
-        assert_eq!(scratch.resolved_kernel(), kernel);
-        let one_round = DynamicsConfig::exact(model, 1).with_executor(RoundExecutor::Sequential);
-        let mut state = start.clone();
-        for (round, (want, &want_steps)) in reference[1..].iter().zip(&reference_steps).enumerate()
-        {
-            let report = run_dynamics_with_scratch(
-                state,
-                one_round,
-                &mut StdRng::seed_from_u64(0),
-                &mut scratch,
-            );
-            assert_eq!(report.steps, want_steps, "{kernel} round {round}: steps");
-            assert_eq!(&report.state, want, "{kernel} round {round}: profile");
-            assert_eq!(report.converged, want_steps == 0, "{kernel} round {round}");
-            state = report.state;
-        }
-        // Dropping the engine flushes its last session's tallies.
-        drop(scratch);
-        let recorded = bbncg_obs::counter_value(aborts) - before;
-        assert!(recorded >= 1, "{kernel} recorded no incumbent abort");
+    let mut scratch = DeviationScratch::with_kernel(&start, CostKernel::Bitset);
+    assert_eq!(scratch.resolved_kernel(), CostKernel::Bitset);
+    let one_round = DynamicsConfig::exact(model, 1).with_executor(RoundExecutor::Sequential);
+    let mut state = start.clone();
+    for (round, (want, &want_steps)) in reference[1..].iter().zip(&reference_steps).enumerate() {
+        let report = run_dynamics_with_scratch(
+            state,
+            one_round,
+            &mut StdRng::seed_from_u64(0),
+            &mut scratch,
+        );
+        assert_eq!(report.steps, want_steps, "round {round}: steps");
+        assert_eq!(&report.state, want, "round {round}: profile");
+        assert_eq!(report.converged, want_steps == 0, "round {round}");
+        state = report.state;
     }
+    // Dropping the engine flushes its last session's tallies.
+    drop(scratch);
+    assert!(
+        bbncg_obs::counter_value(Counter::KernelPruneAbortBitset) >= 1,
+        "bitset recorded no incumbent abort"
+    );
     assert_eq!(
         bbncg_obs::counter_value(Counter::KernelPruneAbortSparse),
         0,

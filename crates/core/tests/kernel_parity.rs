@@ -3,9 +3,9 @@
 //! The tentpole invariant of the pluggable-kernel refactor, enforced
 //! the same way PR 1 enforced patch ≡ rebuild:
 //!
-//! * **Cost parity** — queue, bitset and sparse kernels return
-//!   identical costs for every candidate on random realizations,
-//!   connected and disconnected alike.
+//! * **Cost parity** — the bitset and sparse kernels return identical
+//!   costs for every candidate on random realizations, connected and
+//!   disconnected alike, and both match a full profile recompute.
 //! * **Trajectory parity** — whole dynamics runs are *step-identical*
 //!   across kernels (same final profile, steps, rounds, verdicts) and
 //!   against the rebuild-per-candidate reference
@@ -27,6 +27,7 @@ use bbncg_core::oracle::CombinationOdometer;
 use bbncg_core::{
     audit_equilibrium_with_kernel, exact_best_response_with, first_improving_response_with,
     greedy_best_response_with, CostKernel, CostModel, DeviationScratch, Realization,
+    ScoredStrategy,
 };
 use bbncg_graph::{generators, BfsScratch, BitAdjacency, BitBfsScratch, NodeId, OwnedDigraph};
 use proptest::prelude::*;
@@ -43,6 +44,14 @@ fn random_instance(n: usize, seed: u64) -> Realization {
     let mut rng = StdRng::seed_from_u64(seed);
     let budgets: Vec<usize> = (0..n).map(|i| (i + seed as usize) % 3).collect();
     Realization::new(generators::random_realization(&budgets, &mut rng))
+}
+
+/// `u`'s cost in `r` had it played `targets`, of any size: a full
+/// recompute on a fresh profile.
+fn recompute(r: &Realization, u: NodeId, targets: &[NodeId], model: CostModel) -> u64 {
+    let mut g = r.graph().clone();
+    g.set_out(u, targets.to_vec());
+    Realization::new(g).cost(u, model)
 }
 
 /// Brute-force best response: price every candidate by full profile
@@ -71,13 +80,14 @@ fn brute_force_best(r: &Realization, u: NodeId, model: CostModel) -> (Vec<NodeId
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Queue, bitset and sparse kernels price every candidate
+    /// The bitset and sparse kernels price every candidate
     /// identically on random (often disconnected) realizations,
-    /// through all four engine-backed rules.
+    /// through all four engine-backed rules. The exact rule matches the
+    /// brute-force best response, and every rule's reported cost is
+    /// the full recompute of the strategy it returns.
     #[test]
     fn kernels_agree_on_all_candidates(n in 3usize..12, seed in 0u64..400) {
         let r = random_instance(n, seed);
-        let mut queue = DeviationScratch::with_kernel(&r, CostKernel::Queue);
         let mut bitset = DeviationScratch::with_kernel(&r, CostKernel::Bitset);
         let mut sparse = DeviationScratch::with_kernel(&r, CostKernel::Sparse);
         for model in CostModel::ALL {
@@ -85,26 +95,32 @@ proptest! {
                 if r.graph().out_degree(u) == 0 {
                     continue;
                 }
-                let q = exact_best_response_with(&mut queue, &r, u, model);
+                let recomputed =
+                    |s: &ScoredStrategy| r.with_strategy(u, s.targets.clone()).cost(u, model);
                 let b = exact_best_response_with(&mut bitset, &r, u, model);
                 let s = exact_best_response_with(&mut sparse, &r, u, model);
-                prop_assert_eq!(&q, &b);
-                prop_assert_eq!(&q, &s);
-                let q = greedy_best_response_with(&mut queue, &r, u, model);
+                let (targets, cost) = brute_force_best(&r, u, model);
+                prop_assert_eq!((&b.targets, b.cost), (&targets, cost));
+                prop_assert_eq!(&b, &s);
                 let b = greedy_best_response_with(&mut bitset, &r, u, model);
                 let s = greedy_best_response_with(&mut sparse, &r, u, model);
-                prop_assert_eq!(&q, &b);
-                prop_assert_eq!(&q, &s);
-                let q = first_improving_response_with(&mut queue, &r, u, model);
+                prop_assert_eq!(b.cost, recomputed(&b));
+                prop_assert_eq!(&b, &s);
                 let b = first_improving_response_with(&mut bitset, &r, u, model);
                 let s = first_improving_response_with(&mut sparse, &r, u, model);
-                prop_assert_eq!(&q, &b);
-                prop_assert_eq!(&q, &s);
-                let q = bbncg_core::best_swap_response_with(&mut queue, &r, u, model);
+                if let Some(b) = &b {
+                    prop_assert!(b.cost < r.cost(u, model));
+                    prop_assert_eq!(b.cost, recomputed(b));
+                }
+                prop_assert_eq!(&b, &s);
                 let b = bbncg_core::best_swap_response_with(&mut bitset, &r, u, model);
                 let s = bbncg_core::best_swap_response_with(&mut sparse, &r, u, model);
-                prop_assert_eq!(&q, &b);
-                prop_assert_eq!(&q, &s);
+                if let Some(b) = &b {
+                    // The best swap may tie the current strategy.
+                    prop_assert!(b.cost <= r.cost(u, model));
+                    prop_assert_eq!(b.cost, recomputed(b));
+                }
+                prop_assert_eq!(&b, &s);
             }
         }
     }
@@ -116,7 +132,7 @@ proptest! {
     #[test]
     fn pruning_never_skips_the_optimum(n in 3usize..8, seed in 0u64..600) {
         let r = random_instance(n, seed);
-        for kernel in [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse] {
+        for kernel in [CostKernel::Bitset, CostKernel::Sparse] {
             let mut scratch = DeviationScratch::with_kernel(&r, kernel);
             for model in CostModel::ALL {
                 for u in (0..n).map(NodeId::new) {
@@ -136,10 +152,10 @@ proptest! {
     /// auditing the same player after each committed move (the mirror
     /// diff-synced to the new profile; no distances kept from the last
     /// session, whose base the session's first kernel call rebuilds)
-    /// prices every candidate identically to a queue scratch built
-    /// fresh at each step — across move sequences produced by all four
-    /// rules and both models. (The name predates the deletion of the
-    /// sparse kernel's retained base.)
+    /// prices every candidate as the full recompute does, and as a
+    /// bitset scratch built fresh at each step — across move sequences
+    /// produced by all four rules and both models. (The name predates
+    /// the deletion of the sparse kernel's retained base.)
     #[test]
     fn retained_sparse_base_prices_exactly_across_commits(
         n in 4usize..10, moves in 2usize..8, seed in 0u64..300,
@@ -149,15 +165,16 @@ proptest! {
             let mut r = r0.clone();
             let watcher = v(0);
             let mut sparse = DeviationScratch::with_kernel(&r, CostKernel::Sparse);
-            let mut mover_scratch = DeviationScratch::with_kernel(&r, CostKernel::Queue);
+            let mut mover_scratch = DeviationScratch::with_kernel(&r, CostKernel::Bitset);
             for step in 0..moves {
                 // Audit the watcher on the long-lived engine; its first
                 // `cost_of` runs this session's base BFS.
                 sparse.begin(&r, watcher, model);
-                let mut fresh = DeviationScratch::with_kernel(&r, CostKernel::Queue);
+                let mut fresh = DeviationScratch::with_kernel(&r, CostKernel::Bitset);
                 fresh.begin(&r, watcher, model);
                 for t in (0..n).map(NodeId::new).filter(|&t| t != watcher) {
-                    let want = fresh.cost_of(&[t]);
+                    let want = recompute(&r, watcher, &[t], model);
+                    prop_assert_eq!(fresh.cost_of(&[t]), want);
                     prop_assert_eq!(sparse.cost_of(&[t]), want);
                     prop_assert!(sparse.candidate_lower_bound(&[t]) <= want);
                     // A strictly larger incumbent must price exactly
@@ -190,7 +207,7 @@ proptest! {
     #[test]
     fn candidate_bound_is_sound(n in 3usize..9, seed in 0u64..400) {
         let r = random_instance(n, seed);
-        for kernel in [CostKernel::Queue, CostKernel::Sparse] {
+        for kernel in [CostKernel::Bitset, CostKernel::Sparse] {
             let mut scratch = DeviationScratch::with_kernel(&r, kernel);
             for model in CostModel::ALL {
                 for u in (0..n).map(NodeId::new) {
@@ -228,12 +245,6 @@ fn dynamics_traces_are_step_identical_across_kernels() {
         let initial = Realization::new(generators::random_realization(&budgets, &mut rng));
         for model in CostModel::ALL {
             let cfg = DynamicsConfig::exact(model, 100);
-            let queue = run_dynamics_with_kernel(
-                initial.clone(),
-                cfg,
-                &mut StdRng::seed_from_u64(0),
-                CostKernel::Queue,
-            );
             let bitset = run_dynamics_with_kernel(
                 initial.clone(),
                 cfg,
@@ -247,19 +258,12 @@ fn dynamics_traces_are_step_identical_across_kernels() {
                 CostKernel::Sparse,
             );
             assert_eq!(
-                queue.state, bitset.state,
+                bitset.state, sparse.state,
                 "final profiles diverge (seed {seed}, {model:?})"
             );
-            assert_eq!(queue.steps, bitset.steps);
-            assert_eq!(queue.rounds, bitset.rounds);
-            assert_eq!(queue.converged, bitset.converged);
-            assert_eq!(
-                queue.state, sparse.state,
-                "sparse diverges (seed {seed}, {model:?})"
-            );
-            assert_eq!(queue.steps, sparse.steps);
-            assert_eq!(queue.rounds, sparse.rounds);
-            assert_eq!(queue.converged, sparse.converged);
+            assert_eq!(bitset.steps, sparse.steps);
+            assert_eq!(bitset.rounds, sparse.rounds);
+            assert_eq!(bitset.converged, sparse.converged);
             let (naive_state, naive_steps, naive_converged) =
                 run_dynamics_rebuild(initial.clone(), model, 100);
             assert_eq!(bitset.state, naive_state, "bitset diverges from naive");
@@ -272,20 +276,27 @@ fn dynamics_traces_are_step_identical_across_kernels() {
     }
 }
 
-/// The batched parallel Nash audit is kernel-independent.
+/// The batched parallel Nash audit is kernel-independent, and each
+/// player's figures match a full recompute and the brute-force best
+/// response.
 #[test]
 fn audits_agree_across_kernels() {
     for seed in [3u64, 17] {
         let r = random_instance(9, seed);
         for model in CostModel::ALL {
-            let q = audit_equilibrium_with_kernel(&r, model, CostKernel::Queue);
-            for kernel in [CostKernel::Bitset, CostKernel::Sparse] {
-                let b = audit_equilibrium_with_kernel(&r, model, kernel);
-                assert_eq!(q.current, b.current, "{kernel:?}");
-                assert_eq!(q.best, b.best, "{kernel:?}");
-                assert_eq!(q.is_nash(), b.is_nash());
-                assert_eq!(q.gap(), b.gap());
+            let b = audit_equilibrium_with_kernel(&r, model, CostKernel::Bitset);
+            let s = audit_equilibrium_with_kernel(&r, model, CostKernel::Sparse);
+            for u in (0..r.n()).map(NodeId::new) {
+                assert_eq!(b.current[u.index()], r.cost(u, model), "{u} {model:?}");
+                if r.graph().out_degree(u) > 0 {
+                    let (_, best) = brute_force_best(&r, u, model);
+                    assert_eq!(b.best[u.index()], best, "{u} {model:?}");
+                }
             }
+            assert_eq!(b.current, s.current);
+            assert_eq!(b.best, s.best);
+            assert_eq!(b.is_nash(), s.is_nash());
+            assert_eq!(b.gap(), s.gap());
         }
     }
 }
@@ -308,7 +319,7 @@ fn degenerate_inputs_match_across_kernels() {
     // Single-vertex graph: the lone strategy is empty; both kernels
     // price it as cost 0 in both models.
     let one = Realization::new(OwnedDigraph::empty(1));
-    for kernel in [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse] {
+    for kernel in [CostKernel::Bitset, CostKernel::Sparse] {
         let mut scratch = DeviationScratch::with_kernel(&one, kernel);
         for model in CostModel::ALL {
             scratch.begin(&one, v(0), model);
@@ -322,16 +333,13 @@ fn degenerate_inputs_match_across_kernels() {
     let g = OwnedDigraph::from_arcs(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
     let r = Realization::new(g);
     for model in CostModel::ALL {
-        let mut queue = DeviationScratch::with_kernel(&r, CostKernel::Queue);
         let mut bitset = DeviationScratch::with_kernel(&r, CostKernel::Bitset);
         let mut sparse = DeviationScratch::with_kernel(&r, CostKernel::Sparse);
-        queue.begin(&r, v(0), model);
         bitset.begin(&r, v(0), model);
         sparse.begin(&r, v(0), model);
         let clean = [v(3)];
         let messy = [v(3), v(3), v(0)];
-        let want = queue.cost_of(&clean);
-        assert_eq!(queue.cost_of(&messy), want, "queue {model:?}");
+        let want = r.with_strategy(v(0), clean.to_vec()).cost(v(0), model);
         assert_eq!(bitset.cost_of(&clean), want, "bitset {model:?}");
         assert_eq!(bitset.cost_of(&messy), want, "bitset messy {model:?}");
         assert_eq!(sparse.cost_of(&clean), want, "sparse {model:?}");

@@ -54,7 +54,7 @@ const RULES: [ResponseRule; 4] = [
     ResponseRule::BestSwap,
 ];
 
-const KERNELS: [CostKernel; 3] = [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse];
+const KERNELS: [CostKernel; 2] = [CostKernel::Bitset, CostKernel::Sparse];
 
 /// The obs counters are process-global, so every test here that runs
 /// dynamics or prices on a kernel holds this lock: a counter delta
@@ -79,12 +79,11 @@ fn closed_form_activations() -> u64 {
     bbncg_obs::counter_value(Counter::ClosedFormActivations)
 }
 
-/// `[base BFS, priced on queue, priced on bitset, priced on sparse]`:
-/// the counters that move only when a session prices on a kernel.
-fn kernel_work() -> [u64; 4] {
+/// `[base BFS, priced on bitset, priced on sparse]`: the counters that
+/// move only when a session prices on a kernel.
+fn kernel_work() -> [u64; 3] {
     [
         Counter::KernelBaseBfs,
-        Counter::KernelPricedQueue,
         Counter::KernelPricedBitset,
         Counter::KernelPricedSparse,
     ]
@@ -393,7 +392,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Sharded ≡ sequential ≡ the rebuild reference for all four rules
-    /// × all three kernels × both models × both activation orders, on
+    /// × both kernels × both models × both activation orders, on
     /// random (often disconnected, brace-rich) instances. Random
     /// permutations use the same seeded RNG everywhere, so every run
     /// sees the identical order stream. Explicit `Sharded` splits every
@@ -450,7 +449,7 @@ proptest! {
     /// disconnected starts) under SUM and MAX: one engine prices in
     /// closed form and an explicit split prices on the kernels, and both
     /// equal the rebuild reference for both models × all four rules ×
-    /// both orders × all three kernels. The closed-form counter moves by one per sequential
+    /// both orders × both kernels. The closed-form counter moves by one per sequential
     /// activation of a one-arc player and stays put on split ones.
     /// Kernel session state is built only when a kernel prices: a
     /// sequential run moves no base-BFS or kernel-priced counter under
@@ -515,7 +514,7 @@ proptest! {
         let _lock = counting();
         let r = random_instance(n, seed);
         for model in CostModel::ALL {
-            for kernel in [CostKernel::Queue, CostKernel::Bitset] {
+            for kernel in KERNELS {
                 let serial =
                     audit_equilibrium_with_opts(&r, model, kernel, RoundExecutor::Sequential);
                 let batched =
@@ -814,13 +813,13 @@ fn brace_rich_instances_stay_identical() {
                     initial.clone(),
                     cfg.with_executor(RoundExecutor::Sequential),
                     &mut StdRng::seed_from_u64(3),
-                    CostKernel::Queue,
+                    CostKernel::Sparse,
                 );
                 let sharded = run_dynamics_with_kernel(
                     initial.clone(),
                     cfg.with_executor(RoundExecutor::Sharded),
                     &mut StdRng::seed_from_u64(3),
-                    CostKernel::Queue,
+                    CostKernel::Sparse,
                 );
                 assert_eq!(seq.state, sharded.state, "seed {seed} {model:?} {rule:?}");
                 assert_eq!(seq.steps, sharded.steps);

@@ -10,13 +10,8 @@
 //! [`Csr`](crate::Csr) and the deviation engine's editable
 //! [`CompactCsr`](crate::CompactCsr).
 //!
-//! Candidate pricing rarely needs the whole traversal: a search only
-//! keeps a candidate that strictly beats its incumbent.
-//! [`BfsScratch::run_patched_bounded`] takes that incumbent as a
-//! [`PriceBudget`] and stops at the first completed level that proves
-//! the final statistics meet it — every reachable vertex still unseen
-//! lies at least one level further out, which bounds the final sum and
-//! eccentricity from below (see [`PriceBudget::met_after_level`]).
+//! [`PriceBudget`] also lives here: the incumbent bound that the cost
+//! kernels' bounded traversals stop against.
 
 use crate::adjacency::Adjacency;
 use crate::node::NodeId;
@@ -182,13 +177,11 @@ impl BfsScratch {
     }
 
     /// BFS from `src` over `csr` **plus** the undirected patch edges
-    /// `{patch_owner, t}` for every `t` in `patch_targets`.
-    ///
-    /// This is the workhorse of best-response search: the caller builds
-    /// the CSR of the graph with player `u`'s owned arcs removed once,
-    /// then evaluates every candidate strategy `S` as a patch — O(n + m)
-    /// per candidate with zero rebuilding. `patch_targets` is expected to
+    /// `{patch_owner, t}` for every `t` in `patch_targets`: the graph
+    /// with player `patch_owner`'s arcs removed, priced as if it played
+    /// `patch_targets`, with no rebuild. `patch_targets` is expected to
     /// be small (a player's budget), so membership is a linear scan.
+    /// The cost kernels' property tests take it as their reference.
     pub fn run_patched<A: Adjacency + ?Sized>(
         &mut self,
         csr: &A,
@@ -196,32 +189,6 @@ impl BfsScratch {
         patch_owner: NodeId,
         patch_targets: &[NodeId],
     ) -> BfsStats {
-        self.run_patched_bounded(
-            csr,
-            src,
-            patch_owner,
-            patch_targets,
-            &PriceBudget::unbounded(),
-        )
-        .expect("unbounded traversal cannot abort")
-    }
-
-    /// [`Self::run_patched`] with an incumbent abort: returns `None` as
-    /// soon as a completed level proves the final stats meet `budget`
-    /// ([`PriceBudget::met_after_level`]), and otherwise exactly the
-    /// stats of the full traversal. The level test runs once per level,
-    /// when its first vertex is dequeued: by then every vertex at that
-    /// distance has been discovered and none farther. `max_dist` is
-    /// always exact (`budget.need_max` only matters to the sparse
-    /// tier).
-    pub fn run_patched_bounded<A: Adjacency + ?Sized>(
-        &mut self,
-        csr: &A,
-        src: NodeId,
-        patch_owner: NodeId,
-        patch_targets: &[NodeId],
-        budget: &PriceBudget,
-    ) -> Option<BfsStats> {
         self.begin_run(csr.n());
         self.mark(src, 0);
         self.queue.push(src);
@@ -232,15 +199,6 @@ impl BfsScratch {
             let u = self.queue[head];
             head += 1;
             let du = self.dist[u.index()];
-            if du > max_dist {
-                // Level `du` is complete: `sum_dist` covers the levels
-                // before it, and the queue from `u` on holds all of it.
-                let reached = self.queue.len();
-                let level_sum = sum_dist + du as u64 * (reached - head + 1) as u64;
-                if budget.met_after_level(du, reached, level_sum) {
-                    return None;
-                }
-            }
             max_dist = du;
             sum_dist += du as u64;
             for &w in csr.neighbors(u) {
@@ -262,11 +220,11 @@ impl BfsScratch {
                 self.queue.push(patch_owner);
             }
         }
-        Some(BfsStats {
+        BfsStats {
             visited: self.queue.len(),
             max_dist,
             sum_dist,
-        })
+        }
     }
 }
 
@@ -291,8 +249,7 @@ impl BfsStats {
 }
 
 /// Abort thresholds for bounded candidate pricing
-/// ([`BfsScratch::run_patched_bounded`],
-/// [`BitBfsScratch::run_patched_bounded`](crate::BitBfsScratch::run_patched_bounded),
+/// ([`BitBfsScratch::run_patched_bounded`](crate::BitBfsScratch::run_patched_bounded),
 /// [`SparseSssp::price_bounded`](crate::SparseSssp::price_bounded)):
 /// a traversal stops (and reports `None`) as soon as the final stats
 /// provably meet either budget, because the caller's incumbent can
@@ -313,7 +270,7 @@ pub struct PriceBudget {
     /// Return an exact `max_dist`. The sparse tier's SUM-model callers
     /// pass `false` and get `max_dist = 0` back (their cost formula
     /// never reads it), which skips all its histogram bookkeeping; the
-    /// BFS kernels get the eccentricity for free and always return it.
+    /// bitset BFS gets the eccentricity for free and always returns it.
     pub need_max: bool,
 }
 
@@ -328,7 +285,7 @@ impl PriceBudget {
         }
     }
 
-    /// The level rule of the BFS kernels: once every vertex within
+    /// The level rule of the bitset BFS: once every vertex within
     /// distance `level` of the source is reached — `reached` vertices
     /// whose distances sum to `sum` — every reachable vertex not yet
     /// reached lies at distance `≥ level + 1`. So the final sum is at
@@ -466,55 +423,6 @@ mod tests {
         let mut bfs2 = BfsScratch::new(5);
         let patched = bfs2.run_patched(&csr, v(2), v(0), &[]);
         assert_eq!(plain, patched);
-    }
-
-    #[test]
-    fn bounded_patched_run_stops_at_the_first_proving_level() {
-        // Path 0-…-9 from 0: the true sum is 45, the eccentricity 9.
-        // After level ℓ the SUM bound is ℓ(ℓ+1)/2 + (ℓ+1)(9 − ℓ): 17 at
-        // level 1, 24 at level 2, …, 45 at level 9.
-        let csr = path_csr(10);
-        let mut bfs = BfsScratch::new(10);
-        let want = bfs.run(&csr, v(0));
-        let sum = |sum| PriceBudget {
-            sum,
-            max: u32::MAX,
-            reachable: 10,
-            need_max: false,
-        };
-        assert_eq!(
-            bfs.run_patched_bounded(&csr, v(0), v(0), &[], &sum(17)),
-            None
-        );
-        assert_eq!(bfs.reached().len(), 2, "stopped when level 1 completed");
-        assert_eq!(
-            bfs.run_patched_bounded(&csr, v(0), v(0), &[], &sum(18)),
-            None
-        );
-        assert_eq!(bfs.reached().len(), 3, "stopped when level 2 completed");
-        assert_eq!(
-            bfs.run_patched_bounded(&csr, v(0), v(0), &[], &sum(45)),
-            None
-        );
-        let full = bfs.run_patched_bounded(&csr, v(0), v(0), &[], &sum(46));
-        assert_eq!(full, Some(want));
-        // MAX: vertices remain past level 8, so the eccentricity is ≥ 9.
-        let max = |max| PriceBudget {
-            sum: u64::MAX,
-            max,
-            reachable: 10,
-            need_max: true,
-        };
-        assert_eq!(
-            bfs.run_patched_bounded(&csr, v(0), v(0), &[], &max(9)),
-            None
-        );
-        assert_eq!(bfs.reached().len(), 9, "stopped when level 8 completed");
-        let full = bfs.run_patched_bounded(&csr, v(0), v(0), &[], &max(10));
-        assert_eq!(full, Some(want));
-        // Unbounded never aborts.
-        let full = bfs.run_patched_bounded(&csr, v(0), v(0), &[], &PriceBudget::unbounded());
-        assert_eq!(full, Some(want));
     }
 
     #[test]

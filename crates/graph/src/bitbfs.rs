@@ -7,9 +7,9 @@
 //! operations: expand the whole frontier by ORing the adjacency rows of
 //! its members into a `next` bitset, mask off `visited`, and read the
 //! level's statistics from popcounts. [`BfsStats`] comes out identical
-//! to the queue kernel — `visited` is the total popcount, `max_dist`
-//! the last non-empty level, `sum_dist` the popcount-weighted level sum
-//! — so the two kernels are drop-in interchangeable.
+//! to the queue BFS — `visited` is the total popcount, `max_dist` the
+//! last non-empty level, `sum_dist` the popcount-weighted level sum —
+//! so the two traversals are drop-in interchangeable.
 //!
 //! [`BitBfsScratch::run_patched`] mirrors
 //! [`BfsScratch::run_patched`](crate::BfsScratch::run_patched): the
@@ -85,7 +85,7 @@ impl BitBfsScratch {
     /// BFS from `src` over `g` **plus** the undirected patch edges
     /// `{patch_owner, t}` for every `t` in `patch_targets`. Duplicate
     /// targets and `patch_owner` itself in the target list are
-    /// harmless, exactly as in the queue kernel.
+    /// harmless, exactly as in the queue BFS.
     ///
     /// # Panics
     /// Panics if `src`, `patch_owner` or any target is out of range.

@@ -1,10 +1,10 @@
 //! Incremental single-source distance maintenance for candidate
 //! pricing.
 //!
-//! The queue and bitset kernels price every candidate strategy with a
-//! patched BFS from scratch — O(n + m) or O(n²/64) per candidate, cut
-//! short only by the incumbent abort, even when the candidate changes
-//! almost nothing. The sparse kernel exploits the
+//! The bitset kernel prices every candidate strategy with a patched
+//! BFS from scratch — O(n²/64) word ops per candidate, cut short only
+//! by the incumbent abort, even when the candidate changes almost
+//! nothing. The sparse kernel exploits the
 //! structure of a best-response session instead: the session graph `G₀`
 //! (the deviator `u` detached) is fixed, and every candidate `T` only
 //! *adds* the star `{u, t}` for `t ∈ T`. Distances from `u` can

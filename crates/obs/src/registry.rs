@@ -155,7 +155,9 @@ catalogue! {
             KernelBaseBfs,
         }
         bbncg_kernel_candidates_priced_total: "Candidate deviations priced, by cost kernel" {
-            /// Candidates priced by the queue BFS kernel.
+            /// Retired: nothing increments it. The queue BFS kernel is gone;
+            /// its label parses as `auto`. Kept in the catalogue because the
+            /// benchmark package still reads it.
             KernelPricedQueue { kernel = "queue" },
             /// Candidates priced by the word-parallel bitset BFS kernel.
             KernelPricedBitset { kernel = "bitset" },
@@ -164,9 +166,8 @@ catalogue! {
         }
         bbncg_kernel_prune_skips_total:
             "Candidates skipped by the Lemma 2.2 lower bound or an incumbent abort, by cost kernel" {
-            /// Candidates skipped as unable to beat the incumbent (queue
-            /// kernel): the Lemma 2.2 lower bound and in-flight incumbent
-            /// aborts both land here.
+            /// Retired: nothing increments it (see
+            /// [`Counter::KernelPricedQueue`]).
             KernelPruneSkipQueue { kernel = "queue" },
             /// Candidates skipped as unable to beat the incumbent (bitset
             /// kernel): the Lemma 2.2 lower bound and in-flight incumbent
@@ -199,9 +200,6 @@ catalogue! {
         }
         bbncg_kernel_prune_aborts_total:
             "Pricings aborted part-way by the incumbent bound, by cost kernel" {
-            /// Queue-kernel pricings aborted part-way by the incumbent bound
-            /// (counted inside the priced and prune-skip totals as well).
-            KernelPruneAbortQueue { kernel = "queue" },
             /// Bitset-kernel pricings aborted part-way by the incumbent bound
             /// (counted inside the priced and prune-skip totals as well).
             KernelPruneAbortBitset { kernel = "bitset" },

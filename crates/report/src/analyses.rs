@@ -71,13 +71,9 @@ impl ObsDelta {
     pub fn snapshot() -> ObsDelta {
         use bbncg_obs::{counter_value as cv, Counter as C};
         ObsDelta {
-            priced: cv(C::KernelPricedQueue)
-                + cv(C::KernelPricedBitset)
-                + cv(C::KernelPricedSparse),
+            priced: cv(C::KernelPricedBitset) + cv(C::KernelPricedSparse),
             closed_form: cv(C::ClosedFormActivations),
-            prune_skips: cv(C::KernelPruneSkipQueue)
-                + cv(C::KernelPruneSkipBitset)
-                + cv(C::KernelPruneSkipSparse),
+            prune_skips: cv(C::KernelPruneSkipBitset) + cv(C::KernelPruneSkipSparse),
             prune_exact: cv(C::KernelPruneExact),
             rounds_evals: cv(C::RoundsEvals),
             rounds_commits: cv(C::RoundsCommits),

@@ -136,8 +136,8 @@ pub struct ScenarioSpec {
     /// Default dynamics parameters for `kind = "dynamics"` phases.
     pub defaults: DynamicsConfig,
     /// Cost kernel pricing every candidate deviation
-    /// (`[dynamics] kernel = "queue"|"bitset"|"sparse"|"auto"`,
-    /// default auto).
+    /// (`[dynamics] kernel = "bitset"|"sparse"|"auto"`, default auto;
+    /// the retired `"queue"` reads as auto).
     /// Kernels are move-for-move equivalent, so this is purely a
     /// throughput knob: trajectories, records, checkpoints and resumes
     /// are kernel-independent.
@@ -947,7 +947,7 @@ rounds = 50
         let spec = parse_spec(CHURN).unwrap();
         assert_eq!(spec.kernel, CostKernel::Auto);
         for (label, want) in [
-            ("queue", CostKernel::Queue),
+            ("queue", CostKernel::Auto),
             ("bitset", CostKernel::Bitset),
             ("sparse", CostKernel::Sparse),
             ("auto", CostKernel::Auto),

@@ -8,7 +8,7 @@
 //! by *diffing*, so an event that rewrites many strategies at once (or
 //! resizes the instance) exercises exactly the multi-edge diff paths a
 //! single dynamics move never does. The oracle here is a fresh
-//! queue-kernel engine plus the full-recompute `Realization::cost`;
+//! sparse-kernel engine plus the full-recompute `Realization::cost`;
 //! the bitset engine's `sync` additionally self-checks
 //! `patch.same_graph_as(csr)` and `bits.mirrors(patch)` via debug
 //! assertions, which are active in this test profile.
@@ -20,14 +20,22 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// `u`'s cost in `r` had it played `targets`, of any size: a full
+/// recompute on a fresh profile.
+fn recompute(r: &Realization, u: NodeId, targets: &[NodeId], model: CostModel) -> u64 {
+    let mut g = r.graph().clone();
+    g.set_out(u, targets.to_vec());
+    Realization::new(g).cost(u, model)
+}
+
 /// Every player's every single-target candidate (plus its current
 /// strategy) must price identically through the long-lived bitset
-/// engine, a fresh queue engine, and a full recompute.
+/// engine, a fresh sparse engine, and a full recompute.
 fn assert_engines_agree(
     bitset: &mut DeviationScratch,
     r: &Realization,
 ) -> Result<(), TestCaseError> {
-    let mut queue = DeviationScratch::with_kernel(r, CostKernel::Queue);
+    let mut sparse = DeviationScratch::with_kernel(r, CostKernel::Sparse);
     let n = r.n();
     for model in CostModel::ALL {
         for u in (0..n).map(NodeId::new) {
@@ -35,20 +43,16 @@ fn assert_engines_agree(
                 continue;
             }
             bitset.begin(r, u, model);
-            queue.begin(r, u, model);
+            sparse.begin(r, u, model);
             let current = r.strategy(u).to_vec();
-            prop_assert_eq!(bitset.cost_of(&current), queue.cost_of(&current));
+            prop_assert_eq!(bitset.cost_of(&current), sparse.cost_of(&current));
             prop_assert_eq!(bitset.cost_of(&current), r.cost(u, model));
             for t in (0..n).map(NodeId::new).filter(|&t| t != u) {
-                // Prefix pricing (the greedy rule's shape) must agree
-                // between the kernels for any budget; the full
-                // recompute only prices complete strategies, so it
-                // anchors the budget-1 players.
+                // Prefix pricing (the greedy rule's shape) for any
+                // budget.
                 let b = bitset.cost_of(&[t]);
-                prop_assert_eq!(b, queue.cost_of(&[t]));
-                if r.graph().out_degree(u) == 1 {
-                    prop_assert_eq!(b, r.with_strategy(u, vec![t]).cost(u, model));
-                }
+                prop_assert_eq!(b, sparse.cost_of(&[t]));
+                prop_assert_eq!(b, recompute(r, u, &[t], model));
             }
         }
     }
@@ -71,8 +75,8 @@ proptest! {
         let mut state = Realization::new(
             bbncg_graph::generators::random_realization(&budgets, &mut rng),
         );
-        // Forced bitset kernel: Auto would pick queue at these sizes,
-        // and the mirror-consistency paths are exactly what's on trial.
+        // Forced bitset kernel: the mirror-consistency paths are
+        // exactly what's on trial.
         let mut engine = DeviationScratch::with_kernel(&state, CostKernel::Bitset);
         assert_engines_agree(&mut engine, &state)?;
 

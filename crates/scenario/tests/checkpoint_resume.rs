@@ -7,7 +7,7 @@
 //!    exact final state hash (and the exact remaining records) of an
 //!    uninterrupted run.
 
-use bbncg_core::RoundExecutor;
+use bbncg_core::{CostKernel, RoundExecutor};
 use bbncg_scenario::{parse_spec, run_scenario, run_sweep, Checkpoint, MemorySink, ScenarioSpec};
 
 /// A scenario exercising every phase kind, with enough randomness
@@ -155,31 +155,37 @@ fn kernels_trace_identically_and_resume_across_kernels() {
     // equivalent), and a checkpoint frozen under one kernel must resume
     // bit-identically under the other.
     let mut specs = Vec::new();
-    for kernel in ["queue", "bitset"] {
+    for kernel in ["sparse", "bitset", "queue"] {
         let text = FULL.replace(
             "rule = \"exact\"",
             &format!("rule = \"exact\"\nkernel = \"{kernel}\""),
         );
         specs.push(parse_spec(&text).unwrap());
     }
-    let (queue, bitset) = (&specs[0], &specs[1]);
-    let mut qs = MemorySink::default();
+    let (sparse, bitset, legacy) = (&specs[0], &specs[1], &specs[2]);
+    assert_eq!(
+        legacy.kernel,
+        CostKernel::Auto,
+        "the retired label reads as auto"
+    );
+    let mut ss = MemorySink::default();
     let mut bs = MemorySink::default();
-    let rq = run_scenario(queue, 9, None, &mut qs, None, |_| ()).unwrap();
+    let rs = run_scenario(sparse, 9, None, &mut ss, None, |_| ()).unwrap();
     let rb = run_scenario(bitset, 9, None, &mut bs, None, |_| ()).unwrap();
-    assert_eq!(rq.state, rb.state, "kernels must trace identically");
-    assert_eq!(rq.state_hash, rb.state_hash);
-    assert_eq!(rq.steps, rb.steps);
+    assert_eq!(rs.state, rb.state, "kernels must trace identically");
+    assert_eq!(rs.state_hash, rb.state_hash);
+    assert_eq!(rs.steps, rb.steps);
     // Records differ only in the scenario identity baked into them
     // (spec hash is part of neither record, the name is the same).
-    assert_eq!(qs.records, bs.records);
+    assert_eq!(ss.records, bs.records);
 
-    // Freeze under queue, thaw, and finish under bitset. The spec-hash
-    // differs across the two spec texts, so resume through a
-    // hash-matching bitset copy of the frozen cursor.
-    let part = run_scenario(queue, 9, None, &mut MemorySink::default(), Some(3), |_| ()).unwrap();
-    assert_eq!(part.checkpoint.kernel.label(), "queue");
-    let mut ck = Checkpoint::from_text(&part.checkpoint.to_text()).unwrap();
+    // Freeze under sparse, thaw, and finish under bitset. The spec-hash
+    // differs across the spec texts, so resume through a hash-matching
+    // copy of the frozen cursor.
+    let part = run_scenario(sparse, 9, None, &mut MemorySink::default(), Some(3), |_| ()).unwrap();
+    assert_eq!(part.checkpoint.kernel.label(), "sparse");
+    let frozen = part.checkpoint.to_text();
+    let mut ck = Checkpoint::from_text(&frozen).unwrap();
     assert_eq!(ck, part.checkpoint, "kernel survives the text roundtrip");
     ck.spec_hash = bitset.spec_hash;
     let resumed = run_scenario(
@@ -192,8 +198,24 @@ fn kernels_trace_identically_and_resume_across_kernels() {
     )
     .unwrap();
     assert_eq!(
-        resumed.state_hash, rq.state_hash,
+        resumed.state_hash, rs.state_hash,
         "resume under the other kernel must land on the identical final hash"
+    );
+
+    // A checkpoint written while the queue kernel existed reads
+    // `meta kernel queue`: it thaws as auto and, resumed under a spec
+    // that still names queue, finishes on the identical final hash.
+    let old = frozen.replace("meta kernel sparse", "meta kernel queue");
+    assert_ne!(old, frozen);
+    let mut ck = Checkpoint::from_text(&old).unwrap();
+    assert_eq!(ck.kernel, CostKernel::Auto);
+    ck.spec_hash = legacy.spec_hash;
+    let mut ls = MemorySink::default();
+    let resumed = run_scenario(legacy, 9, Some(ck), &mut ls, None, |_| ()).unwrap();
+    assert_eq!(resumed.state_hash, rs.state_hash);
+    assert_eq!(
+        ls.records[..],
+        ss.records[ss.records.len() - ls.records.len()..]
     );
 }
 

@@ -21,15 +21,15 @@ fn spec_with_kernel(kernel: &str) -> String {
 
 #[test]
 fn reused_slot_honours_each_runs_kernel() {
-    let queue_spec = parse_spec(&spec_with_kernel("queue")).unwrap();
+    let sparse_spec = parse_spec(&spec_with_kernel("sparse")).unwrap();
     let bitset_spec = parse_spec(&spec_with_kernel("bitset")).unwrap();
     let mut slot = None;
     let cancel = CancelToken::new();
 
     let mut a = MemorySink::default();
     run_scenario_with_engine(
-        &queue_spec,
-        queue_spec.seed,
+        &sparse_spec,
+        sparse_spec.seed,
         None,
         &mut a,
         None,
@@ -40,7 +40,7 @@ fn reused_slot_honours_each_runs_kernel() {
     .unwrap();
     assert_eq!(
         slot.as_ref().map(|s| s.kernel()),
-        Some(CostKernel::Queue),
+        Some(CostKernel::Sparse),
         "first run fills the slot under its own kernel"
     );
 

@@ -160,7 +160,7 @@ fn explicit_bitset_kernel_is_capped_at_the_peak_vertex_count() {
     let err = parse_spec(&spec(cap, "bitset", arrive)).unwrap_err();
     assert_eq!(err.line, 6, "{err}");
     // Every other kernel runs at any size Auto could meet.
-    for kernel in ["auto", "queue", "sparse"] {
+    for kernel in ["auto", "sparse"] {
         parse_spec(&spec(cap + 1, kernel, arrive)).unwrap();
     }
 

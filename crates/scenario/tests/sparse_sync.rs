@@ -11,9 +11,8 @@
 //! call runs a fresh base BFS on the post-event graph. So an event
 //! that rewrites many strategies at once (or resizes the instance)
 //! exercises exactly the multi-edge diff and engine-rebuild paths a
-//! single dynamics move never does. The oracle is
-//! a fresh queue-kernel engine plus the full-recompute
-//! `Realization::cost`.
+//! single dynamics move never does. The oracle is a fresh bitset-kernel
+//! engine plus the full-recompute `Realization::cost`.
 
 use bbncg_core::{CostKernel, CostModel, DeviationScratch, Realization};
 use bbncg_graph::NodeId;
@@ -22,14 +21,22 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// `u`'s cost in `r` had it played `targets`, of any size: a full
+/// recompute on a fresh profile.
+fn recompute(r: &Realization, u: NodeId, targets: &[NodeId], model: CostModel) -> u64 {
+    let mut g = r.graph().clone();
+    g.set_out(u, targets.to_vec());
+    Realization::new(g).cost(u, model)
+}
+
 /// Every player's every single-target candidate (plus its current
 /// strategy) must price identically through the long-lived sparse
-/// engine, a fresh queue engine, and a full recompute.
+/// engine, a fresh bitset engine, and a full recompute.
 fn assert_engines_agree(
     sparse: &mut DeviationScratch,
     r: &Realization,
 ) -> Result<(), TestCaseError> {
-    let mut queue = DeviationScratch::with_kernel(r, CostKernel::Queue);
+    let mut bitset = DeviationScratch::with_kernel(r, CostKernel::Bitset);
     let n = r.n();
     for model in CostModel::ALL {
         for u in (0..n).map(NodeId::new) {
@@ -37,20 +44,16 @@ fn assert_engines_agree(
                 continue;
             }
             sparse.begin(r, u, model);
-            queue.begin(r, u, model);
+            bitset.begin(r, u, model);
             let current = r.strategy(u).to_vec();
-            prop_assert_eq!(sparse.cost_of(&current), queue.cost_of(&current));
+            prop_assert_eq!(sparse.cost_of(&current), bitset.cost_of(&current));
             prop_assert_eq!(sparse.cost_of(&current), r.cost(u, model));
             for t in (0..n).map(NodeId::new).filter(|&t| t != u) {
-                // Prefix pricing (the greedy rule's shape) must agree
-                // between the kernels for any budget; the full
-                // recompute only prices complete strategies, so it
-                // anchors the budget-1 players.
+                // Prefix pricing (the greedy rule's shape) for any
+                // budget.
                 let s = sparse.cost_of(&[t]);
-                prop_assert_eq!(s, queue.cost_of(&[t]));
-                if r.graph().out_degree(u) == 1 {
-                    prop_assert_eq!(s, r.with_strategy(u, vec![t]).cost(u, model));
-                }
+                prop_assert_eq!(s, bitset.cost_of(&[t]));
+                prop_assert_eq!(s, recompute(r, u, &[t], model));
             }
         }
     }
@@ -75,7 +78,7 @@ proptest! {
         let mut state = Realization::new(
             bbncg_graph::generators::random_realization(&budgets, &mut rng),
         );
-        // Forced sparse kernel: Auto would pick queue at these sizes,
+        // Forced sparse kernel: Auto would pick bitset at these sizes,
         // and the compact-arena consistency paths are what's on trial.
         let mut engine = DeviationScratch::with_kernel(&state, CostKernel::Sparse);
         assert_engines_agree(&mut engine, &state)?;
@@ -134,7 +137,7 @@ proptest! {
     /// same-size events flow in through diff-sync as raw arc deltas and
     /// are absorbed by the commit-time repair path (or a full rebase
     /// when the damage is too broad); either way pricing must match a
-    /// fresh queue engine exactly. A final resizing event checks the
+    /// full recompute and a fresh bitset engine exactly. A final resizing event checks the
     /// retained state is dropped, not corrupted.
     #[test]
     fn retained_base_survives_event_timelines(n in 5usize..9, seed in 0u64..80) {
@@ -150,14 +153,16 @@ proptest! {
             state: &Realization,
         ) -> Result<(), TestCaseError> {
             let watcher = NodeId::new(0);
-            let mut queue = DeviationScratch::with_kernel(state, CostKernel::Queue);
+            let mut bitset = DeviationScratch::with_kernel(state, CostKernel::Bitset);
             for model in CostModel::ALL {
                 engine.begin(state, watcher, model);
-                queue.begin(state, watcher, model);
+                bitset.begin(state, watcher, model);
                 let current = state.strategy(watcher).to_vec();
-                prop_assert_eq!(engine.cost_of(&current), queue.cost_of(&current));
+                prop_assert_eq!(engine.cost_of(&current), state.cost(watcher, model));
+                prop_assert_eq!(bitset.cost_of(&current), state.cost(watcher, model));
                 for t in (0..state.n()).map(NodeId::new).filter(|&t| t != watcher) {
-                    let want = queue.cost_of(&[t]);
+                    let want = recompute(state, watcher, &[t], model);
+                    prop_assert_eq!(bitset.cost_of(&[t]), want);
                     prop_assert_eq!(engine.cost_of(&[t]), want);
                     prop_assert!(engine.candidate_lower_bound(&[t]) <= want);
                     prop_assert_eq!(engine.cost_of_pruned(&[t], want + 1), Some(want));

@@ -286,7 +286,7 @@ mod tests {
         assert_ne!(scenario_cache_key(&a), scenario_cache_key(&c));
         // So does a kernel override (perf shape is part of the ask).
         let mut d = a.clone();
-        d.kernel = bbncg_core::CostKernel::Queue;
+        d.kernel = bbncg_core::CostKernel::Sparse;
         assert_ne!(scenario_cache_key(&a), scenario_cache_key(&d));
     }
 

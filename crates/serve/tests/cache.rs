@@ -203,7 +203,7 @@ fn nocache_bypasses_and_overrides_key_distinctly() {
     let (reseeded, cached) = submit(&addr, "?seed=77");
     assert_ne!(reseeded, first);
     assert!(!cached);
-    let (rekernelled, cached) = submit(&addr, "?kernel=queue");
+    let (rekernelled, cached) = submit(&addr, "?kernel=sparse");
     assert!(!cached);
     assert!(rekernelled != first && rekernelled != reseeded);
 
@@ -212,8 +212,14 @@ fn nocache_bypasses_and_overrides_key_distinctly() {
     assert_eq!(again, first);
     assert!(cached);
 
+    // The retired queue kernel's label is accepted and reads as auto,
+    // the spec's own kernel: the same ask, so the same entry answers.
+    let (legacy, cached) = submit(&addr, "?kernel=queue");
+    assert_eq!(legacy, first);
+    assert!(cached);
+
     let h = healthz(&addr);
-    assert_eq!(json_u64(&h, "cache_size"), 3, "base + seed77 + queue: {h}");
+    assert_eq!(json_u64(&h, "cache_size"), 3, "base + seed77 + sparse: {h}");
     server.shutdown(false);
     server.join();
 }

@@ -110,11 +110,11 @@ fn submit_time_seed_and_kernel_overrides_apply() {
     client::wait_ready(&addr, Duration::from_secs(10)).unwrap();
 
     // ?seed= must override the spec seed (and kernels never change
-    // records, so ?kernel=queue vs bitset is byte-identical too).
+    // records, so ?kernel=sparse vs bitset is byte-identical too).
     let reseeded = offline_lines(&CHURN_SPEC.replace("seed = 11", "seed = 77"));
     assert_eq!(served_lines(&addr, CHURN_SPEC, "?seed=77"), reseeded);
     assert_eq!(
-        served_lines(&addr, CHURN_SPEC, "?seed=77&kernel=queue"),
+        served_lines(&addr, CHURN_SPEC, "?seed=77&kernel=sparse"),
         served_lines(&addr, CHURN_SPEC, "?seed=77&kernel=bitset"),
     );
 

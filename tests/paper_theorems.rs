@@ -21,7 +21,7 @@ use rand::SeedableRng;
 /// `r` is a Nash equilibrium in both versions under every concrete
 /// cost kernel (`Auto` alone would check only the one its size picks).
 fn assert_equilibrium_under_every_kernel(r: &Realization, what: &str) {
-    for kernel in [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse] {
+    for kernel in [CostKernel::Bitset, CostKernel::Sparse] {
         for model in CostModel::ALL {
             assert!(
                 is_nash_equilibrium_with_kernel(r, model, kernel),

@@ -4,7 +4,7 @@ use bbncg::analysis::unit_structure;
 use bbncg::game::dynamics::{run_dynamics_with_kernel, DynamicsConfig};
 use bbncg::game::{
     audit_equilibrium, exact_best_response, find_violation, is_best_response, BudgetVector,
-    CostKernel, CostModel, DeviationOracle, Realization, RoundExecutor,
+    CostKernel, CostModel, DeviationScratch, Realization, RoundExecutor,
 };
 use bbncg::graph::{generators, BfsScratch, Csr, DistanceMatrix, NodeId};
 use proptest::prelude::*;
@@ -21,19 +21,21 @@ fn budget_vector() -> impl Strategy<Value = BudgetVector> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The deviation oracle prices every strategy exactly like a full
-    /// profile rebuild, under both cost models.
+    /// The deviation engine prices every strategy exactly like a full
+    /// profile rebuild, under both cost models and both kernels, with
+    /// one engine per kernel reused across every player's session.
     #[test]
     fn oracle_agrees_with_recompute(b in budget_vector(), seed in 0u64..1000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let r = Realization::new(generators::random_realization(b.as_slice(), &mut rng));
         let n = r.n();
+        let mut engines = [CostKernel::Bitset, CostKernel::Sparse]
+            .map(|kernel| DeviationScratch::with_kernel(&r, kernel));
         for u in 0..n {
             let u = NodeId::new(u);
             let bu = r.graph().out_degree(u);
             if bu == 0 { continue; }
             for model in CostModel::ALL {
-                let mut oracle = DeviationOracle::new(&r, u, model);
                 // A handful of deterministic candidate strategies.
                 let pool: Vec<NodeId> = (0..n).map(NodeId::new).filter(|&t| t != u).collect();
                 for rot in 0..3usize.min(pool.len()) {
@@ -42,9 +44,11 @@ proptest! {
                     sorted.sort_unstable();
                     sorted.dedup();
                     if sorted.len() != bu { continue; }
-                    let fast = oracle.cost_of(&sorted);
                     let slow = r.with_strategy(u, sorted.clone()).cost(u, model);
-                    prop_assert_eq!(fast, slow);
+                    for engine in &mut engines {
+                        engine.begin(&r, u, model);
+                        prop_assert_eq!(engine.cost_of(&sorted), slow);
+                    }
                 }
             }
         }
@@ -153,7 +157,7 @@ proptest! {
         let start = Realization::new(generators::random_realization(&vec![1; n], &mut rng));
         for model in CostModel::ALL {
             let mut ends = Vec::new();
-            for kernel in [CostKernel::Queue, CostKernel::Bitset, CostKernel::Sparse] {
+            for kernel in [CostKernel::Bitset, CostKernel::Sparse] {
                 for executor in [RoundExecutor::Sequential, RoundExecutor::Sharded] {
                     let cfg = DynamicsConfig::exact(model, 300).with_executor(executor);
                     let report = run_dynamics_with_kernel(
