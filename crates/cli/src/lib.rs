@@ -25,9 +25,10 @@ use bbncg_constructions::{
 };
 use bbncg_core::dynamics::{run_dynamics_with_kernel, DynamicsConfig, PlayerOrder, ResponseRule};
 use bbncg_core::{
-    best_swap_response, exact_best_response, exact_game_stats, greedy_best_response,
-    is_nash_equilibrium_with_kernel, is_swap_equilibrium_with_kernel, parse_realization,
-    write_realization, BudgetVector, CostKernel, CostModel, Realization, RoundExecutor,
+    best_swap_response, exact_best_response, exact_candidates, exact_game_stats,
+    greedy_best_response, is_nash_equilibrium_with_kernel, is_swap_equilibrium_with_kernel,
+    parse_realization, write_realization, BudgetVector, CostKernel, CostModel, Realization,
+    RoundExecutor,
 };
 use bbncg_graph::{dot, generators, GraphMetrics, NodeId};
 use rand::rngs::StdRng;
@@ -176,6 +177,22 @@ fn load_realization(path: &str) -> Result<Realization, String> {
     parse_realization(&text).map_err(|e| e.to_string())
 }
 
+/// Refuse, before any search starts, an exact search over a player in
+/// `players` that the search itself would refuse with a panic: the
+/// one-line error names the player and its candidate count, and
+/// `hint` says what to run instead.
+fn check_exact_searches(
+    r: &Realization,
+    players: impl IntoIterator<Item = NodeId>,
+    hint: &str,
+) -> Result<(), String> {
+    for u in players {
+        exact_candidates(r.n(), r.graph().out_degree(u))
+            .map_err(|e| format!("player {} {e} ({hint})", u.index()))?;
+    }
+    Ok(())
+}
+
 /// `bbncg construct` — build a named equilibrium and print it in the
 /// `bbncg v1` format (pipe into a file or another subcommand).
 pub fn cmd_construct(args: &Args) -> Result<String, String> {
@@ -228,13 +245,17 @@ pub fn cmd_verify(args: &Args) -> Result<String, String> {
     if args.has("--swap") && args.has("--audit") {
         return Err("--swap and --audit are mutually exclusive".into());
     }
+    if !args.has("--swap") {
+        let players = (0..r.n()).map(NodeId::new);
+        check_exact_searches(&r, players, "--swap checks the swap equilibrium instead")?;
+    }
     if args.has("--swap") {
         let ok = is_swap_equilibrium_with_kernel(&r, model, kernel);
         let _ = writeln!(out, "swap equilibrium ({}) = {}", model.label(), ok);
     } else if args.has("--audit") {
         // Full batched engine pass: verdict, exact best-response gap
         // and every violator from one audit_equilibrium sweep (no
-        // early exit — each player's whole candidate space is priced).
+        // early exit — each player's search runs to its optimum).
         // `--rounds` picks the execution discipline (parallel batched
         // vs one engine on this thread); the verdict is identical.
         let audit = bbncg_core::audit_equilibrium_with_opts(&r, model, kernel, executor);
@@ -285,7 +306,10 @@ pub fn cmd_best_response(args: &Args) -> Result<String, String> {
     let u = NodeId::new(player);
     let current = r.cost(u, model);
     let br = match args.get("rule").unwrap_or("exact") {
-        "exact" => exact_best_response(&r, u, model),
+        "exact" => {
+            check_exact_searches(&r, [u], "use --rule swap or greedy")?;
+            exact_best_response(&r, u, model)
+        }
         "greedy" => greedy_best_response(&r, u, model),
         "swap" => {
             best_swap_response(&r, u, model).ok_or("player owns no arcs; swap rule inapplicable")?
@@ -363,6 +387,10 @@ pub fn cmd_dynamics(args: &Args) -> Result<String, String> {
         let budgets = parse_budgets(args.get("budgets").ok_or("need --budgets or a FILE")?)?;
         Realization::new(generators::random_realization(budgets.as_slice(), &mut rng))
     };
+    if matches!(rule, ResponseRule::ExactBest | ResponseRule::FirstImproving) {
+        let players = (0..initial.n()).map(NodeId::new);
+        check_exact_searches(&initial, players, "use --rule swap or greedy")?;
+    }
     let cfg = DynamicsConfig {
         model,
         order,

@@ -419,6 +419,52 @@ fn unenumerable_specs_exit_2_naming_the_player() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Every command that searches a player exactly refuses one whose
+/// search would run past the cap, naming the player and the candidate
+/// count, instead of panicking in the search.
+#[test]
+fn unenumerable_profiles_exit_2_naming_the_player() {
+    // Player 0 owns the arcs to 1..=20 of 40 vertices, and every other
+    // player one arc to 0: C(39, 20) candidates for player 0.
+    let mut profile = String::from("bbncg v1\nn 40\nbudgets 20");
+    profile.push_str(&" 1".repeat(39));
+    profile.push_str("\narcs\n");
+    (1..=20).for_each(|v| profile.push_str(&format!("0 {v}\n")));
+    (1..40).for_each(|v| profile.push_str(&format!("{v} 0\n")));
+    let path = std::env::temp_dir().join(format!("bbncg_e2e_wide_{}.txt", std::process::id()));
+    std::fs::write(&path, profile).unwrap();
+    let file = path.to_str().unwrap();
+    let budgets = format!("20{}", ",1".repeat(39));
+    for args in [
+        vec!["verify", file],
+        vec!["verify", file, "--audit"],
+        vec!["best-response", file, "--player", "0"],
+        vec!["dynamics", file, "--rule", "exact"],
+        vec!["dynamics", "--budgets", &budgets, "--rule", "exact"],
+        vec!["dynamics", "--budgets", &budgets, "--rule", "better"],
+    ] {
+        let out = bbncg().args(&args).output().unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(
+            err.contains("player 0 owns 20 arcs among 40 vertices: ")
+                && err.contains("would enumerate 68923264410 candidates"),
+            "{args:?}: {err}"
+        );
+        assert_eq!(err.trim_end().lines().count(), 1, "{args:?}: {err}");
+    }
+    // The swap check and the other rules search no player exactly.
+    for args in [
+        vec!["verify", file, "--swap"],
+        vec!["best-response", file, "--player", "0", "--rule", "greedy"],
+    ] {
+        let out = bbncg().args(&args).output().unwrap();
+        assert!(out.status.success(), "{args:?}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn oversized_specs_exit_2_with_a_positioned_error() {
     let dir = std::env::temp_dir();

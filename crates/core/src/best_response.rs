@@ -24,23 +24,32 @@
 //! per-pair order. The per-pair search survives as the independent
 //! oracle of [`crate::is_swap_equilibrium`].
 //!
+//! One loop, `exact_best_over`, enumerates a player's `C(n−1, b)`
+//! strategies for every exact search: the exact rule and its sharded
+//! splits, the better rule, and every Nash check of
+//! `crate::equilibrium`. A search keeps only candidates strictly below
+//! a ceiling and ends at the best one or, for the better rule and the
+//! Nash verdicts, at the first one. [`exact_candidates`] sizes it and
+//! refuses one past [`MAX_EXACT_CANDIDATES`].
+//!
 //! A player owning one arc in a profile where no player owns two (the
 //! paper's unit-budget class) costs no per-candidate pricing at all,
 //! under either model: the engine prices every single-arc target in one
 //! closed-form pass, and each search returns from those costs the
 //! target its enumeration would have — the earliest least-cost one
 //! strictly below its incumbent — with the current strategy's cost
-//! memoized for the improvement gate. Only the Nash audit
-//! ([`exact_best_response_cost_with`]) always enumerates on the
-//! kernels.
+//! memoized for the improvement gate. Only the Nash checks always
+//! enumerate on the kernels.
 //!
-//! Dynamics asks a narrower question — does the player have a strictly
-//! improving move? — so its exact and swap searches start from the
-//! current strategy's cost instead of `u64::MAX` and return only a
-//! strict improvement: the same decision as the full search followed by
-//! a strict-improvement check. The exact search can then abort every
-//! candidate from the first one on, and neither search prices anything
-//! when the current cost sits at the Lemma 2.2 floor.
+//! Dynamics and the Nash checks ask a narrower question than
+//! [`exact_best_response`] — does the player have a strictly improving
+//! move? — so their searches start from the current strategy's cost
+//! instead of `u64::MAX` and return only a strict improvement: the same
+//! decision as the full search followed by a strict-improvement check.
+//! The current strategy is one of the candidates, so when that search
+//! finds nothing the current cost *is* the least cost. The exact search
+//! can then abort every candidate from the first one on, and no search
+//! prices anything when the current cost sits at the Lemma 2.2 floor.
 
 use crate::cost::CostModel;
 use crate::deviation::DeviationScratch;
@@ -48,11 +57,47 @@ use crate::oracle::{enumeration_count, CombinationOdometer};
 use crate::realization::Realization;
 use crate::sweep::SweepPart;
 use bbncg_graph::NodeId;
+use std::fmt;
 use std::ops::Range;
 
 /// Hard guard on exact enumeration size; beyond this the exact solver
 /// refuses rather than silently running for hours.
 pub const MAX_EXACT_CANDIDATES: u64 = 50_000_000;
+
+/// An exact search too large to start: a player owning `b` arcs among
+/// `n` vertices faces `count` = `C(n − 1, b)` candidate strategies
+/// (saturating), above [`MAX_EXACT_CANDIDATES`]. Its message is the
+/// guard's one wording; callers prefix the player.
+#[derive(Debug)]
+pub struct TooManyCandidates {
+    n: usize,
+    b: usize,
+    count: u64,
+}
+
+impl fmt::Display for TooManyCandidates {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "owns {} arcs among {} vertices: the exact search would enumerate {} candidates, \
+             over the cap of {MAX_EXACT_CANDIDATES}",
+            self.b, self.n, self.count
+        )
+    }
+}
+
+/// The size of the exact search of a player owning `b` arcs among `n`
+/// vertices: its `C(n − 1, b)` candidate count, or the refusal when
+/// that exceeds [`MAX_EXACT_CANDIDATES`]. Every exact search panics
+/// with this refusal; a caller holding untrusted input checks first.
+pub fn exact_candidates(n: usize, b: usize) -> Result<u64, TooManyCandidates> {
+    let count = enumeration_count(n.saturating_sub(1), b);
+    if count <= MAX_EXACT_CANDIDATES {
+        Ok(count)
+    } else {
+        Err(TooManyCandidates { n, b, count })
+    }
+}
 
 /// A strategy with its cost to the deviating player.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -129,29 +174,29 @@ pub(crate) fn exact_best_improvement(
     exact_search(scratch, r, u, model, current)
 }
 
-/// The exact search over the whole candidate space on one engine,
-/// keeping only candidates strictly below `ceiling`.
-fn exact_search(
+/// The exact search over the whole candidate space on one engine, on
+/// the kernels: the earliest least-cost candidate strictly below
+/// `ceiling`, or `None` when none goes below it.
+pub(crate) fn exact_search(
     scratch: &mut DeviationScratch,
     r: &Realization,
     u: NodeId,
     model: CostModel,
     ceiling: u64,
 ) -> Option<ScoredStrategy> {
-    let b = r.graph().out_degree(u);
-    assert_enumerable(r.n(), b, u);
-    // Leading elements run over 0..n−b of the (n−1)-element pool; the
-    // empty strategy (b = 0) leads with 0 and ends the enumeration at
-    // once.
-    exact_best_over(
-        scratch,
-        r,
-        u,
-        model,
-        ceiling,
-        &mut Whole(Some(0..r.n() - b)),
-    )
-    .map(|(s, _)| s)
+    exact_best_over(scratch, r, u, model, ceiling, &mut Whole::<false>::of(r, u)).map(|(s, _)| s)
+}
+
+/// [`exact_search`] ended at its first find: the earliest candidate in
+/// enumeration order strictly below `ceiling`.
+pub(crate) fn first_below(
+    scratch: &mut DeviationScratch,
+    r: &Realization,
+    u: NodeId,
+    model: CostModel,
+    ceiling: u64,
+) -> Option<ScoredStrategy> {
+    exact_best_over(scratch, r, u, model, ceiling, &mut Whole::<true>::of(r, u)).map(|(s, _)| s)
 }
 
 /// Every single-arc candidate's cost, indexed by target, and the
@@ -203,14 +248,12 @@ pub(crate) fn current_cost(
     scratch.cost_of(r.strategy(u))
 }
 
-/// The [`MAX_EXACT_CANDIDATES`] guard of the exact solver.
+/// The [`MAX_EXACT_CANDIDATES`] guard of the exact solver: panics
+/// with the [`exact_candidates`] refusal.
 pub(crate) fn assert_enumerable(n: usize, b: usize, u: NodeId) {
-    let count = enumeration_count(n - 1, b);
-    assert!(
-        count <= MAX_EXACT_CANDIDATES,
-        "exact best response would enumerate {count} candidates (player {u}, budget {b}, n {n}); \
-         use greedy_best_response or best_swap_response instead"
-    );
+    if let Err(e) = exact_candidates(n, b) {
+        panic!("player {u} {e}; use greedy_best_response or best_swap_response instead");
+    }
 }
 
 /// The slices of a candidate space one engine prices. Slices are
@@ -228,8 +271,10 @@ pub(crate) fn assert_enumerable(n: usize, b: usize, u: NodeId) {
 pub(crate) trait Slices {
     /// The next slice to price, `(index, range)`, or `None` when done.
     fn next(&mut self) -> Option<(usize, Range<usize>)>;
-    /// Has a slice before `slice` reached the Lemma 2.2 floor? Then
-    /// `slice` can at best tie the proven optimum and lose the tie.
+    /// Is the search settled before `slice`'s next candidate? A slice
+    /// before `slice` reached the Lemma 2.2 floor, so `slice` can at
+    /// best tie the proven optimum and lose the tie — or a search that
+    /// wants any improvement has found one.
     fn floor_before(&self, slice: usize) -> bool;
     /// `slice` is finished: `examined` candidates priced or pruned, and
     /// whether its incumbent reached the floor.
@@ -243,16 +288,34 @@ pub(crate) trait Slices {
 }
 
 /// The whole candidate space as one slice, priced alone: the
-/// sequential search.
-struct Whole(Option<Range<usize>>);
+/// sequential search. With `FIRST` its first find settles it (the
+/// better rule and the Nash verdicts); otherwise it runs to the best.
+struct Whole<const FIRST: bool> {
+    leads: Option<Range<usize>>,
+    found: bool,
+}
 
-impl Slices for Whole {
+impl<const FIRST: bool> Whole<FIRST> {
+    /// `u`'s whole candidate space, once the guard admits it. Leading
+    /// elements run over 0..n−b of the (n−1)-element pool; the empty
+    /// strategy (b = 0) leads with 0 and ends the enumeration at once.
+    fn of(r: &Realization, u: NodeId) -> Self {
+        let b = r.graph().out_degree(u);
+        assert_enumerable(r.n(), b, u);
+        Whole {
+            leads: Some(0..r.n() - b),
+            found: false,
+        }
+    }
+}
+
+impl<const FIRST: bool> Slices for Whole<FIRST> {
     fn next(&mut self) -> Option<(usize, Range<usize>)> {
-        self.0.take().map(|range| (0, range))
+        self.leads.take().map(|range| (0, range))
     }
 
     fn floor_before(&self, _: usize) -> bool {
-        false
+        FIRST && self.found
     }
 
     fn done(&mut self, _: usize, _: u64, _: bool) {}
@@ -261,7 +324,11 @@ impl Slices for Whole {
         u64::MAX
     }
 
-    fn publish(&mut self, _: u64) {}
+    fn publish(&mut self, _: u64) {
+        if FIRST {
+            self.found = true;
+        }
+    }
 }
 
 /// The bound a candidate must strictly beat: the engine's own
@@ -334,63 +401,6 @@ pub(crate) fn exact_best_over(
         }
         slices.done(slice, examined, floor);
         if floor {
-            break;
-        }
-    }
-    scratch.pool_buf = pool;
-    scratch.cand_buf = targets;
-    best
-}
-
-/// Cost of the cheapest strategy for `u` (see [`exact_best_response`]),
-/// with an extra early exit: as soon as some candidate goes strictly
-/// below `stop_below`, that candidate's cost is returned. Passing the
-/// player's current cost turns this into an equilibrium refuter.
-pub fn exact_best_response_cost(
-    r: &Realization,
-    u: NodeId,
-    model: CostModel,
-    stop_below: Option<u64>,
-) -> u64 {
-    exact_best_response_cost_with(&mut DeviationScratch::new(r), r, u, model, stop_below)
-}
-
-/// [`exact_best_response_cost`] reusing a caller-held
-/// [`DeviationScratch`].
-pub fn exact_best_response_cost_with(
-    scratch: &mut DeviationScratch,
-    r: &Realization,
-    u: NodeId,
-    model: CostModel,
-    stop_below: Option<u64>,
-) -> u64 {
-    let n = r.n();
-    let b = r.graph().out_degree(u);
-    let count = enumeration_count(n - 1, b);
-    assert!(
-        count <= MAX_EXACT_CANDIDATES,
-        "exact best response would enumerate {count} candidates (player {u}, budget {b}, n {n})"
-    );
-    scratch.begin(r, u, model);
-    let lb = scratch.cost_lower_bound(b);
-    let mut pool = std::mem::take(&mut scratch.pool_buf);
-    let mut targets = std::mem::take(&mut scratch.cand_buf);
-    pool.clear();
-    pool.extend((0..n).map(NodeId::new).filter(|&t| t != u));
-    let mut odometer = CombinationOdometer::new(pool.len(), b);
-    let mut best = u64::MAX;
-    loop {
-        targets.clear();
-        targets.extend(odometer.indices().iter().map(|&i| pool[i]));
-        if let Some(cost) = scratch.cost_of_pruned(&targets, best) {
-            if cost < best {
-                best = cost;
-                if best <= lb || stop_below.is_some_and(|s| best < s) {
-                    break;
-                }
-            }
-        }
-        if !odometer.advance() {
             break;
         }
     }
@@ -477,16 +487,9 @@ pub fn first_improving_response_with(
     u: NodeId,
     model: CostModel,
 ) -> Option<ScoredStrategy> {
-    let n = r.n();
-    let b = r.graph().out_degree(u);
-    if b == 0 {
+    if r.graph().out_degree(u) == 0 {
         return None;
     }
-    let count = enumeration_count(n - 1, b);
-    assert!(
-        count <= MAX_EXACT_CANDIDATES,
-        "better-response search would enumerate {count} candidates (player {u}, budget {b}, n {n})"
-    );
     if let Some((costs, current)) = closed_form(scratch, r, u, model) {
         // The first improvement in enumeration (target) order.
         return costs
@@ -494,35 +497,8 @@ pub fn first_improving_response_with(
             .position(|&c| c < current)
             .map(|v| single_arc(v, costs[v]));
     }
-    scratch.begin(r, u, model);
-    let current = scratch.cost_of(r.strategy(u));
-    let mut pool = std::mem::take(&mut scratch.pool_buf);
-    let mut targets = std::mem::take(&mut scratch.cand_buf);
-    pool.clear();
-    pool.extend((0..n).map(NodeId::new).filter(|&t| t != u));
-    let mut odometer = CombinationOdometer::new(pool.len(), b);
-    let mut found = None;
-    loop {
-        targets.clear();
-        targets.extend(odometer.indices().iter().map(|&i| pool[i]));
-        // Pruned candidates cost ≥ current, so they are never the
-        // first improvement — the returned strategy is unchanged.
-        if let Some(cost) = scratch.cost_of_pruned(&targets, current) {
-            if cost < current {
-                found = Some(ScoredStrategy {
-                    targets: targets.clone(),
-                    cost,
-                });
-                break;
-            }
-        }
-        if !odometer.advance() {
-            break;
-        }
-    }
-    scratch.pool_buf = pool;
-    scratch.cand_buf = targets;
-    found
+    let current = current_cost(scratch, r, u, model);
+    first_below(scratch, r, u, model, current)
 }
 
 /// Best single-arc swap for `u`: over every owned arc `u → old` and
@@ -650,6 +626,7 @@ pub(crate) fn best_swap_per_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::CostKernel;
     use bbncg_graph::OwnedDigraph;
 
     fn v(i: usize) -> NodeId {
@@ -744,11 +721,35 @@ mod tests {
     }
 
     #[test]
-    fn stop_below_short_circuits() {
-        let r = path5();
-        let current = r.cost(v(0), CostModel::Sum); // 10
-        let c = exact_best_response_cost(&r, v(0), CostModel::Sum, Some(current));
-        assert!(c < current);
+    fn is_best_response_stops_at_the_first_improvement() {
+        // Every refutable player of the directed 9-path, on each kernel:
+        // the Nash check examines the current strategy (its one pricing
+        // through `cost_of`), then the candidates in enumeration order up
+        // to the first strictly improving one, and none after it.
+        let arcs: Vec<(usize, usize)> = (0..8).map(|i| (i, i + 1)).collect();
+        let r = Realization::new(OwnedDigraph::from_arcs(9, &arcs));
+        let mut refuted = 0;
+        for kernel in [CostKernel::Bitset, CostKernel::Sparse] {
+            for model in CostModel::ALL {
+                for u in (0..8).map(v) {
+                    // One arc each: the candidates are the single targets.
+                    let current = r.cost(u, model);
+                    let Some(first) = (0..9)
+                        .map(v)
+                        .filter(|&t| t != u)
+                        .position(|t| r.with_strategy(u, vec![t]).cost(u, model) < current)
+                    else {
+                        continue;
+                    };
+                    let mut scratch = DeviationScratch::with_kernel(&r, kernel);
+                    assert!(!crate::is_best_response_with(&mut scratch, &r, u, model));
+                    let examined = 1 + first as u64 + 1;
+                    assert_eq!(scratch.examined(), examined, "{kernel:?} {model:?} {u}");
+                    refuted += 1;
+                }
+            }
+        }
+        assert!(refuted >= 8, "the path refutes players under both models");
     }
 
     #[test]

@@ -380,6 +380,14 @@ impl DeviationScratch {
         self.tally.priced - self.tally.prune_aborts
     }
 
+    /// Candidates this session examined: priced on the kernel (to the
+    /// end or aborted), priced exactly by their bound, or skipped by it.
+    #[cfg(test)]
+    pub(crate) fn examined(&self) -> u64 {
+        self.tally.priced + self.tally.prune_exact + self.tally.prune_skips
+            - self.tally.prune_aborts
+    }
+
     /// Re-attach the detached player's arcs, making `patch` mirror
     /// `mirror` exactly.
     fn close_session(&mut self) {

@@ -10,13 +10,19 @@
 
 use crate::budget::BudgetVector;
 use crate::cost::c_inf;
-use crate::equilibrium::is_best_response;
+use crate::deviation::DeviationScratch;
+use crate::equilibrium::is_best_response_with;
 use crate::oracle::enumeration_count;
 use crate::realization::Realization;
 use bbncg_graph::{NodeId, OwnedDigraph};
 
 /// Default cap on exhaustive profile enumeration.
 pub const MAX_PROFILES: u64 = 5_000_000;
+
+/// Profiles one worker folds per claim in [`exact_game_stats`]: enough
+/// that a claim costs far less than the Nash checks it hands out, few
+/// enough that 10⁶ profiles still spread over every worker.
+const CENSUS_CHUNK: u64 = 1024;
 
 /// Number of strategy profiles of the instance (saturating).
 pub fn profile_count(b: &BudgetVector) -> u64 {
@@ -100,6 +106,21 @@ pub struct ExactGameStats {
 }
 
 impl ExactGameStats {
+    /// The statistics of two disjoint sets of profiles together.
+    fn merge(self, x: Self) -> Self {
+        ExactGameStats {
+            profiles: self.profiles + x.profiles,
+            equilibria: self.equilibria + x.equilibria,
+            opt_diameter: self.opt_diameter.min(x.opt_diameter),
+            best_equilibrium_diameter: self
+                .best_equilibrium_diameter
+                .min(x.best_equilibrium_diameter),
+            worst_equilibrium_diameter: self
+                .worst_equilibrium_diameter
+                .max(x.worst_equilibrium_diameter),
+        }
+    }
+
     /// Exact price of anarchy.
     pub fn poa(&self) -> f64 {
         self.worst_equilibrium_diameter as f64 / self.opt_diameter as f64
@@ -112,7 +133,10 @@ impl ExactGameStats {
 }
 
 /// Enumerate every profile of `b`, verify Nash for each, and return the
-/// exact statistics. Parallel over the profile index space.
+/// exact statistics. Parallel over the profile index space: workers
+/// claim chunks of it and check every player of every profile in a
+/// chunk on one [`DeviationScratch`] per worker. The result is a sum,
+/// a minimum and a maximum, so it is the same at every thread count.
 ///
 /// ```
 /// use bbncg_core::{exact_game_stats, BudgetVector, CostModel};
@@ -146,33 +170,27 @@ pub fn exact_game_stats(
         best_equilibrium_diameter: u64::MAX,
         worst_equilibrium_diameter: 0,
     };
-    let indices: Vec<u64> = (0..total).collect();
-    bbncg_par::par_reduce(
-        &indices,
-        identity,
-        |_, &idx| {
-            let g = decode_profile(b, idx);
-            let r = Realization::new(g);
-            let diam = r.social_diameter();
-            let is_eq = (0..n).all(|u| is_best_response(&r, NodeId::new(u), model));
-            ExactGameStats {
-                profiles: 1,
-                equilibria: is_eq as u64,
-                opt_diameter: diam,
-                best_equilibrium_diameter: if is_eq { diam } else { u64::MAX },
-                worst_equilibrium_diameter: if is_eq { diam } else { 0 },
-            }
+    let chunks = bbncg_par::par_map_init(
+        total.div_ceil(CENSUS_CHUNK) as usize,
+        || DeviationScratch::new(&Realization::new(decode_profile(b, 0))),
+        |scratch, chunk| {
+            let start = chunk as u64 * CENSUS_CHUNK;
+            (start..total.min(start + CENSUS_CHUNK)).fold(identity, |acc, idx| {
+                let r = Realization::new(decode_profile(b, idx));
+                let diam = r.social_diameter();
+                let is_eq =
+                    (0..n).all(|u| is_best_response_with(scratch, &r, NodeId::new(u), model));
+                acc.merge(ExactGameStats {
+                    profiles: 1,
+                    equilibria: is_eq as u64,
+                    opt_diameter: diam,
+                    best_equilibrium_diameter: if is_eq { diam } else { u64::MAX },
+                    worst_equilibrium_diameter: if is_eq { diam } else { 0 },
+                })
+            })
         },
-        |a, x| ExactGameStats {
-            profiles: a.profiles + x.profiles,
-            equilibria: a.equilibria + x.equilibria,
-            opt_diameter: a.opt_diameter.min(x.opt_diameter),
-            best_equilibrium_diameter: a.best_equilibrium_diameter.min(x.best_equilibrium_diameter),
-            worst_equilibrium_diameter: a
-                .worst_equilibrium_diameter
-                .max(x.worst_equilibrium_diameter),
-        },
-    )
+    );
+    chunks.into_iter().fold(identity, ExactGameStats::merge)
 }
 
 #[cfg(test)]

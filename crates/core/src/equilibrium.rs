@@ -2,8 +2,25 @@
 //!
 //! A profile is a (pure) Nash equilibrium when *no* player can strictly
 //! decrease its cost by any unilateral strategy change. Verification is
-//! exact — each player's full deviation space is searched (with early
-//! exit on the first improvement) — and runs players in parallel.
+//! exact: each player's full deviation space is searched on the kernels
+//! (never through the unit-budget closed form, so the checks stay
+//! independent of the dynamics' fast path), against the player's
+//! current cost. The current strategy is a candidate, so a search that
+//! finds nothing strictly below that cost proves it the least cost, and
+//! every candidate is priced against at most the current cost from the
+//! first one on.
+//!
+//! Three entry points answer three questions:
+//!
+//! * [`is_nash_equilibrium`] (and [`is_best_response`]) — the verdict:
+//!   each player's search stops at its first improvement, and the
+//!   parallel pass over players stops once any player is refuted;
+//! * [`find_violation`] — the first violator in id order, with its best
+//!   response's cost: players run in order on one engine, each search
+//!   to its optimum, and the pass stops at the first violator;
+//! * [`audit_equilibrium`] ([`NashAudit`]) — every player's current
+//!   and best-response cost in one batched pass, from which the
+//!   verdict, the best-response gap and the violation list are read.
 //!
 //! For large structured instances where exact search is infeasible the
 //! paper's own certificates are implemented: [`lemma22_certifies`]
@@ -11,7 +28,7 @@
 //! both versions) and the swap-equilibrium relaxation
 //! ([`is_swap_equilibrium`]) matching Alon et al.'s move set.
 
-use crate::best_response::{best_swap_per_pair, exact_best_response_cost_with};
+use crate::best_response::{best_swap_per_pair, current_cost, exact_search, first_below};
 use crate::cost::CostModel;
 use crate::deviation::DeviationScratch;
 use crate::kernel::CostKernel;
@@ -30,8 +47,9 @@ pub struct Violation {
     pub best_cost: u64,
 }
 
-/// Is player `u` playing a best response? Exact (enumerates deviations,
-/// early-exits on the first strict improvement).
+/// Is player `u` playing a best response? Exact: enumerates `u`'s
+/// deviations on the kernels and stops at the first one strictly
+/// cheaper than the current strategy.
 pub fn is_best_response(r: &Realization, u: NodeId, model: CostModel) -> bool {
     is_best_response_with(&mut DeviationScratch::new(r), r, u, model)
 }
@@ -46,10 +64,52 @@ pub fn is_best_response_with(
     if r.graph().out_degree(u) == 0 {
         return true; // the empty strategy is the only strategy
     }
-    scratch.begin(r, u, model);
-    let current = scratch.cost_of(r.strategy(u));
-    let best = exact_best_response_cost_with(scratch, r, u, model, Some(current));
-    best >= current
+    let current = current_cost(scratch, r, u, model);
+    first_below(scratch, r, u, model, current).is_none()
+}
+
+/// `u`'s current and exact best-response costs, the audit's pricing of
+/// one player: the best is the least cost the search finds strictly
+/// below the current cost, or the current cost itself when it finds
+/// none — the current strategy is a candidate.
+fn audit_player(
+    scratch: &mut DeviationScratch,
+    r: &Realization,
+    u: NodeId,
+    model: CostModel,
+) -> (u64, u64) {
+    let current = current_cost(scratch, r, u, model);
+    if r.graph().out_degree(u) == 0 {
+        return (current, current); // the empty strategy is the only strategy
+    }
+    let best = exact_search(scratch, r, u, model, current).map_or(current, |s| s.cost);
+    (current, best)
+}
+
+/// Does every player pass `check`? Players run in parallel, one engine
+/// (of `kernel`) per worker, and every worker skips the players left
+/// once any player fails.
+fn every_player(
+    r: &Realization,
+    kernel: CostKernel,
+    check: impl Fn(&mut DeviationScratch, NodeId) -> bool + Sync,
+) -> bool {
+    let refuted = AtomicBool::new(false);
+    let flags = bbncg_par::par_map_init(
+        r.n(),
+        || DeviationScratch::with_kernel(r, kernel),
+        |scratch, i| {
+            if refuted.load(Ordering::Relaxed) {
+                return true; // skip work; overall answer already false
+            }
+            let ok = check(scratch, NodeId::new(i));
+            if !ok {
+                refuted.store(true, Ordering::Relaxed);
+            }
+            ok
+        },
+    );
+    flags.into_iter().all(|ok| ok)
 }
 
 /// Is the profile a Nash equilibrium under `model`? Exact; players are
@@ -79,33 +139,19 @@ pub fn is_nash_equilibrium_with_kernel(
     model: CostModel,
     kernel: CostKernel,
 ) -> bool {
-    let n = r.n();
-    let refuted = AtomicBool::new(false);
-    let flags = bbncg_par::par_map_init(
-        n,
-        || DeviationScratch::with_kernel(r, kernel),
-        |scratch, i| {
-            if refuted.load(Ordering::Relaxed) {
-                return true; // skip work; overall answer already false
-            }
-            let ok = is_best_response_with(scratch, r, NodeId::new(i), model);
-            if !ok {
-                refuted.store(true, Ordering::Relaxed);
-            }
-            ok
-        },
-    );
-    flags.into_iter().all(|ok| ok)
+    every_player(r, kernel, |scratch, u| {
+        is_best_response_with(scratch, r, u, model)
+    })
 }
 
 /// First player (in id order) with a profitable deviation, with its
 /// current and best-response costs: the first entry of
 /// [`NashAudit::violations`]. Deterministic; `None` means equilibrium.
 ///
-/// Each player's search runs to its optimum (or the Lemma 2.2 floor)
-/// rather than stopping at its first improvement. A player that cannot
-/// improve searches its whole space either way, so only the one
-/// reported violator pays for the full search.
+/// Players run in id order on one engine, each search to its optimum
+/// (or the Lemma 2.2 floor) rather than to its first improvement. A
+/// player that cannot improve searches its whole space either way, so
+/// only the one reported violator pays for the full search.
 pub fn find_violation(r: &Realization, model: CostModel) -> Option<Violation> {
     find_violation_with_kernel(r, model, CostKernel::Auto)
 }
@@ -117,23 +163,17 @@ pub fn find_violation_with_kernel(
     kernel: CostKernel,
 ) -> Option<Violation> {
     let mut scratch = DeviationScratch::with_kernel(r, kernel);
-    for i in 0..r.n() {
-        let u = NodeId::new(i);
+    (0..r.n()).map(NodeId::new).find_map(|u| {
         if r.graph().out_degree(u) == 0 {
-            continue;
+            return None;
         }
-        scratch.begin(r, u, model);
-        let current = scratch.cost_of(r.strategy(u));
-        let best = exact_best_response_cost_with(&mut scratch, r, u, model, None);
-        if best < current {
-            return Some(Violation {
-                player: u,
-                current_cost: current,
-                best_cost: best,
-            });
-        }
-    }
-    None
+        let (current, best) = audit_player(&mut scratch, r, u, model);
+        (best < current).then_some(Violation {
+            player: u,
+            current_cost: current,
+            best_cost: best,
+        })
+    })
 }
 
 /// Is the profile a **swap equilibrium**: no player can improve by
@@ -150,24 +190,9 @@ pub fn is_swap_equilibrium_with_kernel(
     model: CostModel,
     kernel: CostKernel,
 ) -> bool {
-    let n = r.n();
-    let refuted = AtomicBool::new(false);
-    let flags = bbncg_par::par_map_init(
-        n,
-        || DeviationScratch::with_kernel(r, kernel),
-        |scratch, i| {
-            if refuted.load(Ordering::Relaxed) {
-                return true;
-            }
-            let u = NodeId::new(i);
-            let ok = best_swap_per_pair(scratch, r, u, model).is_none();
-            if !ok {
-                refuted.store(true, Ordering::Relaxed);
-            }
-            ok
-        },
-    );
-    flags.into_iter().all(|ok| ok)
+    every_player(r, kernel, |scratch, u| {
+        best_swap_per_pair(scratch, r, u, model).is_none()
+    })
 }
 
 /// How far the profile is from equilibrium: the largest cost
@@ -179,11 +204,14 @@ pub fn best_response_gap(r: &Realization, model: CostModel) -> u64 {
 }
 
 /// Per-player equilibrium audit: every player's current cost and exact
-/// best-response cost, computed in one batched parallel pass with one
-/// [`DeviationScratch`] per worker. This is **the** Nash-verification
-/// entry point — `is_nash`, the best-response gap, and the violation
-/// list are all views over the same pass, so analysis, benches and the
-/// CLI share one engine instead of re-running ad-hoc per-player loops.
+/// best-response cost, computed in one batched pass with one
+/// [`DeviationScratch`] per worker. [`NashAudit::is_nash`], the
+/// best-response gap and the violation list are views over that one
+/// pass. Every violator's search runs to its optimum, so on a refuted
+/// profile the audit prices more than the early-exiting verdict of
+/// [`is_nash_equilibrium`] and the first-violator pass of
+/// [`find_violation`]. Those run passes of their own, and agree with
+/// [`NashAudit::is_nash`] and the first of [`NashAudit::violations`].
 #[derive(Clone, Debug)]
 pub struct NashAudit {
     /// The audited cost model.
@@ -261,17 +289,8 @@ pub fn audit_equilibrium_with_opts(
     executor: crate::round::RoundExecutor,
 ) -> NashAudit {
     let n = r.n();
-    let price = |scratch: &mut DeviationScratch, i: usize| {
-        let u = NodeId::new(i);
-        scratch.begin(r, u, model);
-        let current = scratch.cost_of(r.strategy(u));
-        if r.graph().out_degree(u) == 0 {
-            // The empty strategy is the only strategy: best = current.
-            return (current, current);
-        }
-        let best = exact_best_response_cost_with(scratch, r, u, model, None);
-        (current, best)
-    };
+    let price =
+        |scratch: &mut DeviationScratch, i: usize| audit_player(scratch, r, NodeId::new(i), model);
     let per_player = match executor.resolve(n) {
         crate::round::RoundExecutor::Sequential => {
             let mut scratch = DeviationScratch::with_kernel(r, kernel);
@@ -318,10 +337,79 @@ pub fn lemma22_certifies_all(r: &Realization) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bbncg_graph::OwnedDigraph;
+    use crate::dynamics::{run_dynamics, DynamicsConfig};
+    use bbncg_graph::{generators, OwnedDigraph};
+    use rand::{rngs::StdRng, SeedableRng};
 
     fn v(i: usize) -> NodeId {
         NodeId::new(i)
+    }
+
+    /// The equilibrium a converged exact run reaches from a seeded
+    /// random start of `n` players, player `i` owning
+    /// `pattern[i % pattern.len()]` arcs.
+    fn converged(n: usize, pattern: &[usize], model: CostModel, seed: u64) -> Realization {
+        let budgets: Vec<usize> = (0..n).map(|i| pattern[i % pattern.len()]).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let start = Realization::new(generators::random_realization(&budgets, &mut rng));
+        let report = run_dynamics(start, DynamicsConfig::exact(model, 100), &mut rng);
+        assert!(report.converged, "{n} x {pattern:?} {model:?} seed {seed}");
+        report.state
+    }
+
+    /// On an equilibrium every Nash check prices each candidate against
+    /// the player's current cost, which no candidate goes below: each
+    /// player's audit and verdict complete one pricing, the current
+    /// strategy's, and skip or abort every candidate — a player above
+    /// the Lemma 2.2 floor included. The sparse repair aborts a MAX
+    /// candidate only while a reachable vertex is unvisited, so there
+    /// the checks complete no more than a search priced against its
+    /// running minimum from `u64::MAX` does.
+    #[test]
+    fn nash_checks_complete_only_the_current_pricing_on_an_equilibrium() {
+        // Seed 1 reaches a diameter-6 SUM equilibrium of the mixed
+        // budgets and a MAX equilibrium of the twos with 20 players
+        // above the floor.
+        for (pattern, model) in [(&[0, 1, 2][..], CostModel::Sum), (&[2], CostModel::Max)] {
+            let n = 24;
+            let r = converged(n, pattern, model, 1);
+            let above = (0..n)
+                .map(v)
+                .filter(|&u| {
+                    let mut scratch = DeviationScratch::new(&r);
+                    let current = current_cost(&mut scratch, &r, u, model);
+                    current > scratch.cost_lower_bound(r.graph().out_degree(u))
+                })
+                .count();
+            assert!(
+                above >= n / 2,
+                "{pattern:?} {model:?}: {above} above the floor"
+            );
+            for kernel in [CostKernel::Bitset, CostKernel::Sparse] {
+                for u in (0..n).map(v) {
+                    let ctx = format!("{pattern:?} {model:?} on {kernel:?}, player {u}");
+                    let mut audit = DeviationScratch::with_kernel(&r, kernel);
+                    let (current, best) = audit_player(&mut audit, &r, u, model);
+                    assert_eq!(best, current, "{ctx}");
+                    let mut verdict = DeviationScratch::with_kernel(&r, kernel);
+                    assert!(is_best_response_with(&mut verdict, &r, u, model), "{ctx}");
+                    if (kernel, model) == (CostKernel::Sparse, CostModel::Max) {
+                        let mut running = DeviationScratch::with_kernel(&r, kernel);
+                        current_cost(&mut running, &r, u, model);
+                        exact_search(&mut running, &r, u, model, u64::MAX);
+                        let most = running.priced_to_completion();
+                        assert!(audit.priced_to_completion() <= most, "{ctx}");
+                        assert!(verdict.priced_to_completion() <= most, "{ctx}");
+                    } else {
+                        // A player owning nothing has one strategy, which
+                        // the verdict does not price.
+                        let owns = u64::from(r.graph().out_degree(u) > 0);
+                        assert_eq!(audit.priced_to_completion(), 1, "{ctx}");
+                        assert_eq!(verdict.priced_to_completion(), owns, "{ctx}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

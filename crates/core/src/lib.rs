@@ -62,9 +62,9 @@ mod sweep;
 pub mod weighted;
 
 pub use best_response::{
-    best_swap_response, best_swap_response_with, exact_best_response, exact_best_response_cost,
-    exact_best_response_cost_with, exact_best_response_with, first_improving_response,
-    first_improving_response_with, greedy_best_response, greedy_best_response_with, ScoredStrategy,
+    best_swap_response, best_swap_response_with, exact_best_response, exact_best_response_with,
+    exact_candidates, first_improving_response, first_improving_response_with,
+    greedy_best_response, greedy_best_response_with, ScoredStrategy, TooManyCandidates,
     MAX_EXACT_CANDIDATES,
 };
 pub use budget::{BudgetVector, InstanceClass};

@@ -14,7 +14,7 @@
 
 use crate::best_response::ScoredStrategy;
 use crate::cost::CostModel;
-use crate::oracle::{enumeration_count, CombinationOdometer};
+use crate::oracle::CombinationOdometer;
 use crate::realization::Realization;
 use bbncg_graph::NodeId;
 
@@ -23,11 +23,7 @@ use bbncg_graph::NodeId;
 pub fn exact_best_response_rebuild(r: &Realization, u: NodeId, model: CostModel) -> ScoredStrategy {
     let n = r.n();
     let b = r.graph().out_degree(u);
-    let count = enumeration_count(n - 1, b);
-    assert!(
-        count <= crate::best_response::MAX_EXACT_CANDIDATES,
-        "naive exact best response would enumerate {count} candidates"
-    );
+    crate::best_response::assert_enumerable(n, b, u);
     let pool: Vec<NodeId> = (0..n).map(NodeId::new).filter(|&t| t != u).collect();
     let mut odometer = CombinationOdometer::new(pool.len(), b);
     let mut best: Option<ScoredStrategy> = None;

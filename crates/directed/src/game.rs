@@ -14,8 +14,8 @@
 //! here with *directed* BFS over the graph-minus-`u`'s-links plus the
 //! candidate links as a patch.
 
-use bbncg_core::oracle::{enumeration_count, CombinationOdometer};
-use bbncg_core::{c_inf, BudgetVector, ScoredStrategy, MAX_EXACT_CANDIDATES};
+use bbncg_core::oracle::CombinationOdometer;
+use bbncg_core::{c_inf, exact_candidates, BudgetVector, ScoredStrategy};
 use bbncg_graph::{NodeId, OwnedDigraph};
 
 /// A strategy profile of the directed game.
@@ -150,15 +150,13 @@ impl DirectedRealization {
 ///
 /// # Panics
 /// Panics if the candidate space exceeds
-/// [`MAX_EXACT_CANDIDATES`].
+/// [`MAX_EXACT_CANDIDATES`](bbncg_core::MAX_EXACT_CANDIDATES).
 pub fn directed_best_response(r: &DirectedRealization, u: NodeId) -> ScoredStrategy {
     let n = r.n();
     let b = r.graph().out_degree(u);
-    let count = enumeration_count(n - 1, b);
-    assert!(
-        count <= MAX_EXACT_CANDIDATES,
-        "directed best response would enumerate {count} candidates"
-    );
+    if let Err(e) = exact_candidates(n, b) {
+        panic!("directed game: player {u} {e}");
+    }
     let pool: Vec<NodeId> = (0..n).map(NodeId::new).filter(|&t| t != u).collect();
     let mut odometer = CombinationOdometer::new(pool.len(), b);
     let mut targets: Vec<NodeId> = Vec::with_capacity(b);

@@ -6,10 +6,9 @@
 //! for the grammar and `examples/scenarios/` for working files.
 
 use crate::toml::{self, SpecError, TomlTable, Value};
-use bbncg_core::oracle::enumeration_count;
 use bbncg_core::{
-    CostKernel, CostModel, DynamicsConfig, PlayerOrder, ResponseRule, RoundExecutor,
-    MAX_EXACT_CANDIDATES,
+    exact_candidates, CostKernel, CostModel, DynamicsConfig, PlayerOrder, ResponseRule,
+    RoundExecutor,
 };
 use bbncg_graph::generators::{family_size, MAX_ARCS, MAX_VERTICES};
 use std::collections::HashSet;
@@ -239,7 +238,8 @@ fn grow((v, a): (usize, usize), phase: &PhaseSpec) -> (usize, usize) {
 /// better rules (and in the directed variant, which always searches
 /// exactly) a player owning `b` arcs among `n` vertices faces
 /// `C(n − 1, b)` candidate strategies, and the search refuses more than
-/// [`MAX_EXACT_CANDIDATES`]. Checked: the initial profile's players
+/// [`MAX_EXACT_CANDIDATES`](bbncg_core::MAX_EXACT_CANDIDATES) (see
+/// [`exact_candidates`]). Checked: the initial profile's players
 /// (inline arc lists and random budget vectors; the other families
 /// give each player at most a few arcs) and each arrival's budget,
 /// whenever a later dynamics phase searches exactly. A `reorient` or
@@ -267,18 +267,12 @@ fn check_exact_searches(
         })
     };
     let refuse = |line: usize, who: String, n: usize, b: usize| {
-        let count = enumeration_count(n.saturating_sub(1), b);
-        if count <= MAX_EXACT_CANDIDATES {
-            return Ok(());
-        }
-        Err(SpecError::at(
-            line,
-            format!(
-                "{who} owns {b} arcs among {n} vertices: the exact search would enumerate \
-                 {count} candidates, over the cap of {MAX_EXACT_CANDIDATES} \
-                 (use rule = \"swap\" or \"greedy\")"
-            ),
-        ))
+        exact_candidates(n, b).map(drop).map_err(|e| {
+            SpecError::at(
+                line,
+                format!("{who} {e} (use rule = \"swap\" or \"greedy\")"),
+            )
+        })
     };
     if exact_at(0) {
         match init {

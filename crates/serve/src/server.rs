@@ -57,8 +57,8 @@ use crate::http::{json_escape, Request, DEFAULT_MAX_BODY};
 use crate::job::{Job, JobKind, JobStatus};
 use crate::stream::BufferSink;
 use bbncg_core::{
-    audit_equilibrium_with_opts, parse_realization, CostKernel, CostModel, DeviationScratch,
-    RoundExecutor,
+    audit_equilibrium_with_opts, exact_candidates, parse_realization, CostKernel, CostModel,
+    DeviationScratch, RoundExecutor,
 };
 use bbncg_obs::{Counter, Gauge, Histogram};
 use bbncg_scenario::{parse_spec, run_scenario_with_engine, run_sweep_cancellable, Checkpoint};
@@ -817,6 +817,12 @@ fn build_job_kind(req: &Request, default_executor: RoundExecutor) -> Result<JobK
             kernel
                 .check_size(realization.n())
                 .map_err(|e| format!("kernel: {e}"))?;
+            // The audit searches every player exactly; one it would
+            // refuse with a panic is refused here instead.
+            let n = realization.n();
+            for (u, &b) in realization.budgets().as_slice().iter().enumerate() {
+                exact_candidates(n, b).map_err(|e| format!("profile: player {u} {e}"))?;
+            }
             Ok(JobKind::Verify {
                 realization: Box::new(realization),
                 model: parse_model_param(req, CostModel::Sum)?,

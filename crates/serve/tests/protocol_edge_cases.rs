@@ -184,6 +184,11 @@ fn oversized_instances_get_400_and_the_server_stays_up() {
         "[init]\nfamily = \"uniform\"\nn = 20000\nbudget = 1\n[[phase]]\nkind = \"dynamics\"\n";
     let wide_bitset = wide.replace("[[phase]]", "[dynamics]\nkernel = \"bitset\"\n[[phase]]");
     let wide_profile = format!("bbncg v1\nn 20000\nbudgets{}\narcs\n", " 0".repeat(20000));
+    // A verify job audits every player exactly, and player 0 here
+    // would face C(39, 20) candidates.
+    let mut unenumerable = format!("bbncg v1\nn 40\nbudgets 20{}\narcs\n", " 1".repeat(39));
+    (1..=20).for_each(|v| unenumerable.push_str(&format!("0 {v}\n")));
+    (1..40).for_each(|v| unenumerable.push_str(&format!("{v} 0\n")));
     // A value nested 10 000 arrays deep would overflow the parser's
     // stack if it recursed without a bound.
     let deep = format!(
@@ -205,6 +210,12 @@ fn oversized_instances_get_400_and_the_server_stays_up() {
             "/jobs?type=verify&kernel=bitset",
             wide_profile.as_str(),
             "kernel: kernel bitset reaches 20000 vertices",
+        ),
+        (
+            "/jobs?type=verify",
+            unenumerable.as_str(),
+            "profile: player 0 owns 20 arcs among 40 vertices: \
+             the exact search would enumerate 68923264410 candidates",
         ),
         (
             "/jobs",

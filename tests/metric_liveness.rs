@@ -15,9 +15,10 @@
 
 use bbncg::game::dynamics::{run_dynamics_with_kernel, DynamicsConfig};
 use bbncg::game::{
-    audit_equilibrium_with_kernel, BudgetVector, CostKernel, CostModel, Realization, RoundExecutor,
+    audit_equilibrium_with_kernel, exact_best_response_with, BudgetVector, CostKernel, CostModel,
+    DeviationScratch, Realization, RoundExecutor,
 };
-use bbncg::graph::{generators, OwnedDigraph};
+use bbncg::graph::{generators, NodeId, OwnedDigraph};
 use bbncg::obs::{self, Counter, Gauge, Histogram};
 use bbncg::scenario::{parse_spec, run_sweep, NullSink};
 use bbncg::serve::{client, spawn, ServerConfig};
@@ -84,10 +85,16 @@ fn drive_pricing() {
     let unit = DynamicsConfig::exact(CostModel::Sum, 5).with_executor(RoundExecutor::Sequential);
     dynamics(24, 1, unit, CostKernel::Auto);
     // The centre of a star that owns every arc has every vertex at
-    // distance 1, so its bound prices it exactly without a BFS.
+    // distance 1, so its bound prices its one strategy exactly, without
+    // a BFS, when a best response asks for its cost. The audit asks only
+    // for a cost below the current one, which at the Lemma 2.2 floor
+    // needs no pricing.
     let star: Vec<(usize, usize)> = (1..12).map(|leaf| (0, leaf)).collect();
     let star = Realization::new(OwnedDigraph::from_arcs(12, &star));
     for kernel in KERNELS {
+        let mut scratch = DeviationScratch::with_kernel(&star, kernel);
+        let centre = exact_best_response_with(&mut scratch, &star, NodeId::new(0), CostModel::Sum);
+        assert_eq!(centre.cost, 11, "{kernel:?}");
         assert!(audit_equilibrium_with_kernel(&star, CostModel::Sum, kernel).is_nash());
     }
 }
